@@ -3,7 +3,9 @@
 Label sequences and alignment paths are tuples of vocabulary indices;
 index 0 is always the blank.  All dynamic programs run in natural-log
 space; an infeasible target yields -inf log probability (and +inf
-loss), never an exception.
+loss), never an exception.  One lattice recurrence serves every pass:
+the backward tables are the forward tables of the time-reversed frames
+and target, and prefix mass is read off the forward tables.
 """
 
 import itertools
@@ -12,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, UsageError
+from .textmatrix import read_text_matrix, write_text_matrix
 
 BLANK = 0
 BLANK_TOKEN = "<blank>"
@@ -134,11 +137,15 @@ def _check_target(p: Posteriorgram, target) -> LabelSequence:
     return w
 
 
-def _forward_tables(lp: np.ndarray, w: LabelSequence) -> tuple[np.ndarray, np.ndarray]:
+def _forward_tables(lp: np.ndarray, w: LabelSequence
+                    ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Blank and label tables over (frame, labels emitted), and log P(w)."""
     t_total = lp.shape[0]
     n = len(w)
     q_blank = np.full((t_total, n + 1), -np.inf)
     q_label = np.full((t_total, n + 1), -np.inf)
+    if t_total == 0:
+        return q_blank, q_label, 0.0 if n == 0 else -np.inf
     q_blank[:, 0] = np.cumsum(lp[:, BLANK])
     if n:
         q_label[0, 1] = lp[0, w[0]]
@@ -151,7 +158,29 @@ def _forward_tables(lp: np.ndarray, w: LabelSequence) -> tuple[np.ndarray, np.nd
             if pos >= 2 and w[pos - 1] != w[pos - 2]:
                 grow = np.logaddexp(grow, prev_l[pos - 1])
             q_label[t, pos] = lp[t, w[pos - 1]] + np.logaddexp(prev_l[pos], grow)
-    return q_blank, q_label
+    return q_blank, q_label, float(np.logaddexp(q_blank[-1, n], q_label[-1, n]))
+
+
+def _prefix_mass(lp: np.ndarray, w: LabelSequence,
+                 q_blank: np.ndarray, q_label: np.ndarray) -> float:
+    """Log probability that the emission starts with `w`, from w's forward tables.
+
+    Sums, over frames t, the mass that enters the final position at t
+    from column n-1 at t-1; every continuation after t is free.
+    """
+    n = len(w)
+    if n == 0:
+        return 0.0
+    if n > lp.shape[0]:
+        return -np.inf
+    may_chain = n == 1 or w[-1] != w[-2]
+    total = lp[0, w[-1]] if n == 1 else -np.inf
+    for t in range(1, lp.shape[0]):
+        grow = q_blank[t - 1, n - 1]
+        if may_chain:
+            grow = np.logaddexp(grow, q_label[t - 1, n - 1])
+        total = np.logaddexp(total, lp[t, w[-1]] + grow)
+    return float(total)
 
 
 def ctc_forward(p: Posteriorgram, target) -> tuple[ForwardBackwardTable, float]:
@@ -162,40 +191,23 @@ def ctc_forward(p: Posteriorgram, target) -> tuple[ForwardBackwardTable, float]:
     comes back as -inf.
     """
     w = _check_target(p, target)
-    if p.num_frames == 0:
-        empty = np.zeros((0, len(w) + 1))
-        return (ForwardBackwardTable(forward_blank=empty, forward_label=empty),
-                0.0 if not w else -np.inf)
-    q_blank, q_label = _forward_tables(p.log_probs, w)
-    total = float(np.logaddexp(q_blank[-1, len(w)], q_label[-1, len(w)]))
+    q_blank, q_label, total = _forward_tables(p.log_probs, w)
     return ForwardBackwardTable(forward_blank=q_blank, forward_label=q_label), total
 
 
 def ctc_backward(p: Posteriorgram, target) -> tuple[ForwardBackwardTable, float]:
-    """Suffix-side mirror of ctc_forward; same total log probability."""
+    """Suffix-side tables: the forward pass over reversed frames and target.
+
+    Column pos of the backward tables holds the mass of frames t..T-1
+    emitting labels pos..N, so it is column N+1-pos of the forward
+    tables of the reversed problem at frame T-1-t.  Column 0 is unused.
+    """
     w = _check_target(p, target)
-    lp = p.log_probs
-    t_total, n = p.num_frames, len(w)
-    if t_total == 0:
-        empty = np.zeros((0, n + 2))
-        return (ForwardBackwardTable(backward_blank=empty, backward_label=empty),
-                0.0 if not w else -np.inf)
-    r_blank = np.full((t_total, n + 2), -np.inf)
-    r_label = np.full((t_total, n + 2), -np.inf)
-    # column n+1: nothing left to emit, all remaining frames are blank
-    r_blank[:, n + 1] = np.cumsum(lp[::-1, BLANK])[::-1]
-    if n:
-        r_label[t_total - 1, n] = lp[t_total - 1, w[n - 1]]
-    for t in range(t_total - 2, -1, -1):
-        nxt_b, nxt_l = r_blank[t + 1], r_label[t + 1]
-        for pos in range(1, n + 1):
-            r_blank[t, pos] = lp[t, BLANK] + np.logaddexp(nxt_b[pos], nxt_l[pos])
-            advance = nxt_b[pos + 1]
-            if pos < n and w[pos - 1] != w[pos]:
-                advance = np.logaddexp(advance, nxt_l[pos + 1])
-            r_label[t, pos] = lp[t, w[pos - 1]] + np.logaddexp(nxt_l[pos], advance)
-    first = 1 if n else n + 1
-    total = float(np.logaddexp(r_blank[0, first], r_label[0, first]))
+    q_blank, q_label, total = _forward_tables(p.log_probs[::-1], w[::-1])
+    r_blank = np.full((p.num_frames, len(w) + 2), -np.inf)
+    r_label = np.full((p.num_frames, len(w) + 2), -np.inf)
+    r_blank[:, 1:] = q_blank[::-1, ::-1]
+    r_label[:, 1:] = q_label[::-1, ::-1]
     return ForwardBackwardTable(backward_blank=r_blank, backward_label=r_label), total
 
 
@@ -208,28 +220,11 @@ def ctc_loss(p: Posteriorgram, target) -> float:
 def ctc_prefix_logprob(p: Posteriorgram, prefix) -> float:
     """Log probability that the emitted sequence starts with `prefix`.
 
-    Sums, over frames t, the probability mass that enters the final
-    prefix position exactly at t; every continuation after t is free.
     The empty prefix has log probability 0 by definition.
     """
     w = _check_target(p, prefix)
-    n = len(w)
-    if n == 0:
-        return 0.0
-    lp = p.log_probs
-    if n > p.num_frames:
-        return -np.inf
-    # tables for the prefix minus its last label; entering the final
-    # position at frame t closes over that mass
-    q_blank, q_label = _forward_tables(lp, w[:-1])
-    may_chain = n == 1 or w[-1] != w[-2]
-    total = lp[0, w[-1]] if n == 1 else -np.inf
-    for t in range(1, p.num_frames):
-        grow = q_blank[t - 1, n - 1]
-        if may_chain:
-            grow = np.logaddexp(grow, q_label[t - 1, n - 1])
-        total = np.logaddexp(total, lp[t, w[-1]] + grow)
-    return float(total)
+    q_blank, q_label, _ = _forward_tables(p.log_probs, w)
+    return _prefix_mass(p.log_probs, w, q_blank, q_label)
 
 
 def bruteforce_distribution(p: Posteriorgram) -> dict[LabelSequence, float]:
@@ -283,37 +278,11 @@ def read_vocab(path: str) -> Vocabulary:
 
 def write_posteriorgram(path: str, p: Posteriorgram) -> None:
     """Text format: header "T K", then one row of natural-log probs per frame."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{p.num_frames} {p.num_symbols}\n")
-        for row in p.log_probs:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+    write_text_matrix(path, p.log_probs)
 
 
 def read_posteriorgram(path: str) -> Posteriorgram:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise DataError("posteriorgram header must be two integers 'T K'")
-        try:
-            t_total, k = int(header[0]), int(header[1])
-        except ValueError as exc:
-            raise DataError(f"bad posteriorgram header: {exc}") from exc
-        if t_total < 0 or k < 1:
-            raise DataError(f"bad posteriorgram shape {t_total} x {k}")
-        rows = []
-        for i in range(t_total):
-            line = fh.readline()
-            if not line:
-                raise DataError(f"posteriorgram ends after {i} of {t_total} rows")
-            try:
-                row = np.array([float(v) for v in line.split()])
-            except ValueError as exc:
-                raise DataError(f"row {i}: {exc}") from exc
-            if row.size != k:
-                raise DataError(f"row {i} has {row.size} values, expected {k}")
-            rows.append(row)
-    data = np.vstack(rows) if rows else np.zeros((0, k))
-    return Posteriorgram(data)
+    return Posteriorgram(read_text_matrix(path, "posteriorgram"))
 
 
 def parse_label_string(text: str, vocab: Vocabulary) -> LabelSequence:

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctc import (BLANK, LabelSequence, Posteriorgram, Vocabulary, collapse,
-                  ctc_forward, ctc_prefix_logprob)
+from .ctc import (BLANK, LabelSequence, Posteriorgram, Vocabulary, _prefix_mass,
+                  collapse, ctc_forward)
 from .errors import NumericError, UsageError
 from .lm import EOS, LanguageModel
 
@@ -168,11 +168,7 @@ def labelsync_beam(p: Posteriorgram, config: DecodeConfig,
             total += lm.cond_logprob(EOS, toks)
         return config.lm_scale * total
 
-    def complete_score(seq: LabelSequence) -> float:
-        _, logp = ctc_forward(p, seq)
-        return logp + lm_score(seq, with_eos=True)
-
-    best = Hypothesis((), complete_score(()))
+    best = Hypothesis((), ctc_forward(p, ())[1] + lm_score((), with_eos=True))
     active: list[tuple[float, LabelSequence]] = [(0.0, ())]
     labels = range(1, p.num_symbols)
     for _depth in range(p.num_frames):
@@ -180,11 +176,14 @@ def labelsync_beam(p: Posteriorgram, config: DecodeConfig,
         for _, seq in active:
             for v in labels:
                 new_seq = seq + (v,)
-                partial = ctc_prefix_logprob(p, new_seq) + lm_score(new_seq, with_eos=False)
+                table, logp = ctc_forward(p, new_seq)
+                partial = _prefix_mass(p.log_probs, new_seq, table.forward_blank,
+                                       table.forward_label)
+                partial += lm_score(new_seq, with_eos=False)
                 if partial == -np.inf:
                     continue
                 expansions.append((partial, new_seq))
-                total = complete_score(new_seq)
+                total = logp + lm_score(new_seq, with_eos=True)
                 if total > best.score or (total == best.score
                                           and new_seq < best.sequence):
                     best = Hypothesis(new_seq, total)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DataError, UsageError
 from .fft import fft
+from .textmatrix import read_text_matrix, write_text_matrix
 
 EPS_AMP = 1e-10   # floor on filterbank energies before log10
 EPS_VAR = 1e-12   # floor on per-utterance variance before division
@@ -179,9 +180,9 @@ def amplitude_spectrum(frame: np.ndarray, spec: FrameSpec) -> np.ndarray:
     return np.abs(fft(padded)[: spec.num_bins])
 
 
-def hz_to_mel(freq_hz: float) -> float:
-    """Map a frequency in Hz onto the mel axis."""
-    if freq_hz < 0:
+def hz_to_mel(freq_hz: float | np.ndarray) -> float | np.ndarray:
+    """Map a frequency in Hz, or an array of them, onto the mel axis."""
+    if np.any(np.asarray(freq_hz) < 0):
         raise UsageError(f"frequency must be non-negative, got {freq_hz}")
     return 2595.0 * np.log10(1.0 + freq_hz / 700.0)
 
@@ -196,7 +197,7 @@ def mel_filterbank(spec: FrameSpec, sample_rate: int, num_filters: int = 26) -> 
     spacing = mel_max / (num_filters + 1)
     centers = spacing * np.arange(1, num_filters + 1)
     bin_freqs = np.arange(spec.num_bins) * (sample_rate / spec.fft_size)
-    bin_mels = 2595.0 * np.log10(1.0 + bin_freqs / 700.0)
+    bin_mels = hz_to_mel(bin_freqs)
     weights = np.maximum(0.0, 1.0 - np.abs(bin_mels[None, :] - centers[:, None]) / spacing)
     empty = np.where(~(weights > 0).any(axis=1))[0]
     if empty.size:
@@ -317,39 +318,12 @@ def write_wav(path: str, w: Waveform) -> None:
 
 def write_feature_text(path: str, features: FeatureMatrix) -> None:
     """Text form: header line "T D", then T rows of 17-significant-digit reals."""
-    data = features.data
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{data.shape[0]} {data.shape[1]}\n")
-        for row in data:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+    write_text_matrix(path, features.data)
 
 
 def read_feature_text(path: str) -> FeatureMatrix:
     """Parse the text feature format; shape header must match the rows."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise DataError("feature header must be two integers 'T D'")
-        try:
-            t_total, dim = int(header[0]), int(header[1])
-        except ValueError as exc:
-            raise DataError(f"bad feature header: {exc}") from exc
-        if t_total < 0 or dim < 1:
-            raise DataError(f"bad feature shape {t_total} x {dim}")
-        rows = []
-        for i in range(t_total):
-            line = fh.readline()
-            if not line:
-                raise DataError(f"feature file ends after {i} of {t_total} rows")
-            try:
-                row = np.array([float(v) for v in line.split()])
-            except ValueError as exc:
-                raise DataError(f"row {i}: {exc}") from exc
-            if row.size != dim:
-                raise DataError(f"row {i} has {row.size} values, expected {dim}")
-            rows.append(row)
-    data = np.vstack(rows) if rows else np.zeros((0, dim))
-    return FeatureMatrix(data)
+    return FeatureMatrix(read_text_matrix(path, "feature"))
 
 
 def write_feature_binary(path: str, features: FeatureMatrix) -> None:

@@ -6,8 +6,8 @@ from .model import (AttentionParams, GroundingConfig, GroundingFailure,
                     GroundingModel, GroundingResult, attention_params_from,
                     audio_guided_attention, classify_audio, detect_mentions,
                     ground, group_objects, init_grounding_model, joint_loss,
-                    load_checkpoint, loss_and_grads, prepare_scene,
-                    save_checkpoint)
+                    load_checkpoint, loss_and_grads, param_shapes,
+                    prepare_scene, save_checkpoint)
 from .scene import (RELATIONS, GenConfig, SceneObject, SyntheticScene,
                     generate_scenes, read_scenes, verify_scene, write_scenes)
 from .train import (EpochRecord, EvalReport, TrainConfig, evaluate,
@@ -21,7 +21,7 @@ __all__ = [
     "detect_mentions", "evaluate", "generate_scenes", "gradient_check",
     "ground", "group_objects", "init_grounding_model", "joint_loss",
     "label_embedding", "load_checkpoint", "loss_and_grads",
-    "object_feature_stub", "object_representation", "prepare_scene",
-    "read_scenes", "representation_dim", "save_checkpoint", "train_toy",
-    "verify_scene", "write_scenes",
+    "object_feature_stub", "object_representation", "param_shapes",
+    "prepare_scene", "read_scenes", "representation_dim", "save_checkpoint",
+    "train_toy", "verify_scene", "write_scenes",
 ]

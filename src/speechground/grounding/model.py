@@ -52,6 +52,9 @@ class GroundingConfig:
             raise UsageError("need at least two classes")
         if min(self.attn_heads, self.attn_dim, self.attn_layers) < 1:
             raise UsageError("attention geometry must be positive")
+        if min(self.d_obj, self.d_label, self.d_audio, *self.cls_hidden,
+               *self.omd_hidden, *self.head_hidden) < 1:
+            raise UsageError("feature and hidden widths must be positive")
         if len(self.lambdas) != 3 or min(self.lambdas) < 0:
             raise UsageError("lambdas must be three non-negative weights")
 
@@ -117,36 +120,36 @@ class PreparedScene:
     target_pos: int
 
 
-def _mlp_sizes(d_in: int, hidden: tuple[int, ...], d_out: int):
-    dims = [d_in, *hidden, d_out]
-    return list(zip(dims[:-1], dims[1:]))
-
-
-def _init_mlp(params, name, d_in, hidden, d_out, rng):
-    for i, (fan_in, fan_out) in enumerate(_mlp_sizes(d_in, hidden, d_out)):
-        params[f"{name}.w{i}"] = rng.standard_normal((fan_out, fan_in)) / np.sqrt(fan_in)
-        params[f"{name}.b{i}"] = np.zeros(fan_out)
-
-
-def _init_attention(params, name, cfg: GroundingConfig, rng):
-    h, dh, d, da = cfg.attn_heads, cfg.attn_dim, cfg.d_rep, cfg.d_audio
-    for layer in range(cfg.attn_layers):
-        pre = f"{name}{layer}"
-        for key, cols in (("wq", d), ("wk", d), ("wv", d),
-                          ("wqa", da), ("wka", da), ("wva", da)):
-            params[f"{pre}.{key}"] = rng.standard_normal((h, dh, cols)) / np.sqrt(cols)
-        params[f"{pre}.wo"] = rng.standard_normal((d, h * dh)) / np.sqrt(h * dh)
+def param_shapes(config: GroundingConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter, in initialization draw order."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for name, d_in, hidden, d_out in (
+            ("cls", config.d_audio, config.cls_hidden, config.num_classes),
+            ("omd", config.d_audio, config.omd_hidden, config.num_classes),
+            ("head", config.d_rep, config.head_hidden, 1)):
+        dims = [d_in, *hidden, d_out]
+        for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+            shapes[f"{name}.w{i}"] = (fan_out, fan_in)
+            shapes[f"{name}.b{i}"] = (fan_out,)
+    h, dh, d, da = config.attn_heads, config.attn_dim, config.d_rep, config.d_audio
+    for name in ("self", "cross"):
+        for layer in range(config.attn_layers):
+            pre = f"{name}{layer}"
+            for key, cols in (("wq", d), ("wk", d), ("wv", d),
+                              ("wqa", da), ("wka", da), ("wva", da)):
+                shapes[f"{pre}.{key}"] = (h, dh, cols)
+            shapes[f"{pre}.wo"] = (d, h * dh)
+    return shapes
 
 
 def init_grounding_model(config: GroundingConfig, seed: int = 0) -> GroundingModel:
-    """Seeded Gaussian initialization, biases at zero."""
+    """Seeded Gaussian initialization scaled by fan-in, biases at zero."""
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
-    _init_mlp(params, "cls", config.d_audio, config.cls_hidden, config.num_classes, rng)
-    _init_mlp(params, "omd", config.d_audio, config.omd_hidden, config.num_classes, rng)
-    _init_mlp(params, "head", config.d_rep, config.head_hidden, 1, rng)
-    _init_attention(params, "self", config, rng)
-    _init_attention(params, "cross", config, rng)
+    for name, shape in param_shapes(config).items():
+        # biases are the only 1-D tensors; fan-in is a weight's last axis
+        params[name] = (np.zeros(shape) if len(shape) == 1
+                        else rng.standard_normal(shape) / np.sqrt(shape[-1]))
     return GroundingModel(config, params)
 
 
@@ -312,15 +315,25 @@ def group_objects(objects, target_class: int, mentioned_classes
     return cands, rels
 
 
+def _grouped_reprs(config: GroundingConfig, objects, cands, rels
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked representations of the candidate and relational objects."""
+    reprs = {i: object_representation(objects[i], config.embed_seed,
+                                      config.d_obj, config.d_label)
+             for i in set(cands) | set(rels)}
+    cand_reprs = np.stack([reprs[i] for i in cands])
+    rel_reprs = (np.stack([reprs[i] for i in rels]) if rels
+                 else np.zeros((0, config.d_rep)))
+    return cand_reprs, rel_reprs
+
+
 def prepare_scene(config: GroundingConfig, scene: SyntheticScene) -> PreparedScene:
     """Bake ground-truth-grouped training tensors for one scene."""
     cands, rels = group_objects(scene.objects, scene.target_class,
                                 scene.mentioned_classes)
     if scene.target_index not in cands:
         raise DataError("scene target is not among its candidates")
-    reprs = {i: object_representation(scene.objects[i], config.embed_seed,
-                                      config.d_obj, config.d_label)
-             for i in set(cands) | set(rels)}
+    cand_reprs, rel_reprs = _grouped_reprs(config, scene.objects, cands, rels)
     mention_hot = np.zeros(config.num_classes)
     for c in scene.mentioned_classes:
         if not 0 <= c < config.num_classes:
@@ -328,9 +341,6 @@ def prepare_scene(config: GroundingConfig, scene: SyntheticScene) -> PreparedSce
         mention_hot[c] = 1.0
     if not 0 <= scene.target_class < config.num_classes:
         raise DataError("target class outside the configured classes")
-    cand_reprs = np.stack([reprs[i] for i in cands])
-    rel_reprs = (np.stack([reprs[i] for i in rels]) if rels
-                 else np.zeros((0, config.d_rep)))
     if scene.audio.shape != (config.d_audio,):
         raise DataError(f"audio width {scene.audio.shape} != {config.d_audio}")
     return PreparedScene(scene.audio, scene.target_class, mention_hot,
@@ -423,29 +433,25 @@ def joint_loss(model: GroundingModel, scenes) -> tuple[float, np.ndarray]:
     return total, parts
 
 
-def ground(model: GroundingModel, scene: SyntheticScene) -> GroundingResult:
-    """Run the full inference path on one scene.
-
-    Grouping uses the predicted audio class and detected mentions, not
-    the ground truth.  Raises GroundingFailure when no candidate object
-    matches the predicted class.
-    """
+def _predicted_grouping(model: GroundingModel, scene: SyntheticScene
+                        ) -> tuple[int, tuple[int, ...]]:
+    """Predicted audio class and detected mentions that group the objects."""
     cfg = model.config
     if scene.audio.shape != (cfg.d_audio,):
         raise DataError(f"audio width {scene.audio.shape} != {cfg.d_audio}")
-    cls_probs = classify_audio(model, scene.audio)
-    pred_class = int(np.argmax(cls_probs))
+    pred_class = int(np.argmax(classify_audio(model, scene.audio)))
     _, mentions = detect_mentions(model, scene.audio)
+    return pred_class, mentions
+
+
+def _ground_grouped(model: GroundingModel, scene: SyntheticScene,
+                    pred_class: int, mentions: tuple[int, ...]) -> GroundingResult:
+    """Ground one scene under a given predicted class and mention set."""
     cands, rels = group_objects(scene.objects, pred_class, mentions)
     if not cands:
         raise GroundingFailure(
             f"no object of predicted class {pred_class}; cannot ground")
-    reprs = {i: object_representation(scene.objects[i], cfg.embed_seed,
-                                      cfg.d_obj, cfg.d_label)
-             for i in set(cands) | set(rels)}
-    cand_reprs = np.stack([reprs[i] for i in cands])
-    rel_reprs = (np.stack([reprs[i] for i in rels]) if rels
-                 else np.zeros((0, cfg.d_rep)))
+    cand_reprs, rel_reprs = _grouped_reprs(model.config, scene.objects, cands, rels)
     logits, _ = _ground_streams(model, cand_reprs, rel_reprs, scene.audio)
     z = logits - logits.max()
     probs = np.exp(z)
@@ -453,6 +459,16 @@ def ground(model: GroundingModel, scene: SyntheticScene) -> GroundingResult:
     winner_pos = int(np.argmax(logits))
     return GroundingResult(cands[winner_pos], probs, tuple(cands),
                            len(rels) == 0, pred_class, mentions)
+
+
+def ground(model: GroundingModel, scene: SyntheticScene) -> GroundingResult:
+    """Run the full inference path on one scene.
+
+    Grouping uses the predicted audio class and detected mentions, not
+    the ground truth.  Raises GroundingFailure when no candidate object
+    matches the predicted class.
+    """
+    return _ground_grouped(model, scene, *_predicted_grouping(model, scene))
 
 
 def _config_tensors(cfg: GroundingConfig) -> dict[str, np.ndarray]:
@@ -558,13 +574,13 @@ def load_checkpoint(path: str) -> GroundingModel:
     except (KeyError, ValueError, UsageError) as exc:
         raise DataError(f"bad checkpoint config: {exc}") from exc
     params = {k: v for k, v in tensors.items() if not k.startswith("config.")}
-    reference = init_grounding_model(cfg, seed=0).params
-    if set(params) != set(reference):
-        missing = sorted(set(reference) - set(params))
-        extra = sorted(set(params) - set(reference))
+    shapes = param_shapes(cfg)
+    if set(params) != set(shapes):
+        missing = sorted(set(shapes) - set(params))
+        extra = sorted(set(params) - set(shapes))
         raise DataError(f"checkpoint tensors mismatch: missing {missing}, extra {extra}")
-    for key, ref in reference.items():
-        if params[key].shape != ref.shape:
+    for key, shape in shapes.items():
+        if params[key].shape != shape:
             raise DataError(
-                f"tensor {key} has shape {params[key].shape}, expected {ref.shape}")
+                f"tensor {key} has shape {params[key].shape}, expected {shape}")
     return GroundingModel(cfg, params)

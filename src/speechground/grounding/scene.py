@@ -52,6 +52,9 @@ class SyntheticScene:
 
     def __post_init__(self):
         self.audio = np.asarray(self.audio, dtype=np.float64)
+        if self.audio.ndim != 1 or self.audio.size == 0:
+            raise DataError(
+                f"audio must be a non-empty vector, got shape {self.audio.shape}")
         self.mentioned_classes = tuple(sorted(int(c) for c in self.mentioned_classes))
         if not 0 <= self.relation_id < len(RELATIONS):
             raise DataError(f"relation_id {self.relation_id} outside 0..{len(RELATIONS) - 1}")

@@ -5,8 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NumericError, UsageError
-from .model import (GroundingFailure, GroundingModel, classify_audio,
-                    detect_mentions, ground, loss_and_grads, prepare_scene)
+from .model import (GroundingFailure, GroundingModel, _ground_grouped,
+                    _predicted_grouping, loss_and_grads, prepare_scene)
 
 
 @dataclass(frozen=True)
@@ -107,17 +107,16 @@ def evaluate(model: GroundingModel, scenes) -> EvalReport:
     ground_hits = 0
     failures = 0
     for scene in scenes:
-        probs = classify_audio(model, scene.audio)
-        if int(np.argmax(probs)) == scene.target_class:
+        pred_class, detected = _predicted_grouping(model, scene)
+        if pred_class == scene.target_class:
             audio_hits += 1
-        _, detected = detect_mentions(model, scene.audio)
         truth = set(scene.mentioned_classes)
         got = set(detected)
         tp += len(truth & got)
         fp += len(got - truth)
         fn += len(truth - got)
         try:
-            result = ground(model, scene)
+            result = _ground_grouped(model, scene, pred_class, detected)
         except GroundingFailure:
             failures += 1
             continue

@@ -9,6 +9,9 @@ import pytest
 
 from speechground.cli import main
 from speechground.dsp import Waveform, write_wav
+from speechground.grounding import (GenConfig, GroundingConfig, generate_scenes,
+                                    init_grounding_model, save_checkpoint,
+                                    write_scenes)
 
 
 def run(argv, capsys):
@@ -435,6 +438,20 @@ class TestGroundPipeline:
             assert code == 0
             blobs.append(ckpt.read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_eval_rejects_checkpoint_with_negative_width(self, tmp_path, capsys):
+        model = init_grounding_model(GroundingConfig(num_classes=4), seed=0)
+        # the config type refuses this width, so forge it past the check
+        object.__setattr__(model.config, "head_hidden", (-3,))
+        ckpt = str(tmp_path / "bad.ckpt")
+        save_checkpoint(ckpt, model)
+        data = str(tmp_path / "dev.jsonl")
+        write_scenes(data, generate_scenes(GenConfig(num_scenes=2, num_classes=4)))
+        code, out, err = run(["ground", "eval", "--model", ckpt, "--data", data],
+                             capsys)
+        assert code == 2
+        assert "widths" in err
+        assert "internal error" not in err and out == ""
 
     def test_train_rejects_missing_data(self, tmp_path, capsys):
         code, _, err = run(["ground", "train", "--data",

@@ -107,6 +107,39 @@ class TestForward:
             else:
                 assert abs(f - b) < 1e-8
 
+    def test_backward_tables_give_mass_at_every_frame(self):
+        # forward x backward over all lattice states at frame t, with the
+        # frame's shared emission counted once, is the whole target mass
+        rng = np.random.default_rng(103)
+        for _ in range(150):
+            t_total = int(rng.integers(1, 7))
+            k = int(rng.integers(2, 4))  # k = 2 forces repeated labels
+            probs = np.exp(random_posteriorgram(rng, t_total, k).log_probs)
+            zero = rng.random(probs.shape) < 0.3
+            zero[np.arange(t_total), rng.integers(0, k, size=t_total)] = False
+            probs[zero] = 0.0
+            with np.errstate(divide="ignore"):
+                p = Posteriorgram(np.log(probs / probs.sum(axis=1, keepdims=True)))
+            target = tuple(int(v) for v in rng.integers(1, k, size=rng.integers(0, 5)))
+            n, lp = len(target), p.log_probs
+            fwd, _ = ctc_forward(p, target)
+            bwd, _ = ctc_backward(p, target)
+            brute = ctc_bruteforce(p, target)
+            expected = math.log(brute) if brute > 0 else -np.inf
+            for t in range(t_total):
+                emit = np.concatenate([np.full(n + 1, lp[t, 0]), lp[t, list(target)]])
+                with np.errstate(invalid="ignore"):
+                    terms = np.concatenate([
+                        fwd.forward_blank[t] + bwd.backward_blank[t, 1:],
+                        fwd.forward_label[t, 1:] + bwd.backward_label[t, 1:n + 1],
+                    ]) - emit
+                # a zero-probability emission leaves its states empty
+                mass = np.logaddexp.reduce(np.where(emit > -np.inf, terms, -np.inf))
+                if expected == -np.inf:
+                    assert mass == -np.inf
+                else:
+                    assert abs(mass - expected) < 1e-9
+
     def test_blank_column_is_cumulative_product(self):
         rng = np.random.default_rng(102)
         p = random_posteriorgram(rng, 5, 3)

@@ -699,6 +699,11 @@ class TestGroundingConfig:
             GroundingConfig(num_classes=3, lambdas=(1.0, 1.0))
         with pytest.raises(UsageError, match="lambdas"):
             GroundingConfig(num_classes=3, lambdas=(1.0, 1.0, -0.5))
+        for bad in (dict(d_obj=-4), dict(d_label=0), dict(d_audio=0),
+                    dict(cls_hidden=(0,)), dict(omd_hidden=(8, -1)),
+                    dict(head_hidden=(-3,))):
+            with pytest.raises(UsageError, match="widths"):
+                GroundingConfig(num_classes=3, **bad)
 
     def test_representation_width(self):
         cfg = GroundingConfig(num_classes=3, d_obj=10, d_label=5)

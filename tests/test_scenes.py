@@ -72,6 +72,12 @@ class TestSceneValidation:
         with pytest.raises(DataError, match="target_index"):
             hand_scene(objs, 5, relation_id=0)
 
+    def test_audio_must_be_a_non_empty_vector(self):
+        objs = [make_object(0, [1, 1, 0]), make_object(1, [3, 1, 0])]
+        for audio in (np.zeros(0), np.zeros((2, 2))):
+            with pytest.raises(DataError, match="audio"):
+                SyntheticScene(objs, audio, 0, (0,), 0, 0)
+
     def test_target_index_class_agreement(self):
         objs = [make_object(0, [1, 1, 0]), make_object(1, [3, 1, 0])]
         with pytest.raises(DataError, match="target_class"):
