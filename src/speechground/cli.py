@@ -210,9 +210,9 @@ def _cmd_ground_gen(args) -> int:
     for name, count, seed in splits:
         cfg = GenConfig(num_scenes=count, num_classes=args.classes, seed=seed,
                         embed_seed=args.embed_seed)
-        scenes = generate_scenes(cfg)
         path = os.path.join(args.out, name)
-        write_scenes(path, scenes, include_points=args.points,
+        # no reference outlives the write, so only one split is resident
+        write_scenes(path, generate_scenes(cfg), include_points=args.points,
                      embed_seed=args.embed_seed)
         paths[name] = path
     _emit(args, f"TRAIN={args.train_scenes} DEV={args.dev_scenes}", {
@@ -469,7 +469,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # no crash escapes; treat as infeasible
-        print(f"internal error: {exc}", file=sys.stderr)
+        command = " ".join(filter(None, (args.command, getattr(args, "action", None))))
+        print(f"internal error in {command}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 3
 
 

@@ -7,6 +7,8 @@ function of (embed_seed, identity), so datasets and models agree on
 features without sharing state.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..errors import DataError, UsageError
@@ -17,6 +19,37 @@ _STREAM_LABEL = 1
 _STREAM_AUDIO_TARGET = 2
 _STREAM_AUDIO_MENTION = 3
 _STREAM_AUDIO_RELATION = 4
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+# The seeded tables below are pure functions of their arguments, so each
+# is drawn once per process and shared read-only by every caller.
+
+@lru_cache(maxsize=16)
+def _shape_projection(embed_seed: int, dim: int, n_stats: int) -> np.ndarray:
+    rng = np.random.default_rng([embed_seed, _STREAM_SHAPE])
+    return _frozen(rng.standard_normal((dim, n_stats)) / np.sqrt(n_stats))
+
+
+@lru_cache(maxsize=256)
+def _label_row(embed_seed: int, class_id: int, dim: int) -> np.ndarray:
+    rng = np.random.default_rng([embed_seed, _STREAM_LABEL, class_id])
+    return _frozen(rng.standard_normal(dim))
+
+
+@lru_cache(maxsize=16)
+def _audio_tables(embed_seed: int, num_classes: int, d_audio: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Target-class, mention and relation tables of the audio stub."""
+    return tuple(_frozen(np.random.default_rng([embed_seed, stream])
+                         .standard_normal((rows, d_audio)))
+                 for stream, rows in ((_STREAM_AUDIO_TARGET, num_classes),
+                                      (_STREAM_AUDIO_MENTION, num_classes),
+                                      (_STREAM_AUDIO_RELATION, 3)))
 
 
 def object_feature_stub(obj, embed_seed: int, dim: int = 32) -> np.ndarray:
@@ -42,17 +75,14 @@ def object_feature_stub(obj, embed_seed: int, dim: int = 32) -> np.ndarray:
         centered = centered / radius
     stats = np.concatenate([centered.mean(axis=0), centered.max(axis=0),
                             centered.min(axis=0), rgb.mean(axis=0)])
-    proj = np.random.default_rng([embed_seed, _STREAM_SHAPE]).standard_normal(
-        (dim, stats.shape[0])) / np.sqrt(stats.shape[0])
-    return proj @ stats
+    return _shape_projection(embed_seed, dim, stats.shape[0]) @ stats
 
 
 def label_embedding(class_id: int, embed_seed: int, dim: int = 8) -> np.ndarray:
     """Fixed random embedding of a class id."""
     if class_id < 0:
         raise UsageError(f"class_id must be non-negative, got {class_id}")
-    rng = np.random.default_rng([embed_seed, _STREAM_LABEL, class_id])
-    return rng.standard_normal(dim)
+    return _label_row(embed_seed, class_id, dim).copy()
 
 
 def object_representation(obj, embed_seed: int, d_obj: int = 32,
@@ -80,12 +110,7 @@ def audio_embedding(target_class: int, mentioned_classes, relation_id: int,
     """
     if not 0 <= target_class < num_classes:
         raise UsageError(f"target_class {target_class} outside 0..{num_classes - 1}")
-    targets = np.random.default_rng(
-        [embed_seed, _STREAM_AUDIO_TARGET]).standard_normal((num_classes, d_audio))
-    mentions = np.random.default_rng(
-        [embed_seed, _STREAM_AUDIO_MENTION]).standard_normal((num_classes, d_audio))
-    relations = np.random.default_rng(
-        [embed_seed, _STREAM_AUDIO_RELATION]).standard_normal((3, d_audio))
+    targets, mentions, relations = _audio_tables(embed_seed, num_classes, d_audio)
     if not 0 <= relation_id < relations.shape[0]:
         raise UsageError(f"relation_id {relation_id} outside 0..{relations.shape[0] - 1}")
     out = targets[target_class] + relations[relation_id]

@@ -8,10 +8,27 @@ from candidates to relational objects, sums the three per-candidate
 streams, and scores each candidate with a shared MLP before a softmax
 across candidates.
 
+Every forward and backward pass runs on a padded minibatch of B
+scenes: audio is (B, d_audio), so the cls and omd heads are plain
+matmuls; candidates are padded to (B, N_max, d_rep) and relational
+objects to (B, M_max, d_rep), each with a (B, length) boolean mask of
+real slots.  The mask rules are:
+
+- a masked key scores -inf, so it gets exactly zero attention weight;
+- a query row with no valid key (a scene without relational objects)
+  gets all-zero weights and therefore a zero output;
+- a padded candidate's logit is -inf before the candidate softmax, so
+  it has zero probability and passes back exactly zero gradient.
+
+A single scene (`ground`, `audio_guided_attention`) is a batch of one.
+
 All gradients are hand-written; `loss_and_grads` is validated against
-central finite differences in the test suite.
+central finite differences and against the per-scene loop it replaced
+in the test suite.
 """
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -179,50 +196,74 @@ def _mlp_backward(params, name, dout, cache, grads):
     return dz
 
 
-def _attn_forward(wq, wk, wv, wqa, wka, wva, wo, oq, okv, audio):
-    if okv.shape[0] == 0:
-        return np.zeros((oq.shape[0], wo.shape[0])), None
-    dh = wq.shape[1]
-    q = np.einsum("hij,nj->nhi", wq, oq) + np.einsum("hij,j->hi", wqa, audio)
-    k = np.einsum("hij,mj->mhi", wk, okv) + np.einsum("hij,j->hi", wka, audio)
-    v = np.einsum("hij,mj->mhi", wv, okv) + np.einsum("hij,j->hi", wva, audio)
-    scores = np.einsum("nhi,mhi->hnm", q, k) / np.sqrt(dh)
-    scores = scores - scores.max(axis=2, keepdims=True)
-    att = np.exp(scores)
-    att /= att.sum(axis=2, keepdims=True)
-    ctx = np.einsum("hnm,mhi->nhi", att, v)
-    flat = ctx.reshape(oq.shape[0], -1)
-    out = flat @ wo.T
-    return out, (oq, okv, audio, q, k, v, att, flat)
+def _pad(blocks, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-padded (B, L, width) stack of (n_b, width) blocks and its mask.
+
+    L is the longest block but at least 1, so a batch whose blocks are
+    all empty still has one (masked) key column.
+    """
+    lens = np.array([block.shape[0] for block in blocks])
+    out = np.zeros((len(blocks), max(1, int(lens.max())), width))
+    for row, block in zip(out, blocks):
+        row[:block.shape[0]] = block
+    return out, np.arange(out.shape[1]) < lens[:, None]
+
+
+def _attn_forward(wq, wk, wv, wqa, wka, wva, wo, xq, xkv, kmask, audio):
+    """Masked audio-guided attention of (B, Nq, d) queries over (B, Nk, d).
+
+    Masked keys score -inf.  A query row with no valid key gets all-zero
+    weights and hence a zero output.
+    """
+    heads, dh, d = wq.shape
+    b, nq = xq.shape[:2]
+
+    def project(w, wa, x):
+        # object term plus the scene's audio term, as (B, heads, n, dh)
+        y = (x.reshape(-1, d) @ w.reshape(-1, d).T).reshape(b, -1, heads * dh)
+        y += (audio @ wa.reshape(heads * dh, -1).T)[:, None, :]
+        return y.reshape(b, -1, heads, dh).transpose(0, 2, 1, 3)
+
+    q, k, v = project(wq, wqa, xq), project(wk, wka, xkv), project(wv, wva, xkv)
+    scores = np.where(kmask[:, None, None, :],
+                      q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh), -np.inf)
+    top = scores.max(axis=3, keepdims=True)
+    att = np.exp(scores - np.where(top == -np.inf, 0.0, top))
+    total = att.sum(axis=3, keepdims=True)
+    att /= np.where(total == 0.0, 1.0, total)
+    flat = (att @ v).transpose(0, 2, 1, 3).reshape(b, nq, heads * dh)
+    out = (flat.reshape(-1, heads * dh) @ wo.T).reshape(b, nq, d)
+    return out, (xq, xkv, audio, q, k, v, att, flat)
 
 
 def _attn_backward(wq, wk, wv, wqa, wka, wva, wo, dout, cache, grads, prefix):
-    if cache is None:
-        return (np.zeros((dout.shape[0], wq.shape[2])),
-                np.zeros((0, wq.shape[2])))
-    oq, okv, audio, q, k, v, att, flat = cache
-    heads, dh = wq.shape[0], wq.shape[1]
+    xq, xkv, audio, q, k, v, att, flat = cache
+    heads, dh, d = wq.shape
+    b, nq = xq.shape[:2]
 
     def bump(key, val):
         grads[key] = grads.get(key, 0.0) + val
 
-    bump(f"{prefix}.wo", dout.T @ flat)
-    dctx = (dout @ wo).reshape(oq.shape[0], heads, dh)
-    datt = np.einsum("nhi,mhi->hnm", dctx, v)
-    dv = np.einsum("hnm,nhi->mhi", att, dctx)
+    def unproject(dy, w, wa, x, key, akey):
+        # gradients of the object and audio projections and of the input x
+        dflat = dy.transpose(0, 2, 1, 3).reshape(-1, heads * dh)
+        bump(f"{prefix}.{key}", (dflat.T @ x.reshape(-1, d)).reshape(w.shape))
+        per_scene = dflat.reshape(b, -1, heads * dh).sum(axis=1)
+        bump(f"{prefix}.{akey}", (per_scene.T @ audio).reshape(wa.shape))
+        return (dflat @ w.reshape(-1, d)).reshape(x.shape)
+
+    bump(f"{prefix}.wo", dout.reshape(-1, d).T @ flat.reshape(-1, heads * dh))
+    dctx = (dout.reshape(-1, d) @ wo).reshape(b, nq, heads, dh).transpose(0, 2, 1, 3)
+    datt = dctx @ v.transpose(0, 1, 3, 2)
+    dv = att.transpose(0, 1, 3, 2) @ dctx
     tmp = datt * att
-    dscores = (tmp - att * tmp.sum(axis=2, keepdims=True)) / np.sqrt(dh)
-    dq = np.einsum("hnm,mhi->nhi", dscores, k)
-    dk = np.einsum("hnm,nhi->mhi", dscores, q)
-    bump(f"{prefix}.wq", np.einsum("nhi,nj->hij", dq, oq))
-    bump(f"{prefix}.wqa", np.einsum("hi,j->hij", dq.sum(axis=0), audio))
-    bump(f"{prefix}.wk", np.einsum("mhi,mj->hij", dk, okv))
-    bump(f"{prefix}.wka", np.einsum("hi,j->hij", dk.sum(axis=0), audio))
-    bump(f"{prefix}.wv", np.einsum("mhi,mj->hij", dv, okv))
-    bump(f"{prefix}.wva", np.einsum("hi,j->hij", dv.sum(axis=0), audio))
-    doq = np.einsum("hij,nhi->nj", wq, dq)
-    dokv = np.einsum("hij,mhi->mj", wk, dk) + np.einsum("hij,mhi->mj", wv, dv)
-    return doq, dokv
+    dscores = (tmp - att * tmp.sum(axis=3, keepdims=True)) / np.sqrt(dh)
+    dq = dscores @ k
+    dk = dscores.transpose(0, 1, 3, 2) @ q
+    dxq = unproject(dq, wq, wqa, xq, "wq", "wqa")
+    dxkv = (unproject(dk, wk, wka, xkv, "wk", "wka")
+            + unproject(dv, wv, wva, xkv, "wv", "wva"))
+    return dxq, dxkv
 
 
 def _layer_arrays(params, prefix):
@@ -230,12 +271,12 @@ def _layer_arrays(params, prefix):
                  for key in ("wq", "wk", "wv", "wqa", "wka", "wva", "wo"))
 
 
-def _stack_forward(params, name, layers, x, kv_fixed, audio, self_mode):
+def _stack_forward(params, name, layers, x, kv_fixed, kmask, audio, self_mode):
     caches = []
     for layer in range(layers):
         arrays = _layer_arrays(params, f"{name}{layer}")
         kv = x if self_mode else kv_fixed
-        x, cache = _attn_forward(*arrays, x, kv, audio)
+        x, cache = _attn_forward(*arrays, x, kv, kmask, audio)
         caches.append((arrays, cache))
     return x, caches
 
@@ -269,9 +310,11 @@ def audio_guided_attention(objects_q, objects_kv, audio, params: AttentionParams
         raise UsageError(f"object features must have width {d}")
     if audio.shape != (params.wqa.shape[2],):
         raise UsageError(f"audio must have width {params.wqa.shape[2]}")
+    kv, kmask = _pad([okv], d)
     out, _ = _attn_forward(params.wq, params.wk, params.wv, params.wqa,
-                           params.wka, params.wva, params.wo, oq, okv, audio)
-    return out
+                           params.wka, params.wva, params.wo, oq[None], kv,
+                           kmask, audio[None])
+    return out[0]
 
 
 def attention_params_from(model: GroundingModel, name: str, layer: int = 0
@@ -280,25 +323,35 @@ def attention_params_from(model: GroundingModel, name: str, layer: int = 0
     return AttentionParams(*_layer_arrays(model.params, f"{name}{layer}"))
 
 
+def _class_probs(model: GroundingModel, audio: np.ndarray) -> np.ndarray:
+    """(B, num_classes) softmax of the cls head over (B, d_audio) audio."""
+    logits, _ = _mlp_forward(model.params, "cls", audio,
+                             _num_layers(model.config.cls_hidden))
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def _mention_probs(model: GroundingModel, audio: np.ndarray) -> np.ndarray:
+    """(B, num_classes) sigmoids of the omd head over (B, d_audio) audio."""
+    logits, _ = _mlp_forward(model.params, "omd", audio,
+                             _num_layers(model.config.omd_hidden))
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-logits))
+
+
+def _detected(model: GroundingModel, probs: np.ndarray) -> tuple[int, ...]:
+    return tuple(int(c) for c in np.where(probs >= model.config.omd_threshold)[0])
+
+
 def classify_audio(model: GroundingModel, audio) -> np.ndarray:
     """Class distribution for an audio vector (softmax head)."""
-    audio = np.asarray(audio, dtype=np.float64)
-    logits, _ = _mlp_forward(model.params, "cls", audio[None, :],
-                             _num_layers(model.config.cls_hidden))
-    z = logits[0] - logits[0].max()
-    p = np.exp(z)
-    return p / p.sum()
+    return _class_probs(model, np.asarray(audio, dtype=np.float64)[None, :])[0]
 
 
 def detect_mentions(model: GroundingModel, audio) -> tuple[np.ndarray, tuple[int, ...]]:
     """Per-class mention probabilities and the thresholded detections."""
-    audio = np.asarray(audio, dtype=np.float64)
-    logits, _ = _mlp_forward(model.params, "omd", audio[None, :],
-                             _num_layers(model.config.omd_hidden))
-    with np.errstate(over="ignore"):
-        probs = 1.0 / (1.0 + np.exp(-logits[0]))
-    detected = tuple(int(c) for c in np.where(probs >= model.config.omd_threshold)[0])
-    return probs, detected
+    probs = _mention_probs(model, np.asarray(audio, dtype=np.float64)[None, :])[0]
+    return probs, _detected(model, probs)
 
 
 def group_objects(objects, target_class: int, mentioned_classes
@@ -347,58 +400,70 @@ def prepare_scene(config: GroundingConfig, scene: SyntheticScene) -> PreparedSce
                          cand_reprs, rel_reprs, cands.index(scene.target_index))
 
 
-def _ground_streams(model: GroundingModel, cand_reprs, rel_reprs, audio):
+def _ground_streams(model: GroundingModel, cand, cmask, rel, rmask, audio):
+    """(B, N) candidate logits of a padded batch, -inf at padded slots."""
     cfg = model.config
     o_self, self_caches = _stack_forward(model.params, "self", cfg.attn_layers,
-                                         cand_reprs, None, audio, True)
+                                         cand, None, cmask, audio, True)
     o_cross, cross_caches = _stack_forward(model.params, "cross", cfg.attn_layers,
-                                           cand_reprs, rel_reprs, audio, False)
-    fused = cand_reprs + o_self + o_cross
-    logits, head_cache = _mlp_forward(model.params, "head", fused,
+                                           cand, rel, rmask, audio, False)
+    fused = cand + o_self + o_cross
+    # the head scores only real candidates; padded slots stay -inf
+    scores, head_cache = _mlp_forward(model.params, "head", fused[cmask],
                                       _num_layers(cfg.head_hidden))
-    return logits[:, 0], (self_caches, cross_caches, head_cache)
+    logits = np.full(cmask.shape, -np.inf)
+    logits[cmask] = scores[:, 0]
+    return logits, (self_caches, cross_caches, head_cache)
 
 
-def _softmax_nll(logits: np.ndarray, target: int) -> tuple[float, np.ndarray]:
-    z = logits - logits.max()
-    lse = np.log(np.exp(z).sum())
-    dlogits = np.exp(z - lse)
-    dlogits[target] -= 1.0
-    return float(lse - z[target]), dlogits
+def _softmax_nll(logits: np.ndarray, targets: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise cross-entropy (B,) and its logit gradient (B, K)."""
+    rows = np.arange(logits.shape[0])
+    z = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1))
+    dlogits = np.exp(z - lse[:, None])
+    dlogits[rows, targets] -= 1.0
+    return lse - z[rows, targets], dlogits
 
 
-def _scene_loss(model: GroundingModel, prep: PreparedScene, grads=None):
+def _batch_loss(model: GroundingModel, prepared: list[PreparedScene], grads=None):
+    """Mean loss parts of a minibatch; adds mean gradients into `grads`."""
     cfg = model.config
-    parts = np.zeros(3)
+    b = len(prepared)
+    audio = np.stack([p.audio for p in prepared])
 
-    cls_logits, cls_cache = _mlp_forward(model.params, "cls", prep.audio[None, :],
+    cls_logits, cls_cache = _mlp_forward(model.params, "cls", audio,
                                          _num_layers(cfg.cls_hidden))
-    ce_audio, dcls = _softmax_nll(cls_logits[0], prep.target_class)
-    parts[0] = ce_audio
+    ce_audio, dcls = _softmax_nll(cls_logits,
+                                  np.array([p.target_class for p in prepared]))
 
-    omd_logits, omd_cache = _mlp_forward(model.params, "omd", prep.audio[None, :],
+    omd_logits, omd_cache = _mlp_forward(model.params, "omd", audio,
                                          _num_layers(cfg.omd_hidden))
-    x = omd_logits[0]
-    y = prep.mention_hot
+    x = omd_logits
+    y = np.stack([p.mention_hot for p in prepared])
     bce = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
-    parts[1] = float(bce.mean())
     # exp may overflow to inf for saturated logits; 1/(1+inf) is the
     # correct sigmoid limit, so only the warning needs suppressing
     with np.errstate(over="ignore"):
-        domd = (1.0 / (1.0 + np.exp(-x)) - y) / x.shape[0]
+        domd = (1.0 / (1.0 + np.exp(-x)) - y) / x.shape[1]
 
-    ground_logits, caches = _ground_streams(model, prep.cand_reprs,
-                                            prep.rel_reprs, prep.audio)
-    ce_ground, dground = _softmax_nll(ground_logits, prep.target_pos)
-    parts[2] = ce_ground
+    cand, cmask = _pad([p.cand_reprs for p in prepared], cfg.d_rep)
+    rel, rmask = _pad([p.rel_reprs for p in prepared], cfg.d_rep)
+    ground_logits, caches = _ground_streams(model, cand, cmask, rel, rmask, audio)
+    ce_ground, dground = _softmax_nll(ground_logits,
+                                      np.array([p.target_pos for p in prepared]))
+    parts = np.array([ce_audio.mean(), bce.mean(), ce_ground.mean()])
 
     if grads is not None:
         la, lb, lc = cfg.lambdas
-        _mlp_backward(model.params, "cls", la * dcls[None, :], cls_cache, grads)
-        _mlp_backward(model.params, "omd", lb * domd[None, :], omd_cache, grads)
+        _mlp_backward(model.params, "cls", (la / b) * dcls, cls_cache, grads)
+        _mlp_backward(model.params, "omd", (lb / b) * domd, omd_cache, grads)
         self_caches, cross_caches, head_cache = caches
-        dfused = _mlp_backward(model.params, "head",
-                               lc * dground[:, None], head_cache, grads)
+        dfused = np.zeros_like(cand)
+        dfused[cmask] = _mlp_backward(model.params, "head",
+                                      (lc / b) * dground[cmask][:, None],
+                                      head_cache, grads)
         _stack_backward(model.params, "self", cfg.attn_layers, dfused,
                         self_caches, grads, True)
         _stack_backward(model.params, "cross", cfg.attn_layers, dfused,
@@ -414,15 +479,7 @@ def loss_and_grads(model: GroundingModel, scenes,
     if not prepared:
         raise UsageError("loss needs at least one scene")
     grads: dict[str, np.ndarray] = {}
-    parts = np.zeros(3)
-    for prep in prepared:
-        parts += _scene_loss(model, prep, grads)
-    parts /= len(prepared)
-    for key in list(grads):
-        grads[key] = grads[key] / len(prepared)
-    for key in model.params:
-        if key not in grads:
-            grads[key] = np.zeros_like(model.params[key])
+    parts = _batch_loss(model, prepared, grads)
     total = float(np.dot(model.config.lambdas, parts))
     return total, parts, grads
 
@@ -433,32 +490,51 @@ def joint_loss(model: GroundingModel, scenes) -> tuple[float, np.ndarray]:
     return total, parts
 
 
-def _predicted_grouping(model: GroundingModel, scene: SyntheticScene
-                        ) -> tuple[int, tuple[int, ...]]:
-    """Predicted audio class and detected mentions that group the objects."""
+def _predicted_groupings(model: GroundingModel, scenes
+                         ) -> list[tuple[int, tuple[int, ...]]]:
+    """Predicted audio class and detected mentions of every scene."""
     cfg = model.config
-    if scene.audio.shape != (cfg.d_audio,):
-        raise DataError(f"audio width {scene.audio.shape} != {cfg.d_audio}")
-    pred_class = int(np.argmax(classify_audio(model, scene.audio)))
-    _, mentions = detect_mentions(model, scene.audio)
-    return pred_class, mentions
+    for scene in scenes:
+        if scene.audio.shape != (cfg.d_audio,):
+            raise DataError(f"audio width {scene.audio.shape} != {cfg.d_audio}")
+    audio = np.stack([scene.audio for scene in scenes])
+    classes = np.argmax(_class_probs(model, audio), axis=1)
+    return [(int(c), _detected(model, probs))
+            for c, probs in zip(classes, _mention_probs(model, audio))]
 
 
-def _ground_grouped(model: GroundingModel, scene: SyntheticScene,
-                    pred_class: int, mentions: tuple[int, ...]) -> GroundingResult:
-    """Ground one scene under a given predicted class and mention set."""
-    cands, rels = group_objects(scene.objects, pred_class, mentions)
-    if not cands:
-        raise GroundingFailure(
-            f"no object of predicted class {pred_class}; cannot ground")
-    cand_reprs, rel_reprs = _grouped_reprs(model.config, scene.objects, cands, rels)
-    logits, _ = _ground_streams(model, cand_reprs, rel_reprs, scene.audio)
-    z = logits - logits.max()
-    probs = np.exp(z)
-    probs /= probs.sum()
-    winner_pos = int(np.argmax(logits))
-    return GroundingResult(cands[winner_pos], probs, tuple(cands),
-                           len(rels) == 0, pred_class, mentions)
+# scenes per padded inference batch; bounds the transient working set
+_GROUND_CHUNK = 64
+
+
+def _ground_grouped(model: GroundingModel, scenes, groupings
+                    ) -> list[GroundingResult | GroundingFailure]:
+    """Ground each scene under its (class, mentions) grouping.
+
+    Groundable scenes are scored in padded batches; a scene with no
+    object of its predicted class gets a GroundingFailure in its slot.
+    """
+    cfg = model.config
+    grouped = [group_objects(scene.objects, *grouping)
+               for scene, grouping in zip(scenes, groupings)]
+    results = [None if cands else GroundingFailure(
+                   f"no object of predicted class {pred_class}; cannot ground")
+               for (pred_class, _), (cands, _) in zip(groupings, grouped)]
+    live = [i for i, result in enumerate(results) if result is None]
+    for start in range(0, len(live), _GROUND_CHUNK):
+        batch = live[start:start + _GROUND_CHUNK]
+        reprs = [_grouped_reprs(cfg, scenes[i].objects, *grouped[i]) for i in batch]
+        cand, cmask = _pad([c for c, _ in reprs], cfg.d_rep)
+        rel, rmask = _pad([r for _, r in reprs], cfg.d_rep)
+        audio = np.stack([scenes[i].audio for i in batch])
+        logits, _ = _ground_streams(model, cand, cmask, rel, rmask, audio)
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        for i, row, win in zip(batch, probs, np.argmax(logits, axis=1)):
+            cands, rels = grouped[i]
+            results[i] = GroundingResult(cands[win], row[:len(cands)].copy(),
+                                         tuple(cands), not rels, *groupings[i])
+    return results
 
 
 def ground(model: GroundingModel, scene: SyntheticScene) -> GroundingResult:
@@ -468,7 +544,10 @@ def ground(model: GroundingModel, scene: SyntheticScene) -> GroundingResult:
     the ground truth.  Raises GroundingFailure when no candidate object
     matches the predicted class.
     """
-    return _ground_grouped(model, scene, *_predicted_grouping(model, scene))
+    (result,) = _ground_grouped(model, [scene], _predicted_groupings(model, [scene]))
+    if isinstance(result, GroundingFailure):
+        raise result
+    return result
 
 
 def _config_tensors(cfg: GroundingConfig) -> dict[str, np.ndarray]:
@@ -518,6 +597,7 @@ def load_checkpoint(path: str) -> GroundingModel:
     """Parse a checkpoint, rebuilding the config and verifying shapes."""
     tensors: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise DataError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
@@ -537,9 +617,15 @@ def load_checkpoint(path: str) -> GroundingModel:
                 raise DataError(f"implausible rank {rank} for tensor {name}")
             dims = [struct.unpack("<I", _read_exact(fh, 4, f"{name} dim"))[0]
                     for _ in range(rank)]
-            count = int(np.prod(dims)) if dims else 1
-            data = np.frombuffer(_read_exact(fh, 8 * count, f"{name} data"),
+            nbytes = 8 * math.prod(dims)
+            left = file_size - fh.tell()
+            if nbytes > left:
+                raise DataError(f"checkpoint truncated: tensor {name} needs "
+                                f"{nbytes} bytes, {left} left")
+            data = np.frombuffer(_read_exact(fh, nbytes, f"{name} data"),
                                  dtype="<f8").reshape(dims)
+            if not np.all(np.isfinite(data)):
+                raise DataError(f"tensor {name} has non-finite values")
             tensors[name] = data.copy()
 
     def scalar(name: str) -> float:

@@ -29,6 +29,19 @@ class SceneObject:
     size: np.ndarray
     feature: np.ndarray | None = None  # baked shape feature when points elided
 
+    def __post_init__(self):
+        self.class_id = int(self.class_id)
+        if self.class_id < 0:
+            raise DataError(f"class_id must be non-negative, got {self.class_id}")
+        self.center = np.asarray(self.center, dtype=np.float64)
+        self.size = np.asarray(self.size, dtype=np.float64)
+        if self.center.shape != (3,) or self.size.shape != (3,):
+            raise DataError("bbox center and size must have three entries each")
+        for name, value in (("points", self.points), ("center", self.center),
+                            ("size", self.size), ("feature", self.feature)):
+            if value is not None and not np.isfinite(value).all():
+                raise DataError(f"object {name} must be finite")
+
     @classmethod
     def from_points(cls, points, class_id: int) -> "SceneObject":
         points = np.asarray(points, dtype=np.float64)
@@ -55,7 +68,11 @@ class SyntheticScene:
         if self.audio.ndim != 1 or self.audio.size == 0:
             raise DataError(
                 f"audio must be a non-empty vector, got shape {self.audio.shape}")
+        if not np.all(np.isfinite(self.audio)):
+            raise DataError("audio must be finite")
         self.mentioned_classes = tuple(sorted(int(c) for c in self.mentioned_classes))
+        if min((self.target_class, *self.mentioned_classes)) < 0:
+            raise DataError("target and mentioned classes must be non-negative")
         if not 0 <= self.relation_id < len(RELATIONS):
             raise DataError(f"relation_id {self.relation_id} outside 0..{len(RELATIONS) - 1}")
         if not 0 <= self.target_index < len(self.objects):
@@ -283,6 +300,6 @@ def read_scenes(path: str) -> list[SyntheticScene]:
                     tuple(rec["mentioned_classes"]),
                     int(rec["relation_id"]),
                     int(rec["target_index"])))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, DataError) as exc:
                 raise DataError(f"line {lineno}: bad scene record: {exc}") from exc
     return scenes

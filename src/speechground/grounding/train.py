@@ -6,7 +6,7 @@ import numpy as np
 
 from ..errors import NumericError, UsageError
 from .model import (GroundingFailure, GroundingModel, _ground_grouped,
-                    _predicted_grouping, loss_and_grads, prepare_scene)
+                    _predicted_groupings, loss_and_grads, prepare_scene)
 
 
 @dataclass(frozen=True)
@@ -98,16 +98,18 @@ def evaluate(model: GroundingModel, scenes) -> EvalReport:
 
     Grounding uses the predicted class and mentions; a GroundingFailure
     counts as a miss.  Mention detection is scored micro-averaged over
-    scene/class pairs.
+    scene/class pairs.  The heads and the grounding branch each run over
+    the whole set in padded batches.
     """
     if not scenes:
         raise UsageError("evaluation needs at least one scene")
+    groupings = _predicted_groupings(model, scenes)
+    results = _ground_grouped(model, scenes, groupings)
     audio_hits = 0
     tp = fp = fn = 0
     ground_hits = 0
     failures = 0
-    for scene in scenes:
-        pred_class, detected = _predicted_grouping(model, scene)
+    for scene, (pred_class, detected), result in zip(scenes, groupings, results):
         if pred_class == scene.target_class:
             audio_hits += 1
         truth = set(scene.mentioned_classes)
@@ -115,12 +117,9 @@ def evaluate(model: GroundingModel, scenes) -> EvalReport:
         tp += len(truth & got)
         fp += len(got - truth)
         fn += len(truth - got)
-        try:
-            result = _ground_grouped(model, scene, pred_class, detected)
-        except GroundingFailure:
+        if isinstance(result, GroundingFailure):
             failures += 1
-            continue
-        if result.winner_index == scene.target_index:
+        elif result.winner_index == scene.target_index:
             ground_hits += 1
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0

@@ -1,0 +1,250 @@
+"""Per-scene grounding: the reference for the batched path.
+
+These are the one-scene-at-a-time forward/backward kernels, training
+loss and inference path that the padded, masked minibatch code in
+`speechground.grounding.model` replaced, kept unchanged so the tests
+can compare the two.  Nothing in `src/` imports this module.
+"""
+
+import numpy as np
+
+from speechground.errors import DataError, UsageError
+from speechground.grounding import SyntheticScene, group_objects, prepare_scene
+from speechground.grounding.model import (GroundingFailure, GroundingModel,
+                                          GroundingResult, PreparedScene,
+                                          _grouped_reprs)
+
+
+def _num_layers(hidden: tuple[int, ...]) -> int:
+    return len(hidden) + 1
+
+
+def _mlp_forward(params, name, x, n_layers):
+    cache = []
+    h = x
+    for i in range(n_layers):
+        z = h @ params[f"{name}.w{i}"].T + params[f"{name}.b{i}"]
+        cache.append((h, z))
+        h = np.tanh(z) if i < n_layers - 1 else z
+    return h, cache
+
+
+def _mlp_backward(params, name, dout, cache, grads):
+    dz = dout
+    for i in range(len(cache) - 1, -1, -1):
+        h_in, z = cache[i]
+        if i < len(cache) - 1:
+            dz = dz * (1.0 - np.tanh(z) ** 2)
+        grads[f"{name}.w{i}"] = grads.get(f"{name}.w{i}", 0.0) + dz.T @ h_in
+        grads[f"{name}.b{i}"] = grads.get(f"{name}.b{i}", 0.0) + dz.sum(axis=0)
+        dz = dz @ params[f"{name}.w{i}"]
+    return dz
+
+
+def _attn_forward(wq, wk, wv, wqa, wka, wva, wo, oq, okv, audio):
+    if okv.shape[0] == 0:
+        return np.zeros((oq.shape[0], wo.shape[0])), None
+    dh = wq.shape[1]
+    q = np.einsum("hij,nj->nhi", wq, oq) + np.einsum("hij,j->hi", wqa, audio)
+    k = np.einsum("hij,mj->mhi", wk, okv) + np.einsum("hij,j->hi", wka, audio)
+    v = np.einsum("hij,mj->mhi", wv, okv) + np.einsum("hij,j->hi", wva, audio)
+    scores = np.einsum("nhi,mhi->hnm", q, k) / np.sqrt(dh)
+    scores = scores - scores.max(axis=2, keepdims=True)
+    att = np.exp(scores)
+    att /= att.sum(axis=2, keepdims=True)
+    ctx = np.einsum("hnm,mhi->nhi", att, v)
+    flat = ctx.reshape(oq.shape[0], -1)
+    out = flat @ wo.T
+    return out, (oq, okv, audio, q, k, v, att, flat)
+
+
+def _attn_backward(wq, wk, wv, wqa, wka, wva, wo, dout, cache, grads, prefix):
+    if cache is None:
+        return (np.zeros((dout.shape[0], wq.shape[2])),
+                np.zeros((0, wq.shape[2])))
+    oq, okv, audio, q, k, v, att, flat = cache
+    heads, dh = wq.shape[0], wq.shape[1]
+
+    def bump(key, val):
+        grads[key] = grads.get(key, 0.0) + val
+
+    bump(f"{prefix}.wo", dout.T @ flat)
+    dctx = (dout @ wo).reshape(oq.shape[0], heads, dh)
+    datt = np.einsum("nhi,mhi->hnm", dctx, v)
+    dv = np.einsum("hnm,nhi->mhi", att, dctx)
+    tmp = datt * att
+    dscores = (tmp - att * tmp.sum(axis=2, keepdims=True)) / np.sqrt(dh)
+    dq = np.einsum("hnm,mhi->nhi", dscores, k)
+    dk = np.einsum("hnm,nhi->mhi", dscores, q)
+    bump(f"{prefix}.wq", np.einsum("nhi,nj->hij", dq, oq))
+    bump(f"{prefix}.wqa", np.einsum("hi,j->hij", dq.sum(axis=0), audio))
+    bump(f"{prefix}.wk", np.einsum("mhi,mj->hij", dk, okv))
+    bump(f"{prefix}.wka", np.einsum("hi,j->hij", dk.sum(axis=0), audio))
+    bump(f"{prefix}.wv", np.einsum("mhi,mj->hij", dv, okv))
+    bump(f"{prefix}.wva", np.einsum("hi,j->hij", dv.sum(axis=0), audio))
+    doq = np.einsum("hij,nhi->nj", wq, dq)
+    dokv = np.einsum("hij,mhi->mj", wk, dk) + np.einsum("hij,mhi->mj", wv, dv)
+    return doq, dokv
+
+
+def _layer_arrays(params, prefix):
+    return tuple(params[f"{prefix}.{key}"]
+                 for key in ("wq", "wk", "wv", "wqa", "wka", "wva", "wo"))
+
+
+def _stack_forward(params, name, layers, x, kv_fixed, audio, self_mode):
+    caches = []
+    for layer in range(layers):
+        arrays = _layer_arrays(params, f"{name}{layer}")
+        kv = x if self_mode else kv_fixed
+        x, cache = _attn_forward(*arrays, x, kv, audio)
+        caches.append((arrays, cache))
+    return x, caches
+
+
+def _stack_backward(params, name, layers, dout, caches, grads, self_mode):
+    dx = dout
+    for layer in range(layers - 1, -1, -1):
+        arrays, cache = caches[layer]
+        doq, dokv = _attn_backward(*arrays, dx, cache, grads, f"{name}{layer}")
+        dx = doq + dokv if self_mode else doq
+    return dx
+
+
+def _ground_streams(model: GroundingModel, cand_reprs, rel_reprs, audio):
+    cfg = model.config
+    o_self, self_caches = _stack_forward(model.params, "self", cfg.attn_layers,
+                                         cand_reprs, None, audio, True)
+    o_cross, cross_caches = _stack_forward(model.params, "cross", cfg.attn_layers,
+                                           cand_reprs, rel_reprs, audio, False)
+    fused = cand_reprs + o_self + o_cross
+    logits, head_cache = _mlp_forward(model.params, "head", fused,
+                                      _num_layers(cfg.head_hidden))
+    return logits[:, 0], (self_caches, cross_caches, head_cache)
+
+
+def _softmax_nll(logits: np.ndarray, target: int) -> tuple[float, np.ndarray]:
+    z = logits - logits.max()
+    lse = np.log(np.exp(z).sum())
+    dlogits = np.exp(z - lse)
+    dlogits[target] -= 1.0
+    return float(lse - z[target]), dlogits
+
+
+def _scene_loss(model: GroundingModel, prep: PreparedScene, grads=None):
+    cfg = model.config
+    parts = np.zeros(3)
+
+    cls_logits, cls_cache = _mlp_forward(model.params, "cls", prep.audio[None, :],
+                                         _num_layers(cfg.cls_hidden))
+    ce_audio, dcls = _softmax_nll(cls_logits[0], prep.target_class)
+    parts[0] = ce_audio
+
+    omd_logits, omd_cache = _mlp_forward(model.params, "omd", prep.audio[None, :],
+                                         _num_layers(cfg.omd_hidden))
+    x = omd_logits[0]
+    y = prep.mention_hot
+    bce = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
+    parts[1] = float(bce.mean())
+    # exp may overflow to inf for saturated logits; 1/(1+inf) is the
+    # correct sigmoid limit, so only the warning needs suppressing
+    with np.errstate(over="ignore"):
+        domd = (1.0 / (1.0 + np.exp(-x)) - y) / x.shape[0]
+
+    ground_logits, caches = _ground_streams(model, prep.cand_reprs,
+                                            prep.rel_reprs, prep.audio)
+    ce_ground, dground = _softmax_nll(ground_logits, prep.target_pos)
+    parts[2] = ce_ground
+
+    if grads is not None:
+        la, lb, lc = cfg.lambdas
+        _mlp_backward(model.params, "cls", la * dcls[None, :], cls_cache, grads)
+        _mlp_backward(model.params, "omd", lb * domd[None, :], omd_cache, grads)
+        self_caches, cross_caches, head_cache = caches
+        dfused = _mlp_backward(model.params, "head",
+                               lc * dground[:, None], head_cache, grads)
+        _stack_backward(model.params, "self", cfg.attn_layers, dfused,
+                        self_caches, grads, True)
+        _stack_backward(model.params, "cross", cfg.attn_layers, dfused,
+                        cross_caches, grads, False)
+    return parts
+
+
+def loss_and_grads(model: GroundingModel, scenes,
+                   prepared: list[PreparedScene] | None = None):
+    """Mean joint loss, its three parts, and parameter gradients."""
+    if prepared is None:
+        prepared = [prepare_scene(model.config, s) for s in scenes]
+    if not prepared:
+        raise UsageError("loss needs at least one scene")
+    grads: dict[str, np.ndarray] = {}
+    parts = np.zeros(3)
+    for prep in prepared:
+        parts += _scene_loss(model, prep, grads)
+    parts /= len(prepared)
+    for key in list(grads):
+        grads[key] = grads[key] / len(prepared)
+    for key in model.params:
+        if key not in grads:
+            grads[key] = np.zeros_like(model.params[key])
+    total = float(np.dot(model.config.lambdas, parts))
+    return total, parts, grads
+
+
+def classify_audio(model: GroundingModel, audio) -> np.ndarray:
+    """Class distribution for an audio vector (softmax head)."""
+    audio = np.asarray(audio, dtype=np.float64)
+    logits, _ = _mlp_forward(model.params, "cls", audio[None, :],
+                             _num_layers(model.config.cls_hidden))
+    z = logits[0] - logits[0].max()
+    p = np.exp(z)
+    return p / p.sum()
+
+
+def detect_mentions(model: GroundingModel, audio) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Per-class mention probabilities and the thresholded detections."""
+    audio = np.asarray(audio, dtype=np.float64)
+    logits, _ = _mlp_forward(model.params, "omd", audio[None, :],
+                             _num_layers(model.config.omd_hidden))
+    with np.errstate(over="ignore"):
+        probs = 1.0 / (1.0 + np.exp(-logits[0]))
+    detected = tuple(int(c) for c in np.where(probs >= model.config.omd_threshold)[0])
+    return probs, detected
+
+
+def _predicted_grouping(model: GroundingModel, scene: SyntheticScene
+                        ) -> tuple[int, tuple[int, ...]]:
+    """Predicted audio class and detected mentions that group the objects."""
+    cfg = model.config
+    if scene.audio.shape != (cfg.d_audio,):
+        raise DataError(f"audio width {scene.audio.shape} != {cfg.d_audio}")
+    pred_class = int(np.argmax(classify_audio(model, scene.audio)))
+    _, mentions = detect_mentions(model, scene.audio)
+    return pred_class, mentions
+
+
+def _ground_grouped(model: GroundingModel, scene: SyntheticScene,
+                    pred_class: int, mentions: tuple[int, ...]) -> GroundingResult:
+    """Ground one scene under a given predicted class and mention set."""
+    cands, rels = group_objects(scene.objects, pred_class, mentions)
+    if not cands:
+        raise GroundingFailure(
+            f"no object of predicted class {pred_class}; cannot ground")
+    cand_reprs, rel_reprs = _grouped_reprs(model.config, scene.objects, cands, rels)
+    logits, _ = _ground_streams(model, cand_reprs, rel_reprs, scene.audio)
+    z = logits - logits.max()
+    probs = np.exp(z)
+    probs /= probs.sum()
+    winner_pos = int(np.argmax(logits))
+    return GroundingResult(cands[winner_pos], probs, tuple(cands),
+                           len(rels) == 0, pred_class, mentions)
+
+
+def ground(model: GroundingModel, scene: SyntheticScene) -> GroundingResult:
+    """Run the full inference path on one scene.
+
+    Grouping uses the predicted audio class and detected mentions, not
+    the ground truth.  Raises GroundingFailure when no candidate object
+    matches the predicted class.
+    """
+    return _ground_grouped(model, scene, *_predicted_grouping(model, scene))

@@ -2,11 +2,13 @@
 
 import json
 import math
+import struct
 import wave
 
 import numpy as np
 import pytest
 
+from speechground import cli
 from speechground.cli import main
 from speechground.dsp import Waveform, write_wav
 from speechground.grounding import (GenConfig, GroundingConfig, generate_scenes,
@@ -461,6 +463,72 @@ class TestGroundPipeline:
         assert err
 
 
+class TestGroundInputValidation:
+    """Non-finite or out-of-range grounding inputs exit 2, never 0 or 3."""
+
+    @staticmethod
+    def dataset(tmp_path, edit=None):
+        scenes = generate_scenes(GenConfig(num_scenes=2, num_classes=4))
+        path = tmp_path / "dev.jsonl"
+        write_scenes(str(path), scenes, include_points=False, embed_seed=7)
+        if edit is not None:
+            lines = path.read_text(encoding="utf-8").splitlines()
+            record = json.loads(lines[0])
+            edit(record)
+            lines[0] = json.dumps(record)
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return str(path)
+
+    @staticmethod
+    def checkpoint(tmp_path, edit=None):
+        model = init_grounding_model(GroundingConfig(num_classes=4), seed=0)
+        if edit is not None:
+            edit(model.params)
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, model)
+        return path
+
+    def assert_data_error(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2, err
+        assert "internal error" not in err and out == ""
+
+    def test_nan_audio(self, tmp_path, capsys):
+        data = self.dataset(tmp_path, lambda r: r["audio"].__setitem__(0, math.nan))
+        ckpt = self.checkpoint(tmp_path)
+        self.assert_data_error(["ground", "infer", "--model", ckpt,
+                                "--scene", data], capsys)
+        self.assert_data_error(["ground", "eval", "--model", ckpt,
+                                "--data", data], capsys)
+
+    def test_infinite_bbox_center(self, tmp_path, capsys):
+        data = self.dataset(tmp_path, lambda r: r["objects"][0]["bbox"][
+            "center"].__setitem__(0, math.inf))
+        self.assert_data_error(["ground", "eval", "--model",
+                                self.checkpoint(tmp_path), "--data", data],
+                               capsys)
+
+    def test_negative_class_id(self, tmp_path, capsys):
+        data = self.dataset(tmp_path, lambda r: r["objects"][0].__setitem__(
+            "class_id", -3))
+        self.assert_data_error(["ground", "eval", "--model",
+                                self.checkpoint(tmp_path), "--data", data],
+                               capsys)
+
+    def test_nan_checkpoint_weight(self, tmp_path, capsys):
+        ckpt = self.checkpoint(
+            tmp_path, lambda p: p["head.w0"].__setitem__((0, 0), math.nan))
+        self.assert_data_error(["ground", "eval", "--model", ckpt,
+                                "--data", self.dataset(tmp_path)], capsys)
+
+    def test_oversized_tensor_header(self, tmp_path, capsys):
+        ckpt = tmp_path / "huge.ckpt"
+        ckpt.write_bytes(b"A3VG" + struct.pack("<I", 1) + struct.pack("<I", 1)
+                         + b"x" + struct.pack("<III", 2, 2**32 - 1, 2**32 - 1))
+        self.assert_data_error(["ground", "eval", "--model", str(ckpt),
+                                "--data", self.dataset(tmp_path)], capsys)
+
+
 class TestCliBasics:
     def test_unknown_flag(self, capsys):
         code, _, err = run(["eval", "wer", "--bogus", "x"], capsys)
@@ -478,6 +546,17 @@ class TestCliBasics:
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"], capsys)[0] == 0
+
+    def test_internal_error_names_command_and_type(self, monkeypatch, capsys):
+        def broken(args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_ground_eval", broken)
+        code, out, err = run(["ground", "eval", "--model", "m", "--data", "d"],
+                             capsys)
+        assert code == 3
+        assert out == ""
+        assert err.strip() == "internal error in ground eval: ValueError: boom"
 
 
 class TestMalformedInputFuzz:

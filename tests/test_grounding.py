@@ -19,6 +19,9 @@ from speechground.grounding import (AttentionParams, EvalReport, GenConfig,
                                     load_checkpoint, loss_and_grads,
                                     object_representation, prepare_scene,
                                     save_checkpoint, train_toy)
+from speechground.grounding.model import (PreparedScene, _ground_grouped,
+                                          _predicted_groupings)
+from tests import grounding_reference as reference
 
 # lean geometry so gradient checks and training smoke tests stay quick
 SMALL = dict(num_classes=4, d_obj=8, d_label=4, d_audio=16, attn_heads=2,
@@ -708,3 +711,96 @@ class TestGroundingConfig:
     def test_representation_width(self):
         cfg = GroundingConfig(num_classes=3, d_obj=10, d_label=5)
         assert cfg.d_rep == 21
+
+
+class TestBatchedPath:
+    """The padded, masked minibatch path against the per-scene loop."""
+
+    @staticmethod
+    def random_batch(rng, config, size):
+        # 1-4 candidates per scene; about 30% of scenes have no
+        # relational objects, the rest 1-3
+        batch = []
+        for _ in range(size):
+            n = int(rng.integers(1, 5))
+            m = 0 if rng.random() < 0.3 else int(rng.integers(1, 4))
+            batch.append(PreparedScene(
+                rng.standard_normal(config.d_audio),
+                int(rng.integers(config.num_classes)),
+                (rng.random(config.num_classes) < 0.5).astype(np.float64),
+                rng.standard_normal((n, config.d_rep)),
+                rng.standard_normal((m, config.d_rep)),
+                int(rng.integers(n))))
+        return batch
+
+    def test_loss_and_grads_match_the_per_scene_reference(self):
+        rng = np.random.default_rng(950)
+        sizes = set()
+        for trial in range(200):
+            config = GroundingConfig(**{**SMALL,
+                                        "attn_layers": int(rng.integers(1, 4)),
+                                        "attn_heads": int(rng.integers(1, 4))})
+            model = init_grounding_model(config, seed=trial)
+            batch = self.random_batch(rng, config, int(rng.integers(1, 33)))
+            sizes.add(len(batch))
+            total, parts, grads = loss_and_grads(model, None, prepared=batch)
+            ref_total, ref_parts, ref_grads = reference.loss_and_grads(
+                model, None, prepared=batch)
+            np.testing.assert_allclose(parts, ref_parts, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(total, ref_total, rtol=1e-12, atol=0)
+            assert set(grads) == set(ref_grads)
+            for key, ref_grad in ref_grads.items():
+                scale = max(1.0, float(np.max(np.abs(ref_grad))))
+                diff = float(np.max(np.abs(grads[key] - ref_grad)))
+                assert diff <= 1e-12 * scale, f"trial {trial} {key}: {diff}"
+        assert min(sizes) == 1 and max(sizes) >= 30
+
+    def test_padded_multi_layer_batch_passes_gradient_check(self):
+        scenes = small_scenes(4, seed=79)
+        # keep only the target among the mentions: no relational objects
+        first = scenes[0]
+        scenes[0] = SyntheticScene(first.objects, first.audio,
+                                   first.target_class, (first.target_class,),
+                                   first.relation_id, first.target_index)
+        model = small_model(seed=101, attn_layers=2)
+        prepared = [prepare_scene(model.config, s) for s in scenes]
+        assert prepared[0].rel_reprs.shape[0] == 0
+        assert min(p.rel_reprs.shape[0] for p in prepared[1:]) > 0
+        assert len({p.cand_reprs.shape[0] for p in prepared}) > 1
+        err = gradient_check(model, scenes, samples_per_tensor=3, seed=2)
+        assert err <= 1e-4
+
+    def test_evaluate_matches_per_scene_ground(self):
+        # more scenes than one inference batch, so batch boundaries show
+        scenes = generate_scenes(GenConfig(num_scenes=150, num_classes=5,
+                                           seed=124))
+        model = init_grounding_model(GroundingConfig(num_classes=5), seed=3)
+        results = _ground_grouped(model, scenes,
+                                  _predicted_groupings(model, scenes))
+        hits = failures = empty = 0
+        for scene, result in zip(scenes, results):
+            try:
+                single = ground(model, scene)
+            except GroundingFailure as exc:
+                assert isinstance(result, GroundingFailure)
+                assert str(result) == str(exc)
+                with pytest.raises(GroundingFailure):
+                    reference.ground(model, scene)
+                failures += 1
+                continue
+            expected = reference.ground(model, scene)
+            for got in (result, single):
+                assert got.winner_index == expected.winner_index
+                assert got.candidate_indices == expected.candidate_indices
+                assert got.relational_empty == expected.relational_empty
+                assert got.predicted_class == expected.predicted_class
+                assert got.predicted_mentions == expected.predicted_mentions
+                np.testing.assert_allclose(got.probs, expected.probs,
+                                           rtol=0, atol=1e-12)
+            hits += result.winner_index == scene.target_index
+            empty += result.relational_empty
+        assert 0 < failures < len(scenes)
+        assert 0 < empty < len(scenes) - failures
+        report = evaluate(model, scenes)
+        assert report.failures == failures
+        assert report.grounding_accuracy == hits / len(scenes)

@@ -215,6 +215,34 @@ class TestFeatureStubs:
         b = object_representation(make_object(2, [9, 9, 9]), 7)
         np.testing.assert_array_equal(a[32:40], b[32:40])
 
+    def test_cached_tables_match_fresh_draws_and_stay_private(self):
+        from speechground.grounding import features
+
+        obj = make_object(2, [1.0, 2.0, 3.0])
+        first = object_feature_stub(obj, 7, 32)
+        label = label_embedding(2, 7, 8)
+        audio = audio_embedding(1, (1, 3), 2, 5, 16, 7)
+        # each table equals a draw from a fresh seeded Generator
+        np.testing.assert_array_equal(
+            label, np.random.default_rng([7, 1, 2]).standard_normal(8))
+        tables = [np.random.default_rng([7, stream]).standard_normal((rows, 16))
+                  for stream, rows in ((2, 5), (3, 5), (4, 3))]
+        np.testing.assert_array_equal(
+            audio, tables[0][1] + tables[2][2] + tables[1][1] + tables[1][3])
+        # the cached arrays are read-only and never handed out
+        for table in (features._shape_projection(7, 32, 12),
+                      features._label_row(7, 2, 8),
+                      *features._audio_tables(7, 5, 16)):
+            assert not table.flags.writeable
+        label[:] = 0.0
+        first[:] = 0.0
+        audio[:] = 0.0
+        np.testing.assert_array_equal(
+            label_embedding(2, 7, 8),
+            np.random.default_rng([7, 1, 2]).standard_normal(8))
+        assert np.any(object_feature_stub(obj, 7, 32) != 0.0)
+        assert np.any(audio_embedding(1, (1, 3), 2, 5, 16, 7) != 0.0)
+
     def test_label_embedding_validation(self):
         with pytest.raises(UsageError, match="class_id"):
             label_embedding(-1, 7)
