@@ -223,11 +223,20 @@ def _cmd_ground_gen(args) -> int:
     return 0
 
 
-def _infer_num_classes(scenes) -> int:
-    top = 0
-    for scene in scenes:
-        top = max(top, scene.target_class, *scene.mentioned_classes,
-                  *(o.class_id for o in scene.objects))
+def _infer_num_classes(path: str, scenes) -> int:
+    """One past the largest class id in the file; every id below it must occur."""
+    ids = [{scene.target_class, *scene.mentioned_classes,
+            *(o.class_id for o in scene.objects)} for scene in scenes]
+    present = sorted(set().union(*ids))
+    top = present[-1]
+    if top >= len(present):
+        missing = next(i for i, class_id in enumerate(present) if i != class_id)
+        # read_scenes skips blank lines, so scene k sits on the k-th other line
+        with open(path, encoding="utf-8") as fh:
+            lines = [n for n, text in enumerate(fh, start=1) if text.strip()]
+        lineno = lines[next(k for k, found in enumerate(ids) if top in found)]
+        raise DataError(f"line {lineno}: class id {top} implies {top + 1} classes, "
+                        f"but class {missing} occurs nowhere in {path}; pass --classes")
     return max(top + 1, 2)
 
 
@@ -235,7 +244,7 @@ def _cmd_ground_train(args) -> int:
     scenes = read_scenes(args.data)
     if not scenes:
         raise DataError(f"no scenes in {args.data}")
-    num_classes = args.classes if args.classes else _infer_num_classes(scenes)
+    num_classes = args.classes if args.classes else _infer_num_classes(args.data, scenes)
     cfg = GroundingConfig(num_classes=num_classes,
                           d_audio=scenes[0].audio.shape[0],
                           embed_seed=args.embed_seed)

@@ -5,11 +5,12 @@ from .features import (audio_embedding, label_embedding, object_feature_stub,
 from .model import (AttentionParams, GroundingConfig, GroundingFailure,
                     GroundingModel, GroundingResult, attention_params_from,
                     audio_guided_attention, classify_audio, detect_mentions,
-                    ground, group_objects, init_grounding_model, joint_loss,
-                    load_checkpoint, loss_and_grads, param_shapes,
-                    prepare_scene, save_checkpoint)
+                    ground, init_grounding_model, joint_loss, load_checkpoint,
+                    loss_and_grads, param_shapes, prepare_scene,
+                    save_checkpoint)
 from .scene import (RELATIONS, GenConfig, SceneObject, SyntheticScene,
-                    generate_scenes, read_scenes, verify_scene, write_scenes)
+                    generate_scenes, group_objects, read_scenes, verify_scene,
+                    write_scenes)
 from .train import (EpochRecord, EvalReport, TrainConfig, evaluate,
                     gradient_check, train_toy)
 

@@ -22,6 +22,10 @@ real slots.  The mask rules are:
 
 A single scene (`ground`, `audio_guided_attention`) is a batch of one.
 
+The layout has one source: `GroundingConfig` (whose fields are also
+the checkpoint's `config.*` tensors), `param_shapes` for every
+parameter, and `AttentionParams` for one attention layer's weights.
+
 All gradients are hand-written; `loss_and_grads` is validated against
 central finite differences and against the per-scene loop it replaced
 in the test suite.
@@ -30,13 +34,14 @@ in the test suite.
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from typing import get_args, get_origin
 
 import numpy as np
 
 from ..errors import DataError, NumericError, UsageError
 from .features import object_representation, representation_dim
-from .scene import SyntheticScene
+from .scene import SyntheticScene, group_objects
 
 CHECKPOINT_MAGIC = b"A3VG"
 CHECKPOINT_VERSION = 1
@@ -74,10 +79,19 @@ class GroundingConfig:
             raise UsageError("feature and hidden widths must be positive")
         if len(self.lambdas) != 3 or min(self.lambdas) < 0:
             raise UsageError("lambdas must be three non-negative weights")
+        if self.embed_seed < 0:
+            raise UsageError("embed_seed must be non-negative")
 
     @property
     def d_rep(self) -> int:
         return representation_dim(self.d_obj, self.d_label)
+
+
+def _attention_shapes(h: int, dh: int, d: int, da: int) -> dict[str, tuple[int, ...]]:
+    """Field -> shape of one attention layer with h heads of width dh."""
+    return {"wq": (h, dh, d), "wk": (h, dh, d), "wv": (h, dh, d),
+            "wqa": (h, dh, da), "wka": (h, dh, da), "wva": (h, dh, da),
+            "wo": (d, h * dh)}
 
 
 @dataclass
@@ -94,15 +108,9 @@ class AttentionParams:
 
     def __post_init__(self):
         h, dh, d = self.wq.shape
-        for name in ("wk", "wv"):
-            if getattr(self, name).shape != (h, dh, d):
+        for name, shape in _attention_shapes(h, dh, d, self.wqa.shape[2]).items():
+            if getattr(self, name).shape != shape:
                 raise UsageError(f"{name} shape mismatch")
-        da = self.wqa.shape[2]
-        for name in ("wqa", "wka", "wva"):
-            if getattr(self, name).shape != (h, dh, da):
-                raise UsageError(f"{name} shape mismatch")
-        if self.wo.shape != (d, h * dh):
-            raise UsageError("wo shape mismatch")
 
 
 @dataclass
@@ -148,14 +156,12 @@ def param_shapes(config: GroundingConfig) -> dict[str, tuple[int, ...]]:
         for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
             shapes[f"{name}.w{i}"] = (fan_out, fan_in)
             shapes[f"{name}.b{i}"] = (fan_out,)
-    h, dh, d, da = config.attn_heads, config.attn_dim, config.d_rep, config.d_audio
+    layer_shapes = _attention_shapes(config.attn_heads, config.attn_dim,
+                                     config.d_rep, config.d_audio)
     for name in ("self", "cross"):
         for layer in range(config.attn_layers):
-            pre = f"{name}{layer}"
-            for key, cols in (("wq", d), ("wk", d), ("wv", d),
-                              ("wqa", da), ("wka", da), ("wva", da)):
-                shapes[f"{pre}.{key}"] = (h, dh, cols)
-            shapes[f"{pre}.wo"] = (d, h * dh)
+            for key, shape in layer_shapes.items():
+                shapes[f"{name}{layer}.{key}"] = shape
     return shapes
 
 
@@ -170,17 +176,14 @@ def init_grounding_model(config: GroundingConfig, seed: int = 0) -> GroundingMod
     return GroundingModel(config, params)
 
 
-def _num_layers(hidden: tuple[int, ...]) -> int:
-    return len(hidden) + 1
-
-
-def _mlp_forward(params, name, x, n_layers):
+def _mlp_forward(params, name, x):
+    depth = sum(key.startswith(f"{name}.w") for key in params)
     cache = []
     h = x
-    for i in range(n_layers):
+    for i in range(depth):
         z = h @ params[f"{name}.w{i}"].T + params[f"{name}.b{i}"]
         cache.append((h, z))
-        h = np.tanh(z) if i < n_layers - 1 else z
+        h = np.tanh(z) if i < depth - 1 else z
     return h, cache
 
 
@@ -209,13 +212,13 @@ def _pad(blocks, width: int) -> tuple[np.ndarray, np.ndarray]:
     return out, np.arange(out.shape[1]) < lens[:, None]
 
 
-def _attn_forward(wq, wk, wv, wqa, wka, wva, wo, xq, xkv, kmask, audio):
+def _attn_forward(p: AttentionParams, xq, xkv, kmask, audio):
     """Masked audio-guided attention of (B, Nq, d) queries over (B, Nk, d).
 
     Masked keys score -inf.  A query row with no valid key gets all-zero
     weights and hence a zero output.
     """
-    heads, dh, d = wq.shape
+    heads, dh, d = p.wq.shape
     b, nq = xq.shape[:2]
 
     def project(w, wa, x):
@@ -224,7 +227,8 @@ def _attn_forward(wq, wk, wv, wqa, wka, wva, wo, xq, xkv, kmask, audio):
         y += (audio @ wa.reshape(heads * dh, -1).T)[:, None, :]
         return y.reshape(b, -1, heads, dh).transpose(0, 2, 1, 3)
 
-    q, k, v = project(wq, wqa, xq), project(wk, wka, xkv), project(wv, wva, xkv)
+    q, k, v = (project(p.wq, p.wqa, xq), project(p.wk, p.wka, xkv),
+               project(p.wv, p.wva, xkv))
     scores = np.where(kmask[:, None, None, :],
                       q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh), -np.inf)
     top = scores.max(axis=3, keepdims=True)
@@ -232,60 +236,60 @@ def _attn_forward(wq, wk, wv, wqa, wka, wva, wo, xq, xkv, kmask, audio):
     total = att.sum(axis=3, keepdims=True)
     att /= np.where(total == 0.0, 1.0, total)
     flat = (att @ v).transpose(0, 2, 1, 3).reshape(b, nq, heads * dh)
-    out = (flat.reshape(-1, heads * dh) @ wo.T).reshape(b, nq, d)
+    out = (flat.reshape(-1, heads * dh) @ p.wo.T).reshape(b, nq, d)
     return out, (xq, xkv, audio, q, k, v, att, flat)
 
 
-def _attn_backward(wq, wk, wv, wqa, wka, wva, wo, dout, cache, grads, prefix):
+def _attn_backward(p: AttentionParams, dout, cache, grads, prefix):
     xq, xkv, audio, q, k, v, att, flat = cache
-    heads, dh, d = wq.shape
+    heads, dh, d = p.wq.shape
     b, nq = xq.shape[:2]
 
     def bump(key, val):
         grads[key] = grads.get(key, 0.0) + val
 
-    def unproject(dy, w, wa, x, key, akey):
+    def unproject(dy, x, key, akey):
         # gradients of the object and audio projections and of the input x
         dflat = dy.transpose(0, 2, 1, 3).reshape(-1, heads * dh)
-        bump(f"{prefix}.{key}", (dflat.T @ x.reshape(-1, d)).reshape(w.shape))
+        bump(f"{prefix}.{key}", (dflat.T @ x.reshape(-1, d)).reshape(heads, dh, d))
         per_scene = dflat.reshape(b, -1, heads * dh).sum(axis=1)
-        bump(f"{prefix}.{akey}", (per_scene.T @ audio).reshape(wa.shape))
-        return (dflat @ w.reshape(-1, d)).reshape(x.shape)
+        bump(f"{prefix}.{akey}", (per_scene.T @ audio).reshape(heads, dh, -1))
+        return (dflat @ getattr(p, key).reshape(-1, d)).reshape(x.shape)
 
     bump(f"{prefix}.wo", dout.reshape(-1, d).T @ flat.reshape(-1, heads * dh))
-    dctx = (dout.reshape(-1, d) @ wo).reshape(b, nq, heads, dh).transpose(0, 2, 1, 3)
+    dctx = (dout.reshape(-1, d) @ p.wo).reshape(b, nq, heads, dh).transpose(0, 2, 1, 3)
     datt = dctx @ v.transpose(0, 1, 3, 2)
     dv = att.transpose(0, 1, 3, 2) @ dctx
     tmp = datt * att
     dscores = (tmp - att * tmp.sum(axis=3, keepdims=True)) / np.sqrt(dh)
     dq = dscores @ k
     dk = dscores.transpose(0, 1, 3, 2) @ q
-    dxq = unproject(dq, wq, wqa, xq, "wq", "wqa")
-    dxkv = (unproject(dk, wk, wka, xkv, "wk", "wka")
-            + unproject(dv, wv, wva, xkv, "wv", "wva"))
+    dxq = unproject(dq, xq, "wq", "wqa")
+    dxkv = unproject(dk, xkv, "wk", "wka") + unproject(dv, xkv, "wv", "wva")
     return dxq, dxkv
 
 
-def _layer_arrays(params, prefix):
-    return tuple(params[f"{prefix}.{key}"]
-                 for key in ("wq", "wk", "wv", "wqa", "wka", "wva", "wo"))
+def attention_params_from(model: GroundingModel, name: str, layer: int = 0
+                          ) -> AttentionParams:
+    """View one attention layer of a model as AttentionParams."""
+    return AttentionParams(**{f.name: model.params[f"{name}{layer}.{f.name}"]
+                              for f in fields(AttentionParams)})
 
 
-def _stack_forward(params, name, layers, x, kv_fixed, kmask, audio, self_mode):
+def _stack_forward(model, name, x, kv_fixed, kmask, audio, self_mode):
     caches = []
-    for layer in range(layers):
-        arrays = _layer_arrays(params, f"{name}{layer}")
-        kv = x if self_mode else kv_fixed
-        x, cache = _attn_forward(*arrays, x, kv, kmask, audio)
-        caches.append((arrays, cache))
+    for layer in range(model.config.attn_layers):
+        p = attention_params_from(model, name, layer)
+        x, cache = _attn_forward(p, x, x if self_mode else kv_fixed, kmask, audio)
+        caches.append((p, cache))
     return x, caches
 
 
-def _stack_backward(params, name, layers, dout, caches, grads, self_mode):
+def _stack_backward(name, dout, caches, grads, self_mode):
     dx = dout
-    for layer in range(layers - 1, -1, -1):
-        arrays, cache = caches[layer]
-        doq, dokv = _attn_backward(*arrays, dx, cache, grads, f"{name}{layer}")
+    for layer in range(len(caches) - 1, -1, -1):
+        p, cache = caches[layer]
+        doq, dokv = _attn_backward(p, dx, cache, grads, f"{name}{layer}")
         dx = doq + dokv if self_mode else doq
     return dx
 
@@ -311,30 +315,20 @@ def audio_guided_attention(objects_q, objects_kv, audio, params: AttentionParams
     if audio.shape != (params.wqa.shape[2],):
         raise UsageError(f"audio must have width {params.wqa.shape[2]}")
     kv, kmask = _pad([okv], d)
-    out, _ = _attn_forward(params.wq, params.wk, params.wv, params.wqa,
-                           params.wka, params.wva, params.wo, oq[None], kv,
-                           kmask, audio[None])
+    out, _ = _attn_forward(params, oq[None], kv, kmask, audio[None])
     return out[0]
-
-
-def attention_params_from(model: GroundingModel, name: str, layer: int = 0
-                          ) -> AttentionParams:
-    """View one attention layer of a model as AttentionParams."""
-    return AttentionParams(*_layer_arrays(model.params, f"{name}{layer}"))
 
 
 def _class_probs(model: GroundingModel, audio: np.ndarray) -> np.ndarray:
     """(B, num_classes) softmax of the cls head over (B, d_audio) audio."""
-    logits, _ = _mlp_forward(model.params, "cls", audio,
-                             _num_layers(model.config.cls_hidden))
+    logits, _ = _mlp_forward(model.params, "cls", audio)
     p = np.exp(logits - logits.max(axis=1, keepdims=True))
     return p / p.sum(axis=1, keepdims=True)
 
 
 def _mention_probs(model: GroundingModel, audio: np.ndarray) -> np.ndarray:
     """(B, num_classes) sigmoids of the omd head over (B, d_audio) audio."""
-    logits, _ = _mlp_forward(model.params, "omd", audio,
-                             _num_layers(model.config.omd_hidden))
+    logits, _ = _mlp_forward(model.params, "omd", audio)
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-logits))
 
@@ -354,30 +348,20 @@ def detect_mentions(model: GroundingModel, audio) -> tuple[np.ndarray, tuple[int
     return probs, _detected(model, probs)
 
 
-def group_objects(objects, target_class: int, mentioned_classes
-                  ) -> tuple[list[int], list[int]]:
-    """Split object indices into candidates and relational objects.
-
-    Candidates share the target class; relational objects belong to the
-    other mentioned classes.  Order is preserved.  Both lists may be
-    empty; the caller decides whether that is an error.
-    """
-    mentioned = set(mentioned_classes) - {target_class}
-    cands = [i for i, o in enumerate(objects) if o.class_id == target_class]
-    rels = [i for i, o in enumerate(objects) if o.class_id in mentioned]
-    return cands, rels
-
-
 def _grouped_reprs(config: GroundingConfig, objects, cands, rels
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked representations of the candidate and relational objects."""
-    reprs = {i: object_representation(objects[i], config.embed_seed,
-                                      config.d_obj, config.d_label)
-             for i in set(cands) | set(rels)}
-    cand_reprs = np.stack([reprs[i] for i in cands])
-    rel_reprs = (np.stack([reprs[i] for i in rels]) if rels
-                 else np.zeros((0, config.d_rep)))
-    return cand_reprs, rel_reprs
+    """Stacked (n, d_rep) representations of the candidate and relational objects."""
+    return tuple(np.array([object_representation(objects[i], config.embed_seed,
+                                                 config.d_obj, config.d_label)
+                           for i in group]).reshape(len(group), config.d_rep)
+                 for group in (cands, rels))
+
+
+def _scene_audio(config: GroundingConfig, scene: SyntheticScene) -> np.ndarray:
+    """The scene's audio vector, checked against the configured width."""
+    if scene.audio.shape != (config.d_audio,):
+        raise DataError(f"audio width {scene.audio.shape} != {config.d_audio}")
+    return scene.audio
 
 
 def prepare_scene(config: GroundingConfig, scene: SyntheticScene) -> PreparedScene:
@@ -394,26 +378,28 @@ def prepare_scene(config: GroundingConfig, scene: SyntheticScene) -> PreparedSce
         mention_hot[c] = 1.0
     if not 0 <= scene.target_class < config.num_classes:
         raise DataError("target class outside the configured classes")
-    if scene.audio.shape != (config.d_audio,):
-        raise DataError(f"audio width {scene.audio.shape} != {config.d_audio}")
-    return PreparedScene(scene.audio, scene.target_class, mention_hot,
-                         cand_reprs, rel_reprs, cands.index(scene.target_index))
+    return PreparedScene(_scene_audio(config, scene), scene.target_class,
+                         mention_hot, cand_reprs, rel_reprs,
+                         cands.index(scene.target_index))
 
 
-def _ground_streams(model: GroundingModel, cand, cmask, rel, rmask, audio):
-    """(B, N) candidate logits of a padded batch, -inf at padded slots."""
-    cfg = model.config
-    o_self, self_caches = _stack_forward(model.params, "self", cfg.attn_layers,
-                                         cand, None, cmask, audio, True)
-    o_cross, cross_caches = _stack_forward(model.params, "cross", cfg.attn_layers,
-                                           cand, rel, rmask, audio, False)
+def _ground_streams(model: GroundingModel, audio, cand_blocks, rel_blocks):
+    """(B, N) candidate logits of a batch, -inf at padded slots.
+
+    `audio` is (B, d_audio); the per-scene (n_b, d_rep) candidate and
+    relational blocks are padded and masked here.
+    """
+    cand, cmask = _pad(cand_blocks, model.config.d_rep)
+    rel, rmask = _pad(rel_blocks, model.config.d_rep)
+    o_self, self_caches = _stack_forward(model, "self", cand, None, cmask, audio, True)
+    o_cross, cross_caches = _stack_forward(model, "cross", cand, rel, rmask, audio,
+                                           False)
     fused = cand + o_self + o_cross
     # the head scores only real candidates; padded slots stay -inf
-    scores, head_cache = _mlp_forward(model.params, "head", fused[cmask],
-                                      _num_layers(cfg.head_hidden))
+    scores, head_cache = _mlp_forward(model.params, "head", fused[cmask])
     logits = np.full(cmask.shape, -np.inf)
     logits[cmask] = scores[:, 0]
-    return logits, (self_caches, cross_caches, head_cache)
+    return logits, (cmask, self_caches, cross_caches, head_cache)
 
 
 def _softmax_nll(logits: np.ndarray, targets: np.ndarray
@@ -427,20 +413,20 @@ def _softmax_nll(logits: np.ndarray, targets: np.ndarray
     return lse - z[rows, targets], dlogits
 
 
-def _batch_loss(model: GroundingModel, prepared: list[PreparedScene], grads=None):
-    """Mean loss parts of a minibatch; adds mean gradients into `grads`."""
+def _batch_loss(model: GroundingModel, prepared: list[PreparedScene], grads=None
+                ) -> tuple[float, np.ndarray]:
+    """Total and mean loss parts of a batch; adds gradients into `grads` if given."""
+    if not prepared:
+        raise UsageError("loss needs at least one scene")
     cfg = model.config
     b = len(prepared)
     audio = np.stack([p.audio for p in prepared])
 
-    cls_logits, cls_cache = _mlp_forward(model.params, "cls", audio,
-                                         _num_layers(cfg.cls_hidden))
+    cls_logits, cls_cache = _mlp_forward(model.params, "cls", audio)
     ce_audio, dcls = _softmax_nll(cls_logits,
                                   np.array([p.target_class for p in prepared]))
 
-    omd_logits, omd_cache = _mlp_forward(model.params, "omd", audio,
-                                         _num_layers(cfg.omd_hidden))
-    x = omd_logits
+    x, omd_cache = _mlp_forward(model.params, "omd", audio)
     y = np.stack([p.mention_hot for p in prepared])
     bce = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
     # exp may overflow to inf for saturated logits; 1/(1+inf) is the
@@ -448,9 +434,9 @@ def _batch_loss(model: GroundingModel, prepared: list[PreparedScene], grads=None
     with np.errstate(over="ignore"):
         domd = (1.0 / (1.0 + np.exp(-x)) - y) / x.shape[1]
 
-    cand, cmask = _pad([p.cand_reprs for p in prepared], cfg.d_rep)
-    rel, rmask = _pad([p.rel_reprs for p in prepared], cfg.d_rep)
-    ground_logits, caches = _ground_streams(model, cand, cmask, rel, rmask, audio)
+    ground_logits, caches = _ground_streams(model, audio,
+                                            [p.cand_reprs for p in prepared],
+                                            [p.rel_reprs for p in prepared])
     ce_ground, dground = _softmax_nll(ground_logits,
                                       np.array([p.target_pos for p in prepared]))
     parts = np.array([ce_audio.mean(), bce.mean(), ce_ground.mean()])
@@ -459,16 +445,14 @@ def _batch_loss(model: GroundingModel, prepared: list[PreparedScene], grads=None
         la, lb, lc = cfg.lambdas
         _mlp_backward(model.params, "cls", (la / b) * dcls, cls_cache, grads)
         _mlp_backward(model.params, "omd", (lb / b) * domd, omd_cache, grads)
-        self_caches, cross_caches, head_cache = caches
-        dfused = np.zeros_like(cand)
+        cmask, self_caches, cross_caches, head_cache = caches
+        dfused = np.zeros((*cmask.shape, cfg.d_rep))
         dfused[cmask] = _mlp_backward(model.params, "head",
                                       (lc / b) * dground[cmask][:, None],
                                       head_cache, grads)
-        _stack_backward(model.params, "self", cfg.attn_layers, dfused,
-                        self_caches, grads, True)
-        _stack_backward(model.params, "cross", cfg.attn_layers, dfused,
-                        cross_caches, grads, False)
-    return parts
+        _stack_backward("self", dfused, self_caches, grads, True)
+        _stack_backward("cross", dfused, cross_caches, grads, False)
+    return float(np.dot(cfg.lambdas, parts)), parts
 
 
 def loss_and_grads(model: GroundingModel, scenes,
@@ -476,28 +460,20 @@ def loss_and_grads(model: GroundingModel, scenes,
     """Mean joint loss, its three parts, and parameter gradients."""
     if prepared is None:
         prepared = [prepare_scene(model.config, s) for s in scenes]
-    if not prepared:
-        raise UsageError("loss needs at least one scene")
     grads: dict[str, np.ndarray] = {}
-    parts = _batch_loss(model, prepared, grads)
-    total = float(np.dot(model.config.lambdas, parts))
+    total, parts = _batch_loss(model, prepared, grads)
     return total, parts, grads
 
 
 def joint_loss(model: GroundingModel, scenes) -> tuple[float, np.ndarray]:
     """Weighted sum of audio CE, mention BCE and grounding CE (batch mean)."""
-    total, parts, _ = loss_and_grads(model, scenes)
-    return total, parts
+    return _batch_loss(model, [prepare_scene(model.config, s) for s in scenes])
 
 
 def _predicted_groupings(model: GroundingModel, scenes
                          ) -> list[tuple[int, tuple[int, ...]]]:
     """Predicted audio class and detected mentions of every scene."""
-    cfg = model.config
-    for scene in scenes:
-        if scene.audio.shape != (cfg.d_audio,):
-            raise DataError(f"audio width {scene.audio.shape} != {cfg.d_audio}")
-    audio = np.stack([scene.audio for scene in scenes])
+    audio = np.stack([_scene_audio(model.config, scene) for scene in scenes])
     classes = np.argmax(_class_probs(model, audio), axis=1)
     return [(int(c), _detected(model, probs))
             for c, probs in zip(classes, _mention_probs(model, audio))]
@@ -514,7 +490,6 @@ def _ground_grouped(model: GroundingModel, scenes, groupings
     Groundable scenes are scored in padded batches; a scene with no
     object of its predicted class gets a GroundingFailure in its slot.
     """
-    cfg = model.config
     grouped = [group_objects(scene.objects, *grouping)
                for scene, grouping in zip(scenes, groupings)]
     results = [None if cands else GroundingFailure(
@@ -523,11 +498,11 @@ def _ground_grouped(model: GroundingModel, scenes, groupings
     live = [i for i, result in enumerate(results) if result is None]
     for start in range(0, len(live), _GROUND_CHUNK):
         batch = live[start:start + _GROUND_CHUNK]
-        reprs = [_grouped_reprs(cfg, scenes[i].objects, *grouped[i]) for i in batch]
-        cand, cmask = _pad([c for c, _ in reprs], cfg.d_rep)
-        rel, rmask = _pad([r for _, r in reprs], cfg.d_rep)
-        audio = np.stack([scenes[i].audio for i in batch])
-        logits, _ = _ground_streams(model, cand, cmask, rel, rmask, audio)
+        cand_blocks, rel_blocks = zip(*(
+            _grouped_reprs(model.config, scenes[i].objects, *grouped[i])
+            for i in batch))
+        logits, _ = _ground_streams(model, np.stack([scenes[i].audio for i in batch]),
+                                    cand_blocks, rel_blocks)
         probs = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
         for i, row, win in zip(batch, probs, np.argmax(logits, axis=1)):
@@ -550,27 +525,15 @@ def ground(model: GroundingModel, scene: SyntheticScene) -> GroundingResult:
     return result
 
 
-def _config_tensors(cfg: GroundingConfig) -> dict[str, np.ndarray]:
-    return {
-        "config.num_classes": np.array(float(cfg.num_classes)),
-        "config.d_obj": np.array(float(cfg.d_obj)),
-        "config.d_label": np.array(float(cfg.d_label)),
-        "config.d_audio": np.array(float(cfg.d_audio)),
-        "config.attn_heads": np.array(float(cfg.attn_heads)),
-        "config.attn_dim": np.array(float(cfg.attn_dim)),
-        "config.attn_layers": np.array(float(cfg.attn_layers)),
-        "config.cls_hidden": np.array([float(v) for v in cfg.cls_hidden]),
-        "config.omd_hidden": np.array([float(v) for v in cfg.omd_hidden]),
-        "config.head_hidden": np.array([float(v) for v in cfg.head_hidden]),
-        "config.lambdas": np.array(cfg.lambdas, dtype=np.float64),
-        "config.omd_threshold": np.array(float(cfg.omd_threshold)),
-        "config.embed_seed": np.array(float(cfg.embed_seed)),
-    }
-
-
 def save_checkpoint(path: str, model: GroundingModel) -> None:
-    """Named-tensor container: magic, version, then (name, dims, f64 data)."""
-    tensors = dict(_config_tensors(model.config))
+    """Named-tensor container: magic, version, then (name, dims, f64 data).
+
+    Each GroundingConfig field is stored as a `config.<field>` vector:
+    one element for a number, one per entry for a tuple.
+    """
+    tensors = {f"config.{f.name}": np.array(getattr(model.config, f.name),
+                                            dtype=np.float64)
+               for f in fields(GroundingConfig)}
     tensors.update(model.params)
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -591,6 +554,29 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     if len(blob) != n:
         raise DataError(f"checkpoint truncated while reading {what}")
     return blob
+
+
+def _config_value(f, tensors: dict[str, np.ndarray]):
+    """One GroundingConfig field read back from its `config.<field>` tensor.
+
+    A number must have one element and a tuple rank at most 1; integer
+    fields and tuple entries must be integral.
+    """
+    name = f"config.{f.name}"
+    if name not in tensors:
+        raise DataError(f"checkpoint missing {name}")
+    arr = tensors[name]
+    is_tuple = get_origin(f.type) is tuple
+    kind = get_args(f.type)[0] if is_tuple else f.type
+    if not is_tuple and arr.size != 1:
+        raise DataError(f"checkpoint field {name} is not a scalar")
+    if is_tuple and arr.ndim > 1:
+        raise DataError(f"checkpoint field {name} has rank {arr.ndim}, expected <= 1")
+    values = arr.reshape(-1).tolist()
+    if kind is int and not all(v.is_integer() for v in values):
+        raise DataError(f"checkpoint field {name} must be integral, got {values}")
+    values = tuple(kind(v) for v in values)
+    return values if is_tuple else values[0]
 
 
 def load_checkpoint(path: str) -> GroundingModel:
@@ -628,38 +614,16 @@ def load_checkpoint(path: str) -> GroundingModel:
                 raise DataError(f"tensor {name} has non-finite values")
             tensors[name] = data.copy()
 
-    def scalar(name: str) -> float:
-        if name not in tensors:
-            raise DataError(f"checkpoint missing {name}")
-        arr = tensors[name]
-        if arr.size != 1:
-            raise DataError(f"checkpoint field {name} is not a scalar")
-        return float(arr.reshape(()))
-
-    def int_tuple(name: str) -> tuple[int, ...]:
-        if name not in tensors:
-            raise DataError(f"checkpoint missing {name}")
-        return tuple(int(v) for v in np.atleast_1d(tensors[name]))
-
     try:
-        cfg = GroundingConfig(
-            num_classes=int(scalar("config.num_classes")),
-            d_obj=int(scalar("config.d_obj")),
-            d_label=int(scalar("config.d_label")),
-            d_audio=int(scalar("config.d_audio")),
-            attn_heads=int(scalar("config.attn_heads")),
-            attn_dim=int(scalar("config.attn_dim")),
-            attn_layers=int(scalar("config.attn_layers")),
-            cls_hidden=int_tuple("config.cls_hidden"),
-            omd_hidden=int_tuple("config.omd_hidden"),
-            head_hidden=int_tuple("config.head_hidden"),
-            lambdas=tuple(float(v) for v in tensors["config.lambdas"]),
-            omd_threshold=scalar("config.omd_threshold"),
-            embed_seed=int(scalar("config.embed_seed")),
-        )
-    except (KeyError, ValueError, UsageError) as exc:
+        cfg = GroundingConfig(**{f.name: _config_value(f, tensors)
+                                 for f in fields(GroundingConfig)})
+    except UsageError as exc:
         raise DataError(f"bad checkpoint config: {exc}") from exc
     params = {k: v for k, v in tensors.items() if not k.startswith("config.")}
+    # bounds the work of param_shapes, which lists every layer's tensors
+    if cfg.attn_layers > len(params):
+        raise DataError(f"attn_layers {cfg.attn_layers} exceeds the "
+                        f"{len(params)} tensors in the checkpoint")
     shapes = param_shapes(cfg)
     if set(params) != set(shapes):
         missing = sorted(set(shapes) - set(params))

@@ -107,30 +107,42 @@ class GenConfig:
                 raise UsageError("class_prior must be num_classes non-negative weights")
 
 
+def group_objects(objects, target_class: int, mentioned_classes
+                  ) -> tuple[list[int], list[int]]:
+    """Split object indices into candidates and relational objects.
+
+    Candidates share the target class; relational objects belong to the
+    other mentioned classes.  Order is preserved.  Both lists may be
+    empty; the caller decides whether that is an error.
+    """
+    mentioned = set(mentioned_classes) - {target_class}
+    cands = [i for i, o in enumerate(objects) if o.class_id == target_class]
+    rels = [i for i, o in enumerate(objects) if o.class_id in mentioned]
+    return cands, rels
+
+
 def verify_scene(scene: SyntheticScene) -> bool:
     """True when exactly one candidate satisfies the relation: the target.
 
-    Candidates are the target-class objects; anchors are objects of the
-    other mentioned classes.  left-of / right-of compare against the
-    extreme anchor x; nearest-to asks for the strictly smallest
+    Candidates are the target-class objects; anchors are the relational
+    objects (see `group_objects`).  left-of / right-of compare against
+    the extreme anchor x; nearest-to asks for the strictly smallest
     distance to any anchor.
     """
-    cands = [i for i, o in enumerate(scene.objects)
-             if o.class_id == scene.target_class]
-    anchor_classes = set(scene.mentioned_classes) - {scene.target_class}
-    anchors = [o for o in scene.objects if o.class_id in anchor_classes]
+    cands, anchors = group_objects(scene.objects, scene.target_class,
+                                   scene.mentioned_classes)
     if len(cands) < 2 or not anchors:
         return False
     relation = RELATIONS[scene.relation_id]
-    centers = {i: scene.objects[i].center for i in cands}
+    centers = [o.center for o in scene.objects]
     if relation == "left-of":
-        bound = min(a.center[0] for a in anchors)
+        bound = min(centers[a][0] for a in anchors)
         hits = [i for i in cands if centers[i][0] < bound]
     elif relation == "right-of":
-        bound = max(a.center[0] for a in anchors)
+        bound = max(centers[a][0] for a in anchors)
         hits = [i for i in cands if centers[i][0] > bound]
     else:
-        dist = {i: min(np.linalg.norm(centers[i] - a.center) for a in anchors)
+        dist = {i: min(np.linalg.norm(centers[i] - centers[a]) for a in anchors)
                 for i in cands}
         best = min(cands, key=lambda i: dist[i])
         others = [dist[i] for i in cands if i != best]
@@ -268,6 +280,13 @@ def write_scenes(path: str, scenes, include_points: bool = True,
             }) + "\n")
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer field; floats, strings and booleans are refused."""
+    if type(value) is not int:
+        raise DataError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def read_scenes(path: str) -> list[SyntheticScene]:
     """Parse JSON-line scenes, accepting both point and feature forms."""
     scenes = []
@@ -282,24 +301,21 @@ def read_scenes(path: str) -> list[SyntheticScene]:
             try:
                 objects = []
                 for obj in rec["objects"]:
+                    class_id = _json_int(obj["class_id"], "class_id")
                     if "points" in obj:
-                        objects.append(SceneObject.from_points(
-                            np.asarray(obj["points"], dtype=np.float64),
-                            int(obj["class_id"])))
+                        objects.append(SceneObject.from_points(obj["points"], class_id))
                     else:
                         bbox = obj["bbox"]
                         objects.append(SceneObject(
-                            None, int(obj["class_id"]),
-                            np.asarray(bbox["center"], dtype=np.float64),
-                            np.asarray(bbox["size"], dtype=np.float64),
+                            None, class_id, bbox["center"], bbox["size"],
                             feature=np.asarray(obj["feature"], dtype=np.float64)))
                 scenes.append(SyntheticScene(
-                    objects,
-                    np.asarray(rec["audio"], dtype=np.float64),
-                    int(rec["target_class"]),
-                    tuple(rec["mentioned_classes"]),
-                    int(rec["relation_id"]),
-                    int(rec["target_index"])))
-            except (KeyError, TypeError, ValueError, DataError) as exc:
+                    objects, rec["audio"],
+                    _json_int(rec["target_class"], "target_class"),
+                    tuple(_json_int(c, "mentioned class")
+                          for c in rec["mentioned_classes"]),
+                    _json_int(rec["relation_id"], "relation_id"),
+                    _json_int(rec["target_index"], "target_index")))
+            except (KeyError, TypeError, ValueError, OverflowError, DataError) as exc:
                 raise DataError(f"line {lineno}: bad scene record: {exc}") from exc
     return scenes

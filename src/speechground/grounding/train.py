@@ -5,8 +5,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NumericError, UsageError
-from .model import (GroundingFailure, GroundingModel, _ground_grouped,
-                    _predicted_groupings, loss_and_grads, prepare_scene)
+from .model import (GroundingFailure, GroundingModel, _batch_loss,
+                    _ground_grouped, _predicted_groupings, loss_and_grads,
+                    prepare_scene)
 
 
 @dataclass(frozen=True)
@@ -64,8 +65,14 @@ def train_toy(model: GroundingModel, scenes, config: TrainConfig = TrainConfig()
         raise UsageError("training needs at least one scene")
     prepared = [prepare_scene(model.config, s) for s in scenes]
     rng = np.random.default_rng(config.seed)
-    m = {k: np.zeros_like(v) for k, v in model.params.items()}
-    v = {k: np.zeros_like(x) for k, x in model.params.items()}
+    # every parameter becomes a view into one flat vector, so each Adam
+    # step is a handful of whole-vector operations updating it in place
+    flat = np.concatenate([p.ravel() for p in model.params.values()])
+    ends = np.cumsum([p.size for p in model.params.values()])
+    for (key, p), part in zip(list(model.params.items()), np.split(flat, ends[:-1])):
+        model.params[key] = part.reshape(p.shape)
+    m = np.zeros_like(flat)
+    v = np.zeros_like(flat)
     step = 0
     records = []
     for epoch in range(config.epochs):
@@ -81,13 +88,12 @@ def train_toy(model: GroundingModel, scenes, config: TrainConfig = TrainConfig()
             epoch_loss += loss * len(batch)
             epoch_parts += parts * len(batch)
             step += 1
-            for key, grad in grads.items():
-                m[key] = config.beta1 * m[key] + (1 - config.beta1) * grad
-                v[key] = config.beta2 * v[key] + (1 - config.beta2) * grad ** 2
-                m_hat = m[key] / (1 - config.beta1 ** step)
-                v_hat = v[key] / (1 - config.beta2 ** step)
-                model.params[key] = model.params[key] - lr * m_hat / (
-                    np.sqrt(v_hat) + config.eps)
+            grad = np.concatenate([grads[k].ravel() for k in model.params])
+            m = config.beta1 * m + (1 - config.beta1) * grad
+            v = config.beta2 * v + (1 - config.beta2) * grad ** 2
+            m_hat = m / (1 - config.beta1 ** step)
+            v_hat = v / (1 - config.beta2 ** step)
+            flat -= lr * m_hat / (np.sqrt(v_hat) + config.eps)
         records.append(EpochRecord(epoch, epoch_loss / len(order),
                                    tuple(epoch_parts / len(order))))
     return records
@@ -154,9 +160,9 @@ def gradient_check(model: GroundingModel, scenes, step: float = 1e-5,
         for i in idx:
             orig = flat[i]
             flat[i] = orig + step
-            hi, _, _ = loss_and_grads(model, None, prepared=prepared)
+            hi, _ = _batch_loss(model, prepared)
             flat[i] = orig - step
-            lo, _, _ = loss_and_grads(model, None, prepared=prepared)
+            lo, _ = _batch_loss(model, prepared)
             flat[i] = orig
             numeric = (hi - lo) / (2 * step)
             analytic = grads[key].reshape(-1)[i]

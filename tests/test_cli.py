@@ -4,6 +4,7 @@ import json
 import math
 import struct
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,37 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def read_tensors(path):
+    """Name -> array of a checkpoint file, parsed with struct alone."""
+    blob = path.read_bytes()
+    assert blob[:8] == b"A3VG" + struct.pack("<I", 1)
+    tensors, pos = {}, 8
+    while pos < len(blob):
+        (name_len,) = struct.unpack_from("<I", blob, pos)
+        name = blob[pos + 4:pos + 4 + name_len].decode("utf-8")
+        pos += 4 + name_len
+        (rank,) = struct.unpack_from("<I", blob, pos)
+        dims = struct.unpack_from(f"<{rank}I", blob, pos + 4)
+        pos += 4 + 4 * rank
+        count = math.prod(dims)
+        tensors[name] = np.array(struct.unpack_from(f"<{count}d", blob, pos)
+                                 ).reshape(dims)
+        pos += 8 * count
+    return tensors
+
+
+def write_tensors(path, tensors):
+    """Write name -> array as checkpoint bytes, names in sorted order."""
+    chunks = [b"A3VG", struct.pack("<I", 1)]
+    for name in sorted(tensors):
+        arr = np.asarray(tensors[name], dtype="<f8")
+        raw = name.encode("utf-8")
+        chunks += [struct.pack("<I", len(raw)), raw,
+                   struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape),
+                   arr.tobytes()]
+    path.write_bytes(b"".join(chunks))
 
 
 def write_text(path, text):
@@ -528,6 +560,116 @@ class TestGroundInputValidation:
         self.assert_data_error(["ground", "eval", "--model", str(ckpt),
                                 "--data", self.dataset(tmp_path)], capsys)
 
+    def forged_config(self, tmp_path, name, value):
+        path = tmp_path / "model.ckpt"
+        tensors = read_tensors(Path(self.checkpoint(tmp_path)))
+        tensors[name] = value
+        write_tensors(path, tensors)
+        return str(path)
+
+    def test_checkpoint_hidden_widths_of_rank_two(self, tmp_path, capsys):
+        ckpt = self.forged_config(tmp_path, "config.cls_hidden", np.full((2, 2), 32.0))
+        code, out, err = run(["ground", "eval", "--model", ckpt,
+                              "--data", self.dataset(tmp_path)], capsys)
+        assert code == 2 and out == "", err
+        assert "config.cls_hidden has rank 2" in err
+
+    def test_checkpoint_fractional_class_count(self, tmp_path, capsys):
+        ckpt = self.forged_config(tmp_path, "config.num_classes", np.array(3.7))
+        code, out, err = run(["ground", "eval", "--model", ckpt,
+                              "--data", self.dataset(tmp_path)], capsys)
+        assert code == 2 and out == "", err
+        assert "config.num_classes must be integral" in err
+
+    def test_checkpoint_layer_count_beyond_its_tensors(self, tmp_path, capsys):
+        ckpt = self.forged_config(tmp_path, "config.attn_layers", np.array(1e12))
+        code, out, err = run(["ground", "eval", "--model", ckpt,
+                              "--data", self.dataset(tmp_path)], capsys)
+        assert code == 2 and out == "", err
+        assert "attn_layers 1000000000000 exceeds" in err
+
+    @staticmethod
+    def move_target_to_slot_one(record):
+        objs, t = record["objects"], record["target_index"]
+        objs[1], objs[t] = objs[t], objs[1]
+        record["target_index"] = True
+
+    # each edit leaves the intended integer value, so only the JSON type is wrong
+    @pytest.mark.parametrize("edit", [
+        lambda r: r["objects"][0].__setitem__("class_id", r["objects"][0]["class_id"] + 0.5),
+        lambda r: r.__setitem__("target_index", r["target_index"] + 0.5),
+        lambda r: r.__setitem__("relation_id", str(r["relation_id"])),
+        move_target_to_slot_one,
+        lambda r: r.__setitem__("target_class", float(r["target_class"])),
+        lambda r: r["mentioned_classes"].__setitem__(1, r["mentioned_classes"][1] + 0.0),
+    ], ids=["class_id-1.5", "target_index-0.5", "relation_id-string",
+            "target_index-true", "target_class-float", "mentioned-float"])
+    def test_scene_integer_fields_must_be_json_integers(self, edit, tmp_path, capsys):
+        data = self.dataset(tmp_path, edit)
+        for argv in (["ground", "train", "--data", data, "--classes", "4",
+                      "--epochs", "1", "--out", str(tmp_path / "m.ckpt")],
+                     ["ground", "eval", "--model", self.checkpoint(tmp_path),
+                      "--data", data]):
+            code, out, err = run(argv, capsys)
+            assert code == 2 and out == "", err
+            assert err.startswith("error: line 1: ") and "JSON integer" in err
+
+    @pytest.mark.parametrize("edit", [
+        # the object before the target (cyclically) is never the target
+        lambda r: r["objects"][r["target_index"] - 1].__setitem__("class_id", 10**12),
+        lambda r: r["mentioned_classes"].append(10**12),
+    ], ids=["object-class", "mentioned-class"])
+    def test_inferred_class_count_needs_every_smaller_id(self, edit, tmp_path, capsys):
+        path = tmp_path / "train.jsonl"
+        write_scenes(str(path), generate_scenes(GenConfig(num_scenes=12, num_classes=4)),
+                     include_points=False, embed_seed=7)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[2])
+        edit(record)
+        lines[2] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["ground", "train", "--data", str(path), "--epochs", "1",
+                "--out", str(tmp_path / "m.ckpt")]
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == "", err
+        assert err.startswith("error: line 3: class id 1000000000000 ")
+        assert "class 4 occurs nowhere" in err and "--classes" in err
+
+
+class TestCheckpointFormat:
+    def test_config_tensors_are_pinned(self, tmp_path):
+        cfg = GroundingConfig(num_classes=5, d_obj=16, d_label=4, d_audio=12,
+                              attn_heads=3, attn_dim=5, attn_layers=2,
+                              cls_hidden=(), omd_hidden=(8, 4),
+                              head_hidden=(16,), lambdas=(1.0, 0.5, 2.0),
+                              omd_threshold=0.25, embed_seed=11)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), init_grounding_model(cfg, seed=3))
+        tensors = read_tensors(path)
+        config = {k: v for k, v in tensors.items() if k.startswith("config.")}
+        # every entry is a rank-1 float64 vector; a number is one element
+        expected = {
+            "config.num_classes": [5.0], "config.d_obj": [16.0],
+            "config.d_label": [4.0], "config.d_audio": [12.0],
+            "config.attn_heads": [3.0], "config.attn_dim": [5.0],
+            "config.attn_layers": [2.0], "config.cls_hidden": [],
+            "config.omd_hidden": [8.0, 4.0], "config.head_hidden": [16.0],
+            "config.lambdas": [1.0, 0.5, 2.0], "config.omd_threshold": [0.25],
+            "config.embed_seed": [11.0],
+        }
+        assert sorted(config) == sorted(expected)
+        for name, value in expected.items():
+            want = np.array(value, dtype=np.float64)
+            assert config[name].ndim == want.ndim, name
+            assert config[name].shape == want.shape, name
+            assert np.array_equal(config[name], want), name
+        # config, the cls/omd/head MLP layers, 2 stacks x 2 layers x 7 weights
+        assert len(tensors) == 13 + 2 * 1 + 2 * 3 + 2 * 2 + 2 * 2 * 7
+        # the struct writer reproduces save_checkpoint's bytes exactly
+        twin = tmp_path / "twin.ckpt"
+        write_tensors(twin, tensors)
+        assert twin.read_bytes() == path.read_bytes()
+
 
 class TestCliBasics:
     def test_unknown_flag(self, capsys):
@@ -589,3 +731,134 @@ class TestMalformedInputFuzz:
             code, _, err = run(argv, capsys)
             assert code in (1, 2, 3), f"file {i}: unexpected exit {code}"
             assert err, f"file {i}: no diagnostic on stderr"
+
+
+class TestStructuredInputFuzz:
+    """Well-formed scene files and checkpoints with wrong contents.
+
+    Each seeded case applies one mutation to a valid file and runs the
+    pipeline on it: every outcome must be a documented exit code, and
+    none may reach the catch-all handler.
+    """
+
+    ODD_VALUES = (None, True, False, 0.5, 2.0, -1, "1", "", [], {}, [[1.0]],
+                  [1, "a"], {"a": 1}, 10**12, 2**64, -10**12, 10**400)
+    INT_FIELDS = ("target_class", "relation_id", "target_index")
+
+    @pytest.fixture
+    def base(self, tmp_path):
+        scenes = generate_scenes(GenConfig(num_scenes=8, num_classes=4,
+                                           points_per_object=4, seed=3))
+        features, points = tmp_path / "features.jsonl", tmp_path / "points.jsonl"
+        write_scenes(str(features), scenes, include_points=False, embed_seed=7)
+        write_scenes(str(points), scenes)
+        lines = (features.read_text(encoding="utf-8").splitlines()[:4]
+                 + points.read_text(encoding="utf-8").splitlines()[4:])
+        ckpt = tmp_path / "base.ckpt"
+        save_checkpoint(str(ckpt), init_grounding_model(GroundingConfig(
+            num_classes=4, d_label=4, attn_dim=4, cls_hidden=(8,),
+            omd_hidden=(8,), head_hidden=(8,)), seed=0))
+        return [json.loads(line) for line in lines], read_tensors(ckpt)
+
+    def odd_int(self, rng, value):
+        """The same integer in the wrong JSON type, or a huge or negative id."""
+        return (value + 0.5, float(value), bool(value % 2), str(value), -1 - value,
+                10**12, 2**63, 10**400)[rng.integers(8)]
+
+    def mutate_scene(self, rng, record):
+        kind = rng.integers(6)
+        if kind == 0:  # a record field replaced or deleted
+            key = str(rng.choice(sorted(record)))
+            if rng.random() < 0.2:
+                del record[key]
+            elif key in self.INT_FIELDS:
+                record[key] = self.odd_int(rng, record[key])
+            else:
+                record[key] = self.ODD_VALUES[rng.integers(len(self.ODD_VALUES))]
+        elif kind == 1:  # an object's class id
+            obj = record["objects"][rng.integers(len(record["objects"]))]
+            obj["class_id"] = self.odd_int(rng, obj["class_id"])
+        elif kind == 2:  # a mentioned class
+            mentioned = record["mentioned_classes"]
+            mentioned[rng.integers(len(mentioned))] = self.odd_int(rng, mentioned[0])
+        elif kind == 3:  # an object field replaced or deleted
+            obj = record["objects"][rng.integers(len(record["objects"]))]
+            key = str(rng.choice(sorted(obj)))
+            if rng.random() < 0.2:
+                del obj[key]
+            else:
+                obj[key] = self.ODD_VALUES[rng.integers(len(self.ODD_VALUES))]
+        elif kind == 4:  # one number inside an array
+            target = record["audio"]
+            obj = record["objects"][rng.integers(len(record["objects"]))]
+            for key in ("feature", "points"):
+                if key in obj and rng.random() < 0.5:
+                    target = obj[key]
+            if isinstance(target[0], list):
+                target = target[rng.integers(len(target))]
+            target[rng.integers(len(target))] = self.ODD_VALUES[
+                rng.integers(len(self.ODD_VALUES))]
+        else:  # an array that is one entry short or long
+            obj = record["objects"][rng.integers(len(record["objects"]))]
+            arrays = [record["audio"], obj["bbox"]["center"], obj["bbox"]["size"],
+                      obj.get("feature", [0.0])]
+            target = arrays[rng.integers(len(arrays))]
+            if rng.random() < 0.5:
+                target.pop()
+            else:
+                target.append(0.0)
+
+    def mutate_checkpoint(self, rng, tensors):
+        name = str(rng.choice(sorted(tensors)))
+        value = tensors[name]
+        kind = rng.integers(6)
+        if kind == 0:  # wrong rank
+            tensors[name] = np.full((2, 2), value.reshape(-1)[:1].sum() or 1.0)
+        elif kind == 1:  # extra or missing leading entry
+            flat = value.reshape(-1)
+            tensors[name] = flat[1:] if flat.size and rng.random() < 0.5 else \
+                np.append(flat, 1.0)
+        elif kind == 2:  # wrong value
+            tensors[name] = value + (0.5, -100.0, 1e12, -1.0)[rng.integers(4)]
+        elif kind == 3:  # transposed or reshaped weights
+            tensors[name] = value.T if value.ndim > 1 else value[None]
+        elif kind == 4:  # renamed
+            tensors[name + ("x", ".w9", "0")[rng.integers(3)]] = tensors.pop(name)
+        else:
+            del tensors[name]
+
+    def test_two_hundred_wrong_files_fail_cleanly(self, base, tmp_path, capsys):
+        records, tensors = base
+        rng = np.random.default_rng(405)
+        scene_path, ckpt = tmp_path / "case.jsonl", tmp_path / "case.ckpt"
+        write_tensors(ckpt, tensors)
+        clean_scenes = "\n".join(json.dumps(r) for r in records) + "\n"
+        scene_path.write_text(clean_scenes, encoding="utf-8")
+        for case in range(200):
+            if case % 2 == 0:
+                mutated = json.loads(json.dumps(records))
+                line = int(rng.integers(len(mutated)))
+                self.mutate_scene(rng, mutated[line])
+                scene_path.write_text(
+                    "\n".join(json.dumps(r) for r in mutated) + "\n", encoding="utf-8")
+                write_tensors(ckpt, tensors)
+                command = ("train", "eval", "train", "infer")[case // 2 % 4]
+            else:
+                forged = {k: v.copy() for k, v in tensors.items()}
+                self.mutate_checkpoint(rng, forged)
+                write_tensors(ckpt, forged)
+                scene_path.write_text(clean_scenes, encoding="utf-8")
+                command = ("eval", "infer")[case // 2 % 2]
+            if command == "train":
+                argv = ["ground", "train", "--data", str(scene_path), "--epochs", "1",
+                        "--batch", "4", "--quiet", "--out", str(tmp_path / "out.ckpt")]
+                if rng.random() < 0.3:
+                    argv += ["--classes", "4"]
+            elif command == "eval":
+                argv = ["ground", "eval", "--model", str(ckpt), "--data", str(scene_path)]
+            else:
+                argv = ["ground", "infer", "--model", str(ckpt), "--scene",
+                        str(scene_path), "--index", str(rng.integers(len(records)))]
+            code, _, err = run(argv, capsys)
+            assert code in (0, 1, 2, 3), f"case {case}: exit {code}"
+            assert "internal error" not in err, f"case {case} ({command}): {err}"
