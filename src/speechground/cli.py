@@ -203,13 +203,14 @@ def _cmd_analyze_ssl(args) -> int:
 
 
 def _cmd_ground_gen(args) -> int:
+    # both splits' flags are checked before the output directory is made
+    configs = {name: GenConfig(num_scenes=count, num_classes=args.classes, seed=seed,
+                               embed_seed=args.embed_seed)
+               for name, count, seed in (("train.jsonl", args.train_scenes, args.seed),
+                                         ("dev.jsonl", args.dev_scenes, args.seed + 1))}
     os.makedirs(args.out, exist_ok=True)
-    splits = (("train.jsonl", args.train_scenes, args.seed),
-              ("dev.jsonl", args.dev_scenes, args.seed + 1))
     paths = {}
-    for name, count, seed in splits:
-        cfg = GenConfig(num_scenes=count, num_classes=args.classes, seed=seed,
-                        embed_seed=args.embed_seed)
+    for name, cfg in configs.items():
         path = os.path.join(args.out, name)
         # no reference outlives the write, so only one split is resident
         write_scenes(path, generate_scenes(cfg), include_points=args.points,
@@ -465,18 +466,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, DataError, NumericError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, UsageError) else 3 if isinstance(exc, NumericError) else 2
     except Exception as exc:  # no crash escapes; treat as infeasible
         command = " ".join(filter(None, (args.command, getattr(args, "action", None))))
         print(f"internal error in {command}: {type(exc).__name__}: {exc}",

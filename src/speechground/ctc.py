@@ -3,9 +3,13 @@
 Label sequences and alignment paths are tuples of vocabulary indices;
 index 0 is always the blank.  All dynamic programs run in natural-log
 space; an infeasible target yields -inf log probability (and +inf
-loss), never an exception.  One lattice recurrence serves every pass:
-the backward tables are the forward tables of the time-reversed frames
-and target, and prefix mass is read off the forward tables.
+loss), never an exception.  One lattice step, `_lattice`, serves every
+pass: it grows a child prefix's (T+1,) blank and label columns and its
+prefix mass from its parent's columns, where row 0 is the virtual row
+"before frame 0" (0 for the empty prefix, -inf otherwise).  A target's
+tables grow one column per label, the backward tables are the forward
+tables of the time-reversed frames and target, and a beam grows all
+its children at once.
 """
 
 import itertools
@@ -97,17 +101,14 @@ class Posteriorgram:
 
 @dataclass
 class ForwardBackwardTable:
-    """Lattice tables over (frame, target position), in log space.
+    """Blank and label lattice tables over (frame, target position), in log space.
 
     Forward tables have one column per position 0..N; backward tables
-    one per position 0..N+1 with column 0 unused.  A table not filled
-    by the producing pass is None.
+    one per position 0..N+1 with column 0 unused.
     """
 
-    forward_blank: np.ndarray | None = None
-    forward_label: np.ndarray | None = None
-    backward_blank: np.ndarray | None = None
-    backward_label: np.ndarray | None = None
+    blank: np.ndarray
+    label: np.ndarray
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -137,62 +138,51 @@ def _check_target(p: Posteriorgram, target) -> LabelSequence:
     return w
 
 
-def _forward_tables(lp: np.ndarray, w: LabelSequence
-                    ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Blank and label tables over (frame, labels emitted), and log P(w)."""
-    t_total = lp.shape[0]
-    n = len(w)
-    q_blank = np.full((t_total, n + 1), -np.inf)
-    q_label = np.full((t_total, n + 1), -np.inf)
-    if t_total == 0:
-        return q_blank, q_label, 0.0 if n == 0 else -np.inf
-    q_blank[:, 0] = np.cumsum(lp[:, BLANK])
-    if n:
-        q_label[0, 1] = lp[0, w[0]]
-    for t in range(1, t_total):
-        prev_b, prev_l = q_blank[t - 1], q_label[t - 1]
-        for pos in range(1, n + 1):
-            q_blank[t, pos] = lp[t, BLANK] + np.logaddexp(prev_b[pos], prev_l[pos])
-            grow = prev_b[pos - 1]
-            # entering label pos from the previous label is illegal on a repeat
-            if pos >= 2 and w[pos - 1] != w[pos - 2]:
-                grow = np.logaddexp(grow, prev_l[pos - 1])
-            q_label[t, pos] = lp[t, w[pos - 1]] + np.logaddexp(prev_l[pos], grow)
-    return q_blank, q_label, float(np.logaddexp(q_blank[-1, n], q_label[-1, n]))
+def _lattice(lp: np.ndarray, blank: np.ndarray, label: np.ndarray, labels: np.ndarray,
+             parents: np.ndarray, chain: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Grow one prefix column per label from its parent column, frame by frame.
 
-
-def _prefix_mass(lp: np.ndarray, w: LabelSequence,
-                 q_blank: np.ndarray, q_label: np.ndarray) -> float:
-    """Log probability that the emission starts with `w`, from w's forward tables.
-
-    Sums, over frames t, the mass that enters the final position at t
-    from column n-1 at t-1; every continuation after t is free.
+    Given P (T+1, P) prefix columns, new column P+j extends column
+    `parents[j]` (given, or an earlier new one) by `labels[j]`, entering
+    from the parent's label state only where `chain[j]` (the label does
+    not repeat the parent's last).  Returns the (T+1, P+n) tables and
+    each new column's log prefix mass, every continuation left free.
     """
-    n = len(w)
-    if n == 0:
-        return 0.0
-    if n > lp.shape[0]:
-        return -np.inf
-    may_chain = n == 1 or w[-1] != w[-2]
-    total = lp[0, w[-1]] if n == 1 else -np.inf
-    for t in range(1, lp.shape[0]):
-        grow = q_blank[t - 1, n - 1]
-        if may_chain:
-            grow = np.logaddexp(grow, q_label[t - 1, n - 1])
-        total = np.logaddexp(total, lp[t, w[-1]] + grow)
-    return float(total)
+    t_total, given, n = lp.shape[0], blank.shape[1], len(labels)
+    q_blank = np.hstack([blank, np.full((t_total + 1, n), -np.inf)])
+    q_label = np.hstack([label, np.full((t_total + 1, n), -np.inf)])
+    emit = lp[:, labels]
+    mass = np.full(n, -np.inf)
+    for t in range(t_total):
+        grow = q_blank[t, parents]
+        grow = np.where(chain, np.logaddexp(grow, q_label[t, parents]), grow)
+        q_blank[t + 1, given:] = lp[t, BLANK] + np.logaddexp(q_blank[t, given:],
+                                                             q_label[t, given:])
+        q_label[t + 1, given:] = emit[t] + np.logaddexp(q_label[t, given:], grow)
+        mass = np.logaddexp(mass, emit[t] + grow)
+    return q_blank, q_label, mass
+
+
+def _target_lattice(lp: np.ndarray, w: LabelSequence
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(T+1, N+1) tables of `w` from the empty prefix, its prefix masses and log P(w)."""
+    blank = np.concatenate([[0.0], np.cumsum(lp[:, BLANK])])[:, None]
+    labels = np.array(w, dtype=np.intp)
+    q_blank, q_label, mass = _lattice(lp, blank, np.full_like(blank, -np.inf), labels,
+                                      np.arange(len(w)), labels != np.r_[BLANK, labels][:-1])
+    return q_blank, q_label, mass, float(np.logaddexp(q_blank[-1, -1], q_label[-1, -1]))
 
 
 def ctc_forward(p: Posteriorgram, target) -> tuple[ForwardBackwardTable, float]:
     """Total log probability of emitting exactly `target`.
 
-    Returns the filled forward tables and the log probability; an
+    Returns the (T, N+1) forward tables and the log probability; an
     infeasible target (too long, or repeats without room for blanks)
     comes back as -inf.
     """
     w = _check_target(p, target)
-    q_blank, q_label, total = _forward_tables(p.log_probs, w)
-    return ForwardBackwardTable(forward_blank=q_blank, forward_label=q_label), total
+    q_blank, q_label, _, total = _target_lattice(p.log_probs, w)
+    return ForwardBackwardTable(q_blank[1:], q_label[1:]), total
 
 
 def ctc_backward(p: Posteriorgram, target) -> tuple[ForwardBackwardTable, float]:
@@ -203,12 +193,10 @@ def ctc_backward(p: Posteriorgram, target) -> tuple[ForwardBackwardTable, float]
     tables of the reversed problem at frame T-1-t.  Column 0 is unused.
     """
     w = _check_target(p, target)
-    q_blank, q_label, total = _forward_tables(p.log_probs[::-1], w[::-1])
-    r_blank = np.full((p.num_frames, len(w) + 2), -np.inf)
-    r_label = np.full((p.num_frames, len(w) + 2), -np.inf)
-    r_blank[:, 1:] = q_blank[::-1, ::-1]
-    r_label[:, 1:] = q_label[::-1, ::-1]
-    return ForwardBackwardTable(backward_blank=r_blank, backward_label=r_label), total
+    q_blank, q_label, _, total = _target_lattice(p.log_probs[::-1], w[::-1])
+    unused = np.full((p.num_frames, 1), -np.inf)
+    return ForwardBackwardTable(np.hstack([unused, q_blank[:0:-1, ::-1]]),
+                                np.hstack([unused, q_label[:0:-1, ::-1]])), total
 
 
 def ctc_loss(p: Posteriorgram, target) -> float:
@@ -223,8 +211,7 @@ def ctc_prefix_logprob(p: Posteriorgram, prefix) -> float:
     The empty prefix has log probability 0 by definition.
     """
     w = _check_target(p, prefix)
-    q_blank, q_label, _ = _forward_tables(p.log_probs, w)
-    return _prefix_mass(p.log_probs, w, q_blank, q_label)
+    return float(_target_lattice(p.log_probs, w)[2][-1]) if w else 0.0
 
 
 def bruteforce_distribution(p: Posteriorgram) -> dict[LabelSequence, float]:

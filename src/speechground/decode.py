@@ -2,6 +2,11 @@
 label-synchronous beam search with shallow fusion, plus the additive
 attention primitives for attention-based sequence decoding.
 
+The label-sync and autoregressive beams share one depth loop.  A
+label-sync hypothesis carries its CTC prefix columns (row 0 the virtual
+"before frame 0") and its LM total, so each depth grows every child in
+one `ctc._lattice` pass and asks the LM only for the new conditional.
+
 Tie handling is fixed everywhere: order by higher score, then by
 lexicographically smaller sequence, so repeated runs are bit-identical.
 """
@@ -10,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctc import (BLANK, LabelSequence, Posteriorgram, Vocabulary, _prefix_mass,
-                  collapse, ctc_forward)
+from .ctc import (BLANK, LabelSequence, Posteriorgram, Vocabulary, _lattice,
+                  _target_lattice, collapse)
 from .errors import NumericError, UsageError
 from .lm import EOS, LanguageModel
 
@@ -27,8 +32,8 @@ class DecodeConfig:
     def __post_init__(self):
         if self.beam_width < 1:
             raise UsageError(f"beam_width must be >= 1, got {self.beam_width}")
-        if self.lm_scale < 0 or self.prior_scale < 0:
-            raise UsageError("fusion scales must be non-negative")
+        if not all(0 <= scale < np.inf for scale in (self.lm_scale, self.prior_scale)):
+            raise UsageError("fusion scales must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -78,13 +83,31 @@ def shallow_fusion_score(am_logprob: float, lm_logprob: float, lm_scale: float) 
     return am_logprob + lm_scale * lm_logprob
 
 
-def _tokens_of(seq: LabelSequence, vocab: Vocabulary) -> tuple[str, ...]:
-    return tuple(vocab.token(v) for v in seq)
-
-
 def _best_first(items):
-    """Sort (score, sequence) pairs: higher score first, then lex order."""
+    """Sort (score, sequence, ...) tuples: higher score first, then lex order."""
     return sorted(items, key=lambda h: (-h[0], h[1]))
+
+
+def _depth_beam(root_state, children, complete, width: int, max_depth: int) -> Hypothesis:
+    """Depth-by-depth beam over (partial score, sequence, state) hypotheses.
+
+    `children(active)` yields every one-label extension of `active`, and
+    `complete(partial, sequence, state)` scores ending a hypothesis.
+    Children with a -inf partial score are dropped; each other child may
+    become the best complete hypothesis, and the best `width` go on.
+    """
+    best = Hypothesis((), complete(0.0, (), root_state))
+    active = [(0.0, (), root_state)]
+    for _depth in range(max_depth):
+        expansions = [child for child in children(active) if child[0] != -np.inf]
+        if not expansions:
+            break
+        for partial, seq, state in expansions:
+            total = complete(partial, seq, state)
+            if total > best.score or (total == best.score and seq < best.sequence):
+                best = Hypothesis(seq, total)
+        active = _best_first(expansions)[:width]
+    return best
 
 
 def timesync_beam(p: Posteriorgram, config: DecodeConfig,
@@ -114,31 +137,30 @@ def timesync_beam(p: Posteriorgram, config: DecodeConfig,
         if not np.all(np.isfinite(prior.log_prior)):
             raise NumericError("prior has zero-mass symbols; cannot correct")
     lp = p.log_probs
-    # state: collapsed sequence -> (score, last alignment symbol)
-    beam: dict[LabelSequence, tuple[float, int]] = {(): (0.0, BLANK)}
-    order: list[LabelSequence] = [()]
+    # best first: collapsed sequence -> (score, last alignment symbol, LM tokens)
+    beam: dict[LabelSequence, tuple[float, int, tuple[str, ...]]] = {(): (0.0, BLANK, ())}
     for t in range(p.num_frames):
-        merged: dict[LabelSequence, tuple[float, int]] = {}
-        for seq in order:
-            score, last = beam[seq]
+        merged: dict[LabelSequence, tuple[float, int, tuple[str, ...]]] = {}
+        for seq, (score, last, toks) in beam.items():
             for v in range(p.num_symbols):
                 s = score + lp[t, v]
                 if config.prior_scale > 0:
                     s -= config.prior_scale * prior.log_prior[v]
+                new_toks = toks
                 if v == BLANK or v == last:
                     new_seq = seq
                 else:
                     new_seq = seq + (v,)
                     if lm is not None and config.lm_scale > 0:
-                        s += config.lm_scale * lm.cond_logprob(
-                            vocab.token(v), _tokens_of(seq, vocab))
+                        tok = vocab.token(v)
+                        s += config.lm_scale * lm.cond_logprob(tok, toks)
+                        new_toks = toks + (tok,)
                 held = merged.get(new_seq)
                 if held is None or s > held[0]:
-                    merged[new_seq] = (s, v)
-        ranked = _best_first((sc, seq) for seq, (sc, _) in merged.items())
-        order = [seq for _, seq in ranked[: config.beam_width]]
-        beam = {seq: merged[seq] for seq in order}
-    best_seq = order[0]
+                    merged[new_seq] = (s, v, new_toks)
+        ranked = _best_first((sc, seq) for seq, (sc, _, _) in merged.items())
+        beam = {seq: merged[seq] for _, seq in ranked[: config.beam_width]}
+    best_seq = next(iter(beam))
     return Hypothesis(best_seq, beam[best_seq][0])
 
 
@@ -156,41 +178,37 @@ def labelsync_beam(p: Posteriorgram, config: DecodeConfig,
         raise UsageError("lm_scale > 0 requires a language model")
     if lm is not None and vocab is None:
         raise UsageError("fusion needs the vocabulary to name LM tokens")
+    fuse = lm is not None and config.lm_scale > 0
+    lp = p.log_probs
+    labels = np.arange(1, p.num_symbols)
 
-    def lm_score(seq: LabelSequence, with_eos: bool) -> float:
-        if lm is None or config.lm_scale == 0:
-            return 0.0
-        toks = _tokens_of(seq, vocab)
-        total = 0.0
-        for i, tok in enumerate(toks):
-            total += lm.cond_logprob(tok, toks[:i])
-        if with_eos:
-            total += lm.cond_logprob(EOS, toks)
-        return config.lm_scale * total
+    def children(active):
+        # every active hypothesis grows by every label in one lattice pass
+        parents = np.repeat(np.arange(len(active)), len(labels))
+        grown = np.tile(labels, len(active))
+        last = np.array([seq[-1] if seq else BLANK for _, seq, _ in active])
+        columns = [np.stack(c, axis=1) for c in zip(*(st[:2] for _, _, st in active))]
+        q_blank, q_label, mass = _lattice(lp, *columns, grown, parents,
+                                          grown != last[parents])
+        first = len(active)  # column of the first child
+        for j, (parent, v) in enumerate(zip(parents, grown.tolist())):
+            _, seq, (_, _, lm_total, toks) = active[parent]
+            if fuse:
+                tok = vocab.token(v)
+                lm_total += lm.cond_logprob(tok, toks)
+                toks += (tok,)
+            # without fusion lm_total stays 0.0, so this adds exactly 0.0
+            yield (float(mass[j]) + config.lm_scale * lm_total, seq + (v,),
+                   (q_blank[:, first + j], q_label[:, first + j], lm_total, toks))
 
-    best = Hypothesis((), ctc_forward(p, ())[1] + lm_score((), with_eos=True))
-    active: list[tuple[float, LabelSequence]] = [(0.0, ())]
-    labels = range(1, p.num_symbols)
-    for _depth in range(p.num_frames):
-        expansions: list[tuple[float, LabelSequence]] = []
-        for _, seq in active:
-            for v in labels:
-                new_seq = seq + (v,)
-                table, logp = ctc_forward(p, new_seq)
-                partial = _prefix_mass(p.log_probs, new_seq, table.forward_blank,
-                                       table.forward_label)
-                partial += lm_score(new_seq, with_eos=False)
-                if partial == -np.inf:
-                    continue
-                expansions.append((partial, new_seq))
-                total = logp + lm_score(new_seq, with_eos=True)
-                if total > best.score or (total == best.score
-                                          and new_seq < best.sequence):
-                    best = Hypothesis(new_seq, total)
-        if not expansions:
-            break
-        active = _best_first(expansions)[: config.beam_width]
-    return best
+    def complete(_partial, _seq, state):
+        q_blank, q_label, lm_total, toks = state
+        lm_term = config.lm_scale * (lm_total + lm.cond_logprob(EOS, toks)) if fuse else 0.0
+        return float(np.logaddexp(q_blank[-1], q_label[-1])) + lm_term
+
+    root_blank, root_label, _, _ = _target_lattice(lp, ())
+    return _depth_beam((root_blank[:, 0], root_label[:, 0], 0.0, ()), children,
+                       complete, config.beam_width, p.num_frames)
 
 
 def aed_attention(state: np.ndarray, encodings: np.ndarray,
@@ -243,22 +261,13 @@ def aed_beam(model: LanguageModel, config: DecodeConfig, max_len: int) -> Hypoth
     """
     if max_len < 0:
         raise UsageError(f"max_len must be non-negative, got {max_len}")
-    best = Hypothesis((), model.cond_logprob(EOS, ()))
-    active: list[tuple[float, tuple[str, ...]]] = [(0.0, ())]
-    for _depth in range(max_len):
-        expansions: list[tuple[float, tuple[str, ...]]] = []
-        for score, seq in active:
+
+    def children(active):
+        for score, seq, _ in active:
             for tok in model.tokens:
-                s = score + model.cond_logprob(tok, seq)
-                if s == -np.inf:
-                    continue
-                new_seq = seq + (tok,)
-                expansions.append((s, new_seq))
-                total = s + model.cond_logprob(EOS, new_seq)
-                if total > best.score or (total == best.score
-                                          and new_seq < best.sequence):
-                    best = Hypothesis(new_seq, total)
-        if not expansions:
-            break
-        active = _best_first(expansions)[: config.beam_width]
-    return best
+                yield score + model.cond_logprob(tok, seq), seq + (tok,), None
+
+    def complete(score, seq, _state):
+        return score + model.cond_logprob(EOS, seq)
+
+    return _depth_beam(None, children, complete, config.beam_width, max_len)

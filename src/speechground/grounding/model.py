@@ -41,7 +41,7 @@ import numpy as np
 
 from ..errors import DataError, NumericError, UsageError
 from .features import object_representation, representation_dim
-from .scene import SyntheticScene, group_objects
+from .scene import MAX_CLASSES, SyntheticScene, group_objects
 
 CHECKPOINT_MAGIC = b"A3VG"
 CHECKPOINT_VERSION = 1
@@ -70,8 +70,9 @@ class GroundingConfig:
     embed_seed: int = 7
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise UsageError("need at least two classes")
+        if not 2 <= self.num_classes <= MAX_CLASSES:
+            raise UsageError(f"need at least two classes and at most {MAX_CLASSES}, "
+                             f"got {self.num_classes}")
         if min(self.attn_heads, self.attn_dim, self.attn_layers) < 1:
             raise UsageError("attention geometry must be positive")
         if min(self.d_obj, self.d_label, self.d_audio, *self.cls_hidden,
@@ -167,6 +168,8 @@ def param_shapes(config: GroundingConfig) -> dict[str, tuple[int, ...]]:
 
 def init_grounding_model(config: GroundingConfig, seed: int = 0) -> GroundingModel:
     """Seeded Gaussian initialization scaled by fan-in, biases at zero."""
+    if seed < 0:
+        raise UsageError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(config).items():

@@ -17,6 +17,7 @@ from ..errors import DataError, UsageError
 from .features import audio_embedding, object_feature_stub
 
 RELATIONS = ("left-of", "right-of", "nearest-to")
+MAX_CLASSES = 10_000  # per generator or model, so every per-class table stays small
 
 
 @dataclass
@@ -97,8 +98,11 @@ class GenConfig:
     def __post_init__(self):
         if self.num_scenes < 0:
             raise UsageError("num_scenes must be non-negative")
-        if self.num_classes < 2:
-            raise UsageError("need at least two classes to form a relation")
+        if not 2 <= self.num_classes <= MAX_CLASSES:
+            raise UsageError("need at least two classes to form a relation and at "
+                             f"most {MAX_CLASSES}, got {self.num_classes}")
+        if min(self.seed, self.embed_seed) < 0:
+            raise UsageError("seed and embed_seed must be non-negative")
         if self.points_per_object < 1:
             raise UsageError("each object needs at least one point")
         prior = self.class_prior

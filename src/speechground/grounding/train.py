@@ -29,6 +29,8 @@ class TrainConfig:
             raise UsageError("epochs and batch size must be positive")
         if self.learning_rate < 0:
             raise UsageError("learning rate must be non-negative")
+        if self.seed < 0:
+            raise UsageError("seed must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -216,6 +216,8 @@ def mutual_information(features: np.ndarray, labels, num_clusters: int,
     n = features.shape[0]
     if not 1 <= num_clusters <= n:
         raise UsageError(f"num_clusters must be in 1..{n}, got {num_clusters}")
+    if seed < 0:
+        raise UsageError("seed must be non-negative")
     assign = _kmeans(features, num_clusters, seed)
     _, label_ids = np.unique(labels, return_inverse=True)
     counts = np.zeros((num_clusters, label_ids.max() + 1))

@@ -1,0 +1,177 @@
+"""Scalar CTC lattice and beam loops: the reference for the one lattice step.
+
+These are the (t, pos) forward recurrence, the prefix-mass read-off,
+the label-synchronous beam that rebuilt a whole lattice and re-scored
+the LM history for every child, and the autoregressive beam, as they
+were before `speechground.ctc._lattice` and the shared depth loop in
+`speechground.decode` replaced them.  They are kept unchanged so the
+tests can compare the two; the only edits are that the label-sync
+beam reads its tables from `_forward_tables` directly and the three
+wrappers below return bare tables.  Nothing in `src/` imports this
+module.
+"""
+
+import numpy as np
+
+from speechground.ctc import BLANK, LabelSequence, Posteriorgram, Vocabulary, _check_target
+from speechground.decode import DecodeConfig, Hypothesis
+from speechground.errors import UsageError
+from speechground.lm import EOS, LanguageModel
+
+
+def _forward_tables(lp: np.ndarray, w: LabelSequence
+                    ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Blank and label tables over (frame, labels emitted), and log P(w)."""
+    t_total = lp.shape[0]
+    n = len(w)
+    q_blank = np.full((t_total, n + 1), -np.inf)
+    q_label = np.full((t_total, n + 1), -np.inf)
+    if t_total == 0:
+        return q_blank, q_label, 0.0 if n == 0 else -np.inf
+    q_blank[:, 0] = np.cumsum(lp[:, BLANK])
+    if n:
+        q_label[0, 1] = lp[0, w[0]]
+    for t in range(1, t_total):
+        prev_b, prev_l = q_blank[t - 1], q_label[t - 1]
+        for pos in range(1, n + 1):
+            q_blank[t, pos] = lp[t, BLANK] + np.logaddexp(prev_b[pos], prev_l[pos])
+            grow = prev_b[pos - 1]
+            # entering label pos from the previous label is illegal on a repeat
+            if pos >= 2 and w[pos - 1] != w[pos - 2]:
+                grow = np.logaddexp(grow, prev_l[pos - 1])
+            q_label[t, pos] = lp[t, w[pos - 1]] + np.logaddexp(prev_l[pos], grow)
+    return q_blank, q_label, float(np.logaddexp(q_blank[-1, n], q_label[-1, n]))
+
+
+def _prefix_mass(lp: np.ndarray, w: LabelSequence,
+                 q_blank: np.ndarray, q_label: np.ndarray) -> float:
+    """Log probability that the emission starts with `w`, from w's forward tables.
+
+    Sums, over frames t, the mass that enters the final position at t
+    from column n-1 at t-1; every continuation after t is free.
+    """
+    n = len(w)
+    if n == 0:
+        return 0.0
+    if n > lp.shape[0]:
+        return -np.inf
+    may_chain = n == 1 or w[-1] != w[-2]
+    total = lp[0, w[-1]] if n == 1 else -np.inf
+    for t in range(1, lp.shape[0]):
+        grow = q_blank[t - 1, n - 1]
+        if may_chain:
+            grow = np.logaddexp(grow, q_label[t - 1, n - 1])
+        total = np.logaddexp(total, lp[t, w[-1]] + grow)
+    return float(total)
+
+
+def ctc_forward(p: Posteriorgram, target) -> tuple[np.ndarray, np.ndarray, float]:
+    """(T, N+1) blank and label tables of `target`, and its log probability."""
+    return _forward_tables(p.log_probs, _check_target(p, target))
+
+
+def ctc_backward(p: Posteriorgram, target) -> tuple[np.ndarray, np.ndarray, float]:
+    """(T, N+2) suffix-side tables, column 0 unused, and the log probability."""
+    w = _check_target(p, target)
+    q_blank, q_label, total = _forward_tables(p.log_probs[::-1], w[::-1])
+    r_blank = np.full((p.num_frames, len(w) + 2), -np.inf)
+    r_label = np.full((p.num_frames, len(w) + 2), -np.inf)
+    r_blank[:, 1:] = q_blank[::-1, ::-1]
+    r_label[:, 1:] = q_label[::-1, ::-1]
+    return r_blank, r_label, total
+
+
+def ctc_prefix_logprob(p: Posteriorgram, prefix) -> float:
+    w = _check_target(p, prefix)
+    q_blank, q_label, _ = _forward_tables(p.log_probs, w)
+    return _prefix_mass(p.log_probs, w, q_blank, q_label)
+
+
+def _tokens_of(seq: LabelSequence, vocab: Vocabulary) -> tuple[str, ...]:
+    return tuple(vocab.token(v) for v in seq)
+
+
+def _best_first(items):
+    """Sort (score, sequence) pairs: higher score first, then lex order."""
+    return sorted(items, key=lambda h: (-h[0], h[1]))
+
+
+def labelsync_beam(p: Posteriorgram, config: DecodeConfig,
+                   lm: LanguageModel | None = None,
+                   vocab: Vocabulary | None = None) -> Hypothesis:
+    """Depth-by-depth beam over label sequences via CTC prefix mass.
+
+    Partial hypotheses are ranked by prefix log probability plus the
+    scaled LM score of the labels; completing a hypothesis swaps in
+    the full-sequence log probability and adds the scaled LM EOS term.
+    Depth is capped at the frame count, past which nothing is feasible.
+    """
+    if config.lm_scale > 0 and lm is None:
+        raise UsageError("lm_scale > 0 requires a language model")
+    if lm is not None and vocab is None:
+        raise UsageError("fusion needs the vocabulary to name LM tokens")
+
+    def lm_score(seq: LabelSequence, with_eos: bool) -> float:
+        if lm is None or config.lm_scale == 0:
+            return 0.0
+        toks = _tokens_of(seq, vocab)
+        total = 0.0
+        for i, tok in enumerate(toks):
+            total += lm.cond_logprob(tok, toks[:i])
+        if with_eos:
+            total += lm.cond_logprob(EOS, toks)
+        return config.lm_scale * total
+
+    best = Hypothesis((), ctc_forward(p, ())[2] + lm_score((), with_eos=True))
+    active: list[tuple[float, LabelSequence]] = [(0.0, ())]
+    labels = range(1, p.num_symbols)
+    for _depth in range(p.num_frames):
+        expansions: list[tuple[float, LabelSequence]] = []
+        for _, seq in active:
+            for v in labels:
+                new_seq = seq + (v,)
+                q_blank, q_label, logp = _forward_tables(p.log_probs, new_seq)
+                partial = _prefix_mass(p.log_probs, new_seq, q_blank, q_label)
+                partial += lm_score(new_seq, with_eos=False)
+                if partial == -np.inf:
+                    continue
+                expansions.append((partial, new_seq))
+                total = logp + lm_score(new_seq, with_eos=True)
+                if total > best.score or (total == best.score
+                                          and new_seq < best.sequence):
+                    best = Hypothesis(new_seq, total)
+        if not expansions:
+            break
+        active = _best_first(expansions)[: config.beam_width]
+    return best
+
+
+def aed_beam(model: LanguageModel, config: DecodeConfig, max_len: int) -> Hypothesis:
+    """Beam search over an autoregressive conditional model.
+
+    Tracks the running product of conditionals; a hypothesis completes
+    by taking the EOS conditional, and every hypothesis still active at
+    max_len is completed the same way.  The returned sequence excludes
+    EOS.  Width 1 reproduces greedy autoregressive decoding.
+    """
+    if max_len < 0:
+        raise UsageError(f"max_len must be non-negative, got {max_len}")
+    best = Hypothesis((), model.cond_logprob(EOS, ()))
+    active: list[tuple[float, tuple[str, ...]]] = [(0.0, ())]
+    for _depth in range(max_len):
+        expansions: list[tuple[float, tuple[str, ...]]] = []
+        for score, seq in active:
+            for tok in model.tokens:
+                s = score + model.cond_logprob(tok, seq)
+                if s == -np.inf:
+                    continue
+                new_seq = seq + (tok,)
+                expansions.append((s, new_seq))
+                total = s + model.cond_logprob(EOS, new_seq)
+                if total > best.score or (total == best.score
+                                          and new_seq < best.sequence):
+                    best = Hypothesis(new_seq, total)
+        if not expansions:
+            break
+        active = _best_first(expansions)[: config.beam_width]
+    return best

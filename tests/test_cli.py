@@ -15,6 +15,7 @@ from speechground.dsp import Waveform, write_wav
 from speechground.grounding import (GenConfig, GroundingConfig, generate_scenes,
                                     init_grounding_model, save_checkpoint,
                                     write_scenes)
+from speechground.grounding.scene import MAX_CLASSES
 
 
 def run(argv, capsys):
@@ -495,6 +496,54 @@ class TestGroundPipeline:
         assert err
 
 
+class TestGroundArgumentBounds:
+    """Negative seeds and oversized class counts are usage errors (exit 1)."""
+
+    @staticmethod
+    def assert_usage_error(argv, capsys, message):
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == "", err
+        assert "internal error" not in err and message in err
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        path = tmp_path / "train.jsonl"
+        write_scenes(str(path), generate_scenes(GenConfig(num_scenes=4, num_classes=4)),
+                     include_points=False, embed_seed=7)
+        return str(path)
+
+    @pytest.mark.parametrize("flag", ["--seed", "--embed-seed"])
+    def test_gen_negative_seed(self, flag, tmp_path, capsys):
+        self.assert_usage_error(["ground", "gen", "--out", str(tmp_path / "g"),
+                                 "--train-scenes", "2", "--dev-scenes", "2",
+                                 flag, "-1"], capsys, "non-negative")
+        assert not (tmp_path / "g").exists()  # rejected before anything is made
+
+    @pytest.mark.parametrize("flag", ["--seed", "--embed-seed"])
+    def test_train_negative_seed(self, flag, data, tmp_path, capsys):
+        self.assert_usage_error(["ground", "train", "--data", data, "--epochs", "1",
+                                 "--out", str(tmp_path / "m.ckpt"), flag, "-1"],
+                                capsys, "non-negative")
+
+    def test_gen_class_count_bound(self, tmp_path, capsys):
+        argv = ["ground", "gen", "--train-scenes", "1", "--dev-scenes", "1"]
+        for classes in (10**12, MAX_CLASSES + 1):
+            self.assert_usage_error(argv + ["--out", str(tmp_path / "g"),
+                                            "--classes", str(classes)],
+                                    capsys, f"at most {MAX_CLASSES}, got")
+            assert not (tmp_path / "g").exists()
+        code, _, err = run(argv + ["--out", str(tmp_path / "ok"),
+                                   "--classes", str(MAX_CLASSES)], capsys)
+        assert code == 0, err
+
+    def test_train_class_count_bound(self, data, tmp_path, capsys):
+        for classes in (10**12, MAX_CLASSES + 1):
+            self.assert_usage_error(["ground", "train", "--data", data, "--epochs", "1",
+                                     "--out", str(tmp_path / "m.ckpt"),
+                                     "--classes", str(classes)],
+                                    capsys, f"at most {MAX_CLASSES}, got")
+
+
 class TestGroundInputValidation:
     """Non-finite or out-of-range grounding inputs exit 2, never 0 or 3."""
 
@@ -587,6 +636,14 @@ class TestGroundInputValidation:
                               "--data", self.dataset(tmp_path)], capsys)
         assert code == 2 and out == "", err
         assert "attn_layers 1000000000000 exceeds" in err
+
+    def test_checkpoint_class_count_above_the_maximum(self, tmp_path, capsys):
+        ckpt = self.forged_config(tmp_path, "config.num_classes",
+                                  np.array(float(MAX_CLASSES + 1)))
+        code, out, err = run(["ground", "eval", "--model", ckpt,
+                              "--data", self.dataset(tmp_path)], capsys)
+        assert code == 2 and out == "", err
+        assert "bad checkpoint config: need at least two classes and at most" in err
 
     @staticmethod
     def move_target_to_slot_one(record):

@@ -13,6 +13,7 @@ from speechground.ctc import (BLANK_TOKEN, Posteriorgram, Vocabulary,
                               parse_label_string, read_posteriorgram,
                               read_vocab, write_posteriorgram, write_vocab)
 from speechground.errors import DataError, UsageError
+from tests import ctc_reference as reference
 
 
 def random_posteriorgram(rng, t_total, k):
@@ -130,8 +131,8 @@ class TestForward:
                 emit = np.concatenate([np.full(n + 1, lp[t, 0]), lp[t, list(target)]])
                 with np.errstate(invalid="ignore"):
                     terms = np.concatenate([
-                        fwd.forward_blank[t] + bwd.backward_blank[t, 1:],
-                        fwd.forward_label[t, 1:] + bwd.backward_label[t, 1:n + 1],
+                        fwd.blank[t] + bwd.blank[t, 1:],
+                        fwd.label[t, 1:] + bwd.label[t, 1:n + 1],
                     ]) - emit
                 # a zero-probability emission leaves its states empty
                 mass = np.logaddexp.reduce(np.where(emit > -np.inf, terms, -np.inf))
@@ -144,7 +145,7 @@ class TestForward:
         rng = np.random.default_rng(102)
         p = random_posteriorgram(rng, 5, 3)
         table, _ = ctc_forward(p, (1, 2))
-        np.testing.assert_allclose(table.forward_blank[:, 0],
+        np.testing.assert_allclose(table.blank[:, 0],
                                    np.cumsum(p.log_probs[:, 0]), atol=1e-12)
 
     def test_rejects_bad_targets(self):
@@ -153,6 +154,38 @@ class TestForward:
             ctc_forward(p, (0,))
         with pytest.raises(UsageError):
             ctc_forward(p, (3,))
+
+
+class TestLatticeMatchesReference:
+    """The one lattice step against the scalar (t, pos) loop it replaced, bit for bit."""
+
+    def test_tables_totals_and_prefix_mass(self):
+        rng = np.random.default_rng(104)
+        for case in range(1500):
+            t_total = int(rng.integers(0, 12))
+            k = int(rng.integers(2, 6))
+            probs = rng.gamma(rng.uniform(0.3, 3.0), 1.0, size=(t_total, k)) + 1e-12
+            if case % 3 == 0:  # -inf entries, each row keeping one live symbol
+                zero = rng.random(probs.shape) < 0.3
+                zero[np.arange(t_total), rng.integers(0, k, size=t_total)] = False
+                probs[zero] = 0.0
+            with np.errstate(divide="ignore"):
+                p = Posteriorgram(np.log(probs / probs.sum(axis=1, keepdims=True)))
+            target = [int(v) for v in rng.integers(1, k, size=rng.integers(0, 7))]
+            if len(target) > 1 and case % 4 == 0:  # force a repeat
+                target[1] = target[0]
+            fwd, total = ctc_forward(p, target)
+            want_blank, want_label, want_total = reference.ctc_forward(p, target)
+            assert np.array_equal(fwd.blank, want_blank), case
+            assert np.array_equal(fwd.label, want_label), case
+            assert total == want_total, case
+            bwd, total = ctc_backward(p, target)
+            want_blank, want_label, want_total = reference.ctc_backward(p, target)
+            assert np.array_equal(bwd.blank, want_blank), case
+            assert np.array_equal(bwd.label, want_label), case
+            assert total == want_total, case
+            assert (ctc_prefix_logprob(p, target)
+                    == reference.ctc_prefix_logprob(p, target)), case
 
 
 class TestPartition:

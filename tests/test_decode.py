@@ -13,6 +13,7 @@ from speechground.decode import (DecodeConfig, LabelPrior, aed_attention,
                                  timesync_beam)
 from speechground.errors import NumericError, UsageError
 from speechground.lm import BOS, EOS, CountLM, LanguageModel, UniformLM
+from tests import ctc_reference as reference
 
 
 def random_posteriorgram(rng, num_frames, num_symbols):
@@ -121,6 +122,13 @@ class TestDecodeConfig:
             DecodeConfig(lm_scale=-0.1)
         with pytest.raises(UsageError):
             DecodeConfig(prior_scale=-1.0)
+
+    def test_non_finite_scales_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(UsageError, match="finite"):
+                DecodeConfig(lm_scale=bad)
+            with pytest.raises(UsageError, match="finite"):
+                DecodeConfig(prior_scale=bad)
 
 
 class TestGreedy:
@@ -359,6 +367,60 @@ class TestLabelsync:
             labelsync_beam(p, DecodeConfig(lm_scale=0.5))
         with pytest.raises(UsageError, match="vocabulary"):
             labelsync_beam(p, DecodeConfig(lm_scale=0.5), lm=flip_lm())
+
+
+class TestBeamsMatchReference:
+    """The shared depth loop against the per-child loops it replaced, bit for bit."""
+
+    @staticmethod
+    def sparse_table_lm(rng, tokens):
+        """A random bigram table where some continuations have probability 0."""
+        model = random_table_lm(rng, tokens)
+        for row in model.table.values():
+            for tok in tokens:
+                if rng.random() < 0.15:
+                    row[tok] = 0.0
+        return model
+
+    def test_labelsync_sequences_and_scores(self):
+        rng = np.random.default_rng(519)
+        for case in range(40):
+            t = int(rng.integers(0, 9))
+            k = int(rng.integers(2, 5))
+            probs = rng.gamma(1.0, 1.0, size=(t, k)) + 1e-3
+            if case % 5 == 4:  # uniform rows: ties everywhere
+                probs[:] = 1.0
+            elif case % 3 == 0:  # -inf entries, each row keeping one live symbol
+                zero = rng.random(probs.shape) < 0.3
+                zero[np.arange(t), rng.integers(0, k, size=t)] = False
+                probs[zero] = 0.0
+            with np.errstate(divide="ignore"):
+                p = Posteriorgram(np.log(probs / probs.sum(axis=1, keepdims=True)))
+            letters = ("a", "b", "c", "d")[: k - 1]
+            vocab = Vocabulary(letters)
+            lm = self.sparse_table_lm(rng, letters) if case % 2 else corpus_lm(
+                ("a", "b", "c")[: max(k - 1, 2)])
+            for width in range(1, 7):
+                for model, scale in ((None, 0.0), (lm, 0.0), (lm, 0.3)):
+                    config = DecodeConfig(beam_width=width, lm_scale=scale)
+                    got = labelsync_beam(p, config, lm=model, vocab=vocab)
+                    want = reference.labelsync_beam(p, config, lm=model, vocab=vocab)
+                    assert got.sequence == want.sequence, (case, width, scale)
+                    assert got.score == want.score, (case, width, scale)
+
+    def test_aed_sequences_and_scores(self):
+        rng = np.random.default_rng(912)
+        for case in range(40):
+            tokens = ("a", "b", "c")[: 1 + case % 3]
+            model = (UniformLM(tokens) if case % 5 == 4  # ties everywhere
+                     else self.sparse_table_lm(rng, tokens) if case % 2
+                     else random_table_lm(rng, tokens))
+            for width in range(1, 7):
+                config = DecodeConfig(beam_width=width)
+                got = aed_beam(model, config, max_len=5)
+                want = reference.aed_beam(model, config, max_len=5)
+                assert got.sequence == want.sequence, (case, width)
+                assert got.score == want.score, (case, width)
 
 
 class TestScalingInvariance:

@@ -558,6 +558,8 @@ class TestTraining:
             TrainConfig(batch_size=0)
         with pytest.raises(UsageError, match="learning rate"):
             TrainConfig(learning_rate=-1e-3)
+        with pytest.raises(UsageError, match="seed"):
+            TrainConfig(seed=-1)
         with pytest.raises(UsageError, match="at least one scene"):
             train_toy(small_model(), [])
 
@@ -696,6 +698,10 @@ class TestGroundingConfig:
     def test_validation(self):
         with pytest.raises(UsageError, match="two classes"):
             GroundingConfig(num_classes=1)
+        with pytest.raises(UsageError, match="at most 10000"):
+            GroundingConfig(num_classes=10_001)
+        with pytest.raises(UsageError, match="seed"):
+            init_grounding_model(GroundingConfig(num_classes=3), seed=-1)
         with pytest.raises(UsageError, match="geometry"):
             GroundingConfig(num_classes=3, attn_heads=0)
         with pytest.raises(UsageError, match="lambdas"):

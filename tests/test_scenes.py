@@ -31,6 +31,11 @@ class TestGenConfig:
             GenConfig(num_scenes=-1)
         with pytest.raises(UsageError, match="classes"):
             GenConfig(num_scenes=1, num_classes=1)
+        with pytest.raises(UsageError, match="at most 10000"):
+            GenConfig(num_scenes=1, num_classes=10_001)
+        for bad in (dict(seed=-1), dict(embed_seed=-1)):
+            with pytest.raises(UsageError, match="non-negative"):
+                GenConfig(num_scenes=1, **bad)
         with pytest.raises(UsageError, match="point"):
             GenConfig(num_scenes=1, points_per_object=0)
         with pytest.raises(UsageError, match="class_prior"):

@@ -302,6 +302,8 @@ class TestMutualInformation:
             mutual_information(features, labels, num_clusters=11)
         with pytest.raises(UsageError, match="align"):
             mutual_information(features, np.zeros(9, dtype=int), num_clusters=2)
+        with pytest.raises(UsageError, match="seed"):
+            mutual_information(features, labels, num_clusters=2, seed=-1)
         with pytest.raises(UsageError, match="non-empty"):
             mutual_information(np.zeros((0, 2)), np.zeros(0, dtype=int),
                                num_clusters=1)
