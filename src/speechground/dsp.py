@@ -5,6 +5,15 @@ weighting -> zero-padded FFT amplitude spectrum -> triangular mel
 filterbank -> log10 -> DCT.  `mfcc` runs the chain from pre-emphasis
 onwards; per-utterance normalization is a separate op so callers can
 compose or skip it.
+
+`mfcc` works on blocks of `_BLOCK_FRAMES` frames: one strided gather,
+one spectrum call and two matmuls (mel weights, then DCT basis) per
+block.  A block bounds the working set, so memory does not grow with
+the utterance.  Each real frame is transformed by the real split: its
+even and odd samples form one complex row of half the length, and the
+conjugate-symmetry identity recovers the one-sided spectrum from that
+row's FFT.  Pairing a frame with itself, not with its neighbour, keeps
+every frame's rounding relative to its own spectrum.
 """
 
 import struct
@@ -19,6 +28,8 @@ from .textmatrix import read_text_matrix, write_text_matrix
 
 EPS_AMP = 1e-10   # floor on filterbank energies before log10
 EPS_VAR = 1e-12   # floor on per-utterance variance before division
+
+_BLOCK_FRAMES = 64  # frames per block in `mfcc`: bounds memory; 128 or all frames were slower
 
 FEATURE_MAGIC = b"FTRX"
 
@@ -54,8 +65,8 @@ class FrameSpec:
                 "need 0 < step_samples <= window_samples <= fft_size, got "
                 f"{self.step_samples}/{self.window_samples}/{self.fft_size}"
             )
-        if self.fft_size & (self.fft_size - 1):
-            raise UsageError(f"fft_size must be a power of two, got {self.fft_size}")
+        if self.fft_size < 2 or self.fft_size & (self.fft_size - 1):
+            raise UsageError(f"fft_size must be a power of two >= 2, got {self.fft_size}")
 
     @property
     def num_bins(self) -> int:
@@ -156,6 +167,33 @@ def _hann_vector(length: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * idx / (length - 1))
 
 
+def _frame_spectra(frames: np.ndarray, spec: FrameSpec) -> np.ndarray:
+    """One-sided FFT magnitudes of Hann-weighted, zero-padded frames.
+
+    Each row's fft_size real samples are read as fft_size/2 complex
+    values z[t] = x[2t] + i*x[2t+1].  With Z = FFT(z), m = fft_size/2
+    and W = exp(-2i*pi/fft_size), the real transform is
+    X[k] = (Z[k] + conj Z[m-k])/2 - (i/2) W^k (Z[k] - conj Z[m-k]),
+    indices mod m (Sorensen et al., IEEE TASSP 1987).
+
+    Args:
+        frames: raw samples, shape (B, window_samples).
+        spec: framing geometry; fft_size fixes the transform length.
+
+    Returns:
+        Magnitudes for bins 0..fft_size/2, shape (B, fft_size//2 + 1).
+    """
+    half = spec.fft_size // 2
+    padded = np.zeros((frames.shape[0], spec.fft_size))
+    padded[:, : spec.window_samples] = frames * _hann_vector(spec.fft_size)[: spec.window_samples]
+    z = fft(padded.view(np.complex128))
+    k = np.arange(half + 1)
+    zk = z[:, k % half]
+    zr = np.conj(z[:, -k % half])
+    twiddle = np.exp(-2j * np.pi * k / spec.fft_size)
+    return np.abs(0.5 * (zk + zr) - 0.5j * twiddle * (zk - zr))
+
+
 def amplitude_spectrum(frame: np.ndarray, spec: FrameSpec) -> np.ndarray:
     """One-sided FFT magnitudes of a Hann-weighted, zero-padded frame.
 
@@ -175,9 +213,7 @@ def amplitude_spectrum(frame: np.ndarray, spec: FrameSpec) -> np.ndarray:
             f"frame length {frame.shape} does not match window_samples "
             f"{spec.window_samples}"
         )
-    padded = np.zeros(spec.fft_size, dtype=np.float64)
-    padded[: spec.window_samples] = frame * _hann_vector(spec.fft_size)[: spec.window_samples]
-    return np.abs(fft(padded)[: spec.num_bins])
+    return _frame_spectra(frame[None], spec)[0]
 
 
 def hz_to_mel(freq_hz: float | np.ndarray) -> float | np.ndarray:
@@ -248,12 +284,13 @@ def mfcc(w: Waveform, spec: FrameSpec, fb: MelFilterbank, num_cepstra: int = 13)
     x = pre_emphasize(w).samples
     t_total = frame_count(x.size, spec)
     basis = _dct_basis(num_cepstra, fb.num_filters)
+    offsets = np.arange(spec.window_samples)
     out = np.empty((t_total, num_cepstra))
-    for t in range(t_total):
-        start = t * spec.step_samples
-        spectrum = amplitude_spectrum(x[start: start + spec.window_samples], spec)
-        energies = np.maximum(fb.weights @ spectrum, EPS_AMP)
-        out[t] = basis @ np.log10(energies)
+    for first in range(0, t_total, _BLOCK_FRAMES):
+        starts = np.arange(first, min(first + _BLOCK_FRAMES, t_total)) * spec.step_samples
+        spectra = _frame_spectra(x[starts[:, None] + offsets], spec)
+        energies = np.maximum(spectra @ fb.weights.T, EPS_AMP)
+        out[first: first + starts.size] = np.log10(energies) @ basis.T
     return FeatureMatrix(out)
 
 

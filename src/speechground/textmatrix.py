@@ -6,10 +6,10 @@ from .errors import DataError
 
 
 def write_text_matrix(path: str, data: np.ndarray) -> None:
+    row_format = " ".join(["%.17g"] * data.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{data.shape[0]} {data.shape[1]}\n")
-        for row in data:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        fh.writelines(row_format % tuple(row) for row in data.tolist())
 
 
 def read_text_matrix(path: str, kind: str) -> np.ndarray:

@@ -14,6 +14,7 @@ from speechground.dsp import (EPS_AMP, FeatureMatrix, FrameSpec, MaskSpec,
                               write_feature_binary, write_feature_text,
                               write_wav)
 from speechground.errors import DataError, UsageError
+from tests import dsp_reference
 from tests.test_fft import naive_dft
 
 
@@ -140,6 +141,11 @@ class TestAmplitudeSpectrum:
         with pytest.raises(DataError):
             amplitude_spectrum(np.zeros(399), FrameSpec())
 
+    def test_one_point_transform_rejected(self):
+        # the Hann window and the real split both need fft_size >= 2
+        with pytest.raises(UsageError):
+            FrameSpec(step_samples=1, window_samples=1, fft_size=1)
+
 
 class TestMelScale:
     def test_zero(self):
@@ -236,6 +242,57 @@ class TestMfcc:
             mfcc(Waveform(np.zeros(16000), 16000), spec, fb, 40)
 
 
+class TestBlockedMfccMatchesReference:
+    """Blocked, real-split `mfcc` against the per-frame 1-D FFT loop."""
+
+    SPECS = (FrameSpec(40, 100, 128), FrameSpec(), FrameSpec(256, 1024, 1024))
+    # block edges at 64 frames, plus empty, single and long utterances
+    FRAME_COUNTS = (0, 1, 2, 63, 64, 65, 127, 128, 129, 1000)
+
+    @staticmethod
+    def samples_for(frames, spec):
+        """Waveform length that pre-emphasis and framing turn into `frames` rows."""
+        if frames == 0:
+            return spec.window_samples
+        return spec.window_samples + (frames - 1) * spec.step_samples + 1
+
+    def assert_matches(self, wave, spec, fb):
+        got = mfcc(wave, spec, fb, 13).data
+        want = dsp_reference.mfcc(wave, spec, fb, 13).data
+        assert got.shape == want.shape
+        if got.size:
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"fft{s.fft_size}")
+    def test_seeded_waveforms(self, spec):
+        fb = mel_filterbank(spec, 16000, 26)
+        rng = np.random.default_rng(spec.fft_size)
+        for frames in self.FRAME_COUNTS:
+            n = self.samples_for(frames, spec)
+            wave = Waveform(rng.standard_normal(n), 16000)
+            assert frame_count(n - 1, spec) == frames
+            self.assert_matches(wave, spec, fb)
+
+    def test_click_then_quiet_tail(self):
+        # the click lies in frames 1 and 2 only, so packing frames two to a
+        # row (0 with 1, 2 with 3) would leak its rounding into the quiet
+        # frames 0 and 3: about 3e-9 in the cepstra
+        spec = FrameSpec()
+        fb = mel_filterbank(spec, 16000, 26)
+        rng = np.random.default_rng(71)
+        samples = 1e-7 * rng.standard_normal(16000)
+        samples[420:430] = [1.0, -1.0] * 5
+        self.assert_matches(Waveform(samples, 16000), spec, fb)
+
+    def test_digital_silence_gives_floor_in_c0(self):
+        spec = FrameSpec()
+        fb = mel_filterbank(spec, 16000, 26)
+        wave = Waveform(np.zeros(16000), 16000)
+        got = mfcc(wave, spec, fb, 13).data
+        assert np.all(got[:, 0] == 26 * math.log10(EPS_AMP))
+        self.assert_matches(wave, spec, fb)
+
+
 class TestSpecAugment:
     def test_zero_widths_are_identity(self):
         rng = np.random.default_rng(0)
@@ -317,6 +374,15 @@ class TestFeatureIO:
         write_feature_text(path, feats)
         back = read_feature_text(path)
         np.testing.assert_array_equal(back.data, feats.data)
+
+    def test_text_bytes_of_edge_values(self, tmp_path):
+        feats = FeatureMatrix([[-0.0, 5e-324, 1e308], [1e16, 0.1, -2.5]])
+        path = tmp_path / "f.txt"
+        write_feature_text(str(path), feats)
+        assert path.read_bytes() == (
+            b"2 3\n"
+            b"-0 4.9406564584124654e-324 1e+308\n"
+            b"10000000000000000 0.10000000000000001 -2.5\n")
 
     def test_binary_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(14)

@@ -82,7 +82,26 @@ def test_real_input_conjugate_symmetry():
         assert abs(spec[k] - np.conj(spec[64 - k])) < 1e-10
 
 
+def test_leading_axes_transform_each_row():
+    rng = np.random.default_rng(5)
+    for shape in ((7, 64), (3, 4, 32), (1, 1), (2, 5, 1)):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = fft(x)
+        assert got.shape == shape
+        for idx in np.ndindex(*shape[:-1]):
+            assert np.array_equal(got[idx], fft(x[idx]))
+            np.testing.assert_allclose(got[idx], naive_dft(x[idx]),
+                                       rtol=1e-10, atol=1e-9)
+
+
 def test_rejects_non_power_of_two():
     for n in (0, 3, 6, 100):
         with pytest.raises(UsageError):
             fft(np.zeros(n))
+
+
+def test_length_check_reads_the_last_axis():
+    for shape in ((4, 6), (2, 8, 3), (8, 0)):
+        with pytest.raises(UsageError):
+            fft(np.zeros(shape))
+    assert fft(np.zeros((6, 4))).shape == (6, 4)
