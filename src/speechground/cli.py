@@ -2,8 +2,7 @@
 
 Batch use only.  Exit codes: 0 success, 1 usage, 2 data, 3 numeric or
 infeasible.  Summary lines print numbers at 6 decimals; --json adds a
-single-line JSON object with full precision and a "version" field;
---debug follows an internal error's one-line message with its traceback.
+single-line JSON object with full precision and a "version" field.
 Every subcommand is deterministic given its flags, inputs and --seed.
 """
 
@@ -11,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-import traceback
 
 import numpy as np
 
@@ -320,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="suppress auxiliary output lines")
     common.add_argument("--json", action="store_true",
                         help="also print a JSON report line")
-    common.add_argument("--debug", action="store_true",
-                        help="print the traceback of an internal error")
 
     parser = _Parser(prog="speechground",
                      description="Speech decoding and grounding numerics.")
@@ -477,8 +473,6 @@ def main(argv=None) -> int:
         command = " ".join(filter(None, (args.command, getattr(args, "action", None))))
         print(f"internal error in {command}: {type(exc).__name__}: {exc}",
               file=sys.stderr)
-        if args.debug:
-            print(traceback.format_exc(), file=sys.stderr, end="")
         return 3
 
 

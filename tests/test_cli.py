@@ -757,16 +757,6 @@ class TestCliBasics:
         assert out == ""
         assert err.strip() == "internal error in ground eval: ValueError: boom"
 
-        code, out, err = run(["ground", "eval", "--model", "m", "--data", "d",
-                              "--debug"], capsys)
-        assert code == 3
-        assert out == ""
-        first, rest = err.split("\n", 1)
-        assert first == "internal error in ground eval: ValueError: boom"
-        assert rest.startswith("Traceback (most recent call last):\n")
-        assert "in broken" in rest
-        assert rest.rstrip().endswith("ValueError: boom")
-
 
 class TestMalformedInputFuzz:
     GARBAGE_TOKENS = ("}{", "nope", "-1e999", "NaN;", "%%", "\x00\x01",

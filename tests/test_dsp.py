@@ -246,8 +246,8 @@ class TestBlockedMfccMatchesReference:
     """Blocked, real-split `mfcc` against the per-frame 1-D FFT loop."""
 
     SPECS = (FrameSpec(40, 100, 128), FrameSpec(), FrameSpec(256, 1024, 1024))
-    # block edges at 64 frames, plus empty, single and long utterances
-    FRAME_COUNTS = (0, 1, 2, 63, 64, 65, 127, 128, 129, 1000)
+    # block edges at multiples of 32 frames, plus empty, single and long utterances
+    FRAME_COUNTS = (0, 1, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129, 1000)
 
     @staticmethod
     def samples_for(frames, spec):
