@@ -241,10 +241,16 @@ def _infer_num_classes(path: str, scenes) -> int:
     return max(top + 1, 2)
 
 
-def _cmd_ground_train(args) -> int:
-    scenes = read_scenes(args.data)
+def _read_some_scenes(path: str):
+    """The scenes of a file; a file without any is bad data."""
+    scenes = read_scenes(path)
     if not scenes:
-        raise DataError(f"no scenes in {args.data}")
+        raise DataError(f"no scenes in {path}")
+    return scenes
+
+
+def _cmd_ground_train(args) -> int:
+    scenes = _read_some_scenes(args.data)
     num_classes = args.classes if args.classes else _infer_num_classes(args.data, scenes)
     cfg = GroundingConfig(num_classes=num_classes,
                           d_audio=scenes[0].audio.shape[0],
@@ -265,7 +271,7 @@ def _cmd_ground_train(args) -> int:
 
 def _cmd_ground_eval(args) -> int:
     model = load_checkpoint(args.model)
-    scenes = read_scenes(args.data)
+    scenes = _read_some_scenes(args.data)
     report = evaluate(model, scenes)
     _info(args, f"AUDIO_ACC={report.audio_accuracy:.6f}")
     _info(args, f"MENTION_F1={report.mention_f1:.6f}")
@@ -284,7 +290,7 @@ def _cmd_ground_eval(args) -> int:
 
 def _cmd_ground_infer(args) -> int:
     model = load_checkpoint(args.model)
-    scenes = read_scenes(args.scene)
+    scenes = _read_some_scenes(args.scene)
     if not 0 <= args.index < len(scenes):
         raise UsageError(
             f"scene index {args.index} outside 0..{len(scenes) - 1}")

@@ -1,7 +1,8 @@
 """Language-grounded object selection on synthetic 3D scenes."""
 
 from .features import (audio_embedding, label_embedding, object_feature_stub,
-                       object_representation, representation_dim)
+                       object_features, object_representation,
+                       object_representations, representation_dim)
 from .model import (AttentionParams, GroundingConfig, GroundingFailure,
                     GroundingModel, GroundingResult, attention_params_from,
                     audio_guided_attention, classify_audio, detect_mentions,
@@ -22,7 +23,8 @@ __all__ = [
     "detect_mentions", "evaluate", "generate_scenes", "gradient_check",
     "ground", "group_objects", "init_grounding_model", "joint_loss",
     "label_embedding", "load_checkpoint", "loss_and_grads",
-    "object_feature_stub", "object_representation", "param_shapes",
+    "object_feature_stub", "object_features", "object_representation",
+    "object_representations", "param_shapes",
     "prepare_scene", "read_scenes", "representation_dim", "save_checkpoint",
     "train_toy", "verify_scene", "write_scenes",
 ]

@@ -52,30 +52,47 @@ def _audio_tables(embed_seed: int, num_classes: int, d_audio: int
                                       (_STREAM_AUDIO_RELATION, 3)))
 
 
-def object_feature_stub(obj, embed_seed: int, dim: int = 32) -> np.ndarray:
-    """Shape feature of one object: a seeded projection of cloud statistics.
+def object_features(objects, embed_seed: int, dim: int = 32) -> np.ndarray:
+    """(n, dim) shape features: a seeded projection of cloud statistics.
 
-    The cloud is normalized into a unit ball (centered on its mean,
+    Each cloud is normalized into a unit ball (centered on its mean,
     scaled by the largest radius), summarized by per-axis mean, max and
     min plus the mean color, and pushed through a fixed random
-    projection.  Translating the object does not change the result.
+    projection.  Translating an object does not change its row.  Objects
+    without points contribute their baked feature.  Clouds of equal
+    point count are summarized as one stacked block; `proj @ col` per
+    row keeps every row bit-identical to the one-object call.
     """
-    if obj.points is None:
+    out = np.empty((len(objects), dim))
+    by_count: dict[int, list[int]] = {}
+    for i, obj in enumerate(objects):
+        if obj.points is not None:
+            by_count.setdefault(obj.points.shape[0], []).append(i)
+            continue
         if obj.feature is None:
             raise DataError("object carries neither points nor a baked feature")
         feat = np.asarray(obj.feature, dtype=np.float64)
         if feat.shape != (dim,):
             raise DataError(f"baked feature has length {feat.shape}, expected {dim}")
-        return feat
-    xyz = obj.points[:, :3]
-    rgb = obj.points[:, 3:]
-    centered = xyz - xyz.mean(axis=0)
-    radius = np.max(np.linalg.norm(centered, axis=1))
-    if radius > 0:
-        centered = centered / radius
-    stats = np.concatenate([centered.mean(axis=0), centered.max(axis=0),
-                            centered.min(axis=0), rgb.mean(axis=0)])
-    return _shape_projection(embed_seed, dim, stats.shape[0]) @ stats
+        out[i] = feat
+    for rows in by_count.values():
+        # (K, 6, g): the point axis outermost, so every reduction over it
+        # adds whole rows in point order, as the (K, 6) one-object call does
+        points = np.stack([objects[i].points for i in rows], axis=2)
+        xyz = points[:, :3]
+        centered = xyz - xyz.mean(axis=0)
+        radius = np.max(np.linalg.norm(centered, axis=1), axis=0)
+        centered = centered / np.where(radius > 0, radius, 1.0)
+        stats = np.concatenate([centered.mean(axis=0), centered.max(axis=0),
+                                centered.min(axis=0), points[:, 3:].mean(axis=0)]).T
+        proj = _shape_projection(embed_seed, dim, stats.shape[1])
+        out[rows] = (proj @ stats[:, :, None])[:, :, 0]
+    return out
+
+
+def object_feature_stub(obj, embed_seed: int, dim: int = 32) -> np.ndarray:
+    """Shape feature of one object (see `object_features`)."""
+    return object_features([obj], embed_seed, dim)[0]
 
 
 def label_embedding(class_id: int, embed_seed: int, dim: int = 8) -> np.ndarray:
@@ -85,15 +102,22 @@ def label_embedding(class_id: int, embed_seed: int, dim: int = 8) -> np.ndarray:
     return _label_row(embed_seed, class_id, dim).copy()
 
 
+def object_representations(objects, embed_seed: int, d_obj: int = 32,
+                           d_label: int = 8) -> np.ndarray:
+    """(n, d_rep) rows: shape feature, label embedding, box center and size."""
+    return np.concatenate([
+        object_features(objects, embed_seed, d_obj),
+        np.array([label_embedding(o.class_id, embed_seed, d_label)
+                  for o in objects]).reshape(-1, d_label),
+        np.array([o.center for o in objects], dtype=np.float64).reshape(-1, 3),
+        np.array([o.size for o in objects], dtype=np.float64).reshape(-1, 3),
+    ], axis=1)
+
+
 def object_representation(obj, embed_seed: int, d_obj: int = 32,
                           d_label: int = 8) -> np.ndarray:
-    """Concatenate shape feature, label embedding, box center and size."""
-    return np.concatenate([
-        object_feature_stub(obj, embed_seed, d_obj),
-        label_embedding(obj.class_id, embed_seed, d_label),
-        np.asarray(obj.center, dtype=np.float64),
-        np.asarray(obj.size, dtype=np.float64),
-    ])
+    """Representation row of one object (see `object_representations`)."""
+    return object_representations([obj], embed_seed, d_obj, d_label)[0]
 
 
 def representation_dim(d_obj: int, d_label: int) -> int:

@@ -40,7 +40,7 @@ from typing import get_args, get_origin
 import numpy as np
 
 from ..errors import DataError, NumericError, UsageError
-from .features import object_representation, representation_dim
+from .features import object_representations, representation_dim
 from .scene import MAX_CLASSES, SyntheticScene, group_objects
 
 CHECKPOINT_MAGIC = b"A3VG"
@@ -354,10 +354,9 @@ def detect_mentions(model: GroundingModel, audio) -> tuple[np.ndarray, tuple[int
 def _grouped_reprs(config: GroundingConfig, objects, cands, rels
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (n, d_rep) representations of the candidate and relational objects."""
-    return tuple(np.array([object_representation(objects[i], config.embed_seed,
-                                                 config.d_obj, config.d_label)
-                           for i in group]).reshape(len(group), config.d_rep)
-                 for group in (cands, rels))
+    reprs = object_representations([objects[i] for i in (*cands, *rels)],
+                                   config.embed_seed, config.d_obj, config.d_label)
+    return reprs[:len(cands)], reprs[len(cands):]
 
 
 def _scene_audio(config: GroundingConfig, scene: SyntheticScene) -> np.ndarray:

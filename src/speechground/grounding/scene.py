@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DataError, UsageError
-from .features import audio_embedding, object_feature_stub
+from .features import audio_embedding, object_features
 
 RELATIONS = ("left-of", "right-of", "nearest-to")
 MAX_CLASSES = 10_000  # per generator or model, so every per-class table stays small
@@ -154,13 +154,33 @@ def verify_scene(scene: SyntheticScene) -> bool:
     return hits == [scene.target_index]
 
 
-def _sample_object(rng, class_id, center_xy, sizes, colors, num_points):
-    size = sizes[class_id] * (1.0 + 0.1 * rng.uniform(-1, 1, size=3))
-    center = np.array([center_xy[0], center_xy[1], size[2] / 2])
-    xyz = center + (size / 2) * rng.uniform(-1, 1, size=(num_points, 3))
-    rgb = np.clip(colors[class_id] + 0.05 * rng.standard_normal((num_points, 3)),
-                  0.0, 1.0)
-    return SceneObject.from_points(np.concatenate([xyz, rgb], axis=1), class_id)
+def _sample_objects(rng, class_ids, xys, sizes, colors, num_points):
+    """One scene's objects, in slot order, sampled as one (n, K, .) block.
+
+    Each object draws its size jitter and point offsets in one uniform
+    call (the same doubles as a size-3 call followed by a (K, 3) call),
+    then its color noise; the normal draws stay a separate call per
+    object because the ziggurat sampler consumes a variable number of
+    draws.  All arithmetic after the draws is elementwise or reduces
+    over the point axis, so every value equals a one-object computation.
+    """
+    n, k = len(class_ids), num_points
+    jitter = np.empty((n, 3 + 3 * k))
+    noise = np.empty((n, k, 3))
+    for j in range(n):
+        jitter[j] = rng.uniform(-1, 1, size=3 + 3 * k)
+        noise[j] = rng.standard_normal((k, 3))
+    size = sizes[class_ids] * (1.0 + 0.1 * jitter[:, :3])
+    center = np.column_stack([np.asarray(xys), size[:, 2] / 2])
+    xyz = center[:, None, :] + (size / 2)[:, None, :] * jitter[:, 3:].reshape(n, k, 3)
+    rgb = np.clip(colors[class_ids][:, None, :] + 0.05 * noise, 0.0, 1.0)
+    points = np.concatenate([xyz, rgb], axis=2)
+    # point axis outermost: each box reduction adds whole rows in point order
+    by_point = np.ascontiguousarray(xyz.transpose(1, 0, 2))
+    centers = by_point.mean(axis=0)
+    extents = by_point.max(axis=0) - by_point.min(axis=0)
+    return [SceneObject(points[j], class_ids[j], centers[j], extents[j])
+            for j in range(n)]
 
 
 def _class_tables(config: GenConfig):
@@ -217,13 +237,10 @@ def _build_scene(rng, config: GenConfig, sizes, colors, prior) -> SyntheticScene
     for _ in range(n_distract):
         entries.append((int(spare[rng.integers(len(spare))]), uniform_xy(), False))
     order = rng.permutation(len(entries))
-    objects, target_index = [], -1
-    for slot, src in enumerate(order):
-        class_id, xy, is_target = entries[src]
-        objects.append(_sample_object(rng, class_id, xy, sizes, colors,
-                                      config.points_per_object))
-        if is_target:
-            target_index = slot
+    class_ids, xys, targets = zip(*(entries[src] for src in order))
+    objects = _sample_objects(rng, list(class_ids), xys, sizes, colors,
+                              config.points_per_object)
+    target_index = targets.index(True)
     mentioned = (target_class, anchor_class)
     clean = audio_embedding(target_class, mentioned, relation_id,
                             config.num_classes, config.d_audio, config.embed_seed)
@@ -251,37 +268,45 @@ def generate_scenes(config: GenConfig) -> list[SyntheticScene]:
     return scenes
 
 
+# scenes whose features are baked together; bounds the stacked point block
+_BAKE_CHUNK = 64
+
+
 def write_scenes(path: str, scenes, include_points: bool = True,
                  embed_seed: int | None = None, d_obj: int = 32) -> None:
     """Write scenes as JSON lines.
 
     With include_points=False the point clouds are elided and each
     object instead carries its baked shape feature (which requires the
-    embedding seed used downstream) plus the box summary.
+    embedding seed used downstream) plus the box summary.  Features are
+    baked for `_BAKE_CHUNK` scenes at a time.
     """
     if not include_points and embed_seed is None:
         raise UsageError("eliding points requires embed_seed to bake features")
+    key = "points" if include_points else "feature"
     with open(path, "w", encoding="utf-8") as fh:
-        for scene in scenes:
-            objs = []
-            for obj in scene.objects:
-                rec = {"class_id": obj.class_id,
-                       "bbox": {"center": list(obj.center), "size": list(obj.size)}}
-                if include_points:
-                    if obj.points is None:
-                        raise UsageError("scene object has no points to write")
-                    rec["points"] = [list(row) for row in obj.points]
-                else:
-                    rec["feature"] = list(object_feature_stub(obj, embed_seed, d_obj))
-                objs.append(rec)
-            fh.write(json.dumps({
-                "objects": objs,
-                "audio": list(scene.audio),
-                "target_class": scene.target_class,
-                "mentioned_classes": list(scene.mentioned_classes),
-                "relation_id": scene.relation_id,
-                "target_index": scene.target_index,
-            }) + "\n")
+        for start in range(0, len(scenes), _BAKE_CHUNK):
+            chunk = scenes[start:start + _BAKE_CHUNK]
+            objects = [obj for scene in chunk for obj in scene.objects]
+            if not include_points:
+                rows = iter(object_features(objects, embed_seed, d_obj).tolist())
+            elif any(obj.points is None for obj in objects):
+                raise UsageError("scene object has no points to write")
+            else:
+                rows = (obj.points.tolist() for obj in objects)
+            for scene in chunk:
+                fh.write(json.dumps({
+                    "objects": [{"class_id": obj.class_id,
+                                 "bbox": {"center": obj.center.tolist(),
+                                          "size": obj.size.tolist()},
+                                 key: next(rows)}
+                                for obj in scene.objects],
+                    "audio": scene.audio.tolist(),
+                    "target_class": scene.target_class,
+                    "mentioned_classes": list(scene.mentioned_classes),
+                    "relation_id": scene.relation_id,
+                    "target_index": scene.target_index,
+                }) + "\n")
 
 
 def _json_int(value, what: str) -> int:

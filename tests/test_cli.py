@@ -1,5 +1,6 @@
 """End-to-end command-line tests driven through main()."""
 
+import hashlib
 import json
 import math
 import struct
@@ -487,6 +488,38 @@ class TestGroundPipeline:
         assert code == 2
         assert "widths" in err
         assert "internal error" not in err and out == ""
+
+    # sha256 of train.jsonl and dev.jsonl from `ground gen --train-scenes 20
+    # --dev-scenes 20 --seed 3`: pins the rng draw order and float formatting
+    GOLDEN = {
+        "features": ("88c3fe69a382d9540c90d9f1eb57407f32a39e19f06b04dd8822ee1ba69fbc37",
+                     "310d97763b49e366b6c5d5294c51a358ebae31acf1f2209660b15ee13c6e26f7"),
+        "points": ("7b5bb96a2686213528fd822a1d1ecef7580c7f7c4d52963490ba6993929aeaf6",
+                   "a65f39239d521d7c2d22fbdb9c35a2aea565783beeea6a5c57c166563fd92ea9"),
+    }
+
+    @pytest.mark.parametrize("form", ["features", "points"])
+    def test_gen_output_is_pinned(self, form, tmp_path, capsys):
+        argv = ["ground", "gen", "--out", str(tmp_path), "--train-scenes", "20",
+                "--dev-scenes", "20", "--seed", "3"]
+        code, _, err = run(argv + (["--points"] if form == "points" else []), capsys)
+        assert code == 0, err
+        digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                        for name in ("train.jsonl", "dev.jsonl"))
+        assert digests == self.GOLDEN[form]
+
+    @pytest.mark.parametrize("command", ["train", "eval", "infer"])
+    def test_empty_scene_file_is_bad_data(self, command, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n", encoding="utf-8")
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(str(ckpt), init_grounding_model(GroundingConfig(num_classes=4)))
+        argv = {"train": ["--data", str(empty), "--out", str(tmp_path / "new.ckpt")],
+                "eval": ["--model", str(ckpt), "--data", str(empty)],
+                "infer": ["--model", str(ckpt), "--scene", str(empty)]}[command]
+        code, out, err = run(["ground", command] + argv, capsys)
+        assert code == 2 and out == "", err
+        assert err == f"error: no scenes in {empty}\n"
 
     def test_train_rejects_missing_data(self, tmp_path, capsys):
         code, _, err = run(["ground", "train", "--data",

@@ -7,8 +7,10 @@ from speechground.errors import DataError, UsageError
 from speechground.grounding import (GenConfig, SceneObject, SyntheticScene,
                                     audio_embedding, generate_scenes,
                                     label_embedding, object_feature_stub,
-                                    object_representation, read_scenes,
+                                    object_features, object_representation,
+                                    object_representations, read_scenes,
                                     verify_scene, write_scenes)
+from tests import scene_reference as reference
 
 
 def make_object(class_id, center):
@@ -277,6 +279,112 @@ class TestFeatureStubs:
         bare = SceneObject(None, 0, np.zeros(3), np.ones(3))
         with pytest.raises(DataError, match="neither"):
             object_feature_stub(bare, 7)
+
+
+def random_cloud(rng, num_points, class_id=0):
+    points = np.concatenate([rng.normal(size=(num_points, 3)),
+                             rng.uniform(size=(num_points, 3))], axis=1)
+    return SceneObject.from_points(points, class_id)
+
+
+class TestObjectFeatures:
+    """The batched features equal the per-object reference stub exactly."""
+
+    @staticmethod
+    def assert_rows_match_reference(objects, dim=32):
+        feats = object_features(objects, 7, dim)
+        assert feats.shape == (len(objects), dim)
+        for row, obj in zip(feats, objects):
+            np.testing.assert_array_equal(row,
+                                          reference.object_feature_stub(obj, 7, dim))
+
+    def test_mixed_point_counts(self):
+        rng = np.random.default_rng(51)
+        self.assert_rows_match_reference(
+            [random_cloud(rng, k) for k in (64, 1, 5, 64, 17, 5, 1, 64)])
+
+    def test_degenerate_clouds_take_the_zero_radius_branch(self):
+        rng = np.random.default_rng(52)
+        one_point = random_cloud(rng, 1)
+        identical = SceneObject.from_points(np.tile([1.5, -2.0, 0.5, 0.2, 0.4, 0.6],
+                                                    (9, 1)), 3)
+        # offsets whose squares underflow: radius 0 with a nonzero centered cloud
+        tiny = SceneObject.from_points(
+            np.concatenate([rng.normal(size=(9, 3)) * 1e-170, np.full((9, 3), 0.5)],
+                           axis=1), 1)
+        objects = [one_point, random_cloud(rng, 9), identical, tiny]
+        self.assert_rows_match_reference(objects)
+        self.assert_rows_match_reference(objects, dim=5)
+
+    def test_baked_features_mix_with_point_clouds(self):
+        rng = np.random.default_rng(53)
+        baked = [SceneObject(None, 0, np.zeros(3), np.ones(3),
+                             feature=rng.normal(size=32)) for _ in range(3)]
+        clouds = [random_cloud(rng, k) for k in (8, 8, 3)]
+        self.assert_rows_match_reference([baked[0], clouds[0], clouds[1], baked[1],
+                                          clouds[2], baked[2]])
+
+    def test_empty_list(self):
+        assert object_features([], 7, 32).shape == (0, 32)
+        assert object_representations([], 7, 32, 8).shape == (0, 46)
+
+    def test_bad_objects_are_refused(self):
+        rng = np.random.default_rng(54)
+        good = random_cloud(rng, 4)
+        short = SceneObject(None, 0, np.zeros(3), np.ones(3), feature=np.zeros(16))
+        with pytest.raises(DataError, match="length"):
+            object_features([good, short], 7, 32)
+        with pytest.raises(DataError, match="neither"):
+            object_features([good, SceneObject(None, 0, np.zeros(3), np.ones(3))], 7)
+
+    def test_representation_rows(self):
+        rng = np.random.default_rng(55)
+        objects = [random_cloud(rng, k, class_id=c)
+                   for k, c in ((6, 2), (1, 0), (6, 5))]
+        reprs = object_representations(objects, 7, 32, 8)
+        for row, obj in zip(reprs, objects):
+            np.testing.assert_array_equal(row, np.concatenate([
+                reference.object_feature_stub(obj, 7, 32),
+                label_embedding(obj.class_id, 7, 8), obj.center, obj.size]))
+
+
+class TestGeneratorMatchesReference:
+    """The scene-batched generator and writer equal the per-object reference."""
+
+    @pytest.mark.parametrize("num_points", [1, 64])
+    @pytest.mark.parametrize("num_classes", [2, 6, 9])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["flat", "prior"])
+    def test_scenes_are_identical(self, num_points, num_classes, weighted):
+        # the weighted prior gives every third class zero weight
+        prior = tuple(float(i % 3) for i in range(num_classes)) if weighted else ()
+        config = GenConfig(num_scenes=12, num_classes=num_classes, seed=5,
+                           points_per_object=num_points, class_prior=prior)
+        fast_scenes = generate_scenes(config)
+        slow_scenes = reference.generate_scenes(config)
+        assert len(fast_scenes) == len(slow_scenes)
+        for fast, slow in zip(fast_scenes, slow_scenes):
+            assert (fast.target_class, fast.mentioned_classes, fast.relation_id,
+                    fast.target_index) == (slow.target_class, slow.mentioned_classes,
+                                           slow.relation_id, slow.target_index)
+            assert np.array_equal(fast.audio, slow.audio)
+            assert len(fast.objects) == len(slow.objects)
+            for a, b in zip(fast.objects, slow.objects):
+                assert a.class_id == b.class_id
+                assert np.array_equal(a.points, b.points)
+                assert np.array_equal(a.center, b.center)
+                assert np.array_equal(a.size, b.size)
+
+    @pytest.mark.parametrize("include_points", [True, False],
+                             ids=["points", "features"])
+    def test_written_bytes_are_identical(self, include_points, tmp_path):
+        # more scenes than one bake chunk, with clouds of mixed point counts
+        scenes = [*generate_scenes(GenConfig(num_scenes=70, points_per_object=6, seed=8)),
+                  *generate_scenes(GenConfig(num_scenes=5, points_per_object=1, seed=9))]
+        fast, slow = tmp_path / "fast.jsonl", tmp_path / "slow.jsonl"
+        knobs = dict(include_points=include_points, embed_seed=7)
+        write_scenes(fast, scenes, **knobs)
+        reference.write_scenes(slow, scenes, **knobs)
+        assert fast.read_bytes() == slow.read_bytes()
 
 
 class TestSceneIO:
