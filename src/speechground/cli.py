@@ -113,6 +113,10 @@ def _cmd_ctc_prefix(args) -> int:
 
 
 def _cmd_ctc_decode(args) -> int:
+    if args.prior_scale > 0 and args.mode != "time-sync":
+        raise UsageError(f"--prior-scale applies only to time-sync, not {args.mode} mode")
+    if args.lm_scale > 0 and args.mode == "greedy":
+        raise UsageError("--lm-scale applies only to the beam modes, not greedy mode")
     vocab, post = _load_ctc_inputs(args)
     config = DecodeConfig(beam_width=args.beam, lm_scale=args.lm_scale,
                           prior_scale=args.prior_scale)

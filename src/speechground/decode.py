@@ -7,6 +7,11 @@ label-sync hypothesis carries its CTC prefix columns (row 0 the virtual
 "before frame 0") and its LM total, so each depth grows every child in
 one `ctc._lattice` pass and asks the LM only for the new conditional.
 
+The time-sync beam takes one numpy step per frame over a (B, K) block
+of (hypothesis, symbol) candidates, and reads the LM through rows of
+scaled conditionals cached per `LanguageModel.context`, so a bigram
+is asked at most once per label and previous token in a decode.
+
 Tie handling is fixed everywhere: order by higher score, then by
 lexicographically smaller sequence, so repeated runs are bit-identical.
 """
@@ -116,12 +121,22 @@ def timesync_beam(p: Posteriorgram, config: DecodeConfig,
                   vocab: Vocabulary | None = None) -> Hypothesis:
     """Frame-by-frame beam over alignments with max recombination.
 
-    Each step extends every hypothesis by every symbol, adding the
-    frame log probability minus the scaled log prior; the scaled LM
-    conditional is added exactly when the symbol creates a new label
-    (non-blank and different from the previous alignment symbol).
-    Hypotheses are recombined by collapsed sequence keeping the max,
-    then pruned to the beam width.
+    Each frame extends every hypothesis by every symbol in one (B, K)
+    step: the frame log probability minus the scaled log prior, plus
+    the scaled LM conditional exactly where the symbol creates a new
+    label (non-blank and different from the previous alignment symbol).
+    A hypothesis that stays on its sequence keeps the better of blank
+    and its last symbol, blank on a tie.  An extension equal to a
+    sequence already in the beam merges into it if it scores strictly
+    higher, or equal from an earlier parent: the first maximum in
+    (parent, symbol) order wins, as in a plain loop.  `np.partition`
+    finds the score of the `beam_width`-th best candidate, and only
+    the candidates at or above it are sorted best first.
+
+    The LM row of a hypothesis (the scaled conditional of every label)
+    is built the first time a frame needs it and cached for the call
+    under `lm.context(history)`, so a bigram asks for one row per
+    previous token and a T=0 input never asks at all.
 
     Returns the collapsed sequence of the best surviving hypothesis.
     """
@@ -136,32 +151,62 @@ def timesync_beam(p: Posteriorgram, config: DecodeConfig,
             raise UsageError("prior size does not match the alphabet")
         if not np.all(np.isfinite(prior.log_prior)):
             raise NumericError("prior has zero-mass symbols; cannot correct")
+    fuse = lm is not None and config.lm_scale > 0
     lp = p.log_probs
-    # best first: collapsed sequence -> (score, last alignment symbol, LM tokens)
-    beam: dict[LabelSequence, tuple[float, int, tuple[str, ...]]] = {(): (0.0, BLANK, ())}
+    symbols = np.arange(p.num_symbols)
+    lm_rows: dict[tuple[str, ...], np.ndarray] = {}
+
+    def lm_row(history):
+        context = lm.context(history)
+        row = lm_rows.get(context)
+        if row is None:
+            row = lm_rows[context] = np.array([0.0] + [
+                config.lm_scale * lm.cond_logprob(vocab.token(v), context)
+                for v in range(1, p.num_symbols)])
+        return row
+
+    # the beam, best first: scores, last alignment symbols, collapsed
+    # sequences and LM token histories
+    scores = np.zeros(1)
+    last = np.full(1, BLANK)
+    seqs: tuple[LabelSequence, ...] = ((),)
+    histories: tuple[tuple[str, ...], ...] = ((),)
+    width = config.beam_width
     for t in range(p.num_frames):
-        merged: dict[LabelSequence, tuple[float, int, tuple[str, ...]]] = {}
-        for seq, (score, last, toks) in beam.items():
-            for v in range(p.num_symbols):
-                s = score + lp[t, v]
-                if config.prior_scale > 0:
-                    s -= config.prior_scale * prior.log_prior[v]
-                new_toks = toks
-                if v == BLANK or v == last:
-                    new_seq = seq
-                else:
-                    new_seq = seq + (v,)
-                    if lm is not None and config.lm_scale > 0:
-                        tok = vocab.token(v)
-                        s += config.lm_scale * lm.cond_logprob(tok, toks)
-                        new_toks = toks + (tok,)
-                held = merged.get(new_seq)
-                if held is None or s > held[0]:
-                    merged[new_seq] = (s, v, new_toks)
-        ranked = _best_first((sc, seq) for seq, (sc, _, _) in merged.items())
-        beam = {seq: merged[seq] for _, seq in ranked[: config.beam_width]}
-    best_seq = next(iter(beam))
-    return Hypothesis(best_seq, beam[best_seq][0])
+        cand = scores[:, None] + lp[t]
+        if config.prior_scale > 0:
+            cand -= config.prior_scale * prior.log_prior
+        grow = (symbols != BLANK) & (symbols != last[:, None])
+        if fuse:
+            np.add(cand, np.array([lm_row(h) for h in histories]), out=cand, where=grow)
+        held = cand[np.arange(len(seqs)), last]
+        keep_last = held > cand[:, BLANK]
+        stay = np.where(keep_last, held, cand[:, BLANK])
+        stay_last = np.where(keep_last, last, BLANK)
+        # an extension that equals a sequence in the beam competes with its stay
+        position = {seq: i for i, seq in enumerate(seqs)}
+        for i, seq in enumerate(seqs):
+            j = position.get(seq[:-1]) if seq else None
+            if j is None or not grow[j, seq[-1]]:
+                continue
+            grow[j, seq[-1]] = False
+            s = cand[j, seq[-1]]
+            if s > stay[i] or (s == stay[i] and j < i):
+                stay[i], stay_last[i] = s, seq[-1]
+        parents, labels = np.nonzero(grow)
+        pool = np.concatenate([stay, cand[parents, labels]])
+        cut = np.partition(pool, -width)[-width] if len(pool) > width else -np.inf
+        ranked = []
+        for c in np.flatnonzero(pool >= cut).tolist():
+            if c < len(seqs):
+                ranked.append((pool[c], seqs[c], stay_last[c], histories[c]))
+            else:
+                j, v = int(parents[c - len(seqs)]), int(labels[c - len(seqs)])
+                ranked.append((pool[c], seqs[j] + (v,), v,
+                               histories[j] + (vocab.token(v),) if fuse else ()))
+        scores, seqs, last, histories = zip(*_best_first(ranked)[:width])
+        scores, last = np.array(scores), np.array(last)
+    return Hypothesis(seqs[0], float(scores[0]))
 
 
 def labelsync_beam(p: Posteriorgram, config: DecodeConfig,

@@ -3,7 +3,9 @@
 A language model assigns conditional log probabilities over its
 vocabulary plus the end-of-sentence outcome; for every history those
 probabilities sum to one.  Histories are tuples of previous tokens
-within the sentence.
+within the sentence.  `context(history)` names the part of a history
+the conditionals depend on: any two histories with equal contexts get
+equal conditionals, so a decoder may cache them under that key.
 """
 
 from dataclasses import dataclass, field
@@ -23,6 +25,10 @@ class LanguageModel:
 
     def cond_logprob(self, token: str, history: tuple[str, ...]) -> float:
         raise NotImplementedError
+
+    def context(self, history: tuple[str, ...]) -> tuple[str, ...]:
+        """The part of `history` the conditionals depend on; all of it by default."""
+        return history
 
     def sentence_logprob(self, sentence) -> float:
         """Log probability of a sentence including its EOS event."""
@@ -45,6 +51,10 @@ class UniformLM(LanguageModel):
             raise DataError(f"token {token!r} outside the model vocabulary")
         return -np.log(len(self.tokens) + 1)
 
+    def context(self, history=()) -> tuple[str, ...]:
+        """No history matters."""
+        return ()
+
 
 @dataclass
 class CountLM(LanguageModel):
@@ -52,7 +62,8 @@ class CountLM(LanguageModel):
 
     Order 2 conditions on the previous token (BOS at sentence start)
     and backs off to the smoothed unigram distribution when the
-    history was never observed.
+    history was never observed.  Its context is the last token, or
+    nothing for order 1.
     """
 
     order: int
@@ -101,6 +112,10 @@ class CountLM(LanguageModel):
         if num == 0:
             return -np.inf
         return float(np.log(num) - np.log(denom))
+
+    def context(self, history: tuple[str, ...] = ()) -> tuple[str, ...]:
+        """The last token for order 2 (empty at sentence start), else nothing."""
+        return history[-1:] if self.order == 2 else ()
 
     def cond_logprob(self, token: str, history: tuple[str, ...] = ()) -> float:
         if token != EOS and token not in self.tokens:

@@ -1,21 +1,23 @@
-"""Scalar CTC lattice and beam loops: the reference for the one lattice step.
+"""Scalar CTC lattice and beam loops: the reference for the vectorized paths.
 
 These are the (t, pos) forward recurrence, the prefix-mass read-off,
 the label-synchronous beam that rebuilt a whole lattice and re-scored
 the LM history for every child, and the autoregressive beam, as they
 were before `speechground.ctc._lattice` and the shared depth loop in
-`speechground.decode` replaced them.  They are kept unchanged so the
-tests can compare the two; the only edits are that the label-sync
-beam reads its tables from `_forward_tables` directly and the three
-wrappers below return bare tables.  Nothing in `src/` imports this
-module.
+`speechground.decode` replaced them, and the time-synchronous beam
+that looped over every (hypothesis, symbol) pair and asked the LM for
+every expansion, as it was before the (B, K) frame step replaced it.
+They are kept unchanged so the tests can compare the two; the only
+edits are that the label-sync beam reads its tables from
+`_forward_tables` directly and the three wrappers below return bare
+tables.  Nothing in `src/` imports this module.
 """
 
 import numpy as np
 
 from speechground.ctc import BLANK, LabelSequence, Posteriorgram, Vocabulary, _check_target
-from speechground.decode import DecodeConfig, Hypothesis
-from speechground.errors import UsageError
+from speechground.decode import DecodeConfig, Hypothesis, LabelPrior
+from speechground.errors import NumericError, UsageError
 from speechground.lm import EOS, LanguageModel
 
 
@@ -175,3 +177,57 @@ def aed_beam(model: LanguageModel, config: DecodeConfig, max_len: int) -> Hypoth
             break
         active = _best_first(expansions)[: config.beam_width]
     return best
+
+
+def timesync_beam(p: Posteriorgram, config: DecodeConfig,
+                  lm: LanguageModel | None = None,
+                  prior: LabelPrior | None = None,
+                  vocab: Vocabulary | None = None) -> Hypothesis:
+    """Frame-by-frame beam over alignments with max recombination.
+
+    Each step extends every hypothesis by every symbol, adding the
+    frame log probability minus the scaled log prior; the scaled LM
+    conditional is added exactly when the symbol creates a new label
+    (non-blank and different from the previous alignment symbol).
+    Hypotheses are recombined by collapsed sequence keeping the max,
+    then pruned to the beam width.
+
+    Returns the collapsed sequence of the best surviving hypothesis.
+    """
+    if config.lm_scale > 0 and lm is None:
+        raise UsageError("lm_scale > 0 requires a language model")
+    if lm is not None and vocab is None:
+        raise UsageError("fusion needs the vocabulary to name LM tokens")
+    if config.prior_scale > 0:
+        if prior is None:
+            raise UsageError("prior_scale > 0 requires a prior")
+        if prior.log_prior.shape[0] != p.num_symbols:
+            raise UsageError("prior size does not match the alphabet")
+        if not np.all(np.isfinite(prior.log_prior)):
+            raise NumericError("prior has zero-mass symbols; cannot correct")
+    lp = p.log_probs
+    # best first: collapsed sequence -> (score, last alignment symbol, LM tokens)
+    beam: dict[LabelSequence, tuple[float, int, tuple[str, ...]]] = {(): (0.0, BLANK, ())}
+    for t in range(p.num_frames):
+        merged: dict[LabelSequence, tuple[float, int, tuple[str, ...]]] = {}
+        for seq, (score, last, toks) in beam.items():
+            for v in range(p.num_symbols):
+                s = score + lp[t, v]
+                if config.prior_scale > 0:
+                    s -= config.prior_scale * prior.log_prior[v]
+                new_toks = toks
+                if v == BLANK or v == last:
+                    new_seq = seq
+                else:
+                    new_seq = seq + (v,)
+                    if lm is not None and config.lm_scale > 0:
+                        tok = vocab.token(v)
+                        s += config.lm_scale * lm.cond_logprob(tok, toks)
+                        new_toks = toks + (tok,)
+                held = merged.get(new_seq)
+                if held is None or s > held[0]:
+                    merged[new_seq] = (s, v, new_toks)
+        ranked = _best_first((sc, seq) for seq, (sc, _, _) in merged.items())
+        beam = {seq: merged[seq] for _, seq in ranked[: config.beam_width]}
+    best_seq = next(iter(beam))
+    return Hypothesis(best_seq, beam[best_seq][0])

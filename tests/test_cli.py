@@ -238,6 +238,41 @@ class TestCtcCommands:
         assert code == 0
         assert out.splitlines()[0] == "HYP=a b"
 
+    def test_fusion_flags_a_mode_ignores_are_rejected(self, peaky, tmp_path, capsys):
+        post, vocab = peaky
+        lm = write_text(tmp_path / "lm.counts", "a\t2\nb\t2\n</s>\t2\n")
+        for mode, flags in (("label-sync", ["--prior-from", post, "--prior-scale", "0.5"]),
+                            ("greedy", ["--prior-from", post, "--prior-scale", "0.5"]),
+                            ("greedy", ["--lm", lm, "--lm-scale", "0.5"])):
+            code, out, err = run(["ctc", "decode", "--posteriors", post,
+                                  "--vocab", vocab, "--mode", mode, *flags], capsys)
+            assert code == 1, (mode, flags)
+            assert f"{mode} mode" in err
+            assert out == ""
+
+    @pytest.fixture
+    def lm_without_b(self, tmp_path):
+        """A bigram count file that never names the vocabulary label 'b'."""
+        return write_text(tmp_path / "a_only.counts", "a\t2\n</s>\t2\n<s> a\t2\na </s>\t2\n")
+
+    def test_vocab_label_missing_from_lm(self, peaky, lm_without_b, capsys):
+        post, vocab = peaky
+        code, _, err = run(["ctc", "decode", "--posteriors", post, "--vocab", vocab,
+                            "--mode", "time-sync", "--lm", lm_without_b,
+                            "--lm-scale", "0.3"], capsys)
+        assert code == 2
+        assert "'b'" in err
+
+    def test_empty_posteriorgram_never_asks_the_lm(self, peaky, lm_without_b,
+                                                   tmp_path, capsys):
+        _, vocab = peaky
+        post = write_text(tmp_path / "empty.post", "0 3\n")
+        code, out, _ = run(["ctc", "decode", "--posteriors", post, "--vocab", vocab,
+                            "--mode", "time-sync", "--lm", lm_without_b,
+                            "--lm-scale", "0.3"], capsys)
+        assert code == 0
+        assert out.splitlines()[0] == "HYP="
+
     def test_prior_directory(self, peaky, tmp_path, capsys):
         post, vocab = peaky
         prior_dir = tmp_path / "priors"

@@ -69,6 +69,17 @@ class TableLM(LanguageModel):
             return float(np.log(prob))
 
 
+class GridLM(LanguageModel):
+    """Bigram table of log scores used as given; the context is the whole history."""
+
+    def __init__(self, table):
+        self.table = table
+        self.tokens = tuple(sorted(set(table) - {BOS}))
+
+    def cond_logprob(self, token, history=()):
+        return self.table[history[-1] if history else BOS][token]
+
+
 def random_table_lm(rng, tokens):
     table = {}
     for hist in (BOS, *tokens):
@@ -382,8 +393,10 @@ class TestBeamsMatchReference:
                     row[tok] = 0.0
         return model
 
-    def test_labelsync_sequences_and_scores(self):
-        rng = np.random.default_rng(519)
+    @classmethod
+    def search_cases(cls, seed):
+        """Forty seeded (case, posteriorgram, vocabulary, LM) inputs for the beams."""
+        rng = np.random.default_rng(seed)
         for case in range(40):
             t = int(rng.integers(0, 9))
             k = int(rng.integers(2, 5))
@@ -398,8 +411,12 @@ class TestBeamsMatchReference:
                 p = Posteriorgram(np.log(probs / probs.sum(axis=1, keepdims=True)))
             letters = ("a", "b", "c", "d")[: k - 1]
             vocab = Vocabulary(letters)
-            lm = self.sparse_table_lm(rng, letters) if case % 2 else corpus_lm(
+            lm = cls.sparse_table_lm(rng, letters) if case % 2 else corpus_lm(
                 ("a", "b", "c")[: max(k - 1, 2)])
+            yield case, p, vocab, lm
+
+    def test_labelsync_sequences_and_scores(self):
+        for case, p, vocab, lm in self.search_cases(519):
             for width in range(1, 7):
                 for model, scale in ((None, 0.0), (lm, 0.0), (lm, 0.3)):
                     config = DecodeConfig(beam_width=width, lm_scale=scale)
@@ -407,6 +424,70 @@ class TestBeamsMatchReference:
                     want = reference.labelsync_beam(p, config, lm=model, vocab=vocab)
                     assert got.sequence == want.sequence, (case, width, scale)
                     assert got.score == want.score, (case, width, scale)
+
+    def test_timesync_sequences_and_scores(self):
+        for case, p, vocab, lm in self.search_cases(520):
+            weights = np.random.default_rng([520, case]).uniform(0.2, 1.0, p.num_symbols)
+            prior = LabelPrior(np.log(weights / weights.sum()), 1)
+            fusions = ((None, 0.0, 0.0), (lm, 0.0, 0.0), (lm, 0.3, 0.0),
+                       (None, 0.0, 0.3), (lm, 0.3, 0.3))
+            for width in range(1, 7):
+                for model, scale, prior_scale in fusions:
+                    config = DecodeConfig(beam_width=width, lm_scale=scale,
+                                          prior_scale=prior_scale)
+                    got = timesync_beam(p, config, lm=model, prior=prior, vocab=vocab)
+                    want = reference.timesync_beam(p, config, lm=model, prior=prior,
+                                                   vocab=vocab)
+                    assert got.sequence == want.sequence, (case, width, scale, prior_scale)
+                    assert got.score == want.score, (case, width, scale, prior_scale)
+
+    def test_timesync_on_exact_ties(self):
+        # Scores on a grid of 1/2 add exactly, so equal scores are common
+        # and only the tie rules (blank before the last symbol, and the
+        # first maximum over (parent, symbol) in a merge) pick the winner.
+        rng = np.random.default_rng(522)
+        for case in range(200):
+            t = int(rng.integers(1, 10))
+            k = int(rng.integers(2, 5))
+            lp = -0.5 * rng.integers(0, 4, size=(t, k))
+            lp[rng.random((t, k)) < 0.1] = -np.inf
+            p = Posteriorgram(lp, validate=False)
+            letters = ("a", "b", "c", "d")[: k - 1]
+            vocab = Vocabulary(letters)
+            lm = GridLM({prev: dict(zip((*letters, EOS), -0.5 * rng.integers(0, 3, size=k)))
+                         for prev in (BOS, *letters)})
+            prior = LabelPrior(-0.5 * rng.integers(0, 3, size=k), 1)
+            for width in range(1, 7):
+                for scale, prior_scale in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 0.5)):
+                    config = DecodeConfig(beam_width=width, lm_scale=scale,
+                                          prior_scale=prior_scale)
+                    got = timesync_beam(p, config, lm=lm, prior=prior, vocab=vocab)
+                    want = reference.timesync_beam(p, config, lm=lm, prior=prior,
+                                                   vocab=vocab)
+                    assert got.sequence == want.sequence, (case, width, scale, prior_scale)
+                    assert got.score == want.score, (case, width, scale, prior_scale)
+
+    def test_timesync_on_a_decode_sized_input(self):
+        # K=30, T=150, width 8, bigram LM and prior at 0.3: the shape of
+        # a spoken command decoded with fusion and prior correction
+        rng = np.random.default_rng(521)
+        words = tuple(f"w{i}" for i in range(29))
+        lm = CountLM.from_corpus(
+            [list(rng.choice(words, size=rng.integers(3, 9))) for _ in range(60)],
+            order=2, alpha=0.5)
+        target = rng.integers(1, 30, size=40)
+        aligned = np.repeat(np.insert(target, np.arange(0, 40, 2), 0), 3)[:150]
+        probs = rng.gamma(1.0, 1.0, size=(150, 30)) + 1e-3
+        probs[np.arange(150), aligned] += rng.uniform(0.0, 8.0, size=150)
+        p = Posteriorgram(np.log(probs / probs.sum(axis=1, keepdims=True)))
+        prior = estimate_prior([p])
+        config = DecodeConfig(beam_width=8, lm_scale=0.3, prior_scale=0.3)
+        vocab = Vocabulary(words)
+        got = timesync_beam(p, config, lm=lm, prior=prior, vocab=vocab)
+        want = reference.timesync_beam(p, config, lm=lm, prior=prior, vocab=vocab)
+        assert len(want.sequence) > 10
+        assert got.sequence == want.sequence
+        assert got.score == want.score
 
     def test_aed_sequences_and_scores(self):
         rng = np.random.default_rng(912)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from speechground.errors import DataError, UsageError
-from speechground.lm import (BOS, EOS, CountLM, UniformLM, lm_perplexity,
-                             read_lm, write_lm)
+from speechground.lm import (BOS, EOS, CountLM, LanguageModel, UniformLM,
+                             lm_perplexity, read_lm, write_lm)
 
 
 class TestUniform:
@@ -92,6 +92,51 @@ class TestCountLM:
             CountLM(order=3, alpha=1.0, unigrams={"a": 1})
         with pytest.raises(UsageError):
             CountLM(order=1, alpha=-0.1, unigrams={"a": 1})
+
+
+class TestContext:
+    """`context(h)` must give every conditional that `h` itself gives."""
+
+    @staticmethod
+    def assert_context_is_exact(lm, histories):
+        for history in histories:
+            context = lm.context(history)
+            for tok in (*lm.tokens, EOS):
+                assert lm.cond_logprob(tok, history) == lm.cond_logprob(tok, context), (
+                    tok, history, context)
+
+    def test_count_models(self):
+        rng = np.random.default_rng(31)
+        # "c" and "d" are never contexts, so their histories back off to unigrams
+        unigrams = {"a": 3, "b": 2, "c": 1, "d": 0, EOS: 2}
+        bigrams = {(BOS, "a"): 2, (BOS, "b"): 1, ("a", "b"): 2, ("a", EOS): 1,
+                   ("b", "a"): 1, ("b", "c"): 1}
+        for order in (1, 2):
+            for alpha in (0.0, 0.5, 1.0):
+                lm = CountLM(order, alpha, unigrams, bigrams if order == 2 else {})
+                histories = [(), ("a",), ("c",), ("d",), ("zzz",)] + [
+                    tuple(rng.choice(lm.tokens, size=rng.integers(1, 6)).tolist())
+                    for _ in range(20)]
+                self.assert_context_is_exact(lm, histories)
+                assert lm.context(("a", "b")) == (("b",) if order == 2 else ())
+                assert lm.context(()) == ()
+
+    def test_unseen_context_with_zero_alpha_keeps_minus_inf(self):
+        lm = CountLM(2, 0.0, {"a": 1, "b": 1, EOS: 1}, {(BOS, "a"): 1, ("a", "b"): 1})
+        assert lm.cond_logprob("a", ("b", "a")) == -np.inf
+        self.assert_context_is_exact(lm, [("b", "a"), ("a", "b"), ()])
+
+    def test_uniform_model(self):
+        lm = UniformLM(("a", "b", "c"))
+        assert lm.context(("a", "b")) == ()
+        self.assert_context_is_exact(lm, [(), ("a",), ("c", "b", "a")])
+
+    def test_default_context_is_the_whole_history(self):
+        class Whole(LanguageModel):
+            tokens = ("a",)
+
+        assert Whole().context(("a", "a", "a")) == ("a", "a", "a")
+        assert Whole().context(()) == ()
 
 
 class TestPerplexity:
