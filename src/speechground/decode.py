@@ -1,16 +1,15 @@
-"""Decoders over posteriorgrams: greedy, time-synchronous and
-label-synchronous beam search with shallow fusion, plus the additive
-attention primitives for attention-based sequence decoding.
+"""Decoders over posteriorgrams: greedy, and time-synchronous and
+label-synchronous beam search with shallow fusion and prior correction.
 
-The label-sync and autoregressive beams share one depth loop.  A
-label-sync hypothesis carries its CTC prefix columns (row 0 the virtual
-"before frame 0") and its LM total, so each depth grows every child in
-one `ctc._lattice` pass and asks the LM only for the new conditional.
-
-The time-sync beam takes one numpy step per frame over a (B, K) block
-of (hypothesis, symbol) candidates, and reads the LM through rows of
-scaled conditionals cached per `LanguageModel.context`, so a bigram
-is asked at most once per label and previous token in a decode.
+Both beams take one numpy step per frame or depth over a block of
+(hypothesis, symbol) candidates.  The time-sync beam scores a (B, K)
+block of alignment extensions per frame.  The label-sync beam carries
+each hypothesis's CTC prefix columns (row 0 the virtual "before frame
+0") and its LM total, so each depth grows every child in one
+`ctc._lattice` pass and scores the (B, K-1) block at once.  Both read
+the LM through rows of conditionals cached per `LanguageModel.context`,
+so a bigram is asked at most once per outcome and previous token in a
+decode.
 
 Tie handling is fixed everywhere: order by higher score, then by
 lexicographically smaller sequence, so repeated runs are bit-identical.
@@ -83,36 +82,44 @@ def greedy_decode(p: Posteriorgram) -> LabelSequence:
     return collapse(np.argmax(p.log_probs, axis=1))
 
 
-def shallow_fusion_score(am_logprob: float, lm_logprob: float, lm_scale: float) -> float:
-    """Acoustic score plus scaled language-model score."""
-    return am_logprob + lm_scale * lm_logprob
-
-
 def _best_first(items):
     """Sort (score, sequence, ...) tuples: higher score first, then lex order."""
     return sorted(items, key=lambda h: (-h[0], h[1]))
 
 
-def _depth_beam(root_state, children, complete, width: int, max_depth: int) -> Hypothesis:
-    """Depth-by-depth beam over (partial score, sequence, state) hypotheses.
+def _at_or_above_cut(scores: np.ndarray, width: int) -> np.ndarray:
+    """Indices of the scores at or above the `width`-th best, ties at the cut kept."""
+    if len(scores) <= width:
+        return np.arange(len(scores))
+    return np.flatnonzero(scores >= np.partition(scores, -width)[-width])
 
-    `children(active)` yields every one-label extension of `active`, and
-    `complete(partial, sequence, state)` scores ending a hypothesis.
-    Children with a -inf partial score are dropped; each other child may
-    become the best complete hypothesis, and the best `width` go on.
+
+def _lm_rows(config: DecodeConfig, lm: LanguageModel | None,
+             vocab: Vocabulary | None, num_symbols: int):
+    """Check the fusion arguments and return the LM row reader, or None without fusion.
+
+    `row(history)` is the (K,) array of unscaled conditionals after
+    `history`: the EOS outcome in column 0 (the blank is never an LM
+    token) and every label in its own column.  A row is built the first
+    time it is asked for and cached for the decode under
+    `lm.context(history)`, so a bigram asks for one row per previous
+    token and an input that reads no row never asks the LM at all.
     """
-    best = Hypothesis((), complete(0.0, (), root_state))
-    active = [(0.0, (), root_state)]
-    for _depth in range(max_depth):
-        expansions = [child for child in children(active) if child[0] != -np.inf]
-        if not expansions:
-            break
-        for partial, seq, state in expansions:
-            total = complete(partial, seq, state)
-            if total > best.score or (total == best.score and seq < best.sequence):
-                best = Hypothesis(seq, total)
-        active = _best_first(expansions)[:width]
-    return best
+    if config.lm_scale > 0 and lm is None:
+        raise UsageError("lm_scale > 0 requires a language model")
+    if lm is not None and vocab is None:
+        raise UsageError("fusion needs the vocabulary to name LM tokens")
+    if lm is None or config.lm_scale == 0:
+        return None
+    outcomes = [EOS] + [vocab.token(v) for v in range(1, num_symbols)]
+    rows: dict[tuple[str, ...], np.ndarray] = {}
+
+    def row(history):
+        context = lm.context(history)
+        if context not in rows:
+            rows[context] = np.array([lm.cond_logprob(tok, context) for tok in outcomes])
+        return rows[context]
+    return row
 
 
 def timesync_beam(p: Posteriorgram, config: DecodeConfig,
@@ -133,17 +140,13 @@ def timesync_beam(p: Posteriorgram, config: DecodeConfig,
     finds the score of the `beam_width`-th best candidate, and only
     the candidates at or above it are sorted best first.
 
-    The LM row of a hypothesis (the scaled conditional of every label)
-    is built the first time a frame needs it and cached for the call
-    under `lm.context(history)`, so a bigram asks for one row per
-    previous token and a T=0 input never asks at all.
+    The scaled LM conditionals come from the cached rows of `_lm_rows`;
+    their EOS column is never added, because the blank never grows a
+    label, and a T=0 input never asks the LM at all.
 
     Returns the collapsed sequence of the best surviving hypothesis.
     """
-    if config.lm_scale > 0 and lm is None:
-        raise UsageError("lm_scale > 0 requires a language model")
-    if lm is not None and vocab is None:
-        raise UsageError("fusion needs the vocabulary to name LM tokens")
+    lm_row = _lm_rows(config, lm, vocab, p.num_symbols)
     if config.prior_scale > 0:
         if prior is None:
             raise UsageError("prior_scale > 0 requires a prior")
@@ -151,20 +154,8 @@ def timesync_beam(p: Posteriorgram, config: DecodeConfig,
             raise UsageError("prior size does not match the alphabet")
         if not np.all(np.isfinite(prior.log_prior)):
             raise NumericError("prior has zero-mass symbols; cannot correct")
-    fuse = lm is not None and config.lm_scale > 0
     lp = p.log_probs
     symbols = np.arange(p.num_symbols)
-    lm_rows: dict[tuple[str, ...], np.ndarray] = {}
-
-    def lm_row(history):
-        context = lm.context(history)
-        row = lm_rows.get(context)
-        if row is None:
-            row = lm_rows[context] = np.array([0.0] + [
-                config.lm_scale * lm.cond_logprob(vocab.token(v), context)
-                for v in range(1, p.num_symbols)])
-        return row
-
     # the beam, best first: scores, last alignment symbols, collapsed
     # sequences and LM token histories
     scores = np.zeros(1)
@@ -177,8 +168,9 @@ def timesync_beam(p: Posteriorgram, config: DecodeConfig,
         if config.prior_scale > 0:
             cand -= config.prior_scale * prior.log_prior
         grow = (symbols != BLANK) & (symbols != last[:, None])
-        if fuse:
-            np.add(cand, np.array([lm_row(h) for h in histories]), out=cand, where=grow)
+        if lm_row:
+            rows = config.lm_scale * np.array([lm_row(h) for h in histories])
+            np.add(cand, rows, out=cand, where=grow)
         held = cand[np.arange(len(seqs)), last]
         keep_last = held > cand[:, BLANK]
         stay = np.where(keep_last, held, cand[:, BLANK])
@@ -195,15 +187,14 @@ def timesync_beam(p: Posteriorgram, config: DecodeConfig,
                 stay[i], stay_last[i] = s, seq[-1]
         parents, labels = np.nonzero(grow)
         pool = np.concatenate([stay, cand[parents, labels]])
-        cut = np.partition(pool, -width)[-width] if len(pool) > width else -np.inf
         ranked = []
-        for c in np.flatnonzero(pool >= cut).tolist():
+        for c in _at_or_above_cut(pool, width).tolist():
             if c < len(seqs):
                 ranked.append((pool[c], seqs[c], stay_last[c], histories[c]))
             else:
                 j, v = int(parents[c - len(seqs)]), int(labels[c - len(seqs)])
                 ranked.append((pool[c], seqs[j] + (v,), v,
-                               histories[j] + (vocab.token(v),) if fuse else ()))
+                               histories[j] + (vocab.token(v),) if lm_row else ()))
         scores, seqs, last, histories = zip(*_best_first(ranked)[:width])
         scores, last = np.array(scores), np.array(last)
     return Hypothesis(seqs[0], float(scores[0]))
@@ -214,105 +205,70 @@ def labelsync_beam(p: Posteriorgram, config: DecodeConfig,
                    vocab: Vocabulary | None = None) -> Hypothesis:
     """Depth-by-depth beam over label sequences via CTC prefix mass.
 
-    Partial hypotheses are ranked by prefix log probability plus the
-    scaled LM score of the labels; completing a hypothesis swaps in
-    the full-sequence log probability and adds the scaled LM EOS term.
-    Depth is capped at the frame count, past which nothing is feasible.
+    This is Graves' CTC prefix search run as a beam.  Each depth grows
+    every (hypothesis, label) child in one `ctc._lattice` pass and
+    scores the (B, K-1) block at once: a partial score is the prefix
+    log probability plus the scaled LM total of the labels, and a
+    complete score swaps in the full-sequence log probability and adds
+    the scaled LM EOS term.  Children with a -inf partial score are
+    dropped.  The best complete child replaces the best so far if it
+    scores strictly higher, or equal with a smaller sequence; among
+    children tied at the top the smallest sequence stands for them.
+    `np.partition` finds the `beam_width`-th best partial score, and
+    only the children at or above it are sorted best first.  Depth is
+    capped at the frame count, past which nothing is feasible.
+
+    LM terms come from the cached rows of `_lm_rows`, labels and EOS
+    alike; the root's EOS term is asked directly, so a T=0 input never
+    builds a row.
     """
-    if config.lm_scale > 0 and lm is None:
-        raise UsageError("lm_scale > 0 requires a language model")
-    if lm is not None and vocab is None:
-        raise UsageError("fusion needs the vocabulary to name LM tokens")
-    fuse = lm is not None and config.lm_scale > 0
+    lm_row = _lm_rows(config, lm, vocab, p.num_symbols)
     lp = p.log_probs
     labels = np.arange(1, p.num_symbols)
-
-    def children(active):
-        # every active hypothesis grows by every label in one lattice pass
-        parents = np.repeat(np.arange(len(active)), len(labels))
-        grown = np.tile(labels, len(active))
-        last = np.array([seq[-1] if seq else BLANK for _, seq, _ in active])
-        columns = [np.stack(c, axis=1) for c in zip(*(st[:2] for _, _, st in active))]
-        q_blank, q_label, mass = _lattice(lp, *columns, grown, parents,
+    width = config.beam_width
+    # the beam, best first: (T+1, B) prefix columns, unscaled LM totals,
+    # label sequences and LM token histories
+    q_blank, q_label, _, _ = _target_lattice(lp, ())
+    totals = np.zeros(1)
+    seqs: tuple[LabelSequence, ...] = ((),)
+    histories: tuple[tuple[str, ...], ...] = ((),)
+    root_eos = lm.cond_logprob(EOS, ()) if lm_row else 0.0
+    best = Hypothesis((), float(np.logaddexp(q_blank[-1, 0], q_label[-1, 0])
+                                + config.lm_scale * (totals[0] + root_eos)))
+    eos = 0.0  # the children's EOS conditionals, 0.0 without fusion
+    for _depth in range(p.num_frames):
+        given = len(seqs)
+        parents = np.repeat(np.arange(given), len(labels))
+        grown = np.tile(labels, given)
+        last = np.array([seq[-1] if seq else BLANK for seq in seqs])
+        q_blank, q_label, mass = _lattice(lp, q_blank, q_label, grown, parents,
                                           grown != last[parents])
-        first = len(active)  # column of the first child
-        for j, (parent, v) in enumerate(zip(parents, grown.tolist())):
-            _, seq, (_, _, lm_total, toks) = active[parent]
-            if fuse:
-                tok = vocab.token(v)
-                lm_total += lm.cond_logprob(tok, toks)
-                toks += (tok,)
-            # without fusion lm_total stays 0.0, so this adds exactly 0.0
-            yield (float(mass[j]) + config.lm_scale * lm_total, seq + (v,),
-                   (q_blank[:, first + j], q_label[:, first + j], lm_total, toks))
-
-    def complete(_partial, _seq, state):
-        q_blank, q_label, lm_total, toks = state
-        lm_term = config.lm_scale * (lm_total + lm.cond_logprob(EOS, toks)) if fuse else 0.0
-        return float(np.logaddexp(q_blank[-1], q_label[-1])) + lm_term
-
-    root_blank, root_label, _, _ = _target_lattice(lp, ())
-    return _depth_beam((root_blank[:, 0], root_label[:, 0], 0.0, ()), children,
-                       complete, config.beam_width, p.num_frames)
-
-
-def aed_attention(state: np.ndarray, encodings: np.ndarray,
-                  w_hidden: np.ndarray, w_energy: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Additive attention of a decoder state over encoder frames.
-
-    Energy per frame is w_energy . tanh(w_hidden @ [state; frame]);
-    weights are the softmax over frames and the context their weighted
-    sum.
-
-    Args:
-        state: decoder state, shape (d_state,).
-        encodings: encoder outputs, shape (T, d_enc), T >= 1.
-        w_hidden: mixing matrix, shape (d_att, d_state + d_enc).
-        w_energy: energy vector, shape (d_att,).
-
-    Returns:
-        (context, weights): shapes (d_enc,) and (T,); weights sum to 1.
-    """
-    state = np.asarray(state, dtype=np.float64)
-    encodings = np.asarray(encodings, dtype=np.float64)
-    if encodings.ndim != 2 or encodings.shape[0] == 0:
-        raise UsageError("encodings must be a non-empty (T, d) array")
-    if state.ndim != 1:
-        raise UsageError("decoder state must be 1-D")
-    d_total = state.shape[0] + encodings.shape[1]
-    if w_hidden.ndim != 2 or w_hidden.shape[1] != d_total:
-        raise UsageError(
-            f"w_hidden must have {d_total} columns, got {w_hidden.shape}")
-    if w_energy.shape != (w_hidden.shape[0],):
-        raise UsageError("w_energy length must match w_hidden rows")
-    stacked = np.concatenate(
-        [np.broadcast_to(state, (encodings.shape[0], state.shape[0])), encodings],
-        axis=1)
-    energies = np.tanh(stacked @ w_hidden.T) @ w_energy
-    energies = energies - np.max(energies)
-    weights = np.exp(energies)
-    weights /= weights.sum()
-    return weights @ encodings, weights
-
-
-def aed_beam(model: LanguageModel, config: DecodeConfig, max_len: int) -> Hypothesis:
-    """Beam search over an autoregressive conditional model.
-
-    Tracks the running product of conditionals; a hypothesis completes
-    by taking the EOS conditional, and every hypothesis still active at
-    max_len is completed the same way.  The returned sequence excludes
-    EOS.  Width 1 reproduces greedy autoregressive decoding.
-    """
-    if max_len < 0:
-        raise UsageError(f"max_len must be non-negative, got {max_len}")
-
-    def children(active):
-        for score, seq, _ in active:
-            for tok in model.tokens:
-                yield score + model.cond_logprob(tok, seq), seq + (tok,), None
-
-    def complete(score, seq, _state):
-        return score + model.cond_logprob(EOS, seq)
-
-    return _depth_beam(None, children, complete, config.beam_width, max_len)
+        rows = (np.array([lm_row(h) for h in histories]) if lm_row
+                else np.zeros((given, p.num_symbols)))
+        child_totals = (totals[:, None] + rows[:, 1:]).ravel()
+        # without fusion the totals stay 0.0, so this adds exactly 0.0
+        partial = mass + config.lm_scale * child_totals
+        live = np.flatnonzero(partial != -np.inf)
+        if not len(live):
+            break
+        parents, grown = parents[live].tolist(), grown[live].tolist()
+        partial, child_totals = partial[live], child_totals[live]
+        q_blank, q_label = q_blank[:, given + live], q_label[:, given + live]
+        if lm_row:
+            histories = [histories[j] + (vocab.token(v),) for j, v in zip(parents, grown)]
+            eos = np.array([lm_row(h)[0] for h in histories])
+        complete = (np.logaddexp(q_blank[-1], q_label[-1])
+                    + config.lm_scale * (child_totals + eos))
+        top = complete.max()
+        if top >= best.score:
+            seq = min(seqs[parents[c]] + (grown[c],) for c in np.flatnonzero(complete == top))
+            if top > best.score or seq < best.sequence:
+                best = Hypothesis(seq, float(top))
+        ranked = _best_first((partial[c], seqs[parents[c]] + (grown[c],), c)
+                             for c in _at_or_above_cut(partial, width).tolist())[:width]
+        _, seqs, kept = zip(*ranked)
+        kept = np.array(kept)
+        q_blank, q_label, totals = q_blank[:, kept], q_label[:, kept], child_totals[kept]
+        if lm_row:
+            histories = [histories[c] for c in kept]
+    return best

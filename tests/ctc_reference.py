@@ -1,9 +1,9 @@
 """Scalar CTC lattice and beam loops: the reference for the vectorized paths.
 
-These are the (t, pos) forward recurrence, the prefix-mass read-off,
-the label-synchronous beam that rebuilt a whole lattice and re-scored
-the LM history for every child, and the autoregressive beam, as they
-were before `speechground.ctc._lattice` and the shared depth loop in
+These are the (t, pos) forward recurrence, the prefix-mass read-off
+and the label-synchronous beam that rebuilt a whole lattice and
+re-scored the LM history for every child, as they were before
+`speechground.ctc._lattice` and the batched depth step in
 `speechground.decode` replaced them, and the time-synchronous beam
 that looped over every (hypothesis, symbol) pair and asked the LM for
 every expansion, as it was before the (B, K) frame step replaced it.
@@ -139,37 +139,6 @@ def labelsync_beam(p: Posteriorgram, config: DecodeConfig,
                     continue
                 expansions.append((partial, new_seq))
                 total = logp + lm_score(new_seq, with_eos=True)
-                if total > best.score or (total == best.score
-                                          and new_seq < best.sequence):
-                    best = Hypothesis(new_seq, total)
-        if not expansions:
-            break
-        active = _best_first(expansions)[: config.beam_width]
-    return best
-
-
-def aed_beam(model: LanguageModel, config: DecodeConfig, max_len: int) -> Hypothesis:
-    """Beam search over an autoregressive conditional model.
-
-    Tracks the running product of conditionals; a hypothesis completes
-    by taking the EOS conditional, and every hypothesis still active at
-    max_len is completed the same way.  The returned sequence excludes
-    EOS.  Width 1 reproduces greedy autoregressive decoding.
-    """
-    if max_len < 0:
-        raise UsageError(f"max_len must be non-negative, got {max_len}")
-    best = Hypothesis((), model.cond_logprob(EOS, ()))
-    active: list[tuple[float, tuple[str, ...]]] = [(0.0, ())]
-    for _depth in range(max_len):
-        expansions: list[tuple[float, tuple[str, ...]]] = []
-        for score, seq in active:
-            for tok in model.tokens:
-                s = score + model.cond_logprob(tok, seq)
-                if s == -np.inf:
-                    continue
-                new_seq = seq + (tok,)
-                expansions.append((s, new_seq))
-                total = s + model.cond_logprob(EOS, new_seq)
                 if total > best.score or (total == best.score
                                           and new_seq < best.sequence):
                     best = Hypothesis(new_seq, total)

@@ -257,21 +257,23 @@ class TestCtcCommands:
 
     def test_vocab_label_missing_from_lm(self, peaky, lm_without_b, capsys):
         post, vocab = peaky
-        code, _, err = run(["ctc", "decode", "--posteriors", post, "--vocab", vocab,
-                            "--mode", "time-sync", "--lm", lm_without_b,
-                            "--lm-scale", "0.3"], capsys)
-        assert code == 2
-        assert "'b'" in err
+        for mode in ("time-sync", "label-sync"):
+            code, _, err = run(["ctc", "decode", "--posteriors", post, "--vocab", vocab,
+                                "--mode", mode, "--lm", lm_without_b,
+                                "--lm-scale", "0.3"], capsys)
+            assert code == 2, mode
+            assert "'b'" in err, mode
 
     def test_empty_posteriorgram_never_asks_the_lm(self, peaky, lm_without_b,
                                                    tmp_path, capsys):
         _, vocab = peaky
         post = write_text(tmp_path / "empty.post", "0 3\n")
-        code, out, _ = run(["ctc", "decode", "--posteriors", post, "--vocab", vocab,
-                            "--mode", "time-sync", "--lm", lm_without_b,
-                            "--lm-scale", "0.3"], capsys)
-        assert code == 0
-        assert out.splitlines()[0] == "HYP="
+        for mode in ("time-sync", "label-sync"):
+            code, out, _ = run(["ctc", "decode", "--posteriors", post, "--vocab", vocab,
+                                "--mode", mode, "--lm", lm_without_b,
+                                "--lm-scale", "0.3"], capsys)
+            assert code == 0, mode
+            assert out.splitlines()[0] == "HYP=", mode
 
     def test_prior_directory(self, peaky, tmp_path, capsys):
         post, vocab = peaky

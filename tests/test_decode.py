@@ -5,14 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from speechground.ctc import (Posteriorgram, Vocabulary, bruteforce_distribution,
-                              collapse)
-from speechground.decode import (DecodeConfig, LabelPrior, aed_attention,
-                                 aed_beam, estimate_prior, greedy_decode,
-                                 labelsync_beam, shallow_fusion_score,
-                                 timesync_beam)
+from speechground.ctc import (BLANK, Posteriorgram, Vocabulary,
+                              bruteforce_distribution, collapse)
+from speechground.decode import (DecodeConfig, LabelPrior, estimate_prior,
+                                 greedy_decode, labelsync_beam, timesync_beam)
 from speechground.errors import NumericError, UsageError
-from speechground.lm import BOS, EOS, CountLM, LanguageModel, UniformLM
+from speechground.lm import BOS, EOS, CountLM, LanguageModel
 from tests import ctc_reference as reference
 
 
@@ -163,25 +161,6 @@ class TestGreedy:
 
     def test_empty_posteriorgram(self):
         assert greedy_decode(Posteriorgram(np.zeros((0, 3)))) == ()
-
-
-class TestShallowFusion:
-    def test_zero_scale_keeps_acoustic(self):
-        assert shallow_fusion_score(-1.0, -2.0, 0.0) == -1.0
-
-    def test_scaled_sum(self):
-        np.testing.assert_allclose(shallow_fusion_score(-1.0, -2.0, 0.5), -2.0)
-
-    def test_argmax_invariant_to_acoustic_shift(self):
-        rng = np.random.default_rng(23)
-        for _ in range(50):
-            am = rng.normal(size=6)
-            lm = rng.normal(size=6)
-            lam = float(rng.uniform(0.0, 2.0))
-            fused = [shallow_fusion_score(a, l, lam) for a, l in zip(am, lm)]
-            shifted = [shallow_fusion_score(a + 3.7, l, lam)
-                       for a, l in zip(am, lm)]
-            assert int(np.argmax(fused)) == int(np.argmax(shifted))
 
 
 class TestPrior:
@@ -381,7 +360,7 @@ class TestLabelsync:
 
 
 class TestBeamsMatchReference:
-    """The shared depth loop against the per-child loops it replaced, bit for bit."""
+    """The batched beam steps against the per-candidate loops they replaced, bit for bit."""
 
     @staticmethod
     def sparse_table_lm(rng, tokens):
@@ -467,6 +446,49 @@ class TestBeamsMatchReference:
                     assert got.sequence == want.sequence, (case, width, scale, prior_scale)
                     assert got.score == want.score, (case, width, scale, prior_scale)
 
+    def test_labelsync_on_exact_ties(self):
+        # About half of each row is -inf, so most prefixes have one
+        # alignment and their masses are sums on a grid of 1/2 (a single
+        # level in some cases): equal scores are common, and only the tie
+        # rules (the smaller sequence wins a tied best, and ranks first
+        # among tied partial scores, ties at the width cut kept) pick the
+        # winner.
+        rng = np.random.default_rng(523)
+        for case in range(300):
+            t = int(rng.integers(1, 8))
+            k = int(rng.integers(2, 5))
+            lp = -0.5 * rng.integers(0, int(rng.integers(1, 5)), size=(t, k))
+            lp[rng.random((t, k)) < 0.5] = -np.inf
+            p = Posteriorgram(lp, validate=False)
+            letters = ("a", "b", "c", "d")[: k - 1]
+            vocab = Vocabulary(letters)
+            lm = GridLM({prev: dict(zip((*letters, EOS), -0.5 * rng.integers(0, 3, size=k)))
+                         for prev in (BOS, *letters)})
+            for width in range(1, 7):
+                for scale in (0.0, 1.0):
+                    config = DecodeConfig(beam_width=width, lm_scale=scale)
+                    got = labelsync_beam(p, config, lm=lm, vocab=vocab)
+                    want = reference.labelsync_beam(p, config, lm=lm, vocab=vocab)
+                    assert got.sequence == want.sequence, (case, width, scale)
+                    assert got.score == want.score, (case, width, scale)
+        # Width 2: (c) outranks (a) at depth 1, and at depth 2 (c,a) and
+        # (a,c) tie at the cut behind (c,b).  The smaller sequence (a,c)
+        # goes on and wins at -1.307; had (c,a) gone on, (c,a,c) would
+        # have won at -0.901.
+        lp = np.zeros((4, 4))
+        lp[1:, BLANK] = lp[2, 3] = -np.inf
+        p = Posteriorgram(lp, validate=False)
+        vocab = Vocabulary(("a", "b", "c"))
+        table = {BOS: (-1.0, -1.0, 0.0, 0.0), "a": (-0.5, -np.inf, 0.0, -np.inf),
+                 "b": (-0.5, -1.0, -np.inf, -np.inf), "c": (-1.0, 0.0, -1.0, -1.0)}
+        lm = GridLM({prev: dict(zip(("a", "b", "c", EOS), row))
+                     for prev, row in table.items()})
+        config = DecodeConfig(beam_width=2, lm_scale=1.0)
+        got = labelsync_beam(p, config, lm=lm, vocab=vocab)
+        want = reference.labelsync_beam(p, config, lm=lm, vocab=vocab)
+        assert want.sequence == (1, 3)
+        assert (got.sequence, got.score) == (want.sequence, want.score)
+
     def test_timesync_on_a_decode_sized_input(self):
         # K=30, T=150, width 8, bigram LM and prior at 0.3: the shape of
         # a spoken command decoded with fusion and prior correction
@@ -488,20 +510,6 @@ class TestBeamsMatchReference:
         assert len(want.sequence) > 10
         assert got.sequence == want.sequence
         assert got.score == want.score
-
-    def test_aed_sequences_and_scores(self):
-        rng = np.random.default_rng(912)
-        for case in range(40):
-            tokens = ("a", "b", "c")[: 1 + case % 3]
-            model = (UniformLM(tokens) if case % 5 == 4  # ties everywhere
-                     else self.sparse_table_lm(rng, tokens) if case % 2
-                     else random_table_lm(rng, tokens))
-            for width in range(1, 7):
-                config = DecodeConfig(beam_width=width)
-                got = aed_beam(model, config, max_len=5)
-                want = reference.aed_beam(model, config, max_len=5)
-                assert got.sequence == want.sequence, (case, width)
-                assert got.score == want.score, (case, width)
 
 
 class TestScalingInvariance:
@@ -596,156 +604,3 @@ class TestCrossDecoder:
             assert timesync_beam(p, config).sequence == w_max
             assert labelsync_beam(p, config).sequence == w_max
         assert agreements >= 20
-
-
-class TestAedAttention:
-    @staticmethod
-    def oracle(state, encodings, w_hidden, w_energy):
-        energies = np.array([
-            w_energy @ np.tanh(w_hidden @ np.concatenate([state, frame]))
-            for frame in encodings])
-        weights = np.exp(energies)
-        weights /= weights.sum()
-        return weights @ encodings, weights, energies
-
-    def test_single_frame_gets_full_weight(self):
-        rng = np.random.default_rng(808)
-        state = rng.normal(size=3)
-        enc = rng.normal(size=(1, 2))
-        context, weights = aed_attention(
-            state, enc, rng.normal(size=(4, 5)), rng.normal(size=4))
-        np.testing.assert_allclose(weights, [1.0])
-        np.testing.assert_allclose(context, enc[0])
-
-    def test_identical_frames_get_uniform_weights(self):
-        rng = np.random.default_rng(809)
-        row = rng.normal(size=3)
-        enc = np.tile(row, (5, 1))
-        context, weights = aed_attention(
-            rng.normal(size=2), enc, rng.normal(size=(4, 5)), rng.normal(size=4))
-        np.testing.assert_allclose(weights, np.full(5, 0.2), rtol=1e-12)
-        np.testing.assert_allclose(context, row, rtol=1e-12)
-
-    def test_matches_straight_line_form(self):
-        rng = np.random.default_rng(810)
-        for _ in range(20):
-            d_state = int(rng.integers(1, 5))
-            d_enc = int(rng.integers(1, 5))
-            d_att = int(rng.integers(1, 6))
-            t = int(rng.integers(1, 7))
-            state = rng.normal(size=d_state)
-            enc = rng.normal(size=(t, d_enc))
-            w_hidden = rng.normal(size=(d_att, d_state + d_enc))
-            w_energy = rng.normal(size=d_att)
-            context, weights = aed_attention(state, enc, w_hidden, w_energy)
-            ref_context, ref_weights, _ = self.oracle(
-                state, enc, w_hidden, w_energy)
-            np.testing.assert_allclose(weights, ref_weights, rtol=1e-12)
-            np.testing.assert_allclose(context, ref_context, rtol=1e-12)
-
-    def test_weights_normalize_and_ignore_energy_shifts(self):
-        rng = np.random.default_rng(811)
-        for _ in range(20):
-            state = rng.normal(size=3)
-            enc = rng.normal(size=(int(rng.integers(1, 6)), 4))
-            w_hidden = rng.normal(size=(5, 7))
-            w_energy = rng.normal(size=5)
-            _, weights = aed_attention(state, enc, w_hidden, w_energy)
-            np.testing.assert_allclose(weights.sum(), 1.0, rtol=1e-12)
-            _, _, energies = self.oracle(state, enc, w_hidden, w_energy)
-            shifted = np.exp(energies + 17.3)
-            shifted /= shifted.sum()
-            np.testing.assert_allclose(weights, shifted, rtol=1e-12)
-
-    def test_shape_errors(self):
-        rng = np.random.default_rng(812)
-        state = rng.normal(size=3)
-        enc = rng.normal(size=(4, 2))
-        w_hidden = rng.normal(size=(4, 5))
-        w_energy = rng.normal(size=4)
-        with pytest.raises(UsageError, match="non-empty"):
-            aed_attention(state, np.zeros((0, 2)), w_hidden, w_energy)
-        with pytest.raises(UsageError, match="1-D"):
-            aed_attention(np.zeros((2, 2)), enc, w_hidden, w_energy)
-        with pytest.raises(UsageError, match="columns"):
-            aed_attention(state, enc, rng.normal(size=(4, 6)), w_energy)
-        with pytest.raises(UsageError, match="w_energy"):
-            aed_attention(state, enc, w_hidden, rng.normal(size=3))
-
-
-class TestAedBeam:
-    @staticmethod
-    def oracle(model, max_len):
-        scored = [((), model.cond_logprob(EOS, ()))]
-        seqs = [()]
-        for _ in range(max_len):
-            seqs = [s + (t,) for s in seqs for t in model.tokens]
-            for seq in seqs:
-                s = sum(model.cond_logprob(tok, seq[:i])
-                        for i, tok in enumerate(seq))
-                s += model.cond_logprob(EOS, seq)
-                scored.append((seq, s))
-        return min(scored, key=lambda item: (-item[1], item[0]))
-
-    def test_forced_sequence_at_any_width(self):
-        forced = TableLM({
-            BOS: {"a": 1.0},
-            "a": {"b": 1.0},
-            "b": {EOS: 1.0},
-        })
-        for width in (1, 2, 7):
-            hyp = aed_beam(forced, DecodeConfig(beam_width=width), max_len=10)
-            assert hyp.sequence == ("a", "b")
-            assert hyp.score == 0.0
-
-    def test_exhaustive_width_matches_enumeration(self):
-        rng = np.random.default_rng(909)
-        config = DecodeConfig(beam_width=16)
-        for _ in range(30):
-            model = random_table_lm(rng, ("a", "b"))
-            seq, score = self.oracle(model, 4)
-            hyp = aed_beam(model, config, max_len=4)
-            assert hyp.sequence == seq
-            np.testing.assert_allclose(hyp.score, score, rtol=1e-12)
-
-    def test_width_one_is_greedy_continuation(self):
-        rng = np.random.default_rng(910)
-        for _ in range(20):
-            model = random_table_lm(rng, ("a", "b", "c"))
-            best_seq, best_score = (), model.cond_logprob(EOS, ())
-            seq, score = (), 0.0
-            for _ in range(5):
-                cands = [(score + model.cond_logprob(t, seq), seq + (t,))
-                         for t in model.tokens]
-                for s, sq in cands:
-                    total = s + model.cond_logprob(EOS, sq)
-                    if total > best_score or (total == best_score
-                                              and sq < best_seq):
-                        best_seq, best_score = sq, total
-                score, seq = min(cands, key=lambda c: (-c[0], c[1]))
-            hyp = aed_beam(model, DecodeConfig(beam_width=1), max_len=5)
-            assert hyp.sequence == best_seq
-            np.testing.assert_allclose(hyp.score, best_score, rtol=1e-12)
-
-    def test_every_hypothesis_pays_the_eos_factor(self):
-        # Uniform conditionals make longer sequences strictly worse, so
-        # the empty sequence wins with exactly one EOS factor.
-        hyp = aed_beam(UniformLM(("a", "b")), DecodeConfig(beam_width=4),
-                       max_len=3)
-        assert hyp.sequence == ()
-        np.testing.assert_allclose(hyp.score, -np.log(3.0), rtol=1e-12)
-
-    def test_narrow_widths_never_beat_exhaustive(self):
-        rng = np.random.default_rng(911)
-        for _ in range(10):
-            model = random_table_lm(rng, ("a", "b"))
-            scores = [aed_beam(model, DecodeConfig(beam_width=w), max_len=4).score
-                      for w in (1, 2, 4, 8, 16)]
-            assert all(s <= scores[-1] + 1e-12 for s in scores)
-
-    def test_max_len_validation(self):
-        model = UniformLM(("a",))
-        with pytest.raises(UsageError, match="max_len"):
-            aed_beam(model, DecodeConfig(), max_len=-1)
-        hyp = aed_beam(model, DecodeConfig(), max_len=0)
-        assert hyp.sequence == ()
