@@ -21,6 +21,9 @@ real slots.  The mask rules are:
   it has zero probability and passes back exactly zero gradient.
 
 A single scene (`ground`, `audio_guided_attention`) is a batch of one.
+Backward passes add into a gradient dict that is already zeroed: every
+key holds a view of one flat buffer, so a training step re-zeroes one
+vector instead of concatenating the tensors.
 
 The layout has one source: `GroundingConfig` (whose fields are also
 the checkpoint's `config.*` tensors), `param_shapes` for every
@@ -146,6 +149,34 @@ class PreparedScene:
     target_pos: int
 
 
+@dataclass
+class _Batch:
+    """Prepared scenes stacked row by row, object blocks padded and masked."""
+
+    audio: np.ndarray         # (B, d_audio)
+    target_class: np.ndarray  # (B,)
+    mention_hot: np.ndarray   # (B, num_classes)
+    cand: np.ndarray          # (B, N, d_rep)
+    cmask: np.ndarray         # (B, N)
+    rel: np.ndarray           # (B, M, d_rep)
+    rmask: np.ndarray         # (B, M)
+    target_pos: np.ndarray    # (B,)
+
+    def take(self, idx) -> "_Batch":
+        """Rows `idx`, each block cut to the longest of those rows (at least 1).
+
+        That is the width `_pad` gives the same scenes, so a minibatch
+        taken from a once-padded set has the shapes and values of one
+        padded on its own.
+        """
+        cmask, rmask = self.cmask[idx], self.rmask[idx]
+        n = max(1, int(cmask.sum(axis=1).max()))
+        m = max(1, int(rmask.sum(axis=1).max()))
+        return _Batch(self.audio[idx], self.target_class[idx], self.mention_hot[idx],
+                      self.cand[idx, :n], cmask[:, :n], self.rel[idx, :m], rmask[:, :m],
+                      self.target_pos[idx])
+
+
 def param_shapes(config: GroundingConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter, in initialization draw order."""
     shapes: dict[str, tuple[int, ...]] = {}
@@ -179,13 +210,29 @@ def init_grounding_model(config: GroundingConfig, seed: int = 0) -> GroundingMod
     return GroundingModel(config, params)
 
 
+def _flat_views(params: dict[str, np.ndarray], flat: np.ndarray
+                ) -> dict[str, np.ndarray]:
+    """Name -> view of `flat` shaped like each parameter, laid out in dict order."""
+    views, start = {}, 0
+    for key, p in params.items():
+        views[key] = flat[start:start + p.size].reshape(p.shape)
+        start += p.size
+    return views
+
+
+def _zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """A zeroed gradient for every parameter, as views of one flat buffer."""
+    return _flat_views(params, np.zeros(sum(p.size for p in params.values())))
+
+
 def _mlp_forward(params, name, x):
+    """Output of a tanh MLP and its cache: each layer's input."""
     depth = sum(key.startswith(f"{name}.w") for key in params)
     cache = []
     h = x
     for i in range(depth):
+        cache.append(h)
         z = h @ params[f"{name}.w{i}"].T + params[f"{name}.b{i}"]
-        cache.append((h, z))
         h = np.tanh(z) if i < depth - 1 else z
     return h, cache
 
@@ -193,11 +240,11 @@ def _mlp_forward(params, name, x):
 def _mlp_backward(params, name, dout, cache, grads):
     dz = dout
     for i in range(len(cache) - 1, -1, -1):
-        h_in, z = cache[i]
         if i < len(cache) - 1:
-            dz = dz * (1.0 - np.tanh(z) ** 2)
-        grads[f"{name}.w{i}"] = grads.get(f"{name}.w{i}", 0.0) + dz.T @ h_in
-        grads[f"{name}.b{i}"] = grads.get(f"{name}.b{i}", 0.0) + dz.sum(axis=0)
+            # the next layer's input is this layer's tanh output
+            dz = dz * (1.0 - cache[i + 1] ** 2)
+        grads[f"{name}.w{i}"] += dz.T @ cache[i]
+        grads[f"{name}.b{i}"] += dz.sum(axis=0)
         dz = dz @ params[f"{name}.w{i}"]
     return dz
 
@@ -249,7 +296,7 @@ def _attn_backward(p: AttentionParams, dout, cache, grads, prefix):
     b, nq = xq.shape[:2]
 
     def bump(key, val):
-        grads[key] = grads.get(key, 0.0) + val
+        grads[key] += val
 
     def unproject(dy, x, key, akey):
         # gradients of the object and audio projections and of the input x
@@ -351,12 +398,24 @@ def detect_mentions(model: GroundingModel, audio) -> tuple[np.ndarray, tuple[int
     return probs, _detected(model, probs)
 
 
-def _grouped_reprs(config: GroundingConfig, objects, cands, rels
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked (n, d_rep) representations of the candidate and relational objects."""
-    reprs = object_representations([objects[i] for i in (*cands, *rels)],
-                                   config.embed_seed, config.d_obj, config.d_label)
-    return reprs[:len(cands)], reprs[len(cands):]
+def _grouped_reprs(config: GroundingConfig, scenes, groups
+                   ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(candidate, relational) representation blocks of each scene.
+
+    `groups` holds each scene's (candidate, relational) index lists.  All
+    the objects go through one `object_representations` call, whose rows
+    equal the one-object call's.
+    """
+    reprs = object_representations(
+        [scene.objects[i] for scene, (cands, rels) in zip(scenes, groups)
+         for i in (*cands, *rels)],
+        config.embed_seed, config.d_obj, config.d_label)
+    blocks, start = [], 0
+    for cands, rels in groups:
+        mid = start + len(cands)
+        blocks.append((reprs[start:mid], reprs[mid:mid + len(rels)]))
+        start = mid + len(rels)
+    return blocks
 
 
 def _scene_audio(config: GroundingConfig, scene: SyntheticScene) -> np.ndarray:
@@ -366,33 +425,70 @@ def _scene_audio(config: GroundingConfig, scene: SyntheticScene) -> np.ndarray:
     return scene.audio
 
 
+# scenes per stacked representation call and per padded inference batch;
+# bounds the transient working set
+_BLOCK = 64
+
+
+def _prepare_block(config: GroundingConfig, scenes) -> list[PreparedScene]:
+    """Bake ground-truth-grouped training tensors for a block of scenes.
+
+    Every scene is checked, in order, before the block's representations
+    are built in one stacked call.
+    """
+    groups, mention_hots = [], []
+    for scene in scenes:
+        cands, rels = group_objects(scene.objects, scene.target_class,
+                                    scene.mentioned_classes)
+        if scene.target_index not in cands:
+            raise DataError("scene target is not among its candidates")
+        mention_hot = np.zeros(config.num_classes)
+        for c in scene.mentioned_classes:
+            if not 0 <= c < config.num_classes:
+                raise DataError(f"mentioned class {c} outside the configured classes")
+            mention_hot[c] = 1.0
+        if not 0 <= scene.target_class < config.num_classes:
+            raise DataError("target class outside the configured classes")
+        _scene_audio(config, scene)
+        groups.append((cands, rels))
+        mention_hots.append(mention_hot)
+    blocks = _grouped_reprs(config, scenes, groups)
+    return [PreparedScene(scene.audio, scene.target_class, mention_hot, cand_reprs,
+                          rel_reprs, cands.index(scene.target_index))
+            for scene, mention_hot, (cands, _), (cand_reprs, rel_reprs)
+            in zip(scenes, mention_hots, groups, blocks)]
+
+
 def prepare_scene(config: GroundingConfig, scene: SyntheticScene) -> PreparedScene:
     """Bake ground-truth-grouped training tensors for one scene."""
-    cands, rels = group_objects(scene.objects, scene.target_class,
-                                scene.mentioned_classes)
-    if scene.target_index not in cands:
-        raise DataError("scene target is not among its candidates")
-    cand_reprs, rel_reprs = _grouped_reprs(config, scene.objects, cands, rels)
-    mention_hot = np.zeros(config.num_classes)
-    for c in scene.mentioned_classes:
-        if not 0 <= c < config.num_classes:
-            raise DataError(f"mentioned class {c} outside the configured classes")
-        mention_hot[c] = 1.0
-    if not 0 <= scene.target_class < config.num_classes:
-        raise DataError("target class outside the configured classes")
-    return PreparedScene(_scene_audio(config, scene), scene.target_class,
-                         mention_hot, cand_reprs, rel_reprs,
-                         cands.index(scene.target_index))
+    return _prepare_block(config, [scene])[0]
 
 
-def _ground_streams(model: GroundingModel, audio, cand_blocks, rel_blocks):
+def _collate(prepared, d_rep: int) -> _Batch:
+    """Stack prepared scenes, padding the object blocks to the longest."""
+    if not prepared:
+        raise UsageError("loss needs at least one scene")
+    return _Batch(np.stack([p.audio for p in prepared]),
+                  np.array([p.target_class for p in prepared]),
+                  np.stack([p.mention_hot for p in prepared]),
+                  *_pad([p.cand_reprs for p in prepared], d_rep),
+                  *_pad([p.rel_reprs for p in prepared], d_rep),
+                  np.array([p.target_pos for p in prepared]))
+
+
+def _prepare_set(config: GroundingConfig, scenes) -> _Batch:
+    """Every scene prepared in `_BLOCK`-scene blocks, then padded once."""
+    return _collate([prep for start in range(0, len(scenes), _BLOCK)
+                     for prep in _prepare_block(config, scenes[start:start + _BLOCK])],
+                    config.d_rep)
+
+
+def _ground_streams(model: GroundingModel, audio, cand, cmask, rel, rmask):
     """(B, N) candidate logits of a batch, -inf at padded slots.
 
-    `audio` is (B, d_audio); the per-scene (n_b, d_rep) candidate and
-    relational blocks are padded and masked here.
+    `audio` is (B, d_audio); `cand` and `rel` are the padded (B, N, d_rep)
+    and (B, M, d_rep) object blocks with their masks of real slots.
     """
-    cand, cmask = _pad(cand_blocks, model.config.d_rep)
-    rel, rmask = _pad(rel_blocks, model.config.d_rep)
     o_self, self_caches = _stack_forward(model, "self", cand, None, cmask, audio, True)
     o_cross, cross_caches = _stack_forward(model, "cross", cand, rel, rmask, audio,
                                            False)
@@ -415,32 +511,31 @@ def _softmax_nll(logits: np.ndarray, targets: np.ndarray
     return lse - z[rows, targets], dlogits
 
 
-def _batch_loss(model: GroundingModel, prepared: list[PreparedScene], grads=None
+def _batch_loss(model: GroundingModel, batch: _Batch, grads=None
                 ) -> tuple[float, np.ndarray]:
-    """Total and mean loss parts of a batch; adds gradients into `grads` if given."""
-    if not prepared:
-        raise UsageError("loss needs at least one scene")
+    """Total and mean loss parts of a batch.
+
+    With `grads` (one array per parameter, zeroed by the caller), adds
+    the batch's gradients into it in place.
+    """
     cfg = model.config
-    b = len(prepared)
-    audio = np.stack([p.audio for p in prepared])
+    audio = batch.audio
+    b = audio.shape[0]
 
     cls_logits, cls_cache = _mlp_forward(model.params, "cls", audio)
-    ce_audio, dcls = _softmax_nll(cls_logits,
-                                  np.array([p.target_class for p in prepared]))
+    ce_audio, dcls = _softmax_nll(cls_logits, batch.target_class)
 
     x, omd_cache = _mlp_forward(model.params, "omd", audio)
-    y = np.stack([p.mention_hot for p in prepared])
+    y = batch.mention_hot
     bce = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
     # exp may overflow to inf for saturated logits; 1/(1+inf) is the
     # correct sigmoid limit, so only the warning needs suppressing
     with np.errstate(over="ignore"):
         domd = (1.0 / (1.0 + np.exp(-x)) - y) / x.shape[1]
 
-    ground_logits, caches = _ground_streams(model, audio,
-                                            [p.cand_reprs for p in prepared],
-                                            [p.rel_reprs for p in prepared])
-    ce_ground, dground = _softmax_nll(ground_logits,
-                                      np.array([p.target_pos for p in prepared]))
+    ground_logits, caches = _ground_streams(model, audio, batch.cand, batch.cmask,
+                                            batch.rel, batch.rmask)
+    ce_ground, dground = _softmax_nll(ground_logits, batch.target_pos)
     parts = np.array([ce_audio.mean(), bce.mean(), ce_ground.mean()])
 
     if grads is not None:
@@ -460,16 +555,16 @@ def _batch_loss(model: GroundingModel, prepared: list[PreparedScene], grads=None
 def loss_and_grads(model: GroundingModel, scenes,
                    prepared: list[PreparedScene] | None = None):
     """Mean joint loss, its three parts, and parameter gradients."""
-    if prepared is None:
-        prepared = [prepare_scene(model.config, s) for s in scenes]
-    grads: dict[str, np.ndarray] = {}
-    total, parts = _batch_loss(model, prepared, grads)
+    batch = (_prepare_set(model.config, scenes) if prepared is None
+             else _collate(prepared, model.config.d_rep))
+    grads = _zero_grads(model.params)
+    total, parts = _batch_loss(model, batch, grads)
     return total, parts, grads
 
 
 def joint_loss(model: GroundingModel, scenes) -> tuple[float, np.ndarray]:
     """Weighted sum of audio CE, mention BCE and grounding CE (batch mean)."""
-    return _batch_loss(model, [prepare_scene(model.config, s) for s in scenes])
+    return _batch_loss(model, _prepare_set(model.config, scenes))
 
 
 def _predicted_groupings(model: GroundingModel, scenes
@@ -479,10 +574,6 @@ def _predicted_groupings(model: GroundingModel, scenes
     classes = np.argmax(_class_probs(model, audio), axis=1)
     return [(int(c), _detected(model, probs))
             for c, probs in zip(classes, _mention_probs(model, audio))]
-
-
-# scenes per padded inference batch; bounds the transient working set
-_GROUND_CHUNK = 64
 
 
 def _ground_grouped(model: GroundingModel, scenes, groupings
@@ -498,13 +589,13 @@ def _ground_grouped(model: GroundingModel, scenes, groupings
                    f"no object of predicted class {pred_class}; cannot ground")
                for (pred_class, _), (cands, _) in zip(groupings, grouped)]
     live = [i for i, result in enumerate(results) if result is None]
-    for start in range(0, len(live), _GROUND_CHUNK):
-        batch = live[start:start + _GROUND_CHUNK]
-        cand_blocks, rel_blocks = zip(*(
-            _grouped_reprs(model.config, scenes[i].objects, *grouped[i])
-            for i in batch))
+    d_rep = model.config.d_rep
+    for start in range(0, len(live), _BLOCK):
+        batch = live[start:start + _BLOCK]
+        cand_blocks, rel_blocks = zip(*_grouped_reprs(
+            model.config, [scenes[i] for i in batch], [grouped[i] for i in batch]))
         logits, _ = _ground_streams(model, np.stack([scenes[i].audio for i in batch]),
-                                    cand_blocks, rel_blocks)
+                                    *_pad(cand_blocks, d_rep), *_pad(rel_blocks, d_rep))
         probs = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
         for i, row, win in zip(batch, probs, np.argmax(logits, axis=1)):
@@ -614,6 +705,8 @@ def load_checkpoint(path: str) -> GroundingModel:
                                  dtype="<f8").reshape(dims)
             if not np.all(np.isfinite(data)):
                 raise DataError(f"tensor {name} has non-finite values")
+            if name in tensors:
+                raise DataError(f"checkpoint repeats tensor {name}")
             tensors[name] = data.copy()
 
     try:

@@ -44,6 +44,19 @@ class SceneObject:
                 raise DataError(f"object {name} must be finite")
 
     @classmethod
+    def _unchecked(cls, points, class_id: int, center, size, feature=None
+                   ) -> "SceneObject":
+        """An object whose fields are already valid: skips `__post_init__`.
+
+        The caller vouches for an int class id >= 0, float64 (3,) center
+        and size, and finite arrays.
+        """
+        obj = cls.__new__(cls)
+        obj.points, obj.class_id, obj.center, obj.size, obj.feature = (
+            points, class_id, center, size, feature)
+        return obj
+
+    @classmethod
     def from_points(cls, points, class_id: int) -> "SceneObject":
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != 6 or points.shape[0] == 0:
@@ -163,6 +176,8 @@ def _sample_objects(rng, class_ids, xys, sizes, colors, num_points):
     object because the ziggurat sampler consumes a variable number of
     draws.  All arithmetic after the draws is elementwise or reduces
     over the point axis, so every value equals a one-object computation.
+    Uniform and normal draws, clipping and means are finite, so the
+    objects skip the per-object checks.
     """
     n, k = len(class_ids), num_points
     jitter = np.empty((n, 3 + 3 * k))
@@ -179,7 +194,7 @@ def _sample_objects(rng, class_ids, xys, sizes, colors, num_points):
     by_point = np.ascontiguousarray(xyz.transpose(1, 0, 2))
     centers = by_point.mean(axis=0)
     extents = by_point.max(axis=0) - by_point.min(axis=0)
-    return [SceneObject(points[j], class_ids[j], centers[j], extents[j])
+    return [SceneObject._unchecked(points[j], class_ids[j], centers[j], extents[j])
             for j in range(n)]
 
 
@@ -316,6 +331,43 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _scene_objects(records) -> list[SceneObject]:
+    """A record's objects, all in point form or all in feature form.
+
+    A feature-form scene is checked as one block: its centers, sizes and
+    features are stacked, shape-checked and tested for finiteness once.
+    A block that fails any check is read again object by object, so the
+    error is the one the per-object checks give.
+    """
+    point_form = ["points" in obj for obj in records]
+    if all(point_form):
+        return [SceneObject.from_points(obj["points"],
+                                        _json_int(obj["class_id"], "class_id"))
+                for obj in records]
+    if any(point_form):
+        raise DataError("scene mixes point-form and feature-form objects")
+    try:
+        class_ids = [_json_int(obj["class_id"], "class_id") for obj in records]
+        bboxes = [obj["bbox"] for obj in records]
+        centers = np.array([bbox["center"] for bbox in bboxes], dtype=np.float64)
+        sizes = np.array([bbox["size"] for bbox in bboxes], dtype=np.float64)
+        features = np.array([obj["feature"] for obj in records], dtype=np.float64)
+        valid = (min(class_ids) >= 0
+                 and centers.shape == sizes.shape == (len(records), 3)
+                 and np.isfinite(centers).all() and np.isfinite(sizes).all()
+                 and np.isfinite(features).all())
+    except (KeyError, TypeError, ValueError, OverflowError, DataError):
+        valid = False
+    if not valid:
+        return [SceneObject(None, _json_int(obj["class_id"], "class_id"),
+                            obj["bbox"]["center"], obj["bbox"]["size"],
+                            feature=np.asarray(obj["feature"], dtype=np.float64))
+                for obj in records]
+    return [SceneObject._unchecked(None, class_id, center, size, feature)
+            for class_id, center, size, feature
+            in zip(class_ids, centers, sizes, features)]
+
+
 def read_scenes(path: str) -> list[SyntheticScene]:
     """Parse JSON-line scenes, accepting both point and feature forms."""
     scenes = []
@@ -328,18 +380,8 @@ def read_scenes(path: str) -> list[SyntheticScene]:
             except json.JSONDecodeError as exc:
                 raise DataError(f"line {lineno}: bad JSON: {exc}") from exc
             try:
-                objects = []
-                for obj in rec["objects"]:
-                    class_id = _json_int(obj["class_id"], "class_id")
-                    if "points" in obj:
-                        objects.append(SceneObject.from_points(obj["points"], class_id))
-                    else:
-                        bbox = obj["bbox"]
-                        objects.append(SceneObject(
-                            None, class_id, bbox["center"], bbox["size"],
-                            feature=np.asarray(obj["feature"], dtype=np.float64)))
                 scenes.append(SyntheticScene(
-                    objects, rec["audio"],
+                    _scene_objects(rec["objects"]), rec["audio"],
                     _json_int(rec["target_class"], "target_class"),
                     tuple(_json_int(c, "mentioned class")
                           for c in rec["mentioned_classes"]),

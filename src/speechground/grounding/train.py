@@ -5,9 +5,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NumericError, UsageError
-from .model import (GroundingFailure, GroundingModel, _batch_loss,
-                    _ground_grouped, _predicted_groupings, loss_and_grads,
-                    prepare_scene)
+from .model import (GroundingFailure, GroundingModel, _batch_loss, _flat_views,
+                    _ground_grouped, _predicted_groupings, _prepare_set,
+                    _zero_grads)
 
 
 @dataclass(frozen=True)
@@ -59,45 +59,53 @@ def train_toy(model: GroundingModel, scenes, config: TrainConfig = TrainConfig()
               ) -> list[EpochRecord]:
     """Train in place with Adam and a stepped learning-rate decay.
 
-    Scenes are prepared (ground-truth grouping, baked features) once up
-    front.  Returns one record per epoch; raises NumericError if the
-    loss stops being finite.
+    Scenes are prepared (ground-truth grouping, baked features) and
+    padded once up front; each minibatch is cut from that set at its own
+    width.  Returns one record per epoch; raises NumericError if the loss
+    stops being finite.
     """
     if not scenes:
         raise UsageError("training needs at least one scene")
-    prepared = [prepare_scene(model.config, s) for s in scenes]
+    data = _prepare_set(model.config, scenes)
     rng = np.random.default_rng(config.seed)
-    # every parameter becomes a view into one flat vector, so each Adam
-    # step is a handful of whole-vector operations updating it in place
+    # every parameter and its gradient is a view into one flat vector, so
+    # each Adam step is a handful of in-place whole-vector operations
     flat = np.concatenate([p.ravel() for p in model.params.values()])
-    ends = np.cumsum([p.size for p in model.params.values()])
-    for (key, p), part in zip(list(model.params.items()), np.split(flat, ends[:-1])):
-        model.params[key] = part.reshape(p.shape)
-    m = np.zeros_like(flat)
-    v = np.zeros_like(flat)
+    model.params.update(_flat_views(model.params, flat))
+    grad = np.zeros_like(flat)
+    grads = _flat_views(model.params, grad)
+    m, v = np.zeros_like(flat), np.zeros_like(flat)
+    tmp, den = np.empty_like(flat), np.empty_like(flat)  # Adam scratch
+    b1, b2 = config.beta1, config.beta2
     step = 0
     records = []
+    num_scenes = len(scenes)
     for epoch in range(config.epochs):
         lr = config.learning_rate * config.decay ** (epoch // config.decay_every)
-        order = rng.permutation(len(prepared))
+        order = rng.permutation(num_scenes)
         epoch_loss = 0.0
         epoch_parts = np.zeros(3)
-        for start in range(0, len(order), config.batch_size):
-            batch = [prepared[i] for i in order[start:start + config.batch_size]]
-            loss, parts, grads = loss_and_grads(model, None, prepared=batch)
+        for start in range(0, num_scenes, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            grad.fill(0.0)
+            loss, parts = _batch_loss(model, data.take(idx), grads)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at epoch {epoch}")
-            epoch_loss += loss * len(batch)
-            epoch_parts += parts * len(batch)
+            epoch_loss += loss * len(idx)
+            epoch_parts += parts * len(idx)
             step += 1
-            grad = np.concatenate([grads[k].ravel() for k in model.params])
-            m = config.beta1 * m + (1 - config.beta1) * grad
-            v = config.beta2 * v + (1 - config.beta2) * grad ** 2
-            m_hat = m / (1 - config.beta1 ** step)
-            v_hat = v / (1 - config.beta2 ** step)
-            flat -= lr * m_hat / (np.sqrt(v_hat) + config.eps)
-        records.append(EpochRecord(epoch, epoch_loss / len(order),
-                                   tuple(epoch_parts / len(order))))
+            # m = b1·m + (1-b1)·g and v = b2·v + (1-b2)·g², then
+            # flat -= (lr·m̂) / (√v̂ + eps), all in place
+            m *= b1
+            m += np.multiply(grad, 1 - b1, out=tmp)
+            v *= b2
+            v += np.multiply(np.square(grad, out=tmp), 1 - b2, out=tmp)
+            np.multiply(np.divide(m, 1 - b1 ** step, out=tmp), lr, out=tmp)
+            np.sqrt(np.divide(v, 1 - b2 ** step, out=den), out=den)
+            den += config.eps
+            flat -= np.divide(tmp, den, out=tmp)
+        records.append(EpochRecord(epoch, epoch_loss / num_scenes,
+                                   tuple(epoch_parts / num_scenes)))
     return records
 
 
@@ -150,8 +158,9 @@ def gradient_check(model: GroundingModel, scenes, step: float = 1e-5,
     otherwise divide finite-difference noise by itself).  Used by the
     tests with a 1e-4 bound.
     """
-    prepared = [prepare_scene(model.config, s) for s in scenes]
-    _, _, grads = loss_and_grads(model, None, prepared=prepared)
+    batch = _prepare_set(model.config, scenes)
+    grads = _zero_grads(model.params)
+    _batch_loss(model, batch, grads)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for key in sorted(model.params):
@@ -162,9 +171,9 @@ def gradient_check(model: GroundingModel, scenes, step: float = 1e-5,
         for i in idx:
             orig = flat[i]
             flat[i] = orig + step
-            hi, _ = _batch_loss(model, prepared)
+            hi, _ = _batch_loss(model, batch)
             flat[i] = orig - step
-            lo, _ = _batch_loss(model, prepared)
+            lo, _ = _batch_loss(model, batch)
             flat[i] = orig
             numeric = (hi - lo) / (2 * step)
             analytic = grads[key].reshape(-1)[i]

@@ -3,16 +3,21 @@
 These are the one-scene-at-a-time forward/backward kernels, training
 loss and inference path that the padded, masked minibatch code in
 `speechground.grounding.model` replaced, kept unchanged so the tests
-can compare the two.  Nothing in `src/` imports this module.
+can compare the two.  `train_toy` is the training loop that re-padded
+every minibatch and concatenated a fresh gradient per step; it gets its
+gradients from the public batched `loss_and_grads`.  Nothing in `src/`
+imports this module.
 """
 
 import numpy as np
 
-from speechground.errors import DataError, UsageError
-from speechground.grounding import SyntheticScene, group_objects, prepare_scene
+from speechground.errors import DataError, NumericError, UsageError
+from speechground import grounding
+from speechground.grounding import (EpochRecord, SyntheticScene, TrainConfig,
+                                    group_objects, object_representations,
+                                    prepare_scene)
 from speechground.grounding.model import (GroundingFailure, GroundingModel,
-                                          GroundingResult, PreparedScene,
-                                          _grouped_reprs)
+                                          GroundingResult, PreparedScene)
 
 
 def _num_layers(hidden: tuple[int, ...]) -> int:
@@ -230,7 +235,10 @@ def _ground_grouped(model: GroundingModel, scene: SyntheticScene,
     if not cands:
         raise GroundingFailure(
             f"no object of predicted class {pred_class}; cannot ground")
-    cand_reprs, rel_reprs = _grouped_reprs(model.config, scene.objects, cands, rels)
+    cfg = model.config
+    reprs = object_representations([scene.objects[i] for i in (*cands, *rels)],
+                                   cfg.embed_seed, cfg.d_obj, cfg.d_label)
+    cand_reprs, rel_reprs = reprs[:len(cands)], reprs[len(cands):]
     logits, _ = _ground_streams(model, cand_reprs, rel_reprs, scene.audio)
     z = logits - logits.max()
     probs = np.exp(z)
@@ -248,3 +256,49 @@ def ground(model: GroundingModel, scene: SyntheticScene) -> GroundingResult:
     matches the predicted class.
     """
     return _ground_grouped(model, scene, *_predicted_grouping(model, scene))
+
+
+def train_toy(model: GroundingModel, scenes, config: TrainConfig = TrainConfig()
+              ) -> list[EpochRecord]:
+    """Train in place with Adam and a stepped learning-rate decay.
+
+    Scenes are prepared (ground-truth grouping, baked features) once up
+    front.  Returns one record per epoch; raises NumericError if the
+    loss stops being finite.
+    """
+    if not scenes:
+        raise UsageError("training needs at least one scene")
+    prepared = [prepare_scene(model.config, s) for s in scenes]
+    rng = np.random.default_rng(config.seed)
+    # every parameter becomes a view into one flat vector, so each Adam
+    # step is a handful of whole-vector operations updating it in place
+    flat = np.concatenate([p.ravel() for p in model.params.values()])
+    ends = np.cumsum([p.size for p in model.params.values()])
+    for (key, p), part in zip(list(model.params.items()), np.split(flat, ends[:-1])):
+        model.params[key] = part.reshape(p.shape)
+    m = np.zeros_like(flat)
+    v = np.zeros_like(flat)
+    step = 0
+    records = []
+    for epoch in range(config.epochs):
+        lr = config.learning_rate * config.decay ** (epoch // config.decay_every)
+        order = rng.permutation(len(prepared))
+        epoch_loss = 0.0
+        epoch_parts = np.zeros(3)
+        for start in range(0, len(order), config.batch_size):
+            batch = [prepared[i] for i in order[start:start + config.batch_size]]
+            loss, parts, grads = grounding.loss_and_grads(model, None, prepared=batch)
+            if not np.isfinite(loss):
+                raise NumericError(f"non-finite loss at epoch {epoch}")
+            epoch_loss += loss * len(batch)
+            epoch_parts += parts * len(batch)
+            step += 1
+            grad = np.concatenate([grads[k].ravel() for k in model.params])
+            m = config.beta1 * m + (1 - config.beta1) * grad
+            v = config.beta2 * v + (1 - config.beta2) * grad ** 2
+            m_hat = m / (1 - config.beta1 ** step)
+            v_hat = v / (1 - config.beta2 ** step)
+            flat -= lr * m_hat / (np.sqrt(v_hat) + config.eps)
+        records.append(EpochRecord(epoch, epoch_loss / len(order),
+                                   tuple(epoch_parts / len(order))))
+    return records

@@ -5,7 +5,9 @@ These are `_sample_object`, `_build_scene`, `generate_scenes`,
 `speechground.grounding.scene._sample_objects` and
 `speechground.grounding.features.object_features` replaced them: each
 object is drawn, summarized, projected and serialized by its own chain
-of small numpy calls.  They are kept unchanged so the tests can compare
+of small numpy calls.  `read_scenes` is the reader that built and
+checked every object on its own, before feature-form scenes were
+checked as one block.  They are kept unchanged so the tests can compare
 the two.  Nothing in `src/` imports this module.
 """
 
@@ -17,7 +19,7 @@ from speechground.errors import DataError, UsageError
 from speechground.grounding.features import _shape_projection, audio_embedding
 from speechground.grounding.scene import (RELATIONS, GenConfig, SceneObject,
                                           SyntheticScene, _class_tables,
-                                          verify_scene)
+                                          _json_int, verify_scene)
 
 
 def object_feature_stub(obj, embed_seed: int, dim: int = 32) -> np.ndarray:
@@ -167,3 +169,37 @@ def write_scenes(path: str, scenes, include_points: bool = True,
                 "relation_id": scene.relation_id,
                 "target_index": scene.target_index,
             }) + "\n")
+
+
+def read_scenes(path: str) -> list[SyntheticScene]:
+    """Parse JSON-line scenes, accepting both point and feature forms."""
+    scenes = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"line {lineno}: bad JSON: {exc}") from exc
+            try:
+                objects = []
+                for obj in rec["objects"]:
+                    class_id = _json_int(obj["class_id"], "class_id")
+                    if "points" in obj:
+                        objects.append(SceneObject.from_points(obj["points"], class_id))
+                    else:
+                        bbox = obj["bbox"]
+                        objects.append(SceneObject(
+                            None, class_id, bbox["center"], bbox["size"],
+                            feature=np.asarray(obj["feature"], dtype=np.float64)))
+                scenes.append(SyntheticScene(
+                    objects, rec["audio"],
+                    _json_int(rec["target_class"], "target_class"),
+                    tuple(_json_int(c, "mentioned class")
+                          for c in rec["mentioned_classes"]),
+                    _json_int(rec["relation_id"], "relation_id"),
+                    _json_int(rec["target_index"], "target_index")))
+            except (KeyError, TypeError, ValueError, OverflowError, DataError) as exc:
+                raise DataError(f"line {lineno}: bad scene record: {exc}") from exc
+    return scenes

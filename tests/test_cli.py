@@ -679,6 +679,17 @@ class TestGroundInputValidation:
         self.assert_data_error(["ground", "eval", "--model", str(ckpt),
                                 "--data", self.dataset(tmp_path)], capsys)
 
+    def test_repeated_checkpoint_tensor(self, tmp_path, capsys):
+        ckpt = Path(self.checkpoint(tmp_path))
+        name = b"head.b2"
+        with open(ckpt, "ab") as fh:
+            fh.write(struct.pack("<I", len(name)) + name + struct.pack("<II", 1, 1)
+                     + struct.pack("<d", 123.0))
+        code, out, err = run(["ground", "eval", "--model", str(ckpt),
+                              "--data", self.dataset(tmp_path)], capsys)
+        assert code == 2 and out == "", err
+        assert "checkpoint repeats tensor head.b2" in err
+
     def forged_config(self, tmp_path, name, value):
         path = tmp_path / "model.ckpt"
         tensors = read_tensors(Path(self.checkpoint(tmp_path)))

@@ -564,6 +564,55 @@ class TestTraining:
             train_toy(small_model(), [])
 
 
+class TestTrainingMatchesReference:
+    """train_toy against the loop that re-padded every minibatch, bit for bit."""
+
+    @staticmethod
+    def mixed_scenes():
+        # generated scenes have 2-4 candidates and 1-2 relational objects;
+        # every third keeps only the target among its mentions, so it has
+        # none.  Two crowded scenes (6 and 9 candidates, 5 and 8 relational
+        # objects) make the set's padding wider than most minibatches'.
+        scenes = small_scenes(10, seed=90)
+        for i in range(0, len(scenes), 3):
+            s = scenes[i]
+            scenes[i] = SyntheticScene(s.objects, s.audio, s.target_class,
+                                       (s.target_class,), s.relation_id,
+                                       s.target_index)
+        for n_cand, n_rel in ((6, 5), (9, 8)):
+            objects = ([make_object(2, [float(x), 1.0, 0.5]) for x in range(n_cand)]
+                       + [make_object(3, [float(x), 4.0, 0.5]) for x in range(n_rel)]
+                       + [make_object(1, [2.0, 6.0, 0.5])])
+            scenes.append(hand_scene(objects, n_cand // 2, 2, (2, 3),
+                                     num_classes=4, d_audio=16))
+        return scenes
+
+    @pytest.mark.parametrize("batch_size,attn_layers,learning_rate", [
+        (4, 1, 3e-3),    # divides the 12-scene set
+        (5, 1, 3e-3),    # leaves a short last batch
+        (1, 2, 3e-3),
+        (7, 2, 3e-3),
+        (12, 1, 3e-3),   # the whole set
+        (20, 2, 3e-3),   # more than the set
+        (5, 2, 0.0),
+    ])
+    def test_parameters_and_records_are_identical(self, batch_size, attn_layers,
+                                                  learning_rate):
+        scenes = self.mixed_scenes()
+        config = TrainConfig(epochs=3, batch_size=batch_size,
+                             learning_rate=learning_rate, decay_every=2, seed=17)
+        fast = small_model(seed=23, attn_layers=attn_layers)
+        slow = small_model(seed=23, attn_layers=attn_layers)
+        start = {key: value.copy() for key, value in fast.params.items()}
+        assert train_toy(fast, scenes, config) == reference.train_toy(slow, scenes,
+                                                                      config)
+        assert list(fast.params) == list(slow.params)
+        for key, value in slow.params.items():
+            assert np.array_equal(fast.params[key], value), key
+        moved = any(not np.array_equal(fast.params[k], v) for k, v in start.items())
+        assert moved == (learning_rate > 0)
+
+
 class TestEvaluate:
     def test_rigged_model_scores_exactly(self):
         model = rigged_model(num_classes=3)

@@ -1,5 +1,8 @@
 """Synthetic scene generator, verifier, feature stub and IO tests."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -456,3 +459,109 @@ class TestSceneIO:
         lines = path.read_text(encoding="utf-8").splitlines()
         path.write_text(lines[0] + "\n\n" + lines[1] + "\n", encoding="utf-8")
         assert len(read_scenes(path)) == 2
+
+
+class TestReaderMatchesReference:
+    """read_scenes against the reader that checked every object on its own."""
+
+    @pytest.mark.parametrize("include_points", [True, False])
+    def test_objects_are_identical(self, include_points, tmp_path):
+        path = tmp_path / "scenes.jsonl"
+        write_scenes(path, generate_scenes(GenConfig(num_scenes=40, num_classes=5,
+                                                     points_per_object=8, seed=61)),
+                     include_points=include_points, embed_seed=7)
+        got, want = read_scenes(path), reference.read_scenes(path)
+        assert len(got) == len(want) == 40
+        for fast, slow in zip(got, want):
+            assert np.array_equal(fast.audio, slow.audio)
+            assert ((fast.target_class, fast.mentioned_classes, fast.relation_id,
+                     fast.target_index)
+                    == (slow.target_class, slow.mentioned_classes, slow.relation_id,
+                        slow.target_index))
+            assert len(fast.objects) == len(slow.objects)
+            for a, b in zip(fast.objects, slow.objects):
+                assert type(a.class_id) is int and a.class_id == b.class_id
+                for name in ("center", "size", "feature", "points"):
+                    x, y = getattr(a, name), getattr(b, name)
+                    if y is None:
+                        assert x is None, name
+                        continue
+                    assert x.dtype == y.dtype == np.float64, name
+                    assert x.shape == y.shape, name
+                    assert np.array_equal(x, y), name
+
+    def test_generated_and_feature_form_objects_skip_per_object_checks(
+            self, tmp_path, monkeypatch):
+        calls = []
+        check = SceneObject.__post_init__
+        monkeypatch.setattr(SceneObject, "__post_init__",
+                            lambda obj: calls.append(obj) or check(obj))
+        scenes = generate_scenes(GenConfig(num_scenes=6, seed=63))
+        path = tmp_path / "lean.jsonl"
+        write_scenes(path, scenes, include_points=False, embed_seed=7)
+        assert len(read_scenes(path)) == 6
+        assert calls == []
+        write_scenes(path, scenes)
+        read_scenes(path)
+        assert len(calls) == sum(len(scene.objects) for scene in scenes)
+
+
+class TestFeatureFormChecks:
+    """A bad feature-form record fails with the per-object message and its line."""
+
+    @staticmethod
+    def edited(tmp_path, edit):
+        path = tmp_path / "lean.jsonl"
+        write_scenes(path, generate_scenes(GenConfig(num_scenes=3, num_classes=4,
+                                                     seed=67)),
+                     include_points=False, embed_seed=7)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[1])
+        edit(record["objects"])
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    def assert_refused(self, tmp_path, edit, message):
+        path = self.edited(tmp_path, edit)
+        for reader in (read_scenes, reference.read_scenes):
+            with pytest.raises(DataError) as info:
+                reader(path)
+            assert str(info.value) == f"line 2: bad scene record: {message}"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", [0, -1])
+    @pytest.mark.parametrize("field", ["center", "size", "feature"])
+    def test_non_finite_value(self, field, slot, value, tmp_path):
+        def edit(objects):
+            obj = objects[slot]
+            (obj if field == "feature" else obj["bbox"])[field][1] = value
+
+        self.assert_refused(tmp_path, edit, f"object {field} must be finite")
+
+    @pytest.mark.parametrize("field", ["center", "size"])
+    def test_two_entry_box_vector(self, field, tmp_path):
+        self.assert_refused(tmp_path, lambda objects: objects[-1]["bbox"][field].pop(),
+                            "bbox center and size must have three entries each")
+
+    def test_negative_class_id(self, tmp_path):
+        self.assert_refused(tmp_path,
+                            lambda objects: objects[-1].__setitem__("class_id", -2),
+                            "class_id must be non-negative, got -2")
+
+    def test_first_bad_object_names_the_error(self, tmp_path):
+        def edit(objects):
+            objects[0]["feature"][0] = math.nan
+            objects[1]["bbox"]["center"].pop()
+
+        self.assert_refused(tmp_path, edit, "object feature must be finite")
+
+    def test_point_and_feature_objects_do_not_mix(self, tmp_path):
+        def edit(objects):
+            del objects[0]["feature"]
+            objects[0]["points"] = [[0.0, 0.0, 0.0, 0.5, 0.5, 0.5]]
+
+        path = self.edited(tmp_path, edit)
+        with pytest.raises(DataError, match="^line 2: bad scene record: scene mixes "
+                                            "point-form and feature-form objects$"):
+            read_scenes(path)
