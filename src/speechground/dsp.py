@@ -12,13 +12,16 @@ block.  A block bounds the working set, so memory does not grow with
 the utterance.  Each real frame is transformed by the real split: its
 even and odd samples form one complex row of half the length, and the
 conjugate-symmetry identity recovers the one-sided spectrum from that
-row's FFT.  Pairing a frame with itself, not with its neighbour, keeps
-every frame's rounding relative to its own spectrum.
+row's four-step FFT (`fft.py`).  The Hann slice, gather indices and
+twiddle of the split are built once per frame geometry.  Pairing a
+frame with itself, not with its neighbour, keeps every frame's
+rounding relative to its own spectrum.
 """
 
 import struct
 import wave
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -167,6 +170,23 @@ def _hann_vector(length: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * idx / (length - 1))
 
 
+@lru_cache(maxsize=8)
+def _split_tables(fft_size: int, window_samples: int) -> tuple[np.ndarray, ...]:
+    """Constants of `_frame_spectra` for one geometry, read-only.
+
+    Returns the Hann slice that weights the samples, the gather indices
+    k mod m and -k mod m of Z[k] and conj Z[m-k] for k = 0..m, and the
+    real-split twiddle W^k, where m = fft_size/2.
+    """
+    half = fft_size // 2
+    k = np.arange(half + 1)
+    tables = (_hann_vector(fft_size)[:window_samples], k % half, -k % half,
+              np.exp(-2j * np.pi * k / fft_size))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _frame_spectra(frames: np.ndarray, spec: FrameSpec) -> np.ndarray:
     """One-sided FFT magnitudes of Hann-weighted, zero-padded frames.
 
@@ -183,14 +203,12 @@ def _frame_spectra(frames: np.ndarray, spec: FrameSpec) -> np.ndarray:
     Returns:
         Magnitudes for bins 0..fft_size/2, shape (B, fft_size//2 + 1).
     """
-    half = spec.fft_size // 2
+    window, fwd, rev, twiddle = _split_tables(spec.fft_size, spec.window_samples)
     padded = np.zeros((frames.shape[0], spec.fft_size))
-    padded[:, : spec.window_samples] = frames * _hann_vector(spec.fft_size)[: spec.window_samples]
+    padded[:, : spec.window_samples] = frames * window
     z = fft(padded.view(np.complex128))
-    k = np.arange(half + 1)
-    zk = z[:, k % half]
-    zr = np.conj(z[:, -k % half])
-    twiddle = np.exp(-2j * np.pi * k / spec.fft_size)
+    zk = z[:, fwd]
+    zr = np.conj(z[:, rev])
     return np.abs(0.5 * (zk + zr) - 0.5j * twiddle * (zk - zr))
 
 

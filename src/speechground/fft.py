@@ -1,32 +1,54 @@
-"""Iterative radix-2 FFT in double precision, along the last axis.
+"""Four-step FFT in double precision, along the last axis.
 
 Transform length must be a power of two; the framing config enforces
 that upstream, so the check here is a guard against direct misuse.
-Leading axes are independent rows that share each butterfly stage, so
-a (B, n) block costs one numpy op per stage rather than B of them.  On
-1-D input every operation is the plain single-signal transform.
+With n = n1*n2, each row is viewed as an (n1, n2) matrix A with
+A[a, b] = x[a*n2 + b].  Then X[k1 + n1*k2] = C[k1, k2] for
+C = ((F_n1 @ A) * T) @ F_n2, where F_m is the m-point DFT matrix and
+T[k1, b] = exp(-2i*pi*k1*b/n) (Bailey, "FFTs in external or
+hierarchical memory", 1990).  Swapping the last two axes of C gives
+natural order.
+
+Neither factor exceeds `_MAX_FACTOR` points: a longer right factor is
+applied by a recursive `fft` along the last axis, so every length costs
+O(n log n) and no table is larger than `_MAX_FACTOR` squared.  Every
+table entry is read from a root table exp(-2i*pi*r/m), r < m, at
+r = (j*k) mod m, so no angle is formed from a large product.  The
+matrix products are stacked, one small product per row, so each row of
+a (..., n) call equals the 1-D transform of that row.
 """
 
 import numpy as np
 
 from .errors import UsageError
 
-_bitrev_cache: dict[int, np.ndarray] = {}
+_MAX_FACTOR = 64
+
+# n -> (n1, n2, F_n1, T, F_n2 or None when n2 recurses)
+_tables: dict[int, tuple] = {}
 
 
-def _bit_reversal(n: int) -> np.ndarray:
-    """Permutation that orders indices by reversed bit pattern."""
-    perm = _bitrev_cache.get(n)
-    if perm is None:
-        bits = n.bit_length() - 1
-        idx = np.arange(n, dtype=np.int64)
-        rev = np.zeros(n, dtype=np.int64)
-        for _ in range(bits):
-            rev = (rev << 1) | (idx & 1)
-            idx >>= 1
-        perm = rev
-        _bitrev_cache[n] = perm
-    return perm
+def _roots(m: int) -> np.ndarray:
+    """exp(-2i*pi*r/m) for r = 0..m-1."""
+    return np.exp(-2j * np.pi * np.arange(m) / m)
+
+
+def _dft_matrix(m: int) -> np.ndarray:
+    """The m-point DFT matrix, F[j, k] = exp(-2i*pi*j*k/m)."""
+    idx = np.arange(m)
+    return _roots(m)[np.outer(idx, idx) % m]
+
+
+def _four_step_tables(n: int) -> tuple:
+    tables = _tables.get(n)
+    if tables is None:
+        n1 = min(1 << (n.bit_length() - 1) // 2, _MAX_FACTOR)
+        n2 = n // n1
+        twiddle = _roots(n)[np.outer(np.arange(n1), np.arange(n2)) % n]
+        tables = (n1, n2, _dft_matrix(n1), twiddle,
+                  _dft_matrix(n2) if n2 <= _MAX_FACTOR else None)
+        _tables[n] = tables
+    return tables
 
 
 def fft(x: np.ndarray) -> np.ndarray:
@@ -43,16 +65,8 @@ def fft(x: np.ndarray) -> np.ndarray:
     n = x.shape[-1]
     if n == 0 or n & (n - 1):
         raise UsageError(f"fft length must be a power of two, got {n}")
-    out = x[..., _bit_reversal(n)].astype(np.complex128)
-    lead = out.shape[:-1]
-    span = 2
-    while span <= n:
-        half = span // 2
-        twiddle = np.exp(-2j * np.pi * np.arange(half) / span)
-        view = out.reshape(*lead, -1, span)
-        even = view[..., :half].copy()
-        odd = view[..., half:] * twiddle
-        view[..., :half] = even + odd
-        view[..., half:] = even - odd
-        span *= 2
-    return out
+    n1, n2, f1, twiddle, f2 = _four_step_tables(n)
+    lead = x.shape[:-1]
+    c = (f1 @ x.reshape(*lead, n1, n2)) * twiddle
+    c = c @ f2 if f2 is not None else fft(c)
+    return c.swapaxes(-1, -2).reshape(*lead, n)

@@ -94,6 +94,24 @@ class SyntheticScene:
         if self.objects[self.target_index].class_id != self.target_class:
             raise DataError("target_index does not point at a target_class object")
 
+    @classmethod
+    def _unchecked(cls, objects, audio, target_class: int,
+                   mentioned_classes: tuple[int, ...], relation_id: int,
+                   target_index: int) -> "SyntheticScene":
+        """A scene whose fields are already valid: skips `__post_init__`.
+
+        The caller vouches for a finite, non-empty float64 audio vector,
+        mentioned classes already sorted into an int tuple, non-negative
+        int classes, and an in-range relation id and target index that
+        points at a target-class object.
+        """
+        scene = cls.__new__(cls)
+        (scene.objects, scene.audio, scene.target_class, scene.mentioned_classes,
+         scene.relation_id, scene.target_index) = (
+            objects, audio, target_class, mentioned_classes, relation_id,
+            target_index)
+        return scene
+
 
 @dataclass(frozen=True)
 class GenConfig:
@@ -260,8 +278,9 @@ def _build_scene(rng, config: GenConfig, sizes, colors, prior) -> SyntheticScene
     clean = audio_embedding(target_class, mentioned, relation_id,
                             config.num_classes, config.d_audio, config.embed_seed)
     audio = clean + config.audio_noise * rng.standard_normal(config.d_audio)
-    return SyntheticScene(objects, audio, target_class, mentioned,
-                          relation_id, target_index)
+    return SyntheticScene._unchecked(objects, audio, target_class,
+                                     tuple(sorted(mentioned)), relation_id,
+                                     target_index)
 
 
 def generate_scenes(config: GenConfig) -> list[SyntheticScene]:

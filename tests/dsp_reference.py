@@ -4,7 +4,9 @@ These are `amplitude_spectrum` and `mfcc` as they were before
 `speechground.dsp._frame_spectra` and the block loop replaced them: one
 full-length 1-D `fft` per Hann-weighted, zero-padded frame, then one
 mel matvec, log10 and DCT matvec per frame.  They are kept unchanged so
-the tests can compare the two.  Nothing in `src/` imports this module.
+the tests can compare the two; `fft` is the radix-2 transform of
+`tests.fft_reference`, so the blocked path is never checked against its
+own FFT.  Nothing in `src/` imports this module.
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ from speechground.dsp import (EPS_AMP, FeatureMatrix, FrameSpec, MelFilterbank,
                               Waveform, _dct_basis, _hann_vector, frame_count,
                               pre_emphasize)
 from speechground.errors import DataError, UsageError
-from speechground.fft import fft
+from tests.fft_reference import fft
 
 
 def amplitude_spectrum(frame: np.ndarray, spec: FrameSpec) -> np.ndarray:

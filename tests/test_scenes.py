@@ -506,6 +506,40 @@ class TestReaderMatchesReference:
         assert len(calls) == sum(len(scene.objects) for scene in scenes)
 
 
+class TestGeneratedScenesSkipSceneChecks:
+    """Generated scenes are built unchecked; scenes read from a file are checked."""
+
+    def test_post_init_runs_only_for_scenes_read_from_a_file(
+            self, tmp_path, monkeypatch):
+        calls = []
+        check = SyntheticScene.__post_init__
+        monkeypatch.setattr(SyntheticScene, "__post_init__",
+                            lambda scene: calls.append(scene) or check(scene))
+        scenes = generate_scenes(GenConfig(num_scenes=6, seed=63))
+        assert calls == []
+        path = tmp_path / "scenes.jsonl"
+        for include_points in (True, False):
+            write_scenes(path, scenes, include_points=include_points, embed_seed=7)
+            calls.clear()
+            assert len(read_scenes(path)) == 6
+            assert len(calls) == 6
+
+    def test_fields_are_what_the_checks_would_make(self):
+        config = GenConfig(num_scenes=30, num_classes=5, seed=65)
+        for scene in generate_scenes(config):
+            checked = SyntheticScene(scene.objects, scene.audio, scene.target_class,
+                                     scene.mentioned_classes[::-1],
+                                     scene.relation_id, scene.target_index)
+            assert scene.mentioned_classes == checked.mentioned_classes
+            assert type(scene.mentioned_classes) is tuple
+            assert all(type(c) is int for c in scene.mentioned_classes)
+            assert all(type(v) is int for v in (scene.target_class,
+                                                 scene.relation_id,
+                                                 scene.target_index))
+            assert scene.audio.dtype == np.float64
+            assert checked.audio is scene.audio
+
+
 class TestFeatureFormChecks:
     """A bad feature-form record fails with the per-object message and its line."""
 
