@@ -166,6 +166,10 @@ def _cmd_eval_ppl(args) -> int:
 def _cmd_analyze_cca(args) -> int:
     x = load_features(args.x)
     y = load_features(args.y)
+    if x.num_frames != y.num_frames:
+        raise DataError(f"{x.num_frames} rows in --x but {y.num_frames} in --y")
+    if x.num_frames < 2:
+        raise DataError(f"cca needs at least two rows, got {x.num_frames}")
     corrs = cca_corrs(x.data, y.data, reg=args.reg)
     sim = float(corrs.mean())
     _emit(args, f"CCA={sim:.6f}", {

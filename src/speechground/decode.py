@@ -7,9 +7,9 @@ block of alignment extensions per frame.  The label-sync beam carries
 each hypothesis's CTC prefix columns (row 0 the virtual "before frame
 0") and its LM total, so each depth grows every child in one
 `ctc._lattice` pass and scores the (B, K-1) block at once.  Both read
-the LM through rows of conditionals cached per `LanguageModel.context`,
-so a bigram is asked at most once per outcome and previous token in a
-decode.
+the LM through rows of label conditionals and EOS conditionals cached
+per `LanguageModel.context`, so a bigram is asked at most once per
+outcome and previous token; without fusion the same readers read zeros.
 
 Tie handling is fixed everywhere: order by higher score, then by
 lexicographically smaller sequence, so repeated runs are bit-identical.
@@ -94,32 +94,39 @@ def _at_or_above_cut(scores: np.ndarray, width: int) -> np.ndarray:
     return np.flatnonzero(scores >= np.partition(scores, -width)[-width])
 
 
-def _lm_rows(config: DecodeConfig, lm: LanguageModel | None,
-             vocab: Vocabulary | None, num_symbols: int):
-    """Check the fusion arguments and return the LM row reader, or None without fusion.
+def _lm_readers(config: DecodeConfig, lm: LanguageModel | None,
+                vocab: Vocabulary | None, num_symbols: int):
+    """Check the fusion arguments; return the LM readers `row` and `eos`, and `token`.
 
-    `row(history)` is the (K,) array of unscaled conditionals after
-    `history`: the EOS outcome in column 0 (the blank is never an LM
-    token) and every label in its own column.  A row is built the first
-    time it is asked for and cached for the decode under
-    `lm.context(history)`, so a bigram asks for one row per previous
-    token and an input that reads no row never asks the LM at all.
+    `row(history)` is the (K,) array of unscaled label conditionals
+    after `history`, 0.0 in the blank column (the blank is never an LM
+    token); `eos(history)` is the EOS conditional.  Each is asked the
+    first time it is read and cached for the decode under
+    `lm.context(history)`, so an input that reads nothing never asks
+    the LM.  `token[v]` is what label `v` appends to a history.
+    Without fusion the readers return zeros and 0.0, histories stay
+    empty, and the LM is never asked.
     """
     if config.lm_scale > 0 and lm is None:
         raise UsageError("lm_scale > 0 requires a language model")
     if lm is not None and vocab is None:
         raise UsageError("fusion needs the vocabulary to name LM tokens")
     if lm is None or config.lm_scale == 0:
-        return None
-    outcomes = [EOS] + [vocab.token(v) for v in range(1, num_symbols)]
-    rows: dict[tuple[str, ...], np.ndarray] = {}
+        zeros = np.zeros(num_symbols)
+        return (lambda history: zeros), (lambda history: 0.0), ((),) * num_symbols
+    labels = [vocab.token(v) for v in range(1, num_symbols)]
 
-    def row(history):
-        context = lm.context(history)
-        if context not in rows:
-            rows[context] = np.array([lm.cond_logprob(tok, context) for tok in outcomes])
-        return rows[context]
-    return row
+    def cached(ask):
+        cache = {}
+
+        def read(history):
+            context = lm.context(history)
+            if context not in cache:
+                cache[context] = ask(context)
+            return cache[context]
+        return read
+    return (cached(lambda c: np.array([0.0] + [lm.cond_logprob(tok, c) for tok in labels])),
+            cached(lambda c: lm.cond_logprob(EOS, c)), ((),) + tuple((tok,) for tok in labels))
 
 
 def timesync_beam(p: Posteriorgram, config: DecodeConfig,
@@ -140,13 +147,13 @@ def timesync_beam(p: Posteriorgram, config: DecodeConfig,
     finds the score of the `beam_width`-th best candidate, and only
     the candidates at or above it are sorted best first.
 
-    The scaled LM conditionals come from the cached rows of `_lm_rows`;
-    their EOS column is never added, because the blank never grows a
-    label, and a T=0 input never asks the LM at all.
+    The LM conditionals come from the cached rows of `_lm_readers`,
+    which have no EOS column because the blank never grows a label; a
+    T=0 input never asks the LM at all.
 
     Returns the collapsed sequence of the best surviving hypothesis.
     """
-    lm_row = _lm_rows(config, lm, vocab, p.num_symbols)
+    row, _, token = _lm_readers(config, lm, vocab, p.num_symbols)
     if config.prior_scale > 0:
         if prior is None:
             raise UsageError("prior_scale > 0 requires a prior")
@@ -168,9 +175,8 @@ def timesync_beam(p: Posteriorgram, config: DecodeConfig,
         if config.prior_scale > 0:
             cand -= config.prior_scale * prior.log_prior
         grow = (symbols != BLANK) & (symbols != last[:, None])
-        if lm_row:
-            rows = config.lm_scale * np.array([lm_row(h) for h in histories])
-            np.add(cand, rows, out=cand, where=grow)
+        rows = config.lm_scale * np.array([row(h) for h in histories])
+        np.add(cand, rows, out=cand, where=grow)
         held = cand[np.arange(len(seqs)), last]
         keep_last = held > cand[:, BLANK]
         stay = np.where(keep_last, held, cand[:, BLANK])
@@ -193,8 +199,7 @@ def timesync_beam(p: Posteriorgram, config: DecodeConfig,
                 ranked.append((pool[c], seqs[c], stay_last[c], histories[c]))
             else:
                 j, v = int(parents[c - len(seqs)]), int(labels[c - len(seqs)])
-                ranked.append((pool[c], seqs[j] + (v,), v,
-                               histories[j] + (vocab.token(v),) if lm_row else ()))
+                ranked.append((pool[c], seqs[j] + (v,), v, histories[j] + token[v]))
         scores, seqs, last, histories = zip(*_best_first(ranked)[:width])
         scores, last = np.array(scores), np.array(last)
     return Hypothesis(seqs[0], float(scores[0]))
@@ -218,11 +223,11 @@ def labelsync_beam(p: Posteriorgram, config: DecodeConfig,
     only the children at or above it are sorted best first.  Depth is
     capped at the frame count, past which nothing is feasible.
 
-    LM terms come from the cached rows of `_lm_rows`, labels and EOS
-    alike; the root's EOS term is asked directly, so a T=0 input never
-    builds a row.
+    LM terms come from the cached readers of `_lm_readers`: a row of
+    label conditionals for each parent and one EOS conditional for each
+    child, so a T=0 input asks for the root's EOS and builds no row.
     """
-    lm_row = _lm_rows(config, lm, vocab, p.num_symbols)
+    row, eos, token = _lm_readers(config, lm, vocab, p.num_symbols)
     lp = p.log_probs
     labels = np.arange(1, p.num_symbols)
     width = config.beam_width
@@ -232,10 +237,8 @@ def labelsync_beam(p: Posteriorgram, config: DecodeConfig,
     totals = np.zeros(1)
     seqs: tuple[LabelSequence, ...] = ((),)
     histories: tuple[tuple[str, ...], ...] = ((),)
-    root_eos = lm.cond_logprob(EOS, ()) if lm_row else 0.0
     best = Hypothesis((), float(np.logaddexp(q_blank[-1, 0], q_label[-1, 0])
-                                + config.lm_scale * (totals[0] + root_eos)))
-    eos = 0.0  # the children's EOS conditionals, 0.0 without fusion
+                                + config.lm_scale * eos(())))
     for _depth in range(p.num_frames):
         given = len(seqs)
         parents = np.repeat(np.arange(given), len(labels))
@@ -243,10 +246,8 @@ def labelsync_beam(p: Posteriorgram, config: DecodeConfig,
         last = np.array([seq[-1] if seq else BLANK for seq in seqs])
         q_blank, q_label, mass = _lattice(lp, q_blank, q_label, grown, parents,
                                           grown != last[parents])
-        rows = (np.array([lm_row(h) for h in histories]) if lm_row
-                else np.zeros((given, p.num_symbols)))
+        rows = np.array([row(h) for h in histories])
         child_totals = (totals[:, None] + rows[:, 1:]).ravel()
-        # without fusion the totals stay 0.0, so this adds exactly 0.0
         partial = mass + config.lm_scale * child_totals
         live = np.flatnonzero(partial != -np.inf)
         if not len(live):
@@ -254,11 +255,9 @@ def labelsync_beam(p: Posteriorgram, config: DecodeConfig,
         parents, grown = parents[live].tolist(), grown[live].tolist()
         partial, child_totals = partial[live], child_totals[live]
         q_blank, q_label = q_blank[:, given + live], q_label[:, given + live]
-        if lm_row:
-            histories = [histories[j] + (vocab.token(v),) for j, v in zip(parents, grown)]
-            eos = np.array([lm_row(h)[0] for h in histories])
+        histories = [histories[j] + token[v] for j, v in zip(parents, grown)]
         complete = (np.logaddexp(q_blank[-1], q_label[-1])
-                    + config.lm_scale * (child_totals + eos))
+                    + config.lm_scale * (child_totals + [eos(h) for h in histories]))
         top = complete.max()
         if top >= best.score:
             seq = min(seqs[parents[c]] + (grown[c],) for c in np.flatnonzero(complete == top))
@@ -269,6 +268,5 @@ def labelsync_beam(p: Posteriorgram, config: DecodeConfig,
         _, seqs, kept = zip(*ranked)
         kept = np.array(kept)
         q_blank, q_label, totals = q_blank[:, kept], q_label[:, kept], child_totals[kept]
-        if lm_row:
-            histories = [histories[c] for c in kept]
+        histories = [histories[c] for c in kept]
     return best

@@ -348,9 +348,6 @@ def read_wav(path: str) -> Waveform:
                 raise DataError(
                     f"bits per sample: expected 16 (width 2), got width {width}"
                 )
-            comp = fh.getcomptype()
-            if comp != "NONE":
-                raise DataError(f"compression: expected PCM (NONE), got {comp}")
             rate = fh.getframerate()
             raw = fh.readframes(fh.getnframes())
     except wave.Error as exc:

@@ -27,8 +27,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise UsageError("epochs and batch size must be positive")
-        if self.learning_rate < 0:
-            raise UsageError("learning rate must be non-negative")
+        if not 0 <= self.learning_rate < np.inf:
+            raise UsageError(f"learning rate must be finite and non-negative, "
+                             f"got {self.learning_rate}")
         if self.seed < 0:
             raise UsageError("seed must be non-negative")
 

@@ -74,8 +74,8 @@ class CountLM(LanguageModel):
     def __post_init__(self):
         if self.order not in (1, 2):
             raise UsageError(f"order must be 1 or 2, got {self.order}")
-        if self.alpha < 0:
-            raise UsageError(f"alpha must be non-negative, got {self.alpha}")
+        if not 0 <= self.alpha < np.inf:
+            raise UsageError(f"alpha must be finite and non-negative, got {self.alpha}")
         if BOS in self.unigrams or any(w == BOS for (_, w) in self.bigrams):
             raise DataError(f"{BOS} cannot be a predicted outcome")
         seen = set(self.unigrams)

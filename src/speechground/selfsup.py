@@ -55,8 +55,8 @@ class ContrastiveBatch:
             raise UsageError("context and target must be equal-length vectors")
         if self.negatives.ndim != 2 or self.negatives.shape[1] != self.target.shape[0]:
             raise UsageError("negatives must be (M, d) matching the target")
-        if self.temperature <= 0:
-            raise UsageError(f"temperature must be positive, got {self.temperature}")
+        if not 0 < self.temperature < np.inf:
+            raise UsageError(f"temperature must be finite and positive, got {self.temperature}")
 
 
 @dataclass
@@ -135,8 +135,8 @@ def cca_corrs(x: np.ndarray, y: np.ndarray, reg: float = 1e-6) -> np.ndarray:
     Args:
         x: observations, shape (n, p).
         y: observations, shape (n, q); same n.
-        reg: ridge added to both auto-covariances; must be >= 0, and 0
-            only works when both covariances are well-conditioned.
+        reg: ridge added to both auto-covariances; finite and >= 0, and
+            0 only works when both covariances are well-conditioned.
 
     Returns:
         min(p, q) correlations, descending.
@@ -147,8 +147,8 @@ def cca_corrs(x: np.ndarray, y: np.ndarray, reg: float = 1e-6) -> np.ndarray:
         raise UsageError("views must be 2-D with a shared number of rows")
     if x.shape[0] < 2:
         raise UsageError("need at least two observations")
-    if reg < 0:
-        raise UsageError(f"reg must be non-negative, got {reg}")
+    if not 0 <= reg < np.inf:
+        raise UsageError(f"reg must be finite and non-negative, got {reg}")
     n = x.shape[0]
     xc = x - x.mean(axis=0)
     yc = y - y.mean(axis=0)

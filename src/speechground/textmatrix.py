@@ -36,4 +36,6 @@ def read_text_matrix(path: str, kind: str) -> np.ndarray:
             if row.size != k:
                 raise DataError(f"{kind} row {i} has {row.size} values, expected {k}")
             rows.append(row)
+        if fh.read().strip():
+            raise DataError(f"{kind} file has content after its {t_total} rows")
     return np.vstack(rows) if rows else np.zeros((0, k))

@@ -1,6 +1,8 @@
 """End-to-end command-line tests driven through main()."""
 
+import ast
 import hashlib
+import importlib
 import json
 import math
 import struct
@@ -144,6 +146,19 @@ class TestFeaturize:
                             "--output", str(tmp_path / "o.txt")], capsys)
         assert code == 2
         assert "channels" in err
+
+    def test_float_wav_rejected(self, tmp_path, capsys):
+        # a 32-bit float WAV (format tag 3): the wave module refuses the tag itself
+        data = np.zeros(160, dtype="<f4").tobytes()
+        fmt = struct.pack("<HHIIHH", 3, 1, 16000, 64000, 4, 32)
+        path = tmp_path / "float.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVEfmt "
+                         + struct.pack("<I", len(fmt)) + fmt
+                         + b"data" + struct.pack("<I", len(data)) + data)
+        code, out, err = run(["featurize", "--input", str(path),
+                              "--output", str(tmp_path / "o.txt")], capsys)
+        assert (code, out) == (2, "")
+        assert "not a readable RIFF/WAVE file: unknown format: 3" in err
 
     def test_too_many_cepstra(self, wav_path, tmp_path, capsys):
         code, _, err = run(
@@ -312,6 +327,38 @@ class TestCtcCommands:
         assert code == 2
         assert "symbols" in err
 
+    def test_rows_beyond_the_header(self, peaky, tmp_path, capsys):
+        _, vocab = peaky
+        post = write_text(tmp_path / "long.post",
+                          "2 3\n0 -9 -9\n0 -9 -9\n1 2 3\ngarbage here\n")
+        code, out, err = run(["ctc", "decode", "--posteriors", post,
+                              "--vocab", vocab], capsys)
+        assert (code, out) == (2, "")
+        assert "posteriorgram file has content after its 2 rows" in err
+
+    @pytest.mark.parametrize("body, message", [
+        ("2 3\n0 -9 -9\nzero -9 -9\n", "posteriorgram row 1: could not convert"),
+        ("2 3\n0 -9 -9\n0 -9\n", "posteriorgram row 1 has 2 values, expected 3"),
+        ("-1 3\n", "bad posteriorgram shape -1 x 3"),
+    ])
+    def test_malformed_posteriorgram(self, body, message, peaky, tmp_path, capsys):
+        _, vocab = peaky
+        post = write_text(tmp_path / "bad.post", body)
+        code, out, err = run(["ctc", "decode", "--posteriors", post,
+                              "--vocab", vocab], capsys)
+        assert (code, out) == (2, "")
+        assert message in err
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha(self, alpha, peaky, tmp_path, capsys):
+        post, vocab = peaky
+        lm = write_text(tmp_path / "lm.counts", "a\t2\nb\t2\n</s>\t2\n")
+        code, out, err = run(["ctc", "decode", "--posteriors", post, "--vocab", vocab,
+                              "--mode", "time-sync", "--lm", lm, "--lm-scale", "0.3",
+                              "--alpha", alpha], capsys)
+        assert (code, out) == (1, "")
+        assert "alpha must be finite and non-negative" in err
+
     def test_unknown_mode_rejected(self, anchor, capsys):
         post, vocab = anchor
         code, _, _ = run(["ctc", "decode", "--posteriors", post,
@@ -369,6 +416,22 @@ class TestEvalCommands:
         assert code == 2
         assert "z" in err
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_ppl_non_finite_alpha(self, alpha, tmp_path, capsys):
+        lm = write_text(tmp_path / "lm.counts", "a\t1\n</s>\t1\n")
+        text = write_text(tmp_path / "text.txt", "a\n")
+        code, out, err = run(["eval", "ppl", "--lm", lm, "--text", text,
+                              "--alpha", alpha], capsys)
+        assert (code, out) == (1, "")
+        assert "alpha must be finite and non-negative" in err
+
+    def test_ppl_blank_count_file(self, tmp_path, capsys):
+        lm = write_text(tmp_path / "lm.counts", "\n  \n\n")
+        text = write_text(tmp_path / "text.txt", "a\n")
+        code, out, err = run(["eval", "ppl", "--lm", lm, "--text", text], capsys)
+        assert (code, out) == (2, "")
+        assert "count file holds no events" in err
+
     def test_ppl_malformed_counts(self, tmp_path, capsys):
         lm = write_text(tmp_path / "lm.counts", "a 1\n")
         text = write_text(tmp_path / "text.txt", "a\n")
@@ -390,6 +453,38 @@ class TestAnalyzeCommands:
         assert float(line[4:]) > 0.999999
         payload = json.loads(out.splitlines()[1])
         assert len(payload["correlations"]) == 3
+
+    def test_cca_row_count_mismatch(self, tmp_path, capsys):
+        rng = np.random.default_rng(403)
+        x = write_feats(tmp_path / "x.txt", rng.standard_normal((6, 2)))
+        y = write_feats(tmp_path / "y.txt", rng.standard_normal((5, 2)))
+        code, out, err = run(["analyze", "cca", "--x", x, "--y", y], capsys)
+        assert (code, out) == (2, "")
+        assert "6 rows in --x but 5 in --y" in err
+
+    def test_cca_needs_two_rows(self, tmp_path, capsys):
+        x = write_feats(tmp_path / "x.txt", [[1.0, 2.0]])
+        code, out, err = run(["analyze", "cca", "--x", x, "--y", x], capsys)
+        assert (code, out) == (2, "")
+        assert "cca needs at least two rows, got 1" in err
+
+    @pytest.mark.parametrize("reg", ["nan", "inf"])
+    def test_cca_non_finite_reg(self, reg, tmp_path, capsys):
+        x = write_feats(tmp_path / "x.txt", np.random.default_rng(404).standard_normal((6, 2)))
+        code, out, err = run(["analyze", "cca", "--x", x, "--y", x, "--reg", reg], capsys)
+        assert (code, out) == (1, "")
+        assert "reg must be finite and non-negative" in err
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"FTRX\x02\x00", "binary feature file truncated before shape"),
+        (b"FTRX" + struct.pack("<II", 2, 0), "bad feature shape 2 x 0"),
+    ])
+    def test_malformed_binary_features(self, blob, message, tmp_path, capsys):
+        path = tmp_path / "f.bin"
+        path.write_bytes(blob)
+        code, out, err = run(["analyze", "ssl-losses", "--features", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert message in err
 
     def test_mi_recovers_label_entropy(self, tmp_path, capsys):
         # ten exact copies of each one-hot row: clustering is trivial
@@ -431,6 +526,14 @@ class TestAnalyzeCommands:
         assert code == 0
         line = out.splitlines()[0]
         assert f"DIVERSITY={-math.log(2.0) / 2.0:.6f}" in line
+
+    @pytest.mark.parametrize("temperature", ["nan", "inf"])
+    def test_ssl_non_finite_temperature(self, temperature, tmp_path, capsys):
+        feats = write_feats(tmp_path / "f.txt", [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        code, out, err = run(["analyze", "ssl-losses", "--features", feats,
+                              "--temperature", temperature], capsys)
+        assert (code, out) == (1, "")
+        assert "temperature must be finite and positive" in err
 
     def test_ssl_needs_two_rows(self, tmp_path, capsys):
         feats = write_feats(tmp_path / "f.txt", [[1.0, 0.0]])
@@ -595,6 +698,13 @@ class TestGroundArgumentBounds:
                                  "--out", str(tmp_path / "m.ckpt"), flag, "-1"],
                                 capsys, "non-negative")
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_train_non_finite_learning_rate(self, lr, data, tmp_path, capsys):
+        self.assert_usage_error(["ground", "train", "--data", data, "--epochs", "1",
+                                 "--out", str(tmp_path / "m.ckpt"), "--lr", lr],
+                                capsys, "learning rate must be finite and non-negative")
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_gen_class_count_bound(self, tmp_path, capsys):
         argv = ["ground", "gen", "--train-scenes", "1", "--dev-scenes", "1"]
         for classes in (10**12, MAX_CLASSES + 1):
@@ -678,6 +788,18 @@ class TestGroundInputValidation:
                          + b"x" + struct.pack("<III", 2, 2**32 - 1, 2**32 - 1))
         self.assert_data_error(["ground", "eval", "--model", str(ckpt),
                                 "--data", self.dataset(tmp_path)], capsys)
+
+    @pytest.mark.parametrize("body, message", [
+        (struct.pack("<I", 10) + b"head", "checkpoint truncated while reading tensor name"),
+        (struct.pack("<I", 1) + b"x" + struct.pack("<I", 9), "implausible rank 9 for tensor x"),
+    ])
+    def test_broken_tensor_header(self, body, message, tmp_path, capsys):
+        ckpt = tmp_path / "broken.ckpt"
+        ckpt.write_bytes(b"A3VG" + struct.pack("<I", 1) + body)
+        code, out, err = run(["ground", "eval", "--model", str(ckpt),
+                              "--data", self.dataset(tmp_path)], capsys)
+        assert (code, out) == (2, ""), err
+        assert message in err
 
     def test_repeated_checkpoint_tensor(self, tmp_path, capsys):
         ckpt = Path(self.checkpoint(tmp_path))
@@ -837,6 +959,25 @@ class TestCliBasics:
         assert code == 3
         assert out == ""
         assert err.strip() == "internal error in ground eval: ValueError: boom"
+
+
+class TestTracedNames:
+    def test_every_traced_name_is_still_an_attribute(self):
+        # The benchmark's --trace wraps each (module, name) in its LAYERS
+        # table through vars(owner)[attr], so a renamed or deleted function
+        # would crash the trace.  The table is read from the file, not imported.
+        source = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        layers = next(ast.literal_eval(node.value) for node in tree.body
+                      if isinstance(node, ast.Assign)
+                      and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"])
+        assert layers
+        for module, name in layers:
+            owner = importlib.import_module(f"speechground.{module}")
+            cls_name, _, attr = name.rpartition(".")
+            if cls_name:
+                owner = vars(owner)[cls_name]
+            assert callable(vars(owner).get(attr)), f"{module}.{name}"
 
 
 class TestMalformedInputFuzz:

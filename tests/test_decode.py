@@ -78,6 +78,24 @@ class GridLM(LanguageModel):
         return self.table[history[-1] if history else BOS][token]
 
 
+class CountingLM(LanguageModel):
+    """Wraps a model and records what it is asked; `whole` makes every history its own context."""
+
+    def __init__(self, lm, whole=False):
+        self.lm, self.whole = lm, whole
+        self.tokens = lm.tokens
+        self.asked = []
+        self.contexts = 0
+
+    def context(self, history=()):
+        self.contexts += 1
+        return history if self.whole else self.lm.context(history)
+
+    def cond_logprob(self, token, history=()):
+        self.asked.append(token)
+        return self.lm.cond_logprob(token, history)
+
+
 def random_table_lm(rng, tokens):
     table = {}
     for hist in (BOS, *tokens):
@@ -510,6 +528,47 @@ class TestBeamsMatchReference:
         assert len(want.sequence) > 10
         assert got.sequence == want.sequence
         assert got.score == want.score
+
+
+class TestLmCalls:
+    """What the beams ask the LM: a label row per parent context, an EOS term per child."""
+
+    @staticmethod
+    def command_case():
+        """K=8, T=12 with a bigram: the shape of a short spoken command."""
+        rng = np.random.default_rng(0)
+        words = tuple(f"w{i}" for i in range(7))
+        lm = CountLM.from_corpus([list(rng.choice(words, size=rng.integers(2, 6)))
+                                  for _ in range(30)], order=2, alpha=0.5)
+        return random_posteriorgram(rng, 12, 8), Vocabulary(words), lm
+
+    @pytest.mark.parametrize("whole, most", [(True, 627), (False, 65)])
+    def test_labelsync_asks_eos_on_its_own(self, whole, most):
+        # A whole-history context misses the cache for every child, so a
+        # child's EOS term costs one call, not a whole row of K.
+        p, vocab, lm = self.command_case()
+        config = DecodeConfig(beam_width=4, lm_scale=0.3)
+        counting = CountingLM(lm, whole)
+        got = labelsync_beam(p, config, lm=counting, vocab=vocab)
+        assert got == labelsync_beam(p, config, lm=lm, vocab=vocab)
+        assert 0 < len(counting.asked) <= most
+
+    @pytest.mark.parametrize("whole", [True, False])
+    def test_timesync_never_asks_for_eos(self, whole):
+        p, vocab, lm = self.command_case()
+        config = DecodeConfig(beam_width=4, lm_scale=0.3)
+        counting = CountingLM(lm, whole)
+        got = timesync_beam(p, config, lm=counting, vocab=vocab)
+        assert got == timesync_beam(p, config, lm=lm, vocab=vocab)
+        assert counting.asked and EOS not in counting.asked
+
+    def test_lm_at_scale_zero_is_never_asked(self):
+        p, vocab, lm = self.command_case()
+        counting = CountingLM(lm)
+        for beam in (timesync_beam, labelsync_beam):
+            got = beam(p, DecodeConfig(beam_width=4), lm=counting, vocab=vocab)
+            assert got == beam(p, DecodeConfig(beam_width=4))
+        assert counting.asked == [] and counting.contexts == 0
 
 
 class TestScalingInvariance:

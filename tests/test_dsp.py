@@ -407,6 +407,14 @@ class TestFeatureIO:
         with pytest.raises(DataError):
             read_feature_text(path)
 
+    def test_rows_beyond_the_header(self, tmp_path):
+        path = tmp_path / "extra.txt"
+        path.write_text("2 2\n1 2\n3 4\n5 6\n")
+        with pytest.raises(DataError, match="content after its 2 rows"):
+            read_feature_text(str(path))
+        path.write_text("2 2\n1 2\n3 4\n\n  \n")  # trailing blank lines are fine
+        np.testing.assert_array_equal(read_feature_text(str(path)).data, [[1, 2], [3, 4]])
+
     def test_truncated_binary(self, tmp_path):
         feats = FeatureMatrix(np.ones((4, 4)))
         path = str(tmp_path / "trunc.bin")

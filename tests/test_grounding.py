@@ -558,6 +558,9 @@ class TestTraining:
             TrainConfig(batch_size=0)
         with pytest.raises(UsageError, match="learning rate"):
             TrainConfig(learning_rate=-1e-3)
+        for lr in (np.nan, np.inf):
+            with pytest.raises(UsageError, match="learning rate must be finite"):
+                TrainConfig(learning_rate=lr)
         with pytest.raises(UsageError, match="seed"):
             TrainConfig(seed=-1)
         with pytest.raises(UsageError, match="at least one scene"):

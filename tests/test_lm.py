@@ -92,6 +92,9 @@ class TestCountLM:
             CountLM(order=3, alpha=1.0, unigrams={"a": 1})
         with pytest.raises(UsageError):
             CountLM(order=1, alpha=-0.1, unigrams={"a": 1})
+        for alpha in (math.nan, math.inf):
+            with pytest.raises(UsageError, match="alpha must be finite"):
+                CountLM(order=2, alpha=alpha, unigrams={"a": 1})
 
 
 class TestContext:

@@ -115,8 +115,9 @@ class TestContrastiveLoss:
             ContrastiveBatch([1.0, 2.0], [1.0], np.zeros((0, 1)))
         with pytest.raises(UsageError, match="negatives"):
             ContrastiveBatch([1.0, 2.0], [1.0, 2.0], np.zeros((2, 3)))
-        with pytest.raises(UsageError, match="temperature"):
-            ContrastiveBatch([1.0], [1.0], np.zeros((0, 1)), temperature=0.0)
+        for temperature in (0.0, np.nan, np.inf):
+            with pytest.raises(UsageError, match="temperature must be finite and positive"):
+                ContrastiveBatch([1.0], [1.0], np.zeros((0, 1)), temperature=temperature)
 
 
 class TestDiversityLoss:
@@ -232,9 +233,9 @@ class TestCca:
             cca_corrs(rng.normal(size=10), rng.normal(size=(10, 2)))
         with pytest.raises(UsageError, match="observations"):
             cca_corrs(np.zeros((1, 2)), np.zeros((1, 2)))
-        with pytest.raises(UsageError, match="reg"):
-            cca_corrs(rng.normal(size=(10, 2)), rng.normal(size=(10, 2)),
-                      reg=-1e-3)
+        for reg in (-1e-3, np.nan, np.inf):
+            with pytest.raises(UsageError, match="reg must be finite and non-negative"):
+                cca_corrs(rng.normal(size=(10, 2)), rng.normal(size=(10, 2)), reg=reg)
 
 
 class TestMutualInformation:
