@@ -5,9 +5,8 @@ import math
 import numpy as np
 
 from speechground.selfsup import (Codebooks, CodebookUsage, ContrastiveBatch,
-                                  cca_corrs, cca_similarity, contrastive_loss,
-                                  diversity_loss, mutual_information,
-                                  quantize_concat)
+                                  cca_corrs, contrastive_loss, diversity_loss,
+                                  mutual_information, quantize_concat)
 
 rng = np.random.default_rng(3)
 
@@ -39,8 +38,8 @@ rotated = x @ rng.standard_normal((5, 5))
 independent = rng.standard_normal((500, 5))
 print(f"CCA(x, rotated x):    {np.round(cca_corrs(x, rotated), 4)}")
 print(f"CCA(x, independent):  {np.round(cca_corrs(x, independent), 4)}")
-print(f"similarity scores: {cca_similarity(x, rotated):.4f} vs "
-      f"{cca_similarity(x, independent):.4f}")
+print(f"similarity scores (mean correlation): {cca_corrs(x, rotated).mean():.4f} vs "
+      f"{cca_corrs(x, independent).mean():.4f}")
 
 # Mutual information between k-means clusters of a feature space and
 # external labels measures what the features encode.  Features built

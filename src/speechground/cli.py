@@ -3,7 +3,8 @@
 Batch use only.  Exit codes: 0 success, 1 usage, 2 data, 3 numeric or
 infeasible.  Summary lines print numbers at 6 decimals; --json adds a
 single-line JSON object with full precision and a "version" field.
-Every subcommand is deterministic given its flags, inputs and --seed.
+A run is deterministic given its flags and inputs; the four commands that
+draw random numbers (featurize, analyze mi, ground gen/train) take --seed.
 """
 
 import argparse
@@ -13,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, selfsup
+from . import __version__
 from .ctc import (Posteriorgram, ctc_forward, ctc_prefix_logprob,
                   format_label_sequence, parse_label_string,
                   read_posteriorgram, read_vocab)
@@ -113,25 +114,32 @@ def _cmd_ctc_prefix(args) -> int:
 
 
 def _cmd_ctc_decode(args) -> int:
-    if args.prior_scale > 0 and args.mode != "time-sync":
-        raise UsageError(f"--prior-scale applies only to time-sync, not {args.mode} mode")
-    if args.lm_scale > 0 and args.mode == "greedy":
-        raise UsageError("--lm-scale applies only to the beam modes, not greedy mode")
+    # a flag the mode ignores is refused before any file is opened
+    beam, time_sync, fused = args.mode != "greedy", args.mode == "time-sync", args.lm is not None
+    for flag, given, applies, where in (
+            ("--beam", args.beam is not None, beam, "the beam modes"),
+            ("--lm", fused, beam, "the beam modes"),
+            ("--lm-scale", args.lm_scale > 0, beam, "the beam modes"),
+            ("--prior-from", args.prior_from is not None, time_sync, "time-sync"),
+            ("--prior-scale", args.prior_scale > 0, time_sync, "time-sync"),
+            ("--alpha", args.alpha is not None, fused, "a decode with --lm")):
+        if given and not applies:
+            raise UsageError(f"{flag} applies only to {where}; {args.mode} mode ignores it")
     vocab, post = _load_ctc_inputs(args)
-    config = DecodeConfig(beam_width=args.beam, lm_scale=args.lm_scale,
-                          prior_scale=args.prior_scale)
-    lm = read_lm(args.lm, alpha=args.alpha) if args.lm else None
+    config = DecodeConfig(beam_width=8 if args.beam is None else args.beam,
+                          lm_scale=args.lm_scale, prior_scale=args.prior_scale)
+    lm = read_lm(args.lm, alpha=1.0 if args.alpha is None else args.alpha) if fused else None
     prior = (estimate_prior(_load_prior_sources(args.prior_from))
-             if args.prior_from else None)
+             if args.prior_from is not None else None)
     if args.mode == "greedy":
         seq = greedy_decode(post)
-    elif args.mode == "time-sync":
+    elif time_sync:
         seq = timesync_beam(post, config, lm=lm, prior=prior, vocab=vocab).sequence
     else:
         seq = labelsync_beam(post, config, lm=lm, vocab=vocab).sequence
     text = format_label_sequence(seq, vocab)
     _emit(args, f"HYP={text}", {
-        "command": "ctc-decode", "mode": args.mode, "beam": args.beam,
+        "command": "ctc-decode", "mode": args.mode, "beam": config.beam_width,
         "hyp": list(text.split()),
     })
     return 0
@@ -326,19 +334,21 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized step")
-    common.add_argument("--quiet", action="store_true",
-                        help="suppress auxiliary output lines")
     common.add_argument("--json", action="store_true",
                         help="also print a JSON report line")
+    seeded = _Parser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0,
+                        help="seed for the randomized steps")
+    quiet = _Parser(add_help=False)
+    quiet.add_argument("--quiet", action="store_true",
+                       help="suppress auxiliary output lines")
 
     parser = _Parser(prog="speechground",
                      description="Speech decoding and grounding numerics.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    feat = sub.add_parser("featurize", parents=[common],
+    feat = sub.add_parser("featurize", parents=[common, seeded],
                           help="WAV to mel-cepstral features")
     feat.add_argument("--input", required=True, help="16 kHz mono PCM16 WAV")
     feat.add_argument("--output", required=True, help="feature file to write")
@@ -378,11 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
                              help="search for the best labeling")
     dec.add_argument("--mode", choices=("greedy", "time-sync", "label-sync"),
                      default="greedy")
-    dec.add_argument("--beam", type=int, default=8, help="beam width H")
+    dec.add_argument("--beam", type=int, help="beam width H (default 8)")
     dec.add_argument("--lm", help="count file for shallow fusion")
     dec.add_argument("--lm-scale", type=float, default=0.0)
-    dec.add_argument("--alpha", type=float, default=1.0,
-                     help="LM smoothing constant")
+    dec.add_argument("--alpha", type=float,
+                     help="LM smoothing constant (default 1.0)")
     dec.add_argument("--prior-from",
                      help="posteriorgram file or directory for the label prior")
     dec.add_argument("--prior-scale", type=float, default=0.0)
@@ -414,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     cca.add_argument("--reg", type=float, default=1e-6)
     cca.set_defaults(func=_cmd_analyze_cca)
 
-    mi = an_sub.add_parser("mi", parents=[common],
+    mi = an_sub.add_parser("mi", parents=[common, seeded],
                            help="mutual information of clusters vs labels")
     mi.add_argument("--features", required=True)
     mi.add_argument("--labels", required=True, help="one label per line")
@@ -432,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     gr = sub.add_parser("ground", help="synthetic grounding pipeline")
     gr_sub = gr.add_subparsers(dest="action", required=True, metavar="ACTION")
 
-    gen = gr_sub.add_parser("gen", parents=[common],
+    gen = gr_sub.add_parser("gen", parents=[common, seeded],
                             help="generate train/dev scene files")
     gen.add_argument("--out", required=True, help="output directory")
     gen.add_argument("--train-scenes", type=int, default=2000)
@@ -443,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="keep raw point clouds in the files")
     gen.set_defaults(func=_cmd_ground_gen)
 
-    tr = gr_sub.add_parser("train", parents=[common],
+    tr = gr_sub.add_parser("train", parents=[common, seeded, quiet],
                            help="train the grounding model")
     tr.add_argument("--data", required=True, help="training scene file")
     tr.add_argument("--out", required=True, help="checkpoint to write")
@@ -455,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--lr", type=float, default=3e-3)
     tr.set_defaults(func=_cmd_ground_train)
 
-    ge = gr_sub.add_parser("eval", parents=[common],
+    ge = gr_sub.add_parser("eval", parents=[common, quiet],
                            help="score a checkpoint on a scene file")
     ge.add_argument("--model", required=True)
     ge.add_argument("--data", required=True)

@@ -77,8 +77,6 @@ def estimate_prior(posteriorgrams) -> LabelPrior:
 
 def greedy_decode(p: Posteriorgram) -> LabelSequence:
     """Collapse the per-frame argmax path; ties go to the lowest index."""
-    if p.num_frames == 0:
-        return ()
     return collapse(np.argmax(p.log_probs, axis=1))
 
 

@@ -245,6 +245,10 @@ def mel_filterbank(spec: FrameSpec, sample_rate: int, num_filters: int = 26) -> 
     """Build triangular mel filters sampled at the FFT bin frequencies."""
     if num_filters < 1:
         raise UsageError(f"num_filters must be >= 1, got {num_filters}")
+    # a bin lies under at most two triangles, so more filters leave one empty
+    if num_filters > 2 * spec.num_bins:
+        raise UsageError(f"{num_filters} filters exceed twice the {spec.num_bins} FFT bins; "
+                         f"reduce num_filters or raise fft_size")
     if sample_rate <= 0:
         raise UsageError(f"sample_rate must be positive, got {sample_rate}")
     mel_max = hz_to_mel(sample_rate / 2.0)
@@ -350,6 +354,8 @@ def read_wav(path: str) -> Waveform:
                 )
             rate = fh.getframerate()
             raw = fh.readframes(fh.getnframes())
+            if len(raw) != 2 * fh.getnframes():
+                raise DataError("truncated RIFF/WAVE file")
     except wave.Error as exc:
         raise DataError(f"not a readable RIFF/WAVE file: {exc}") from exc
     except EOFError as exc:

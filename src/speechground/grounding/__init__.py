@@ -6,9 +6,8 @@ from .features import (audio_embedding, label_embedding, object_feature_stub,
 from .model import (AttentionParams, GroundingConfig, GroundingFailure,
                     GroundingModel, GroundingResult, attention_params_from,
                     audio_guided_attention, classify_audio, detect_mentions,
-                    ground, init_grounding_model, joint_loss, load_checkpoint,
-                    loss_and_grads, param_shapes, prepare_scene,
-                    save_checkpoint)
+                    ground, init_grounding_model, load_checkpoint,
+                    loss_and_grads, param_shapes, prepare_scene, save_checkpoint)
 from .scene import (RELATIONS, GenConfig, SceneObject, SyntheticScene,
                     generate_scenes, group_objects, read_scenes, verify_scene,
                     write_scenes)
@@ -21,7 +20,7 @@ __all__ = [
     "SceneObject", "SyntheticScene", "TrainConfig", "attention_params_from",
     "audio_embedding", "audio_guided_attention", "classify_audio",
     "detect_mentions", "evaluate", "generate_scenes", "gradient_check",
-    "ground", "group_objects", "init_grounding_model", "joint_loss",
+    "ground", "group_objects", "init_grounding_model",
     "label_embedding", "load_checkpoint", "loss_and_grads",
     "object_feature_stub", "object_features", "object_representation",
     "object_representations", "param_shapes",

@@ -562,11 +562,6 @@ def loss_and_grads(model: GroundingModel, scenes,
     return total, parts, grads
 
 
-def joint_loss(model: GroundingModel, scenes) -> tuple[float, np.ndarray]:
-    """Weighted sum of audio CE, mention BCE and grounding CE (batch mean)."""
-    return _batch_loss(model, _prepare_set(model.config, scenes))
-
-
 def _predicted_groupings(model: GroundingModel, scenes
                          ) -> list[tuple[int, tuple[int, ...]]]:
     """Predicted audio class and detected mentions of every scene."""
@@ -683,11 +678,8 @@ def load_checkpoint(path: str) -> GroundingModel:
         version = struct.unpack("<I", _read_exact(fh, 4, "version"))[0]
         if version != CHECKPOINT_VERSION:
             raise DataError(f"unsupported checkpoint version {version}")
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            name_len = struct.unpack("<I", head)[0]
+        while fh.tell() < file_size:
+            name_len = struct.unpack("<I", _read_exact(fh, 4, "tensor name length"))[0]
             if name_len > 4096:
                 raise DataError(f"implausible tensor name length {name_len}")
             name = _read_exact(fh, name_len, "tensor name").decode("utf-8")

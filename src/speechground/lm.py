@@ -84,6 +84,8 @@ class CountLM(LanguageModel):
             seen.add(tok)
         self.tokens = tuple(sorted(seen - {BOS, EOS}))
         self._uni_total = sum(self.unigrams.values())
+        if not np.isfinite(self._uni_total + self.alpha * (len(self.tokens) + 1)):
+            raise UsageError(f"alpha {self.alpha} overflows the LM denominator")
         if self.alpha == 0 and self._uni_total == 0:
             raise DataError("no counts and no smoothing leaves nothing to predict")
         self._ctx_totals: dict[str, int] = {}

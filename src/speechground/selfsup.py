@@ -169,11 +169,6 @@ def cca_corrs(x: np.ndarray, y: np.ndarray, reg: float = 1e-6) -> np.ndarray:
     return np.clip(corrs, 0.0, 1.0)
 
 
-def cca_similarity(x: np.ndarray, y: np.ndarray, reg: float = 1e-6) -> float:
-    """Scalar similarity: the mean canonical correlation."""
-    return float(np.mean(cca_corrs(x, y, reg)))
-
-
 def _kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Seeded k-means++-style init then a fixed 50 Lloyd iterations."""
     rng = np.random.default_rng(seed)

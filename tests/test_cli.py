@@ -1,5 +1,6 @@
 """End-to-end command-line tests driven through main()."""
 
+import argparse
 import ast
 import hashlib
 import importlib
@@ -14,7 +15,7 @@ import pytest
 
 from speechground import cli
 from speechground.cli import main
-from speechground.dsp import Waveform, write_wav
+from speechground.dsp import FeatureMatrix, Waveform, write_feature_binary, write_wav
 from speechground.grounding import (GenConfig, GroundingConfig, generate_scenes,
                                     init_grounding_model, save_checkpoint,
                                     write_scenes)
@@ -175,6 +176,23 @@ class TestFeaturize:
         assert code == 2
         assert err
 
+    def test_filter_count_beyond_twice_the_bins(self, wav_path, tmp_path, capsys):
+        # refused before the (filters, bins) weight array is allocated
+        code, out, err = run(["featurize", "--input", wav_path, "--output",
+                              str(tmp_path / "o.txt"), "--filters", "100000000000"], capsys)
+        assert (code, out) == (1, "")
+        assert "100000000000 filters exceed twice the 257 FFT bins" in err
+
+    # an odd cut leaves half a sample; an even one whole samples, fewer than the header's
+    @pytest.mark.parametrize("cut", [1, 2, 3, 1000])
+    def test_data_shorter_than_the_header_says(self, cut, wav_path, tmp_path, capsys):
+        path = tmp_path / "short.wav"
+        path.write_bytes(Path(wav_path).read_bytes()[:-cut])
+        code, out, err = run(["featurize", "--input", str(path),
+                              "--output", str(tmp_path / "o.txt")], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: truncated RIFF/WAVE file\n"
+
 
 class TestCtcCommands:
     def test_loss_anchor(self, anchor, capsys):
@@ -264,6 +282,43 @@ class TestCtcCommands:
             assert code == 1, (mode, flags)
             assert f"{mode} mode" in err
             assert out == ""
+
+    # each file flag names a path that does not exist: the refusal opens nothing
+    @pytest.mark.parametrize("mode, flags, flag", [
+        ("greedy", ["--lm", "absent.counts"], "--lm"),
+        ("greedy", ["--beam", "4"], "--beam"),
+        ("greedy", ["--prior-from", "absent.post"], "--prior-from"),
+        ("label-sync", ["--prior-from", "absent.post"], "--prior-from"),
+        ("greedy", ["--alpha", "0.5"], "--alpha"),
+        ("time-sync", ["--alpha", "nan"], "--alpha"),
+        ("label-sync", ["--alpha", "-5", "--lm-scale", "0.3"], "--alpha"),
+    ])
+    def test_inputs_a_mode_ignores_are_rejected(self, mode, flags, flag, peaky, tmp_path,
+                                                capsys):
+        post, vocab = peaky
+        flags = [str(tmp_path / v) if v.startswith("absent") else v for v in flags]
+        code, out, err = run(["ctc", "decode", "--posteriors", post, "--vocab", vocab,
+                              "--mode", mode, *flags], capsys)
+        assert (code, out) == (1, ""), err
+        assert err.startswith(f"error: {flag} applies only to ")
+        assert f"{mode} mode ignores it" in err
+
+    def test_json_reports_the_beam_width_read(self, peaky, capsys):
+        post, vocab = peaky
+        for mode, flags, beam in (("greedy", [], 8), ("time-sync", [], 8),
+                                  ("label-sync", ["--beam", "3"], 3)):
+            code, out, _ = run(["ctc", "decode", "--posteriors", post, "--vocab", vocab,
+                                "--mode", mode, "--json", *flags], capsys)
+            assert code == 0
+            assert json.loads(out.splitlines()[1])["beam"] == beam
+
+    def test_alpha_overflowing_the_lm_denominator(self, peaky, tmp_path, capsys):
+        post, vocab = peaky
+        lm = write_text(tmp_path / "lm.counts", "a\t2\nb\t2\n</s>\t2\n")
+        code, out, err = run(["ctc", "decode", "--posteriors", post, "--vocab", vocab,
+                              "--mode", "time-sync", "--lm", lm, "--alpha", "1e308"], capsys)
+        assert (code, out) == (1, "")
+        assert "alpha 1e+308 overflows the LM denominator" in err
 
     @pytest.fixture
     def lm_without_b(self, tmp_path):
@@ -424,6 +479,15 @@ class TestEvalCommands:
                               "--alpha", alpha], capsys)
         assert (code, out) == (1, "")
         assert "alpha must be finite and non-negative" in err
+
+    def test_ppl_alpha_overflowing_the_denominator(self, tmp_path, capsys):
+        # 1e308 * 2 overflows the add-alpha denominator, which would give PPL=inf
+        lm = write_text(tmp_path / "lm.counts", "a\t1\n</s>\t1\n")
+        text = write_text(tmp_path / "text.txt", "a\n")
+        code, out, err = run(["eval", "ppl", "--lm", lm, "--text", text,
+                              "--alpha", "1e308", "--json"], capsys)
+        assert (code, out) == (1, "")
+        assert "alpha 1e+308 overflows the LM denominator" in err
 
     def test_ppl_blank_count_file(self, tmp_path, capsys):
         lm = write_text(tmp_path / "lm.counts", "\n  \n\n")
@@ -801,6 +865,17 @@ class TestGroundInputValidation:
         assert (code, out) == (2, ""), err
         assert message in err
 
+    # 1-3 bytes are too few for the next tensor's name length
+    @pytest.mark.parametrize("extra", [1, 2, 3])
+    def test_checkpoint_with_trailing_bytes(self, extra, tmp_path, capsys):
+        ckpt = Path(self.checkpoint(tmp_path))
+        with open(ckpt, "ab") as fh:
+            fh.write(b"\x01" * extra)
+        code, out, err = run(["ground", "eval", "--model", str(ckpt),
+                              "--data", self.dataset(tmp_path)], capsys)
+        assert (code, out) == (2, ""), err
+        assert err == "error: checkpoint truncated while reading tensor name length\n"
+
     def test_repeated_checkpoint_tensor(self, tmp_path, capsys):
         ckpt = Path(self.checkpoint(tmp_path))
         name = b"head.b2"
@@ -1141,3 +1216,127 @@ class TestStructuredInputFuzz:
             code, _, err = run(argv, capsys)
             assert code in (0, 1, 2, 3), f"case {case}: exit {code}"
             assert "internal error" not in err, f"case {case} ({command}): {err}"
+
+
+def leaf_parsers(parser, words=()):
+    """(command words, parser) of every runnable subcommand under `parser`."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from leaf_parsers(sub, words + (name,))
+    if parser.get_default("func") is not None:
+        yield " ".join(words), parser
+
+
+class TestFlagSurface:
+    """Every flag a subcommand accepts is one its handler reads."""
+
+    @staticmethod
+    def flags(parser):
+        return {action.dest: action.option_strings[0] for action in parser._actions
+                if action.option_strings and not isinstance(action, argparse._HelpAction)}
+
+    def test_seed_quiet_and_json_placement(self):
+        dests = {words: set(self.flags(parser))
+                 for words, parser in leaf_parsers(cli.build_parser())}
+        assert len(dests) == 13
+        assert {w for w, d in dests.items() if "seed" in d} == {
+            "featurize", "analyze mi", "ground gen", "ground train"}
+        assert {w for w, d in dests.items() if "quiet" in d} == {"ground train", "ground eval"}
+        assert all("json" in d for d in dests.values())
+
+    def test_every_flag_is_read(self):
+        # a read is `args.<dest>` in the handler or in a cli.py function it passes args to
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+        def reads(name):
+            nodes = list(ast.walk(funcs[name]))
+            found = {node.attr for node in nodes if isinstance(node, ast.Attribute)
+                     and isinstance(node.value, ast.Name) and node.value.id == "args"}
+            for node in nodes:
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in funcs
+                        and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args)):
+                    found |= reads(node.func.id)
+            return found
+
+        unread = [f"{words} {flag}"
+                  for words, parser in leaf_parsers(cli.build_parser())
+                  for dest, flag in self.flags(parser).items()
+                  if dest not in reads(parser.get_default("func").__name__)]
+        assert unread == []
+
+
+class TestByteLevelFuzz:
+    """Valid input files with cut, overwritten or appended bytes.
+
+    Each seeded case truncates a file at a random offset, overwrites 1-4
+    bytes or appends 1-5, then runs the command that reads it: every
+    outcome must be a documented exit code, and none may reach the
+    catch-all handler.
+    """
+
+    CASES_PER_KIND = 60
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        rng = np.random.default_rng(406)
+        wav = tmp_path / "base.wav"
+        write_wav(str(wav), Waveform(rng.uniform(-0.5, 0.5, 1600), 16000))
+        feats = rng.normal(size=(6, 3))
+        text_feats = write_feats(tmp_path / "base.feats", feats)
+        binary_feats = tmp_path / "base.bin"
+        write_feature_binary(str(binary_feats), FeatureMatrix(feats))
+        post = write_post(tmp_path / "base.post", [[0.1, 0.8, 0.1], [0.7, 0.2, 0.1],
+                                                   [0.1, 0.1, 0.8]])
+        vocab = write_vocab(tmp_path / "base.vocab", ["a", "b"])
+        counts = write_text(tmp_path / "base.counts",
+                            "a\t2\nb\t1\n</s>\t2\n<s> a\t2\na b\t1\nb </s>\t1\na </s>\t1\n")
+        text = write_text(tmp_path / "base.txt", "a b\na\n")
+        scenes = tmp_path / "base.jsonl"
+        write_scenes(str(scenes), generate_scenes(GenConfig(num_scenes=3, num_classes=4)),
+                     include_points=False, embed_seed=7)
+        ckpt = tmp_path / "base.ckpt"
+        save_checkpoint(str(ckpt), init_grounding_model(GroundingConfig(
+            num_classes=4, d_label=4, attn_dim=4, cls_hidden=(8,), omd_hidden=(8,),
+            head_hidden=(8,)), seed=0))
+        out = str(tmp_path / "out")
+        # kind -> (valid file, argv reading the case file at "{}")
+        return {
+            "wav": (wav, ["featurize", "--input", "{}", "--output", out]),
+            "text features": (text_feats, ["analyze", "cca", "--x", "{}", "--y", "{}"]),
+            "binary features": (binary_feats, ["analyze", "ssl-losses", "--features", "{}"]),
+            "posteriorgram": (post, ["ctc", "decode", "--mode", "time-sync", "--posteriors",
+                                     "{}", "--vocab", vocab, "--prior-from", "{}"]),
+            "vocabulary": (vocab, ["ctc", "decode", "--mode", "label-sync", "--posteriors",
+                                   post, "--vocab", "{}", "--lm", counts,
+                                   "--lm-scale", "0.3"]),
+            "count file": (counts, ["eval", "ppl", "--lm", "{}", "--text", text]),
+            "checkpoint": (ckpt, ["ground", "eval", "--model", "{}", "--data", str(scenes)]),
+            "scene file": (scenes, ["ground", "eval", "--model", str(ckpt), "--data", "{}"]),
+        }
+
+    @staticmethod
+    def mutate(rng, blob):
+        kind = rng.integers(3)
+        if kind == 0:
+            return blob[:rng.integers(len(blob))]
+        if kind == 1:
+            out = bytearray(blob)
+            pos = int(rng.integers(len(out)))
+            span = len(out[pos:pos + int(rng.integers(1, 5))])
+            out[pos:pos + span] = rng.bytes(span)
+            return bytes(out)
+        return blob + rng.bytes(int(rng.integers(1, 6)))
+
+    def test_mutated_files_fail_cleanly(self, files, tmp_path, capsys):
+        rng = np.random.default_rng(407)
+        for kind, (base, argv) in files.items():
+            blob = Path(base).read_bytes()
+            case_file = tmp_path / f"case{Path(base).suffix}"
+            for case in range(self.CASES_PER_KIND):
+                case_file.write_bytes(self.mutate(rng, blob))
+                code, _, err = run([a.format(case_file) for a in argv], capsys)
+                assert code in (0, 1, 2, 3), f"{kind} case {case}: exit {code}"
+                assert "internal error" not in err, f"{kind} case {case}: {err}"

@@ -184,6 +184,18 @@ class TestFilterbank:
             mel_filterbank(FrameSpec(step_samples=8, window_samples=16,
                                      fft_size=16), 16000, 40)
 
+    def test_filter_count_bound(self):
+        # a bin lies under at most two triangles: 2 * 257 bins is the cheap cap,
+        # and the per-filter check then finds 114 the largest usable count
+        spec = FrameSpec()
+        assert mel_filterbank(spec, 16000, 114).num_filters == 114
+        for count, message in ((115, "filter 0 catches no FFT bin"),
+                               (514, "filter 0 catches no FFT bin"),
+                               (515, "515 filters exceed twice the 257 FFT bins"),
+                               (10**11, "exceed twice the 257 FFT bins")):
+            with pytest.raises(UsageError, match=message):
+                mel_filterbank(spec, 16000, count)
+
 
 class TestMfcc:
     def test_silence_concentrates_in_c0(self):

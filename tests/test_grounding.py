@@ -15,7 +15,7 @@ from speechground.grounding import (AttentionParams, EvalReport, GenConfig,
                                     audio_guided_attention, classify_audio,
                                     detect_mentions, evaluate, generate_scenes,
                                     gradient_check, ground, group_objects,
-                                    init_grounding_model, joint_loss,
+                                    init_grounding_model,
                                     load_checkpoint, loss_and_grads,
                                     object_representation, prepare_scene,
                                     save_checkpoint, train_toy)
@@ -434,7 +434,7 @@ class TestJointLoss:
     def test_total_is_weighted_sum_of_parts(self):
         model = small_model(seed=3)
         scenes = small_scenes(3, seed=20)
-        total, parts = joint_loss(model, scenes)
+        total, parts, _ = loss_and_grads(model, scenes)
         assert parts.shape == (3,)
         assert np.all(parts >= 0.0)
         np.testing.assert_allclose(total, parts.sum(), rtol=1e-12)
@@ -442,10 +442,10 @@ class TestJointLoss:
     def test_lambdas_reweight_the_same_parts(self):
         scenes = small_scenes(3, seed=20)
         base_model = small_model(seed=3)
-        _, base_parts = joint_loss(base_model, scenes)
+        _, base_parts, _ = loss_and_grads(base_model, scenes)
         for lambdas in ((0.0, 0.0, 1.0), (2.0, 0.5, 1.5)):
             model = small_model(seed=3, lambdas=lambdas)
-            total, parts = joint_loss(model, scenes)
+            total, parts, _ = loss_and_grads(model, scenes)
             np.testing.assert_allclose(parts, base_parts, rtol=1e-12)
             np.testing.assert_allclose(total, np.dot(lambdas, parts),
                                        rtol=1e-12)
@@ -453,9 +453,9 @@ class TestJointLoss:
     def test_batch_loss_is_the_scene_mean(self):
         model = small_model(seed=4)
         scenes = small_scenes(2, seed=21)
-        _, parts_a = joint_loss(model, scenes[:1])
-        _, parts_b = joint_loss(model, scenes[1:])
-        _, parts_ab = joint_loss(model, scenes)
+        _, parts_a, _ = loss_and_grads(model, scenes[:1])
+        _, parts_b, _ = loss_and_grads(model, scenes[1:])
+        _, parts_ab, _ = loss_and_grads(model, scenes)
         np.testing.assert_allclose(parts_ab, (parts_a + parts_b) / 2,
                                    rtol=1e-12)
 
@@ -469,7 +469,7 @@ class TestJointLoss:
                    make_object(1, [2.0, 0.0, 0.0])]
         scene = hand_scene(objects, target_index=0, target_class=0,
                            mentioned=(0, 1), num_classes=3)
-        total, parts = joint_loss(model, [scene])
+        total, parts, _ = loss_and_grads(model, [scene])
         assert total == 0.0
         assert np.all(parts == 0.0)
 
@@ -484,7 +484,7 @@ class TestJointLoss:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(UsageError, match="at least one scene"):
-            joint_loss(small_model(), [])
+            loss_and_grads(small_model(), [])
 
 
 class TestGradientCheck:
@@ -539,8 +539,8 @@ class TestTraining:
     def test_duplicated_scenes_keep_the_mean_loss(self):
         model = small_model(seed=6)
         scenes = small_scenes(6, seed=8)
-        total_once, parts_once = joint_loss(model, scenes)
-        total_twice, parts_twice = joint_loss(model, scenes * 2)
+        total_once, parts_once, _ = loss_and_grads(model, scenes)
+        total_twice, parts_twice, _ = loss_and_grads(model, scenes * 2)
         np.testing.assert_allclose(total_twice, total_once, rtol=1e-12)
         np.testing.assert_allclose(parts_twice, parts_once, rtol=1e-12)
 

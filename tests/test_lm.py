@@ -96,6 +96,14 @@ class TestCountLM:
             with pytest.raises(UsageError, match="alpha must be finite"):
                 CountLM(order=2, alpha=alpha, unigrams={"a": 1})
 
+    def test_alpha_overflowing_the_denominator(self):
+        # two tokens plus EOS: 1e308 * 3 overflows, 1e307 * 3 does not
+        unigrams = {"a": 1, "b": 1}
+        with pytest.raises(UsageError, match="alpha 1e\\+308 overflows the LM denominator"):
+            CountLM(order=1, alpha=1e308, unigrams=unigrams)
+        lm = CountLM(order=1, alpha=1e307, unigrams=unigrams)
+        assert math.isfinite(lm.cond_logprob("a"))
+
 
 class TestContext:
     """`context(h)` must give every conditional that `h` itself gives."""

@@ -1,13 +1,16 @@
 """Tests for the self-supervised objectives and representation probes."""
 
+import json
+
 import numpy as np
 import pytest
 
+from speechground.cli import main
+from speechground.dsp import FeatureMatrix, write_feature_text
 from speechground.errors import DataError, NumericError, UsageError
 from speechground.selfsup import (Codebooks, CodebookUsage, ContrastiveBatch,
-                                  cca_corrs, cca_similarity, contrastive_loss,
-                                  diversity_loss, mutual_information,
-                                  quantize_concat)
+                                  cca_corrs, contrastive_loss, diversity_loss,
+                                  mutual_information, quantize_concat)
 
 
 class TestQuantizeConcat:
@@ -189,13 +192,19 @@ class TestCca:
         rng = np.random.default_rng(13)
         x = rng.normal(size=(10000, 3))
         y = rng.normal(size=(10000, 3))
-        assert cca_similarity(x, y) < 0.05
+        assert np.mean(cca_corrs(x, y)) < 0.05
 
-    def test_similarity_is_mean_of_correlations(self):
+    def test_similarity_is_mean_of_correlations(self, tmp_path, capsys):
+        # `analyze cca` reports the mean canonical correlation as its similarity
         rng = np.random.default_rng(14)
         x = rng.normal(size=(100, 3))
         y = rng.normal(size=(100, 5))
-        np.testing.assert_allclose(cca_similarity(x, y),
+        paths = [str(tmp_path / name) for name in ("x.feats", "y.feats")]
+        for path, data in zip(paths, (x, y)):
+            write_feature_text(path, FeatureMatrix(data))
+        assert main(["analyze", "cca", "--x", paths[0], "--y", paths[1], "--json"]) == 0
+        similarity = json.loads(capsys.readouterr().out.splitlines()[1])["similarity"]
+        np.testing.assert_allclose(similarity,
                                    np.mean(cca_corrs(x, y)), rtol=1e-12)
 
     def test_values_in_unit_interval_sorted_descending(self):
