@@ -35,10 +35,15 @@ from .selfsup import (CodebookUsage, ContrastiveBatch, cca_corrs,
 
 
 def _emit(args, line: str, payload: dict) -> None:
-    # summary line always; JSON report on request
+    # summary line always, JSON report on request; neither if a number is not finite
+    try:
+        report = json.dumps({"version": __version__, **payload}, sort_keys=True,
+                            allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"{payload['command']}: result is not finite") from exc
     print(line)
     if args.json:
-        print(json.dumps({"version": __version__, **payload}, sort_keys=True))
+        print(report)
 
 
 def _info(args, line: str) -> None:
@@ -229,8 +234,8 @@ def _cmd_ground_gen(args) -> int:
     for name, cfg in configs.items():
         path = os.path.join(args.out, name)
         # no reference outlives the write, so only one split is resident
-        write_scenes(path, generate_scenes(cfg), include_points=args.points,
-                     embed_seed=args.embed_seed)
+        write_scenes(path, generate_scenes(cfg),
+                     None if args.points else args.embed_seed)
         paths[name] = path
     _emit(args, f"TRAIN={args.train_scenes} DEV={args.dev_scenes}", {
         "command": "ground-gen", "train_path": paths["train.jsonl"],

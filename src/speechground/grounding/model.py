@@ -225,14 +225,14 @@ def _zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return _flat_views(params, np.zeros(sum(p.size for p in params.values())))
 
 
-def _mlp_forward(params, name, x):
+def _mlp_forward(model: GroundingModel, name: str, x):
     """Output of a tanh MLP and its cache: each layer's input."""
-    depth = sum(key.startswith(f"{name}.w") for key in params)
+    depth = len(getattr(model.config, f"{name}_hidden")) + 1
     cache = []
     h = x
     for i in range(depth):
         cache.append(h)
-        z = h @ params[f"{name}.w{i}"].T + params[f"{name}.b{i}"]
+        z = h @ model.params[f"{name}.w{i}"].T + model.params[f"{name}.b{i}"]
         h = np.tanh(z) if i < depth - 1 else z
     return h, cache
 
@@ -295,18 +295,15 @@ def _attn_backward(p: AttentionParams, dout, cache, grads, prefix):
     heads, dh, d = p.wq.shape
     b, nq = xq.shape[:2]
 
-    def bump(key, val):
-        grads[key] += val
-
     def unproject(dy, x, key, akey):
         # gradients of the object and audio projections and of the input x
         dflat = dy.transpose(0, 2, 1, 3).reshape(-1, heads * dh)
-        bump(f"{prefix}.{key}", (dflat.T @ x.reshape(-1, d)).reshape(heads, dh, d))
+        grads[f"{prefix}.{key}"] += (dflat.T @ x.reshape(-1, d)).reshape(heads, dh, d)
         per_scene = dflat.reshape(b, -1, heads * dh).sum(axis=1)
-        bump(f"{prefix}.{akey}", (per_scene.T @ audio).reshape(heads, dh, -1))
+        grads[f"{prefix}.{akey}"] += (per_scene.T @ audio).reshape(heads, dh, -1)
         return (dflat @ getattr(p, key).reshape(-1, d)).reshape(x.shape)
 
-    bump(f"{prefix}.wo", dout.reshape(-1, d).T @ flat.reshape(-1, heads * dh))
+    grads[f"{prefix}.wo"] += dout.reshape(-1, d).T @ flat.reshape(-1, heads * dh)
     dctx = (dout.reshape(-1, d) @ p.wo).reshape(b, nq, heads, dh).transpose(0, 2, 1, 3)
     datt = dctx @ v.transpose(0, 1, 3, 2)
     dv = att.transpose(0, 1, 3, 2) @ dctx
@@ -369,18 +366,27 @@ def audio_guided_attention(objects_q, objects_kv, audio, params: AttentionParams
     return out[0]
 
 
-def _class_probs(model: GroundingModel, audio: np.ndarray) -> np.ndarray:
-    """(B, num_classes) softmax of the cls head over (B, d_audio) audio."""
-    logits, _ = _mlp_forward(model.params, "cls", audio)
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of (B, K) logits; a -inf logit gets probability 0."""
     p = np.exp(logits - logits.max(axis=1, keepdims=True))
     return p / p.sum(axis=1, keepdims=True)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # exp may overflow to inf for saturated logits; 1/(1+inf) is the
+    # correct sigmoid limit, so only the warning needs suppressing
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def _class_probs(model: GroundingModel, audio: np.ndarray) -> np.ndarray:
+    """(B, num_classes) softmax of the cls head over (B, d_audio) audio."""
+    return _softmax(_mlp_forward(model, "cls", audio)[0])
+
+
 def _mention_probs(model: GroundingModel, audio: np.ndarray) -> np.ndarray:
     """(B, num_classes) sigmoids of the omd head over (B, d_audio) audio."""
-    logits, _ = _mlp_forward(model.params, "omd", audio)
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-logits))
+    return _sigmoid(_mlp_forward(model, "omd", audio)[0])
 
 
 def _detected(model: GroundingModel, probs: np.ndarray) -> tuple[int, ...]:
@@ -494,7 +500,7 @@ def _ground_streams(model: GroundingModel, audio, cand, cmask, rel, rmask):
                                            False)
     fused = cand + o_self + o_cross
     # the head scores only real candidates; padded slots stay -inf
-    scores, head_cache = _mlp_forward(model.params, "head", fused[cmask])
+    scores, head_cache = _mlp_forward(model, "head", fused[cmask])
     logits = np.full(cmask.shape, -np.inf)
     logits[cmask] = scores[:, 0]
     return logits, (cmask, self_caches, cross_caches, head_cache)
@@ -522,16 +528,13 @@ def _batch_loss(model: GroundingModel, batch: _Batch, grads=None
     audio = batch.audio
     b = audio.shape[0]
 
-    cls_logits, cls_cache = _mlp_forward(model.params, "cls", audio)
+    cls_logits, cls_cache = _mlp_forward(model, "cls", audio)
     ce_audio, dcls = _softmax_nll(cls_logits, batch.target_class)
 
-    x, omd_cache = _mlp_forward(model.params, "omd", audio)
+    x, omd_cache = _mlp_forward(model, "omd", audio)
     y = batch.mention_hot
     bce = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
-    # exp may overflow to inf for saturated logits; 1/(1+inf) is the
-    # correct sigmoid limit, so only the warning needs suppressing
-    with np.errstate(over="ignore"):
-        domd = (1.0 / (1.0 + np.exp(-x)) - y) / x.shape[1]
+    domd = (_sigmoid(x) - y) / x.shape[1]
 
     ground_logits, caches = _ground_streams(model, audio, batch.cand, batch.cmask,
                                             batch.rel, batch.rmask)
@@ -591,9 +594,7 @@ def _ground_grouped(model: GroundingModel, scenes, groupings
             model.config, [scenes[i] for i in batch], [grouped[i] for i in batch]))
         logits, _ = _ground_streams(model, np.stack([scenes[i].audio for i in batch]),
                                     *_pad(cand_blocks, d_rep), *_pad(rel_blocks, d_rep))
-        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-        probs /= probs.sum(axis=1, keepdims=True)
-        for i, row, win in zip(batch, probs, np.argmax(logits, axis=1)):
+        for i, row, win in zip(batch, _softmax(logits), np.argmax(logits, axis=1)):
             cands, rels = grouped[i]
             results[i] = GroundingResult(cands[win], row[:len(cands)].copy(),
                                          tuple(cands), not rels, *groupings[i])

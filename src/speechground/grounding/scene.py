@@ -306,24 +306,21 @@ def generate_scenes(config: GenConfig) -> list[SyntheticScene]:
 _BAKE_CHUNK = 64
 
 
-def write_scenes(path: str, scenes, include_points: bool = True,
-                 embed_seed: int | None = None, d_obj: int = 32) -> None:
+def write_scenes(path: str, scenes, embed_seed: int | None = None) -> None:
     """Write scenes as JSON lines.
 
-    With include_points=False the point clouds are elided and each
-    object instead carries its baked shape feature (which requires the
-    embedding seed used downstream) plus the box summary.  Features are
-    baked for `_BAKE_CHUNK` scenes at a time.
+    Without `embed_seed` each object carries its point cloud.  With it
+    the clouds are elided and each object carries its shape feature,
+    baked under that seed (the one used downstream), plus the box
+    summary.  Features are baked for `_BAKE_CHUNK` scenes at a time.
     """
-    if not include_points and embed_seed is None:
-        raise UsageError("eliding points requires embed_seed to bake features")
-    key = "points" if include_points else "feature"
+    key = "points" if embed_seed is None else "feature"
     with open(path, "w", encoding="utf-8") as fh:
         for start in range(0, len(scenes), _BAKE_CHUNK):
             chunk = scenes[start:start + _BAKE_CHUNK]
             objects = [obj for scene in chunk for obj in scene.objects]
-            if not include_points:
-                rows = iter(object_features(objects, embed_seed, d_obj).tolist())
+            if embed_seed is not None:
+                rows = iter(object_features(objects, embed_seed).tolist())
             elif any(obj.points is None for obj in objects):
                 raise UsageError("scene object has no points to write")
             else:

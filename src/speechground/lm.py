@@ -84,13 +84,22 @@ class CountLM(LanguageModel):
             seen.add(tok)
         self.tokens = tuple(sorted(seen - {BOS, EOS}))
         self._uni_total = sum(self.unigrams.values())
-        if not np.isfinite(self._uni_total + self.alpha * (len(self.tokens) + 1)):
-            raise UsageError(f"alpha {self.alpha} overflows the LM denominator")
-        if self.alpha == 0 and self._uni_total == 0:
-            raise DataError("no counts and no smoothing leaves nothing to predict")
         self._ctx_totals: dict[str, int] = {}
         for (ctx, _), c in self.bigrams.items():
             self._ctx_totals[ctx] = self._ctx_totals.get(ctx, 0) + c
+        # counts are non-negative, so the totals bound every count, and the
+        # largest total's denominator bounds every numerator and denominator
+        totals = [self._uni_total, *self._ctx_totals.values()]
+        try:
+            finite = np.isfinite(np.array(totals, dtype=np.float64)).all()
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise DataError("count totals do not fit a finite float")
+        if not np.isfinite(max(totals) + self.alpha * (len(self.tokens) + 1)):
+            raise UsageError(f"alpha {self.alpha} overflows the LM denominator")
+        if self.alpha == 0 and self._uni_total == 0:
+            raise DataError("no counts and no smoothing leaves nothing to predict")
 
     @classmethod
     def from_corpus(cls, sentences, order: int = 2, alpha: float = 1.0) -> "CountLM":
@@ -108,13 +117,6 @@ class CountLM(LanguageModel):
             bigrams = {}
         return cls(order, alpha, unigrams, bigrams)
 
-    def _unigram_logprob(self, token: str) -> float:
-        denom = self._uni_total + self.alpha * (len(self.tokens) + 1)
-        num = self.unigrams.get(token, 0) + self.alpha
-        if num == 0:
-            return -np.inf
-        return float(np.log(num) - np.log(denom))
-
     def context(self, history: tuple[str, ...] = ()) -> tuple[str, ...]:
         """The last token for order 2 (empty at sentence start), else nothing."""
         return history[-1:] if self.order == 2 else ()
@@ -122,17 +124,17 @@ class CountLM(LanguageModel):
     def cond_logprob(self, token: str, history: tuple[str, ...] = ()) -> float:
         if token != EOS and token not in self.tokens:
             raise DataError(f"token {token!r} outside the model vocabulary")
-        if self.order == 1:
-            return self._unigram_logprob(token)
         ctx = history[-1] if history else BOS
-        total = self._ctx_totals.get(ctx, 0)
-        if total == 0:
-            return self._unigram_logprob(token)
-        num = self.bigrams.get((ctx, token), 0) + self.alpha
-        denom = total + self.alpha * (len(self.tokens) + 1)
+        # order 1, or a context never observed, reads the unigram table
+        total = self._ctx_totals.get(ctx, 0) if self.order == 2 else 0
+        if total:
+            count = self.bigrams.get((ctx, token), 0)
+        else:
+            count, total = self.unigrams.get(token, 0), self._uni_total
+        num = count + self.alpha
         if num == 0:
             return -np.inf
-        return float(np.log(num) - np.log(denom))
+        return float(np.log(num) - np.log(total + self.alpha * (len(self.tokens) + 1)))
 
 
 def lm_perplexity(lm: LanguageModel, sentences) -> float:

@@ -1,13 +1,12 @@
 """Word error rate over unit-cost edit distance.
 
-The backtrace is deterministic: when edit costs tie, substitution is
-preferred over insertion over deletion, so the (S, D, I) split is
-reproducible even though the distance alone would not pin it down.
+The (S, D, I) split is deterministic: when edit costs tie, a match is
+preferred over a substitution over an insertion over a deletion, so the
+split is reproducible even though the distance alone would not pin it
+down.
 """
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import UsageError
 
@@ -42,41 +41,33 @@ def wer(reference, hypothesis) -> tuple[EditCounts, float]:
     Accepts strings (whitespace-tokenized) or token sequences.  An
     empty reference yields rate +inf when the hypothesis is non-empty
     and 0.0 when both are empty; the counts stay valid either way.
+    One row-by-row pass carries each cell's distance with its (S, D, I)
+    split, so no table or backtrace is kept.
     """
     ref = _tokens(reference)
     hyp = _tokens(hypothesis)
-    n, m = len(ref), len(hyp)
-    dist = np.zeros((n + 1, m + 1), dtype=np.int64)
-    dist[:, 0] = np.arange(n + 1)
-    dist[0, :] = np.arange(m + 1)
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            if ref[i - 1] == hyp[j - 1]:
-                dist[i, j] = dist[i - 1, j - 1]
+    # one row of (distance, S, D, I) per reference prefix; each cell
+    # extends the neighbour that the tie order picks first
+    prev = [(j, 0, 0, j) for j in range(len(hyp) + 1)]
+    for i, r in enumerate(ref, 1):
+        left = (i, 0, i, 0)
+        row = [left]
+        for h, diag, up in zip(hyp, prev, prev[1:]):
+            if r == h:
+                left = diag
+            elif diag[0] <= left[0] and diag[0] <= up[0]:
+                left = (diag[0] + 1, diag[1] + 1, diag[2], diag[3])
+            elif left[0] <= up[0]:
+                left = (left[0] + 1, left[1], left[2], left[3] + 1)
             else:
-                dist[i, j] = 1 + min(dist[i - 1, j - 1], dist[i, j - 1],
-                                     dist[i - 1, j])
-    subs = dels = ins = 0
-    i, j = n, m
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and ref[i - 1] == hyp[j - 1] \
-                and dist[i, j] == dist[i - 1, j - 1]:
-            i, j = i - 1, j - 1
-        elif i > 0 and j > 0 and dist[i, j] == dist[i - 1, j - 1] + 1:
-            subs += 1
-            i, j = i - 1, j - 1
-        elif j > 0 and dist[i, j] == dist[i, j - 1] + 1:
-            ins += 1
-            j -= 1
-        else:
-            dels += 1
-            i -= 1
-    counts = EditCounts(subs, dels, ins, n)
-    if n == 0:
-        rate = float("inf") if counts.total else 0.0
-    else:
-        rate = counts.total / n
-    return counts, rate
+                left = (up[0] + 1, up[1], up[2] + 1, up[3])
+            row.append(left)
+        prev = row
+    _, subs, dels, ins = prev[-1]
+    counts = EditCounts(subs, dels, ins, len(ref))
+    if not ref:
+        return counts, float("inf") if counts.total else 0.0
+    return counts, counts.total / len(ref)
 
 
 def corpus_wer(pairs) -> tuple[EditCounts, float]:

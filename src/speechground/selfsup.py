@@ -89,11 +89,13 @@ def quantize_concat(selection, codebooks: Codebooks) -> np.ndarray:
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b, axis=-1)
-    if na == 0 or np.any(nb == 0):
+    # each vector is divided by its largest |entry| so that its norm cannot overflow
+    sa = np.max(np.abs(a), initial=0.0)
+    sb = np.max(np.abs(b), axis=-1, keepdims=True, initial=0.0)
+    if sa == 0 or np.any(sb == 0):
         raise DataError("cosine similarity undefined for zero-norm vectors")
-    return (b @ a) / (na * nb)
+    a, b = a / sa, b / sb
+    return (b @ a) / (np.linalg.norm(a) * np.linalg.norm(b, axis=-1))
 
 
 def contrastive_loss(batch: ContrastiveBatch) -> float:

@@ -229,6 +229,16 @@ class TestCtcCommands:
         assert code == 0
         assert out.splitlines()[0] == "LOGP=-0.287682"
 
+    @pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+    def test_prefix_without_mass_is_refused(self, extra, tmp_path, capsys):
+        # "a a b" needs four frames, so its prefix log probability is -inf
+        post = write_post(tmp_path / "two.post", [[0.2, 0.5, 0.3], [0.2, 0.5, 0.3]])
+        vocab = write_vocab(tmp_path / "two.vocab", ["a", "b"])
+        code, out, err = run(["ctc", "prefix", "--posteriors", post, "--vocab", vocab,
+                              "--labels", "a a b", *extra], capsys)
+        assert (code, out) == (3, "")
+        assert "ctc-prefix: result is not finite" in err
+
     @pytest.fixture
     def peaky(self, tmp_path):
         """Four peaked frames whose greedy collapse is 'a b'."""
@@ -488,6 +498,35 @@ class TestEvalCommands:
                               "--alpha", "1e308", "--json"], capsys)
         assert (code, out) == (1, "")
         assert "alpha 1e+308 overflows the LM denominator" in err
+        # 1.7e308 + 3e307 overflows the denominator of context "a" alone
+        lm = write_text(tmp_path / "lm.counts", f"a\t1\na b\t{17 * 10**307}\n")
+        text = write_text(tmp_path / "text.txt", "a b\n")
+        code, out, err = run(["eval", "ppl", "--lm", lm, "--text", text,
+                              "--alpha", "1e307"], capsys)
+        assert (code, out) == (1, "")
+        assert "alpha 1e+307 overflows the LM denominator" in err
+
+    @pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+    def test_ppl_of_an_impossible_event_is_refused(self, extra, tmp_path, capsys):
+        # with no smoothing, EOS after "a" has count 0, so PPL is inf
+        lm = write_text(tmp_path / "lm.counts", "a\t1\nb\t1\na b\t1\n")
+        text = write_text(tmp_path / "text.txt", "b a\n")
+        code, out, err = run(["eval", "ppl", "--lm", lm, "--text", text,
+                              "--alpha", "0", *extra], capsys)
+        assert (code, out) == (3, "")
+        assert "eval-ppl: result is not finite" in err
+
+    @pytest.mark.parametrize("counts", ["a\t{huge}\n", "a\t{big}\nb\t{big}\n",
+                                        "a\t1\na b\t{big}\na a\t{big}\n"],
+                             ids=["count", "unigram-total", "context-total"])
+    def test_ppl_counts_overflowing_a_float(self, counts, tmp_path, capsys):
+        # 10**308 fits a float; 10**400, or the sum of two 10**308, does not
+        lm = write_text(tmp_path / "lm.counts",
+                        counts.format(huge=10**400, big=10**308))
+        text = write_text(tmp_path / "text.txt", "a\n")
+        code, out, err = run(["eval", "ppl", "--lm", lm, "--text", text], capsys)
+        assert (code, out) == (2, "")
+        assert "count totals do not fit a finite float" in err
 
     def test_ppl_blank_count_file(self, tmp_path, capsys):
         lm = write_text(tmp_path / "lm.counts", "\n  \n\n")
@@ -746,7 +785,7 @@ class TestGroundArgumentBounds:
     def data(self, tmp_path):
         path = tmp_path / "train.jsonl"
         write_scenes(str(path), generate_scenes(GenConfig(num_scenes=4, num_classes=4)),
-                     include_points=False, embed_seed=7)
+                     embed_seed=7)
         return str(path)
 
     @pytest.mark.parametrize("flag", ["--seed", "--embed-seed"])
@@ -795,7 +834,7 @@ class TestGroundInputValidation:
     def dataset(tmp_path, edit=None):
         scenes = generate_scenes(GenConfig(num_scenes=2, num_classes=4))
         path = tmp_path / "dev.jsonl"
-        write_scenes(str(path), scenes, include_points=False, embed_seed=7)
+        write_scenes(str(path), scenes, embed_seed=7)
         if edit is not None:
             lines = path.read_text(encoding="utf-8").splitlines()
             record = json.loads(lines[0])
@@ -957,7 +996,7 @@ class TestGroundInputValidation:
     def test_inferred_class_count_needs_every_smaller_id(self, edit, tmp_path, capsys):
         path = tmp_path / "train.jsonl"
         write_scenes(str(path), generate_scenes(GenConfig(num_scenes=12, num_classes=4)),
-                     include_points=False, embed_seed=7)
+                     embed_seed=7)
         lines = path.read_text(encoding="utf-8").splitlines()
         record = json.loads(lines[2])
         edit(record)
@@ -1104,7 +1143,7 @@ class TestStructuredInputFuzz:
         scenes = generate_scenes(GenConfig(num_scenes=8, num_classes=4,
                                            points_per_object=4, seed=3))
         features, points = tmp_path / "features.jsonl", tmp_path / "points.jsonl"
-        write_scenes(str(features), scenes, include_points=False, embed_seed=7)
+        write_scenes(str(features), scenes, embed_seed=7)
         write_scenes(str(points), scenes)
         lines = (features.read_text(encoding="utf-8").splitlines()[:4]
                  + points.read_text(encoding="utf-8").splitlines()[4:])
@@ -1296,7 +1335,7 @@ class TestByteLevelFuzz:
         text = write_text(tmp_path / "base.txt", "a b\na\n")
         scenes = tmp_path / "base.jsonl"
         write_scenes(str(scenes), generate_scenes(GenConfig(num_scenes=3, num_classes=4)),
-                     include_points=False, embed_seed=7)
+                     embed_seed=7)
         ckpt = tmp_path / "base.ckpt"
         save_checkpoint(str(ckpt), init_grounding_model(GroundingConfig(
             num_classes=4, d_label=4, attn_dim=4, cls_hidden=(8,), omd_hidden=(8,),

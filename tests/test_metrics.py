@@ -7,6 +7,7 @@ import pytest
 
 from speechground.errors import UsageError
 from speechground.metrics import EditCounts, corpus_wer, wer
+from tests import metrics_reference as reference
 
 
 def naive_distance(ref, hyp):
@@ -103,6 +104,27 @@ class TestWer:
             a = random_tokens(rng)
             assert wer(a, a)[0].total == 0
             assert wer(a, [])[0].total == len(a)
+
+
+class TestWerMatchesReference:
+    """The one-pass wer against the full-table backtrace it replaced."""
+
+    def test_counts_and_rate_are_identical_on_ties(self):
+        # 0-8 tokens from 1-4 symbols: short alphabets make many equal-cost
+        # alignments, so every step of the tie order is exercised
+        rng = np.random.default_rng(46)
+        for _ in range(20000):
+            ref, hyp = ([str(v) for v in rng.integers(0, int(rng.integers(1, 5)),
+                                                      size=int(rng.integers(0, 9)))]
+                        for _ in range(2))
+            assert wer(ref, hyp) == reference.wer(ref, hyp), (ref, hyp)
+
+    def test_long_sequences_are_identical(self):
+        rng = np.random.default_rng(47)
+        for n, m in ((120, 80), (60, 150), (200, 200)):
+            ref = [str(v) for v in rng.integers(0, 3, size=n)]
+            hyp = [str(v) for v in rng.integers(0, 3, size=m)]
+            assert wer(ref, hyp) == reference.wer(ref, hyp)
 
 
 class TestEditCounts:

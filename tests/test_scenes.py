@@ -384,9 +384,8 @@ class TestGeneratorMatchesReference:
         scenes = [*generate_scenes(GenConfig(num_scenes=70, points_per_object=6, seed=8)),
                   *generate_scenes(GenConfig(num_scenes=5, points_per_object=1, seed=9))]
         fast, slow = tmp_path / "fast.jsonl", tmp_path / "slow.jsonl"
-        knobs = dict(include_points=include_points, embed_seed=7)
-        write_scenes(fast, scenes, **knobs)
-        reference.write_scenes(slow, scenes, **knobs)
+        write_scenes(fast, scenes, embed_seed=None if include_points else 7)
+        reference.write_scenes(slow, scenes, include_points=include_points, embed_seed=7)
         assert fast.read_bytes() == slow.read_bytes()
 
 
@@ -418,7 +417,7 @@ class TestSceneIO:
     def test_elided_form_bakes_features(self, tmp_path):
         scenes = generate_scenes(GenConfig(num_scenes=3, seed=17))
         path = tmp_path / "lean.jsonl"
-        write_scenes(path, scenes, include_points=False, embed_seed=7)
+        write_scenes(path, scenes, embed_seed=7)
         back = read_scenes(path)
         for orig, copy in zip(scenes, back):
             for oa, ob in zip(orig.objects, copy.objects):
@@ -429,13 +428,11 @@ class TestSceneIO:
                 np.testing.assert_allclose(ob.center, oa.center, atol=1e-12)
         # re-serializing the parsed form is byte-stable
         again = tmp_path / "lean2.jsonl"
-        write_scenes(again, back, include_points=False, embed_seed=7)
+        write_scenes(again, back, embed_seed=7)
         assert again.read_bytes() == path.read_bytes()
-
-    def test_eliding_requires_embed_seed(self, tmp_path):
-        scenes = generate_scenes(GenConfig(num_scenes=1, seed=19))
-        with pytest.raises(UsageError, match="embed_seed"):
-            write_scenes(tmp_path / "x.jsonl", scenes, include_points=False)
+        # without a seed the writer needs the points the parsed form lacks
+        with pytest.raises(UsageError, match="no points"):
+            write_scenes(again, back)
 
     def test_bad_json_names_the_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -469,7 +466,7 @@ class TestReaderMatchesReference:
         path = tmp_path / "scenes.jsonl"
         write_scenes(path, generate_scenes(GenConfig(num_scenes=40, num_classes=5,
                                                      points_per_object=8, seed=61)),
-                     include_points=include_points, embed_seed=7)
+                     embed_seed=None if include_points else 7)
         got, want = read_scenes(path), reference.read_scenes(path)
         assert len(got) == len(want) == 40
         for fast, slow in zip(got, want):
@@ -498,7 +495,7 @@ class TestReaderMatchesReference:
                             lambda obj: calls.append(obj) or check(obj))
         scenes = generate_scenes(GenConfig(num_scenes=6, seed=63))
         path = tmp_path / "lean.jsonl"
-        write_scenes(path, scenes, include_points=False, embed_seed=7)
+        write_scenes(path, scenes, embed_seed=7)
         assert len(read_scenes(path)) == 6
         assert calls == []
         write_scenes(path, scenes)
@@ -519,7 +516,7 @@ class TestGeneratedScenesSkipSceneChecks:
         assert calls == []
         path = tmp_path / "scenes.jsonl"
         for include_points in (True, False):
-            write_scenes(path, scenes, include_points=include_points, embed_seed=7)
+            write_scenes(path, scenes, embed_seed=None if include_points else 7)
             calls.clear()
             assert len(read_scenes(path)) == 6
             assert len(calls) == 6
@@ -548,7 +545,7 @@ class TestFeatureFormChecks:
         path = tmp_path / "lean.jsonl"
         write_scenes(path, generate_scenes(GenConfig(num_scenes=3, num_classes=4,
                                                      seed=67)),
-                     include_points=False, embed_seed=7)
+                     embed_seed=7)
         lines = path.read_text(encoding="utf-8").splitlines()
         record = json.loads(lines[1])
         edit(record["objects"])

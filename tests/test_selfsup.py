@@ -93,6 +93,11 @@ class TestContrastiveLoss:
             scaled = contrastive_loss(ContrastiveBatch(
                 5.0 * c, 0.3 * t, negs * rng.uniform(0.1, 9.0, size=(3, 1))))
             np.testing.assert_allclose(scaled, base, rtol=1e-12)
+            # far from 1 the norms would overflow or underflow unscaled
+            for factor in (1e170, 1e-170):
+                for batch in (ContrastiveBatch(factor * c, t, negs),
+                              ContrastiveBatch(factor * c, factor * t, factor * negs)):
+                    np.testing.assert_allclose(contrastive_loss(batch), base, rtol=1e-12)
 
     def test_monotone_in_target_similarity(self):
         # Rotating the target toward the context raises its cosine while
