@@ -8,6 +8,7 @@ draw random numbers (featurize, analyze mi, ground gen/train) take --seed.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -15,23 +16,16 @@ import sys
 import numpy as np
 
 from . import __version__
-from .ctc import (Posteriorgram, ctc_forward, ctc_prefix_logprob,
-                  format_label_sequence, parse_label_string,
-                  read_posteriorgram, read_vocab)
+from .ctc import (ctc_forward, ctc_prefix_logprob, format_label_sequence,
+                  parse_label_string, read_posteriorgram, read_vocab)
 from .decode import (DecodeConfig, estimate_prior, greedy_decode,
                      labelsync_beam, timesync_beam)
 from .dsp import (FrameSpec, MaskSpec, load_features, mel_filterbank, mfcc,
                   normalize_wave, read_wav, spec_augment, write_feature_binary,
                   write_feature_text)
 from .errors import DataError, NumericError, UsageError
-from .grounding import (GenConfig, GroundingConfig, TrainConfig, evaluate,
-                        generate_scenes, ground, init_grounding_model,
-                        load_checkpoint, read_scenes, save_checkpoint,
-                        train_toy, write_scenes)
 from .lm import lm_perplexity, read_lm
 from .metrics import corpus_wer
-from .selfsup import (CodebookUsage, ContrastiveBatch, cca_corrs,
-                      contrastive_loss, diversity_loss, mutual_information)
 
 
 def _emit(args, line: str, payload: dict) -> None:
@@ -56,15 +50,20 @@ def _read_lines(path: str) -> list[str]:
         return fh.read().splitlines()
 
 
-def _load_prior_sources(path: str):
+def _load_prior_sources(path: str, num_symbols: int):
+    files = [path]
     if os.path.isdir(path):
-        names = sorted(os.listdir(path))
-        files = [os.path.join(path, n) for n in names
+        files = [os.path.join(path, n) for n in sorted(os.listdir(path))
                  if os.path.isfile(os.path.join(path, n))]
         if not files:
             raise DataError(f"prior directory {path} has no files")
-        return [read_posteriorgram(f) for f in files]
-    return [read_posteriorgram(path)]
+    posts = [read_posteriorgram(f) for f in files]
+    for f, post in zip(files, posts):
+        if post.num_symbols != num_symbols:
+            raise DataError(f"prior file {f} has {post.num_symbols} symbols, not {num_symbols}")
+    if not any(post.num_frames for post in posts):
+        raise DataError(f"prior {path} has no frames")
+    return posts
 
 
 def _load_ctc_inputs(args):
@@ -104,8 +103,9 @@ def _cmd_ctc_loss(args) -> int:
     _, logp = ctc_forward(post, target)
     if logp == -np.inf:
         raise NumericError("target is infeasible for this posteriorgram")
-    _emit(args, f"LOSS={-logp:.6f}", {
-        "command": "ctc-loss", "loss": -logp, "logp": logp,
+    loss = 0.0 - logp  # not -logp, which is -0.0 for a certain target
+    _emit(args, f"LOSS={loss:.6f}", {
+        "command": "ctc-loss", "loss": loss, "logp": logp,
     })
     return 0
 
@@ -134,7 +134,7 @@ def _cmd_ctc_decode(args) -> int:
     config = DecodeConfig(beam_width=8 if args.beam is None else args.beam,
                           lm_scale=args.lm_scale, prior_scale=args.prior_scale)
     lm = read_lm(args.lm, alpha=1.0 if args.alpha is None else args.alpha) if fused else None
-    prior = (estimate_prior(_load_prior_sources(args.prior_from))
+    prior = (estimate_prior(_load_prior_sources(args.prior_from, post.num_symbols))
              if args.prior_from is not None else None)
     if args.mode == "greedy":
         seq = greedy_decode(post)
@@ -177,6 +177,7 @@ def _cmd_eval_ppl(args) -> int:
 
 
 def _cmd_analyze_cca(args) -> int:
+    from .selfsup import cca_corrs
     x = load_features(args.x)
     y = load_features(args.y)
     if x.num_frames != y.num_frames:
@@ -193,6 +194,7 @@ def _cmd_analyze_cca(args) -> int:
 
 
 def _cmd_analyze_mi(args) -> int:
+    from .selfsup import mutual_information
     feats = load_features(args.features)
     labels = _read_lines(args.labels)
     if len(labels) != feats.num_frames:
@@ -207,6 +209,7 @@ def _cmd_analyze_mi(args) -> int:
 
 
 def _cmd_analyze_ssl(args) -> int:
+    from .selfsup import CodebookUsage, ContrastiveBatch, contrastive_loss, diversity_loss
     feats = load_features(args.features)
     if feats.num_frames < 2:
         raise DataError("need at least two rows: context then target")
@@ -224,6 +227,7 @@ def _cmd_analyze_ssl(args) -> int:
 
 
 def _cmd_ground_gen(args) -> int:
+    from .grounding import GenConfig, generate_scenes, write_scenes
     # both splits' flags are checked before the output directory is made
     configs = {name: GenConfig(num_scenes=count, num_classes=args.classes, seed=seed,
                                embed_seed=args.embed_seed)
@@ -264,6 +268,7 @@ def _infer_num_classes(path: str, scenes) -> int:
 
 def _read_some_scenes(path: str):
     """The scenes of a file; a file without any is bad data."""
+    from .grounding import read_scenes
     scenes = read_scenes(path)
     if not scenes:
         raise DataError(f"no scenes in {path}")
@@ -271,6 +276,8 @@ def _read_some_scenes(path: str):
 
 
 def _cmd_ground_train(args) -> int:
+    from .grounding import (GroundingConfig, TrainConfig, init_grounding_model,
+                            save_checkpoint, train_toy)
     scenes = _read_some_scenes(args.data)
     num_classes = args.classes if args.classes else _infer_num_classes(args.data, scenes)
     cfg = GroundingConfig(num_classes=num_classes,
@@ -291,6 +298,7 @@ def _cmd_ground_train(args) -> int:
 
 
 def _cmd_ground_eval(args) -> int:
+    from .grounding import evaluate, load_checkpoint
     model = load_checkpoint(args.model)
     scenes = _read_some_scenes(args.data)
     report = evaluate(model, scenes)
@@ -310,6 +318,7 @@ def _cmd_ground_eval(args) -> int:
 
 
 def _cmd_ground_infer(args) -> int:
+    from .grounding import ground, load_checkpoint
     model = load_checkpoint(args.model)
     scenes = _read_some_scenes(args.scene)
     if not 0 <= args.index < len(scenes):
@@ -337,6 +346,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true",
@@ -488,13 +498,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Parse and run; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        # the handler is looked up now, not bound when the cached parser was built
+        return globals()[args.func.__name__](args)
     except (UsageError, DataError, NumericError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, UsageError) else 3 if isinstance(exc, NumericError) else 2

@@ -1,5 +1,7 @@
 """Text matrix files: a "T K" header line, then T rows of K reals at %.17g."""
 
+from itertools import chain
+
 import numpy as np
 
 from .errors import DataError
@@ -24,18 +26,22 @@ def read_text_matrix(path: str, kind: str) -> np.ndarray:
             raise DataError(f"bad {kind} header: {exc}") from exc
         if t_total < 0 or k < 1:
             raise DataError(f"bad {kind} shape {t_total} x {k}")
-        rows = []
-        for i in range(t_total):
-            line = fh.readline()
-            if not line:
-                raise DataError(f"{kind} file ends after {i} of {t_total} rows")
-            try:
-                row = np.array([float(v) for v in line.split()])
-            except ValueError as exc:
-                raise DataError(f"{kind} row {i}: {exc}") from exc
-            if row.size != k:
-                raise DataError(f"{kind} row {i} has {row.size} values, expected {k}")
-            rows.append(row)
-        if fh.read().strip():
-            raise DataError(f"{kind} file has content after its {t_total} rows")
-    return np.vstack(rows) if rows else np.zeros((0, k))
+        lines = fh.readlines()  # each ends in a newline but perhaps the last: none is empty
+    rows = [line.split() for line in lines[:t_total]]
+    if (len(rows) == t_total and all(len(row) == k for row in rows)
+            and not "".join(lines[t_total:]).strip()):
+        try:
+            return np.fromiter(map(float, chain.from_iterable(rows)), float,
+                               t_total * k).reshape(t_total, k)
+        except ValueError:
+            pass
+    for i in range(t_total):  # a bad file: name its first fault as a row-by-row reader
+        if i == len(lines):
+            raise DataError(f"{kind} file ends after {i} of {t_total} rows")
+        try:
+            values = [float(v) for v in rows[i]]
+        except ValueError as exc:
+            raise DataError(f"{kind} row {i}: {exc}") from exc
+        if len(values) != k:
+            raise DataError(f"{kind} row {i} has {len(values)} values, expected {k}")
+    raise DataError(f"{kind} file has content after its {t_total} rows")

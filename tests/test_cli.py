@@ -6,7 +6,10 @@ import hashlib
 import importlib
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import wave
 from pathlib import Path
 
@@ -202,6 +205,17 @@ class TestCtcCommands:
         assert code == 0
         assert out.splitlines()[0] == "LOSS=0.287682"
 
+    def test_certain_target_has_a_positive_zero_loss(self, tmp_path, capsys):
+        post = write_text(tmp_path / "certain.post", "2 3\n0 -inf -inf\n-inf 0 -inf\n")
+        vocab = write_vocab(tmp_path / "certain.vocab", ["a", "b"])
+        code, out, _ = run(["ctc", "loss", "--posteriors", post, "--vocab", vocab,
+                            "--labels", "a", "--json"], capsys)
+        assert code == 0
+        line, report = out.splitlines()
+        assert line == "LOSS=0.000000"
+        assert '"loss": 0.0' in report
+        assert math.copysign(1.0, json.loads(report)["loss"]) == 1.0
+
     def test_loss_json_and_reruns_are_identical(self, anchor, capsys):
         post, vocab = anchor
         argv = ["ctc", "loss", "--posteriors", post, "--vocab", vocab,
@@ -375,6 +389,28 @@ class TestCtcCommands:
                             "--prior-from", str(empty)], capsys)
         assert code == 2
         assert "no files" in err
+
+    @pytest.mark.parametrize("files, message", [
+        ({"wide.post": [[0.25] * 4] * 5},
+         "prior file {dir}/wide.post has 4 symbols, not 3"),
+        ({"a.post": [[0.5, 0.25, 0.25]], "b.post": [[0.25] * 4]},
+         "prior file {dir}/b.post has 4 symbols, not 3"),
+        ({"none.post": None}, "prior {dir} has no frames"),
+    ], ids=["alphabet-size", "alphabets-disagree", "no-frames"])
+    def test_bad_prior_files_are_bad_data(self, files, message, peaky, tmp_path, capsys):
+        post, vocab = peaky
+        prior_dir = tmp_path / "priors"
+        prior_dir.mkdir()
+        for name, rows in files.items():
+            if rows is None:
+                write_text(prior_dir / name, "0 3\n")
+            else:
+                write_post(prior_dir / name, rows)
+        code, out, err = run(["ctc", "decode", "--posteriors", post, "--vocab", vocab,
+                              "--mode", "time-sync", "--prior-from", str(prior_dir),
+                              "--prior-scale", "0.3"], capsys)
+        assert (code, out) == (2, "")
+        assert err.strip() == "error: " + message.format(dir=prior_dir)
 
     def test_zero_beam_rejected(self, peaky, capsys):
         post, vocab = peaky
@@ -1073,6 +1109,71 @@ class TestCliBasics:
         assert code == 3
         assert out == ""
         assert err.strip() == "internal error in ground eval: ValueError: boom"
+
+
+class TestParserCache:
+    """One parser serves every call in a process; no call leaks into the next."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_ground_flags_do_not_leak(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run(["ground", "gen", "--out", str(data), "--train-scenes", "24",
+                    "--dev-scenes", "4", "--classes", "3"], capsys)[0] == 0
+        ckpt = str(tmp_path / "m.ckpt")
+        code, out, _ = run(["ground", "train", "--data", str(data / "train.jsonl"),
+                            "--out", ckpt, "--epochs", "2", "--quiet"], capsys)
+        assert code == 0 and len(out.splitlines()) == 1
+        code, out, _ = run(["ground", "eval", "--model", ckpt,
+                            "--data", str(data / "dev.jsonl")], capsys)
+        assert code == 0
+        assert [line.split("=")[0] for line in out.splitlines()] == [
+            "AUDIO_ACC", "MENTION_F1", "ACC"]
+
+    def test_decode_flags_do_not_leak(self, tmp_path, capsys):
+        post = write_post(tmp_path / "p.post", [[0.1, 0.8, 0.1], [0.8, 0.1, 0.1],
+                                                [0.1, 0.1, 0.8]])
+        vocab = write_vocab(tmp_path / "p.vocab", ["a", "b"])
+        argv = ["ctc", "decode", "--posteriors", post, "--vocab", vocab,
+                "--mode", "time-sync"]
+        widths = []
+        for extra in (["--beam", "3", "--json"], ["--json"]):
+            code, out, _ = run(argv + extra, capsys)
+            assert code == 0
+            widths.append(json.loads(out.splitlines()[1])["beam"])
+        assert widths == [3, 8]
+        code, out, _ = run(argv, capsys)
+        assert (code, out) == (0, "HYP=a b\n")
+
+
+class TestLazyImports:
+    def test_grounding_and_selfsup_load_on_first_use(self):
+        script = "\n".join([
+            "import sys",
+            "import speechground.cli",
+            "lazy = ('speechground.grounding', 'speechground.selfsup')",
+            "assert not set(lazy) & set(sys.modules), sorted(sys.modules)",
+            "import speechground",
+            "assert speechground.grounding.train_toy is "
+            "sys.modules['speechground.grounding.train'].train_toy",
+            "names = {}",
+            "exec('from speechground import *', names)",
+            "assert all(names[n] is getattr(speechground, n) for n in speechground.__all__)",
+            "assert names['selfsup'] is sys.modules['speechground.selfsup']",
+            "try:",
+            "    speechground.no_such_name",
+            "except AttributeError as exc:",
+            "    assert 'no_such_name' in str(exc)",
+            "else:",
+            "    raise AssertionError('no AttributeError')",
+        ])
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestTracedNames:
