@@ -227,7 +227,7 @@ def _cmd_analyze_ssl(args) -> int:
 
 
 def _cmd_ground_gen(args) -> int:
-    from .grounding import GenConfig, generate_scenes, write_scenes
+    from .grounding.scene import _CHUNK, GenConfig, generate_scenes, write_scenes
     # both splits' flags are checked before the output directory is made
     configs = {name: GenConfig(num_scenes=count, num_classes=args.classes, seed=seed,
                                embed_seed=args.embed_seed)
@@ -237,8 +237,10 @@ def _cmd_ground_gen(args) -> int:
     paths = {}
     for name, cfg in configs.items():
         path = os.path.join(args.out, name)
-        # no reference outlives the write, so only one split is resident
-        write_scenes(path, generate_scenes(cfg),
+        # each chunk is generated only after the previous one is written
+        write_scenes(path, (scene for first in range(0, cfg.num_scenes, _CHUNK)
+                            for scene in generate_scenes(
+                                cfg, first, min(first + _CHUNK, cfg.num_scenes))),
                      None if args.points else args.embed_seed)
         paths[name] = path
     _emit(args, f"TRAIN={args.train_scenes} DEV={args.dev_scenes}", {

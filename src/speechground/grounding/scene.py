@@ -10,6 +10,7 @@ confirms uniqueness, so every emitted scene is solvable.
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -18,6 +19,8 @@ from .features import audio_embedding, object_features
 
 RELATIONS = ("left-of", "right-of", "nearest-to")
 MAX_CLASSES = 10_000  # per generator or model, so every per-class table stays small
+# scenes generated, baked and written together; bounds the resident block
+_CHUNK = 64
 
 
 @dataclass
@@ -136,10 +139,16 @@ class GenConfig:
             raise UsageError("seed and embed_seed must be non-negative")
         if self.points_per_object < 1:
             raise UsageError("each object needs at least one point")
+        if self.d_audio < 1:
+            raise UsageError(f"d_audio must be at least 1, got {self.d_audio}")
+        if not (np.isfinite(self.audio_noise) and self.audio_noise >= 0):
+            raise UsageError(f"audio_noise must be finite and >= 0, got {self.audio_noise}")
         prior = self.class_prior
-        if prior:
-            if len(prior) != self.num_classes or min(prior) < 0 or sum(prior) <= 0:
-                raise UsageError("class_prior must be num_classes non-negative weights")
+        # a nan weight fails a comparison; an inf or overflowing sum fails `< inf`
+        if prior and not (len(prior) == self.num_classes and min(prior) >= 0
+                          and 0 < sum(prior) < np.inf):
+            raise UsageError("class_prior must be num_classes non-negative weights "
+                             "with a positive, finite sum")
 
 
 def group_objects(objects, target_class: int, mentioned_classes
@@ -185,37 +194,6 @@ def verify_scene(scene: SyntheticScene) -> bool:
     return hits == [scene.target_index]
 
 
-def _sample_objects(rng, class_ids, xys, sizes, colors, num_points):
-    """One scene's objects, in slot order, sampled as one (n, K, .) block.
-
-    Each object draws its size jitter and point offsets in one uniform
-    call (the same doubles as a size-3 call followed by a (K, 3) call),
-    then its color noise; the normal draws stay a separate call per
-    object because the ziggurat sampler consumes a variable number of
-    draws.  All arithmetic after the draws is elementwise or reduces
-    over the point axis, so every value equals a one-object computation.
-    Uniform and normal draws, clipping and means are finite, so the
-    objects skip the per-object checks.
-    """
-    n, k = len(class_ids), num_points
-    jitter = np.empty((n, 3 + 3 * k))
-    noise = np.empty((n, k, 3))
-    for j in range(n):
-        jitter[j] = rng.uniform(-1, 1, size=3 + 3 * k)
-        noise[j] = rng.standard_normal((k, 3))
-    size = sizes[class_ids] * (1.0 + 0.1 * jitter[:, :3])
-    center = np.column_stack([np.asarray(xys), size[:, 2] / 2])
-    xyz = center[:, None, :] + (size / 2)[:, None, :] * jitter[:, 3:].reshape(n, k, 3)
-    rgb = np.clip(colors[class_ids][:, None, :] + 0.05 * noise, 0.0, 1.0)
-    points = np.concatenate([xyz, rgb], axis=2)
-    # point axis outermost: each box reduction adds whole rows in point order
-    by_point = np.ascontiguousarray(xyz.transpose(1, 0, 2))
-    centers = by_point.mean(axis=0)
-    extents = by_point.max(axis=0) - by_point.min(axis=0)
-    return [SceneObject._unchecked(points[j], class_ids[j], centers[j], extents[j])
-            for j in range(n)]
-
-
 def _class_tables(config: GenConfig):
     rng = np.random.default_rng([config.embed_seed, 10])
     sizes = 0.3 + 0.9 * rng.uniform(size=(config.num_classes, 3))
@@ -223,11 +201,18 @@ def _class_tables(config: GenConfig):
     return sizes, colors
 
 
-def _build_scene(rng, config: GenConfig, sizes, colors, prior) -> SyntheticScene:
+def _draw_scene(rng, config: GenConfig, cdf, jitter, noise, audio_noise):
+    """Every draw of one attempt at a scene, in the generator's fixed order.
+
+    Object j's size jitter and point offsets go to `jitter[j]` as unit
+    draws (the doubles of `rng.uniform(-1, 1)` calls of size 3 and (K, 3)),
+    its color noise to `noise[j]`.  Returns (target class, anchor class,
+    relation id, the winner's slot, [(class id, xy)] in slot order).
+    """
     ncls = config.num_classes
-    target_class = int(rng.choice(ncls, p=prior))
+    target_class = int(cdf.searchsorted(rng.random(), side="right"))
     others = [c for c in range(ncls) if c != target_class]
-    anchor_class = int(others[rng.integers(len(others))])
+    anchor_class = others[rng.integers(len(others))]
     relation_id = int(rng.integers(len(RELATIONS)))
     n_cand = int(rng.integers(2, 5))
     n_anchor = 1 if RELATIONS[relation_id] == "nearest-to" else int(rng.integers(1, 3))
@@ -236,88 +221,131 @@ def _build_scene(rng, config: GenConfig, sizes, colors, prior) -> SyntheticScene
     # cap the population at 10 objects
     n_distract = min(n_distract, 10 - n_cand - n_anchor)
 
-    def uniform_xy(low=0.5, high=7.5):
-        return rng.uniform(low, high, size=2)
-
     if RELATIONS[relation_id] == "left-of":
         bound = rng.uniform(3.5, 5.5)
-        anchor_xy = [np.array([bound + off, rng.uniform(0.5, 7.5)])
-                     for off in [0.0] + list(rng.uniform(0.2, 2.0, size=n_anchor - 1))]
-        winner_xy = np.array([rng.uniform(0.5, bound - 1.5), rng.uniform(0.5, 7.5)])
-        loser_xy = [np.array([rng.uniform(bound + 0.5, 7.9), rng.uniform(0.5, 7.5)])
+        anchor_xy = [(bound + off, rng.uniform(0.5, 7.5))
+                     for off in [0.0, *rng.uniform(0.2, 2.0, size=n_anchor - 1)]]
+        winner_xy = (rng.uniform(0.5, bound - 1.5), rng.uniform(0.5, 7.5))
+        loser_xy = [(rng.uniform(bound + 0.5, 7.9), rng.uniform(0.5, 7.5))
                     for _ in range(n_cand - 1)]
     elif RELATIONS[relation_id] == "right-of":
         bound = rng.uniform(2.5, 4.5)
-        anchor_xy = [np.array([bound - off, rng.uniform(0.5, 7.5)])
-                     for off in [0.0] + list(rng.uniform(0.2, 2.0, size=n_anchor - 1))]
-        winner_xy = np.array([rng.uniform(bound + 1.5, 7.5), rng.uniform(0.5, 7.5)])
-        loser_xy = [np.array([rng.uniform(0.1, bound - 0.5), rng.uniform(0.5, 7.5)])
+        anchor_xy = [(bound - off, rng.uniform(0.5, 7.5))
+                     for off in [0.0, *rng.uniform(0.2, 2.0, size=n_anchor - 1)]]
+        winner_xy = (rng.uniform(bound + 1.5, 7.5), rng.uniform(0.5, 7.5))
+        loser_xy = [(rng.uniform(0.1, bound - 0.5), rng.uniform(0.5, 7.5))
                     for _ in range(n_cand - 1)]
     else:
-        anchor_xy = [uniform_xy(2.5, 5.5)]
+        anchor_xy = [rng.uniform(2.5, 5.5, size=2)]
         angle = rng.uniform(0, 2 * np.pi)
         radius = rng.uniform(0.5, 1.2)
         winner_xy = anchor_xy[0] + radius * np.array([np.cos(angle), np.sin(angle)])
         loser_xy = []
         while len(loser_xy) < n_cand - 1:
-            xy = uniform_xy(0.1, 7.9)
+            xy = rng.uniform(0.1, 7.9, size=2)
             if np.linalg.norm(xy - anchor_xy[0]) >= 3.0:
                 loser_xy.append(xy)
 
-    entries = [(target_class, winner_xy, True)]
-    entries += [(target_class, xy, False) for xy in loser_xy]
-    entries += [(anchor_class, xy, False) for xy in anchor_xy]
+    entries = [(target_class, winner_xy)]
+    entries += [(target_class, xy) for xy in loser_xy]
+    entries += [(anchor_class, xy) for xy in anchor_xy]
     for _ in range(n_distract):
-        entries.append((int(spare[rng.integers(len(spare))]), uniform_xy(), False))
-    order = rng.permutation(len(entries))
-    class_ids, xys, targets = zip(*(entries[src] for src in order))
-    objects = _sample_objects(rng, list(class_ids), xys, sizes, colors,
-                              config.points_per_object)
-    target_index = targets.index(True)
-    mentioned = (target_class, anchor_class)
-    clean = audio_embedding(target_class, mentioned, relation_id,
-                            config.num_classes, config.d_audio, config.embed_seed)
-    audio = clean + config.audio_noise * rng.standard_normal(config.d_audio)
-    return SyntheticScene._unchecked(objects, audio, target_class,
-                                     tuple(sorted(mentioned)), relation_id,
-                                     target_index)
+        entries.append((spare[rng.integers(len(spare))], rng.uniform(0.5, 7.5, size=2)))
+    order = rng.permutation(len(entries)).tolist()
+    # one call per object: the ziggurat normal sampler takes a variable number of draws
+    for j in range(len(entries)):
+        rng.random(out=jitter[j])
+        rng.standard_normal(out=noise[j])
+    rng.standard_normal(out=audio_noise)
+    return (target_class, anchor_class, relation_id, order.index(0),
+            [entries[src] for src in order])
 
 
-def generate_scenes(config: GenConfig) -> list[SyntheticScene]:
-    """Deterministically generate verified scenes, one rng per scene."""
+def _build_scenes(rngs, config: GenConfig, sizes, colors, cdf) -> list[SyntheticScene]:
+    """One attempt at a scene per rng: the draws per scene, the arithmetic once.
+
+    Each step after the draws is elementwise or reduces over the point
+    axis, so each value equals a one-object computation; all are finite.
+    """
+    k = config.points_per_object
+    # a scene holds at most 10 objects
+    jitter = np.empty((10 * len(rngs), 3 + 3 * k))
+    noise = np.empty((10 * len(rngs), k, 3))
+    audio_noise = np.empty((len(rngs), config.d_audio))
+    layouts, n = [], 0
+    for rng, row in zip(rngs, audio_noise):
+        layouts.append(_draw_scene(rng, config, cdf, jitter[n:], noise[n:], row))
+        n += len(layouts[-1][-1])
+    class_ids, xys = zip(*(entry for layout in layouts for entry in layout[-1]))
+    # uniform(-1, 1) is low + (high - low) * u; row 0 jitters the size
+    jitter = (-1.0 + 2.0 * jitter[:n]).reshape(n, k + 1, 3)
+    size = sizes[list(class_ids)] * (1.0 + 0.1 * jitter[:, 0])
+    center = np.column_stack([np.array(xys), size[:, 2] / 2])
+    points = np.empty((n, k, 6))
+    xyz = np.add(center[:, None], (size / 2)[:, None] * jitter[:, 1:], out=points[..., :3])
+    np.clip(colors[list(class_ids)][:, None] + 0.05 * noise[:n], 0.0, 1.0,
+            out=points[..., 3:])
+    # point axis outermost: each box reduction adds whole rows in point order
+    by_point = np.ascontiguousarray(xyz.transpose(1, 0, 2))
+    objects = map(SceneObject._unchecked, points, class_ids, by_point.mean(axis=0),
+                  by_point.max(axis=0) - by_point.min(axis=0))
+    # the mentions go in (target, anchor) order, as the audio has always summed them
+    audio = np.array([audio_embedding(t, (t, a), rel, config.num_classes, config.d_audio,
+                                      config.embed_seed) for t, a, rel, _, _ in layouts])
+    audio += config.audio_noise * audio_noise
+    return [SyntheticScene._unchecked(list(islice(objects, len(entries))), row, t,
+                                      (min(t, a), max(t, a)), rel, target_index)
+            for (t, a, rel, target_index, entries), row in zip(layouts, audio)]
+
+
+def generate_scenes(config: GenConfig, start: int = 0, stop: int | None = None
+                    ) -> list[SyntheticScene]:
+    """Deterministically generate verified scenes `start..stop-1` (default: all).
+
+    Scene i draws from its own rng `[seed, i]`, so any split of the range
+    gives the same scenes.  They are built `_CHUNK` at a time; one that
+    fails `verify_scene` draws again from its own rng.
+    """
+    stop = config.num_scenes if stop is None else stop
+    if not 0 <= start <= stop <= config.num_scenes:
+        raise UsageError(f"scene range {start}..{stop} outside 0..{config.num_scenes}")
     sizes, colors = _class_tables(config)
     if config.class_prior:
         prior = np.asarray(config.class_prior, dtype=np.float64)
         prior = prior / prior.sum()
     else:
         prior = np.full(config.num_classes, 1.0 / config.num_classes)
+    # the cdf that `rng.choice(n, p=prior)` searches
+    cdf = prior.cumsum()
+    cdf /= cdf[-1]
     scenes = []
-    for i in range(config.num_scenes):
-        rng = np.random.default_rng([config.seed, i])
-        while True:
-            scene = _build_scene(rng, config, sizes, colors, prior)
-            if verify_scene(scene):
-                break
-        scenes.append(scene)
+    for first in range(start, stop, _CHUNK):
+        rngs = {i: np.random.default_rng([config.seed, i])
+                for i in range(first, min(first + _CHUNK, stop))}
+        chunk = dict.fromkeys(rngs)
+        while rngs:
+            for i, scene in zip(list(rngs),
+                                _build_scenes(rngs.values(), config, sizes, colors, cdf)):
+                if verify_scene(scene):
+                    chunk[i] = scene
+                    del rngs[i]
+        scenes += chunk.values()
     return scenes
 
 
-# scenes whose features are baked together; bounds the stacked point block
-_BAKE_CHUNK = 64
-
-
 def write_scenes(path: str, scenes, embed_seed: int | None = None) -> None:
-    """Write scenes as JSON lines.
+    """Write scenes, any iterable of them, as JSON lines.
 
     Without `embed_seed` each object carries its point cloud.  With it
     the clouds are elided and each object carries its shape feature,
     baked under that seed (the one used downstream), plus the box
-    summary.  Features are baked for `_BAKE_CHUNK` scenes at a time.
+    summary.  Scenes are taken, baked and written `_CHUNK` at a time, so
+    a lazy iterable keeps only a chunk or two resident.
     """
     key = "points" if embed_seed is None else "feature"
+    scenes = iter(scenes)
     with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, len(scenes), _BAKE_CHUNK):
-            chunk = scenes[start:start + _BAKE_CHUNK]
+        while chunk := list(islice(scenes, _CHUNK)):
             objects = [obj for scene in chunk for obj in scene.objects]
             if embed_seed is not None:
                 rows = iter(object_features(objects, embed_seed).tolist())

@@ -2,7 +2,8 @@
 
 These are `_sample_object`, `_build_scene`, `generate_scenes`,
 `object_feature_stub` and `write_scenes` as they were before
-`speechground.grounding.scene._sample_objects` and
+`speechground.grounding.scene._draw_scene` with `_build_scenes` (the
+draws per scene, the arithmetic per chunk of scenes) and
 `speechground.grounding.features.object_features` replaced them: each
 object is drawn, summarized, projected and serialized by its own chain
 of small numpy calls.  `read_scenes` is the reader that built and

@@ -11,6 +11,7 @@ import struct
 import subprocess
 import sys
 import wave
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,8 @@ from speechground.dsp import FeatureMatrix, Waveform, write_feature_binary, writ
 from speechground.grounding import (GenConfig, GroundingConfig, generate_scenes,
                                     init_grounding_model, save_checkpoint,
                                     write_scenes)
-from speechground.grounding.scene import MAX_CLASSES
+from speechground.grounding import scene as scene_module
+from speechground.grounding.scene import _CHUNK, MAX_CLASSES, SyntheticScene
 
 
 def run(argv, capsys):
@@ -786,6 +788,44 @@ class TestGroundPipeline:
         digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                         for name in ("train.jsonl", "dev.jsonl"))
         assert digests == self.GOLDEN[form]
+
+    def test_gen_keeps_at_most_two_chunks_of_scenes_alive(self, tmp_path, capsys,
+                                                           monkeypatch):
+        made, peak = [], [0]
+        build = SyntheticScene._unchecked
+
+        def tracked(*args):
+            scene = build(*args)
+            made.append(weakref.finalize(scene, lambda: None))
+            peak[0] = max(peak[0], sum(ref.alive for ref in made))
+            return scene
+
+        monkeypatch.setattr(SyntheticScene, "_unchecked", tracked)
+        code, _, err = run(["ground", "gen", "--out", str(tmp_path), "--train-scenes",
+                            "300", "--dev-scenes", "5"], capsys)
+        assert code == 0, err
+        assert len(made) >= 305
+        # the chunk being written and the one being generated, never a split
+        assert _CHUNK <= peak[0] <= 2 * _CHUNK
+
+    def test_gen_calls_generate_scenes_once_per_chunk(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # the benchmark's tracer wraps generate_scenes under both names and
+        # counts len(result) as scenes made, so each call must return a list
+        results = []
+        original = scene_module.generate_scenes
+
+        def counted(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr("speechground.grounding.generate_scenes", counted)
+        monkeypatch.setattr(scene_module, "generate_scenes", counted)
+        code, _, err = run(["ground", "gen", "--out", str(tmp_path), "--train-scenes",
+                            "70", "--dev-scenes", "5"], capsys)
+        assert code == 0, err
+        assert [type(result) for result in results] == [list] * 3
+        assert [len(result) for result in results] == [64, 6, 5]
 
     @pytest.mark.parametrize("command", ["train", "eval", "infer"])
     def test_empty_scene_file_is_bad_data(self, command, tmp_path, capsys):

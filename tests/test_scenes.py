@@ -13,6 +13,7 @@ from speechground.grounding import (GenConfig, SceneObject, SyntheticScene,
                                     object_features, object_representation,
                                     object_representations, read_scenes,
                                     verify_scene, write_scenes)
+from speechground.grounding import scene as scene_module
 from tests import scene_reference as reference
 
 
@@ -49,6 +50,31 @@ class TestGenConfig:
             GenConfig(num_scenes=1, num_classes=2, class_prior=(-1.0, 2.0))
         with pytest.raises(UsageError, match="class_prior"):
             GenConfig(num_scenes=1, num_classes=2, class_prior=(0.0, 0.0))
+
+    # each value once let the generator emit scenes that read_scenes refuses
+    @pytest.mark.parametrize("d_audio", [0, -1])
+    def test_d_audio(self, d_audio):
+        with pytest.raises(UsageError, match="d_audio"):
+            GenConfig(num_scenes=2, d_audio=d_audio)
+
+    @pytest.mark.parametrize("noise", [-0.1, math.nan, math.inf, -math.inf])
+    def test_audio_noise(self, noise):
+        with pytest.raises(UsageError, match="audio_noise"):
+            GenConfig(num_scenes=2, audio_noise=noise)
+
+    @pytest.mark.parametrize("prior", [
+        (math.nan, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, math.nan), (1, math.inf, 1, 1, 1, 1),
+        (1e308,) * 6,   # every weight finite, the sum not
+    ], ids=["nan-first", "nan-last", "inf", "sum-overflows"])
+    def test_class_prior_must_be_finite(self, prior):
+        with pytest.raises(UsageError, match="class_prior"):
+            GenConfig(num_scenes=2, class_prior=prior)
+
+    def test_edge_values_still_generate(self):
+        config = GenConfig(num_scenes=3, d_audio=1, audio_noise=0.0,
+                           class_prior=(1e300,) * 6)
+        scenes = generate_scenes(config)
+        assert [scene.audio.shape for scene in scenes] == [(1,)] * 3
 
 
 class TestSceneObject:
@@ -376,6 +402,73 @@ class TestGeneratorMatchesReference:
                 assert np.array_equal(a.points, b.points)
                 assert np.array_equal(a.center, b.center)
                 assert np.array_equal(a.size, b.size)
+
+    @staticmethod
+    def assert_same_scenes(fast_scenes, slow_scenes):
+        assert len(fast_scenes) == len(slow_scenes)
+        for fast, slow in zip(fast_scenes, slow_scenes):
+            assert (fast.target_class, fast.mentioned_classes, fast.relation_id,
+                    fast.target_index) == (slow.target_class, slow.mentioned_classes,
+                                           slow.relation_id, slow.target_index)
+            assert np.array_equal(fast.audio, slow.audio)
+            assert [a.class_id for a in fast.objects] == [b.class_id for b in slow.objects]
+            for a, b in zip(fast.objects, slow.objects):
+                for name in ("points", "center", "size"):
+                    assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    @pytest.mark.parametrize("num_scenes", [0, 1, 63, 64, 65, 130])
+    def test_chunk_edges(self, num_scenes):
+        config = GenConfig(num_scenes=num_scenes, points_per_object=3, seed=17)
+        self.assert_same_scenes(generate_scenes(config), reference.generate_scenes(config))
+
+    @pytest.mark.parametrize("num_scenes, seed, retried", [
+        (10, 4, [5]),             # inside the first chunk
+        (400, 3, [279, 368]),     # past the first chunk
+    ])
+    def test_rejected_scenes_draw_again(self, num_scenes, seed, retried, monkeypatch):
+        config = GenConfig(num_scenes=num_scenes, points_per_object=1, num_classes=6,
+                           seed=seed)
+        fast_verdicts, slow_verdicts = [], []
+        for module, verdicts in ((scene_module, fast_verdicts),
+                                 (reference, slow_verdicts)):
+            monkeypatch.setattr(module, "verify_scene",
+                                lambda scene, verdicts=verdicts:
+                                verdicts.append(verify_scene(scene)) or verdicts[-1])
+        fast = generate_scenes(config)
+        slow = reference.generate_scenes(config)
+        # the reference really retried: one rejection per listed scene
+        assert slow_verdicts.count(False) == len(retried)
+        assert len(slow_verdicts) == num_scenes + len(retried)
+        assert sorted(fast_verdicts) == sorted(slow_verdicts)
+        self.assert_same_scenes(fast, slow)
+
+    @pytest.mark.parametrize("cuts", [(), (1,), (64,), (63, 65), (0, 0, 7, 128, 129),
+                                      (5, 69, 70, 71)])
+    def test_any_split_of_the_range_is_the_whole(self, cuts):
+        config = GenConfig(num_scenes=130, points_per_object=2, seed=23)
+        bounds = [0, *cuts, config.num_scenes]
+        parts = [scene for a, b in zip(bounds, bounds[1:])
+                 for scene in generate_scenes(config, a, b)]
+        self.assert_same_scenes(parts, generate_scenes(config))
+
+    @pytest.mark.parametrize("start, stop", [(-1, 3), (4, 3), (0, 11), (11, 11)])
+    def test_bad_range(self, start, stop):
+        with pytest.raises(UsageError, match="range"):
+            generate_scenes(GenConfig(num_scenes=10), start, stop)
+
+    @pytest.mark.parametrize("prior", [(1.0,) * 6, (0.0, 1.0, 2.0, 0.0, 1.0, 2.0),
+                                       (0.0, 0.0, 0.0, 1.0, 0.0, 0.0)],
+                             ids=["flat", "zeros", "one-hot"])
+    def test_class_draw_is_the_choice_draw(self, prior):
+        # the inverse-cdf lookup the generator makes in place of rng.choice
+        p = np.asarray(prior) / sum(prior)
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        for seed in range(2000):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert (cdf.searchsorted(fast.random(), side="right")
+                    == slow.choice(len(p), p=p)), seed
+            assert fast.random() == slow.random(), seed
 
     @pytest.mark.parametrize("include_points", [True, False],
                              ids=["points", "features"])
