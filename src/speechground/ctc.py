@@ -202,7 +202,7 @@ def ctc_backward(p: Posteriorgram, target) -> tuple[ForwardBackwardTable, float]
 def ctc_loss(p: Posteriorgram, target) -> float:
     """Negative log probability of the target; +inf when infeasible."""
     _, logp = ctc_forward(p, target)
-    return -logp
+    return 0.0 - logp  # not -logp, which is -0.0 for a certain target
 
 
 def ctc_prefix_logprob(p: Posteriorgram, prefix) -> float:

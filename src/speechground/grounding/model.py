@@ -20,7 +20,8 @@ real slots.  The mask rules are:
 - a padded candidate's logit is -inf before the candidate softmax, so
   it has zero probability and passes back exactly zero gradient.
 
-A single scene (`ground`, `audio_guided_attention`) is a batch of one.
+A single scene (`ground`, `prepare_scene`, `audio_guided_attention`) is
+a batch of one.
 Backward passes add into a gradient dict that is already zeroed: every
 key holds a view of one flat buffer, so a training step re-zeroes one
 vector instead of concatenating the tensors.
@@ -44,7 +45,7 @@ import numpy as np
 
 from ..errors import DataError, NumericError, UsageError
 from .features import object_representations, representation_dim
-from .scene import MAX_CLASSES, SyntheticScene, group_objects
+from .scene import _CHUNK, MAX_CLASSES, SyntheticScene, group_objects
 
 CHECKPOINT_MAGIC = b"A3VG"
 CHECKPOINT_VERSION = 1
@@ -138,20 +139,8 @@ class GroundingResult:
 
 
 @dataclass
-class PreparedScene:
-    """Ground-truth-grouped tensors for one training scene."""
-
-    audio: np.ndarray
-    target_class: int
-    mention_hot: np.ndarray
-    cand_reprs: np.ndarray   # (N, d_rep)
-    rel_reprs: np.ndarray    # (M, d_rep)
-    target_pos: int
-
-
-@dataclass
 class _Batch:
-    """Prepared scenes stacked row by row, object blocks padded and masked."""
+    """Scenes stacked row by row, object blocks padded and masked."""
 
     audio: np.ndarray         # (B, d_audio)
     target_class: np.ndarray  # (B,)
@@ -404,26 +393,6 @@ def detect_mentions(model: GroundingModel, audio) -> tuple[np.ndarray, tuple[int
     return probs, _detected(model, probs)
 
 
-def _grouped_reprs(config: GroundingConfig, scenes, groups
-                   ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(candidate, relational) representation blocks of each scene.
-
-    `groups` holds each scene's (candidate, relational) index lists.  All
-    the objects go through one `object_representations` call, whose rows
-    equal the one-object call's.
-    """
-    reprs = object_representations(
-        [scene.objects[i] for scene, (cands, rels) in zip(scenes, groups)
-         for i in (*cands, *rels)],
-        config.embed_seed, config.d_obj, config.d_label)
-    blocks, start = [], 0
-    for cands, rels in groups:
-        mid = start + len(cands)
-        blocks.append((reprs[start:mid], reprs[mid:mid + len(rels)]))
-        start = mid + len(rels)
-    return blocks
-
-
 def _scene_audio(config: GroundingConfig, scene: SyntheticScene) -> np.ndarray:
     """The scene's audio vector, checked against the configured width."""
     if scene.audio.shape != (config.d_audio,):
@@ -431,62 +400,58 @@ def _scene_audio(config: GroundingConfig, scene: SyntheticScene) -> np.ndarray:
     return scene.audio
 
 
-# scenes per stacked representation call and per padded inference batch;
-# bounds the transient working set
-_BLOCK = 64
+def _object_blocks(config: GroundingConfig, scenes, groups
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Padded (candidate, relational) representation blocks and their masks.
 
-
-def _prepare_block(config: GroundingConfig, scenes) -> list[PreparedScene]:
-    """Bake ground-truth-grouped training tensors for a block of scenes.
-
-    Every scene is checked, in order, before the block's representations
-    are built in one stacked call.
+    `groups` holds each scene's (candidate, relational) index lists.  The
+    objects of `_CHUNK` scenes go through one `object_representations`
+    call, whose rows equal the one-object call's.
     """
-    groups, mention_hots = [], []
-    for scene in scenes:
+    blocks = []
+    for first in range(0, len(scenes), _CHUNK):
+        chunk = list(zip(scenes[first:first + _CHUNK], groups[first:first + _CHUNK]))
+        reprs = object_representations(
+            [scene.objects[i] for scene, (cands, rels) in chunk for i in (*cands, *rels)],
+            config.embed_seed, config.d_obj, config.d_label)
+        # each scene's candidates, then its relational objects
+        ends = np.cumsum([len(g) for _, pair in chunk for g in pair])
+        blocks += np.split(reprs, ends[:-1])
+    return (*_pad(blocks[0::2], config.d_rep), *_pad(blocks[1::2], config.d_rep))
+
+
+def _prepare_set(config: GroundingConfig, scenes) -> _Batch:
+    """The ground-truth-grouped, padded training batch of `scenes`.
+
+    Every scene is checked, in order, before any representation is built.
+    """
+    if not scenes:
+        raise UsageError("loss needs at least one scene")
+    groups = []
+    mention_hot = np.zeros((len(scenes), config.num_classes))
+    for scene, hot in zip(scenes, mention_hot):
         cands, rels = group_objects(scene.objects, scene.target_class,
                                     scene.mentioned_classes)
         if scene.target_index not in cands:
             raise DataError("scene target is not among its candidates")
-        mention_hot = np.zeros(config.num_classes)
         for c in scene.mentioned_classes:
             if not 0 <= c < config.num_classes:
                 raise DataError(f"mentioned class {c} outside the configured classes")
-            mention_hot[c] = 1.0
+            hot[c] = 1.0
         if not 0 <= scene.target_class < config.num_classes:
             raise DataError("target class outside the configured classes")
         _scene_audio(config, scene)
         groups.append((cands, rels))
-        mention_hots.append(mention_hot)
-    blocks = _grouped_reprs(config, scenes, groups)
-    return [PreparedScene(scene.audio, scene.target_class, mention_hot, cand_reprs,
-                          rel_reprs, cands.index(scene.target_index))
-            for scene, mention_hot, (cands, _), (cand_reprs, rel_reprs)
-            in zip(scenes, mention_hots, groups, blocks)]
+    return _Batch(np.stack([scene.audio for scene in scenes]),
+                  np.array([scene.target_class for scene in scenes]), mention_hot,
+                  *_object_blocks(config, scenes, groups),
+                  np.array([cands.index(scene.target_index)
+                            for scene, (cands, _) in zip(scenes, groups)]))
 
 
-def prepare_scene(config: GroundingConfig, scene: SyntheticScene) -> PreparedScene:
-    """Bake ground-truth-grouped training tensors for one scene."""
-    return _prepare_block(config, [scene])[0]
-
-
-def _collate(prepared, d_rep: int) -> _Batch:
-    """Stack prepared scenes, padding the object blocks to the longest."""
-    if not prepared:
-        raise UsageError("loss needs at least one scene")
-    return _Batch(np.stack([p.audio for p in prepared]),
-                  np.array([p.target_class for p in prepared]),
-                  np.stack([p.mention_hot for p in prepared]),
-                  *_pad([p.cand_reprs for p in prepared], d_rep),
-                  *_pad([p.rel_reprs for p in prepared], d_rep),
-                  np.array([p.target_pos for p in prepared]))
-
-
-def _prepare_set(config: GroundingConfig, scenes) -> _Batch:
-    """Every scene prepared in `_BLOCK`-scene blocks, then padded once."""
-    return _collate([prep for start in range(0, len(scenes), _BLOCK)
-                     for prep in _prepare_block(config, scenes[start:start + _BLOCK])],
-                    config.d_rep)
+def prepare_scene(config: GroundingConfig, scene: SyntheticScene) -> _Batch:
+    """One scene's ground-truth-grouped training tensors, as a batch of one."""
+    return _prepare_set(config, [scene])
 
 
 def _ground_streams(model: GroundingModel, audio, cand, cmask, rel, rmask):
@@ -555,11 +520,9 @@ def _batch_loss(model: GroundingModel, batch: _Batch, grads=None
     return float(np.dot(cfg.lambdas, parts)), parts
 
 
-def loss_and_grads(model: GroundingModel, scenes,
-                   prepared: list[PreparedScene] | None = None):
+def loss_and_grads(model: GroundingModel, scenes):
     """Mean joint loss, its three parts, and parameter gradients."""
-    batch = (_prepare_set(model.config, scenes) if prepared is None
-             else _collate(prepared, model.config.d_rep))
+    batch = _prepare_set(model.config, scenes)
     grads = _zero_grads(model.params)
     total, parts = _batch_loss(model, batch, grads)
     return total, parts, grads
@@ -587,13 +550,12 @@ def _ground_grouped(model: GroundingModel, scenes, groupings
                    f"no object of predicted class {pred_class}; cannot ground")
                for (pred_class, _), (cands, _) in zip(groupings, grouped)]
     live = [i for i, result in enumerate(results) if result is None]
-    d_rep = model.config.d_rep
-    for start in range(0, len(live), _BLOCK):
-        batch = live[start:start + _BLOCK]
-        cand_blocks, rel_blocks = zip(*_grouped_reprs(
-            model.config, [scenes[i] for i in batch], [grouped[i] for i in batch]))
+    for start in range(0, len(live), _CHUNK):
+        batch = live[start:start + _CHUNK]
         logits, _ = _ground_streams(model, np.stack([scenes[i].audio for i in batch]),
-                                    *_pad(cand_blocks, d_rep), *_pad(rel_blocks, d_rep))
+                                    *_object_blocks(model.config,
+                                                    [scenes[i] for i in batch],
+                                                    [grouped[i] for i in batch]))
         for i, row, win in zip(batch, _softmax(logits), np.argmax(logits, axis=1)):
             cands, rels = grouped[i]
             results[i] = GroundingResult(cands[win], row[:len(cands)].copy(),

@@ -19,7 +19,8 @@ from .features import audio_embedding, object_features
 
 RELATIONS = ("left-of", "right-of", "nearest-to")
 MAX_CLASSES = 10_000  # per generator or model, so every per-class table stays small
-# scenes generated, baked and written together; bounds the resident block
+# scenes generated, baked and written together, and scenes per stacked
+# representation call when preparing or scoring; bounds the resident block
 _CHUNK = 64
 
 
@@ -211,13 +212,14 @@ def _draw_scene(rng, config: GenConfig, cdf, jitter, noise, audio_noise):
     """
     ncls = config.num_classes
     target_class = int(cdf.searchsorted(rng.random(), side="right"))
-    others = [c for c in range(ncls) if c != target_class]
-    anchor_class = others[rng.integers(len(others))]
+    # the anchor indexes the classes other than the target, and each
+    # distractor those other than the target and the anchor
+    anchor_class = int(rng.integers(ncls - 1))
+    anchor_class += anchor_class >= target_class
     relation_id = int(rng.integers(len(RELATIONS)))
     n_cand = int(rng.integers(2, 5))
     n_anchor = 1 if RELATIONS[relation_id] == "nearest-to" else int(rng.integers(1, 3))
-    spare = [c for c in others if c != anchor_class]
-    n_distract = int(rng.integers(0, 3)) if spare else 0
+    n_distract = int(rng.integers(0, 3)) if ncls > 2 else 0
     # cap the population at 10 objects
     n_distract = min(n_distract, 10 - n_cand - n_anchor)
 
@@ -249,8 +251,12 @@ def _draw_scene(rng, config: GenConfig, cdf, jitter, noise, audio_noise):
     entries = [(target_class, winner_xy)]
     entries += [(target_class, xy) for xy in loser_xy]
     entries += [(anchor_class, xy) for xy in anchor_xy]
+    low, high = sorted((target_class, anchor_class))
     for _ in range(n_distract):
-        entries.append((spare[rng.integers(len(spare))], rng.uniform(0.5, 7.5, size=2)))
+        c = int(rng.integers(ncls - 2))
+        c += c >= low
+        c += c >= high
+        entries.append((c, rng.uniform(0.5, 7.5, size=2)))
     order = rng.permutation(len(entries)).tolist()
     # one call per object: the ziggurat normal sampler takes a variable number of draws
     for j in range(len(entries)):

@@ -3,8 +3,10 @@
 These are the one-scene-at-a-time forward/backward kernels, training
 loss and inference path that the padded, masked minibatch code in
 `speechground.grounding.model` replaced, kept unchanged so the tests
-can compare the two.  `train_toy` is the training loop that re-padded
-every minibatch and concatenated a fresh gradient per step; it gets its
+can compare the two.  `loss_and_grads` walks a padded batch one scene
+at a time, over each row's mask-sliced objects, with no padding.
+`train_toy` is a training loop that prepares and pads every minibatch
+afresh and concatenates a fresh gradient per step; it gets its
 gradients from the public batched `loss_and_grads`.  Nothing in `src/`
 imports this module.
 """
@@ -14,10 +16,9 @@ import numpy as np
 from speechground.errors import DataError, NumericError, UsageError
 from speechground import grounding
 from speechground.grounding import (EpochRecord, SyntheticScene, TrainConfig,
-                                    group_objects, object_representations,
-                                    prepare_scene)
+                                    group_objects, object_representations)
 from speechground.grounding.model import (GroundingFailure, GroundingModel,
-                                          GroundingResult, PreparedScene)
+                                          GroundingResult, _Batch)
 
 
 def _num_layers(hidden: tuple[int, ...]) -> int:
@@ -136,19 +137,20 @@ def _softmax_nll(logits: np.ndarray, target: int) -> tuple[float, np.ndarray]:
     return float(lse - z[target]), dlogits
 
 
-def _scene_loss(model: GroundingModel, prep: PreparedScene, grads=None):
+def _scene_loss(model: GroundingModel, audio, target_class, mention_hot,
+                cand_reprs, rel_reprs, target_pos, grads=None):
     cfg = model.config
     parts = np.zeros(3)
 
-    cls_logits, cls_cache = _mlp_forward(model.params, "cls", prep.audio[None, :],
+    cls_logits, cls_cache = _mlp_forward(model.params, "cls", audio[None, :],
                                          _num_layers(cfg.cls_hidden))
-    ce_audio, dcls = _softmax_nll(cls_logits[0], prep.target_class)
+    ce_audio, dcls = _softmax_nll(cls_logits[0], target_class)
     parts[0] = ce_audio
 
-    omd_logits, omd_cache = _mlp_forward(model.params, "omd", prep.audio[None, :],
+    omd_logits, omd_cache = _mlp_forward(model.params, "omd", audio[None, :],
                                          _num_layers(cfg.omd_hidden))
     x = omd_logits[0]
-    y = prep.mention_hot
+    y = mention_hot
     bce = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
     parts[1] = float(bce.mean())
     # exp may overflow to inf for saturated logits; 1/(1+inf) is the
@@ -156,9 +158,8 @@ def _scene_loss(model: GroundingModel, prep: PreparedScene, grads=None):
     with np.errstate(over="ignore"):
         domd = (1.0 / (1.0 + np.exp(-x)) - y) / x.shape[0]
 
-    ground_logits, caches = _ground_streams(model, prep.cand_reprs,
-                                            prep.rel_reprs, prep.audio)
-    ce_ground, dground = _softmax_nll(ground_logits, prep.target_pos)
+    ground_logits, caches = _ground_streams(model, cand_reprs, rel_reprs, audio)
+    ce_ground, dground = _softmax_nll(ground_logits, target_pos)
     parts[2] = ce_ground
 
     if grads is not None:
@@ -175,20 +176,18 @@ def _scene_loss(model: GroundingModel, prep: PreparedScene, grads=None):
     return parts
 
 
-def loss_and_grads(model: GroundingModel, scenes,
-                   prepared: list[PreparedScene] | None = None):
-    """Mean joint loss, its three parts, and parameter gradients."""
-    if prepared is None:
-        prepared = [prepare_scene(model.config, s) for s in scenes]
-    if not prepared:
-        raise UsageError("loss needs at least one scene")
+def loss_and_grads(model: GroundingModel, batch: _Batch):
+    """Mean joint loss, its three parts, and parameter gradients of a batch."""
+    size = len(batch.audio)
     grads: dict[str, np.ndarray] = {}
     parts = np.zeros(3)
-    for prep in prepared:
-        parts += _scene_loss(model, prep, grads)
-    parts /= len(prepared)
+    for b in range(size):
+        parts += _scene_loss(model, batch.audio[b], batch.target_class[b],
+                             batch.mention_hot[b], batch.cand[b, batch.cmask[b]],
+                             batch.rel[b, batch.rmask[b]], batch.target_pos[b], grads)
+    parts /= size
     for key in list(grads):
-        grads[key] = grads[key] / len(prepared)
+        grads[key] = grads[key] / size
     for key in model.params:
         if key not in grads:
             grads[key] = np.zeros_like(model.params[key])
@@ -262,13 +261,12 @@ def train_toy(model: GroundingModel, scenes, config: TrainConfig = TrainConfig()
               ) -> list[EpochRecord]:
     """Train in place with Adam and a stepped learning-rate decay.
 
-    Scenes are prepared (ground-truth grouping, baked features) once up
-    front.  Returns one record per epoch; raises NumericError if the
-    loss stops being finite.
+    Each minibatch of scenes is prepared (ground-truth grouping, baked
+    features) and padded on its own.  Returns one record per epoch;
+    raises NumericError if the loss stops being finite.
     """
     if not scenes:
         raise UsageError("training needs at least one scene")
-    prepared = [prepare_scene(model.config, s) for s in scenes]
     rng = np.random.default_rng(config.seed)
     # every parameter becomes a view into one flat vector, so each Adam
     # step is a handful of whole-vector operations updating it in place
@@ -282,12 +280,12 @@ def train_toy(model: GroundingModel, scenes, config: TrainConfig = TrainConfig()
     records = []
     for epoch in range(config.epochs):
         lr = config.learning_rate * config.decay ** (epoch // config.decay_every)
-        order = rng.permutation(len(prepared))
+        order = rng.permutation(len(scenes))
         epoch_loss = 0.0
         epoch_parts = np.zeros(3)
         for start in range(0, len(order), config.batch_size):
-            batch = [prepared[i] for i in order[start:start + config.batch_size]]
-            loss, parts, grads = grounding.loss_and_grads(model, None, prepared=batch)
+            batch = [scenes[i] for i in order[start:start + config.batch_size]]
+            loss, parts, grads = grounding.loss_and_grads(model, batch)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at epoch {epoch}")
             epoch_loss += loss * len(batch)

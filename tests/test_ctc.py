@@ -64,6 +64,12 @@ class TestForward:
         assert abs(logp - math.log(0.75)) < 1e-12
         assert abs(ctc_loss(p, (1,)) - 0.287682) < 5e-7
 
+    def test_certain_target_has_a_positive_zero_loss(self):
+        p = Posteriorgram(np.array([[-np.inf, 0.0], [0.0, -np.inf]]))
+        assert ctc_forward(p, (1,))[1] == 0.0
+        assert math.copysign(1.0, ctc_loss(p, (1,))) == 1.0
+        assert math.copysign(1.0, ctc_loss(Posteriorgram(np.zeros((0, 2))), ())) == 1.0
+
     def test_empty_target_mass(self):
         p = Posteriorgram(np.log(np.full((3, 2), 0.5)))
         _, logp = ctc_forward(p, ())

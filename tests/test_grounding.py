@@ -19,8 +19,10 @@ from speechground.grounding import (AttentionParams, EvalReport, GenConfig,
                                     load_checkpoint, loss_and_grads,
                                     object_representation, prepare_scene,
                                     save_checkpoint, train_toy)
-from speechground.grounding.model import (PreparedScene, _ground_grouped,
-                                          _predicted_groupings)
+from speechground.grounding.model import (_Batch, _batch_loss, _ground_grouped,
+                                          _pad, _predicted_groupings, _prepare_set,
+                                          _zero_grads)
+from speechground.grounding.scene import _CHUNK
 from tests import grounding_reference as reference
 
 # lean geometry so gradient checks and training smoke tests stay quick
@@ -291,15 +293,20 @@ class TestPrepareScene:
                    make_object(0, [4.0, 0.0, 0.0])]
         scene = hand_scene(objects, target_index=2, target_class=0,
                            mentioned=(0, 1))
-        prep = prepare_scene(cfg, scene)
-        assert prep.target_class == 0
-        assert prep.target_pos == 1  # second candidate
-        np.testing.assert_array_equal(prep.mention_hot, [1.0, 1.0, 0.0, 0.0])
-        for row, idx in zip(prep.cand_reprs, (0, 2)):
+        batch = prepare_scene(cfg, scene)
+        np.testing.assert_array_equal(batch.audio, [scene.audio])
+        assert batch.target_class.tolist() == [0]
+        assert batch.target_pos.tolist() == [1]  # second candidate
+        np.testing.assert_array_equal(batch.mention_hot, [[1.0, 1.0, 0.0, 0.0]])
+        cand = batch.cand[0, batch.cmask[0]]
+        assert cand.shape == (2, cfg.d_rep)
+        for row, idx in zip(cand, (0, 2)):
             np.testing.assert_array_equal(
                 row, object_representation(objects[idx], cfg.embed_seed))
+        rel = batch.rel[0, batch.rmask[0]]
+        assert rel.shape == (1, cfg.d_rep)
         np.testing.assert_array_equal(
-            prep.rel_reprs[0], object_representation(objects[1], cfg.embed_seed))
+            rel[0], object_representation(objects[1], cfg.embed_seed))
 
     def test_no_relational_objects_bakes_empty_block(self):
         cfg = GroundingConfig(num_classes=4)
@@ -307,8 +314,11 @@ class TestPrepareScene:
                    make_object(0, [2.0, 0.0, 0.0])]
         scene = hand_scene(objects, target_index=0, target_class=0,
                            mentioned=(0,))
-        prep = prepare_scene(cfg, scene)
-        assert prep.rel_reprs.shape == (0, cfg.d_rep)
+        batch = prepare_scene(cfg, scene)
+        assert batch.rel[0, batch.rmask[0]].shape == (0, cfg.d_rep)
+        # one masked key column, so attention still has a key axis
+        assert batch.rel.shape == (1, 1, cfg.d_rep)
+        assert not batch.rmask.any()
 
     def test_validation(self):
         cfg = GroundingConfig(num_classes=4)
@@ -778,18 +788,20 @@ class TestBatchedPath:
     def random_batch(rng, config, size):
         # 1-4 candidates per scene; about 30% of scenes have no
         # relational objects, the rest 1-3
-        batch = []
+        rows = []
         for _ in range(size):
             n = int(rng.integers(1, 5))
             m = 0 if rng.random() < 0.3 else int(rng.integers(1, 4))
-            batch.append(PreparedScene(
-                rng.standard_normal(config.d_audio),
-                int(rng.integers(config.num_classes)),
-                (rng.random(config.num_classes) < 0.5).astype(np.float64),
-                rng.standard_normal((n, config.d_rep)),
-                rng.standard_normal((m, config.d_rep)),
-                int(rng.integers(n))))
-        return batch
+            rows.append((rng.standard_normal(config.d_audio),
+                         int(rng.integers(config.num_classes)),
+                         (rng.random(config.num_classes) < 0.5).astype(np.float64),
+                         rng.standard_normal((n, config.d_rep)),
+                         rng.standard_normal((m, config.d_rep)),
+                         int(rng.integers(n))))
+        audio, target_class, mention_hot, cand, rel, target_pos = zip(*rows)
+        return _Batch(np.stack(audio), np.array(target_class), np.stack(mention_hot),
+                      *_pad(cand, config.d_rep), *_pad(rel, config.d_rep),
+                      np.array(target_pos))
 
     def test_loss_and_grads_match_the_per_scene_reference(self):
         rng = np.random.default_rng(950)
@@ -800,10 +812,10 @@ class TestBatchedPath:
                                         "attn_heads": int(rng.integers(1, 4))})
             model = init_grounding_model(config, seed=trial)
             batch = self.random_batch(rng, config, int(rng.integers(1, 33)))
-            sizes.add(len(batch))
-            total, parts, grads = loss_and_grads(model, None, prepared=batch)
-            ref_total, ref_parts, ref_grads = reference.loss_and_grads(
-                model, None, prepared=batch)
+            sizes.add(len(batch.audio))
+            grads = _zero_grads(model.params)
+            total, parts = _batch_loss(model, batch, grads)
+            ref_total, ref_parts, ref_grads = reference.loss_and_grads(model, batch)
             np.testing.assert_allclose(parts, ref_parts, rtol=1e-12, atol=0)
             np.testing.assert_allclose(total, ref_total, rtol=1e-12, atol=0)
             assert set(grads) == set(ref_grads)
@@ -821,12 +833,40 @@ class TestBatchedPath:
                                    first.target_class, (first.target_class,),
                                    first.relation_id, first.target_index)
         model = small_model(seed=101, attn_layers=2)
-        prepared = [prepare_scene(model.config, s) for s in scenes]
-        assert prepared[0].rel_reprs.shape[0] == 0
-        assert min(p.rel_reprs.shape[0] for p in prepared[1:]) > 0
-        assert len({p.cand_reprs.shape[0] for p in prepared}) > 1
+        batch = _prepare_set(model.config, scenes)
+        num_rel = batch.rmask.sum(axis=1)
+        assert num_rel[0] == 0 and num_rel[1:].min() > 0
+        assert len(set(batch.cmask.sum(axis=1).tolist())) > 1
         err = gradient_check(model, scenes, samples_per_tensor=3, seed=2)
         assert err <= 1e-4
+
+    def test_prepared_set_matches_one_scene_batches(self):
+        # more scenes than one representation chunk; every third keeps
+        # only the target among its mentions, so it has no relational
+        # objects, and a crowded scene sits just past the chunk boundary
+        scenes = small_scenes(130, seed=91)
+        for i in range(0, len(scenes), 3):
+            s = scenes[i]
+            scenes[i] = SyntheticScene(s.objects, s.audio, s.target_class,
+                                       (s.target_class,), s.relation_id,
+                                       s.target_index)
+        objects = ([make_object(2, [float(x), 1.0, 0.5]) for x in range(7)]
+                   + [make_object(3, [float(x), 4.0, 0.5]) for x in range(6)])
+        scenes[_CHUNK + 1] = hand_scene(objects, 3, 2, (2, 3), d_audio=16)
+        assert len(scenes) > 2 * _CHUNK
+        config = small_model().config
+        batch = _prepare_set(config, scenes)
+        assert batch.cand.shape[1] == 7 and batch.rel.shape[1] == 6
+        for b, scene in enumerate(scenes):
+            one = prepare_scene(config, scene)
+            for name in ("audio", "target_class", "mention_hot", "target_pos"):
+                assert np.array_equal(getattr(batch, name)[b], getattr(one, name)[0])
+            for block, mask in (("cand", "cmask"), ("rel", "rmask")):
+                rows, keep = getattr(batch, block)[b], getattr(batch, mask)[b]
+                alone = getattr(one, block)[0, getattr(one, mask)[0]]
+                assert np.array_equal(rows[keep], alone)
+                assert not rows[~keep].any()
+        assert not batch.rmask[0].any() and batch.rmask[1].any()
 
     def test_evaluate_matches_per_scene_ground(self):
         # more scenes than one inference batch, so batch boundaries show

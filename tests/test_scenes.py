@@ -381,7 +381,7 @@ class TestGeneratorMatchesReference:
     """The scene-batched generator and writer equal the per-object reference."""
 
     @pytest.mark.parametrize("num_points", [1, 64])
-    @pytest.mark.parametrize("num_classes", [2, 6, 9])
+    @pytest.mark.parametrize("num_classes", [2, 6, 9, 200])
     @pytest.mark.parametrize("weighted", [False, True], ids=["flat", "prior"])
     def test_scenes_are_identical(self, num_points, num_classes, weighted):
         # the weighted prior gives every third class zero weight
