@@ -505,8 +505,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        # the handler is looked up now, not bound when the cached parser was built
-        return globals()[args.func.__name__](args)
+        return args.func(args)
     except (UsageError, DataError, NumericError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, UsageError) else 3 if isinstance(exc, NumericError) else 2

@@ -225,8 +225,6 @@ def bruteforce_distribution(p: Posteriorgram) -> dict[LabelSequence, float]:
         raise UsageError(
             f"{k}^{t_total} paths exceeds the {BRUTEFORCE_MAX_PATHS} cap"
         )
-    if t_total == 0:
-        return {(): 1.0}
     paths = np.array(list(itertools.product(range(k), repeat=t_total)), dtype=np.int64)
     logp = p.log_probs[np.arange(t_total)[None, :], paths].sum(axis=1)
     probs = np.exp(logp)

@@ -159,6 +159,7 @@ def timesync_beam(p: Posteriorgram, config: DecodeConfig,
             raise UsageError("prior size does not match the alphabet")
         if not np.all(np.isfinite(prior.log_prior)):
             raise NumericError("prior has zero-mass symbols; cannot correct")
+    shift = config.prior_scale * prior.log_prior if config.prior_scale > 0 else 0.0
     lp = p.log_probs
     symbols = np.arange(p.num_symbols)
     # the beam, best first: scores, last alignment symbols, collapsed
@@ -169,9 +170,8 @@ def timesync_beam(p: Posteriorgram, config: DecodeConfig,
     histories: tuple[tuple[str, ...], ...] = ((),)
     width = config.beam_width
     for t in range(p.num_frames):
-        cand = scores[:, None] + lp[t]
-        if config.prior_scale > 0:
-            cand -= config.prior_scale * prior.log_prior
+        # (score + lp) - shift: folding the shift into lp first rounds differently
+        cand = scores[:, None] + lp[t] - shift
         grow = (symbols != BLANK) & (symbols != last[:, None])
         rows = config.lm_scale * np.array([row(h) for h in histories])
         np.add(cand, rows, out=cand, where=grow)

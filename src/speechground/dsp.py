@@ -162,6 +162,7 @@ def hann_window(n: int, length: int) -> float:
         raise UsageError(f"window length must be >= 2, got {length}")
     if not 1 <= n <= length:
         raise UsageError(f"position {n} outside window of length {length}")
+    # its own formula: the spectrum oracle tests/test_dsp.py::naive_amplitude_spectrum uses it
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * (n - 1) / (length - 1))
 
 

@@ -327,7 +327,6 @@ def _stack_backward(name, dout, caches, grads, self_mode):
         p, cache = caches[layer]
         doq, dokv = _attn_backward(p, dx, cache, grads, f"{name}{layer}")
         dx = doq + dokv if self_mode else doq
-    return dx
 
 
 def audio_guided_attention(objects_q, objects_kv, audio, params: AttentionParams
@@ -683,4 +682,5 @@ def load_checkpoint(path: str) -> GroundingModel:
         if params[key].shape != shape:
             raise DataError(
                 f"tensor {key} has shape {params[key].shape}, expected {shape}")
-    return GroundingModel(cfg, params)
+    # in initialization order, so a loaded model lays out like a fresh one
+    return GroundingModel(cfg, {key: params[key] for key in shapes})

@@ -310,7 +310,8 @@ def generate_scenes(config: GenConfig, start: int = 0, stop: int | None = None
 
     Scene i draws from its own rng `[seed, i]`, so any split of the range
     gives the same scenes.  They are built `_CHUNK` at a time; one that
-    fails `verify_scene` draws again from its own rng.
+    fails `verify_scene` retries alone, drawing again from its own rng,
+    since no scene's values depend on the others built with it.
     """
     stop = config.num_scenes if stop is None else stop
     if not 0 <= start <= stop <= config.num_scenes:
@@ -326,16 +327,12 @@ def generate_scenes(config: GenConfig, start: int = 0, stop: int | None = None
     cdf /= cdf[-1]
     scenes = []
     for first in range(start, stop, _CHUNK):
-        rngs = {i: np.random.default_rng([config.seed, i])
-                for i in range(first, min(first + _CHUNK, stop))}
-        chunk = dict.fromkeys(rngs)
-        while rngs:
-            for i, scene in zip(list(rngs),
-                                _build_scenes(rngs.values(), config, sizes, colors, cdf)):
-                if verify_scene(scene):
-                    chunk[i] = scene
-                    del rngs[i]
-        scenes += chunk.values()
+        rngs = [np.random.default_rng([config.seed, i])
+                for i in range(first, min(first + _CHUNK, stop))]
+        for rng, scene in zip(rngs, _build_scenes(rngs, config, sizes, colors, cdf)):
+            while not verify_scene(scene):
+                (scene,) = _build_scenes([rng], config, sizes, colors, cdf)
+            scenes.append(scene)
     return scenes
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from speechground import cli
+from speechground import cli, grounding
 from speechground.cli import main
 from speechground.dsp import FeatureMatrix, Waveform, write_feature_binary, write_wav
 from speechground.grounding import (GenConfig, GroundingConfig, generate_scenes,
@@ -153,6 +153,23 @@ class TestFeaturize:
         assert code == 2
         assert "channels" in err
 
+    @pytest.mark.parametrize("width, frames, message", [
+        (3, 1600, "bits per sample: expected 16 (width 2), got width 3"),
+        (2, 0, "pre-emphasis needs at least 2 samples, got 0"),
+        (2, 1, "pre-emphasis needs at least 2 samples, got 1"),
+    ], ids=["24-bit", "0-sample", "1-sample"])
+    def test_unusable_pcm_wav_rejected(self, width, frames, message, tmp_path, capsys):
+        path = tmp_path / "pcm.wav"
+        with wave.open(str(path), "wb") as fh:
+            fh.setnchannels(1)
+            fh.setsampwidth(width)
+            fh.setframerate(16000)
+            fh.writeframes(b"\x00" * width * frames)
+        code, out, err = run(["featurize", "--input", str(path),
+                              "--output", str(tmp_path / "o.txt")], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     def test_float_wav_rejected(self, tmp_path, capsys):
         # a 32-bit float WAV (format tag 3): the wave module refuses the tag itself
         data = np.zeros(160, dtype="<f4").tobytes()
@@ -206,6 +223,13 @@ class TestCtcCommands:
                             "--vocab", vocab, "--labels", "a"], capsys)
         assert code == 0
         assert out.splitlines()[0] == "LOSS=0.287682"
+
+    def test_loss_refuses_a_blank_label(self, anchor, capsys):
+        post, vocab = anchor
+        code, out, err = run(["ctc", "loss", "--posteriors", post,
+                              "--vocab", vocab, "--labels", "<blank>"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: target sequences cannot contain the blank\n"
 
     def test_certain_target_has_a_positive_zero_loss(self, tmp_path, capsys):
         post = write_text(tmp_path / "certain.post", "2 3\n0 -inf -inf\n-inf 0 -inf\n")
@@ -528,6 +552,14 @@ class TestEvalCommands:
         assert (code, out) == (1, "")
         assert "alpha must be finite and non-negative" in err
 
+    def test_ppl_with_no_counts_and_no_smoothing(self, tmp_path, capsys):
+        lm = write_text(tmp_path / "lm.counts", "a\t0\nb\t0\n</s>\t0\n")
+        text = write_text(tmp_path / "text.txt", "a\n")
+        code, out, err = run(["eval", "ppl", "--lm", lm, "--text", text,
+                              "--alpha", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: no counts and no smoothing leaves nothing to predict\n"
+
     def test_ppl_alpha_overflowing_the_denominator(self, tmp_path, capsys):
         # 1e308 * 2 overflows the add-alpha denominator, which would give PPL=inf
         lm = write_text(tmp_path / "lm.counts", "a\t1\n</s>\t1\n")
@@ -639,6 +671,15 @@ class TestAnalyzeCommands:
         assert code == 0
         value = float(out.splitlines()[0][3:])
         np.testing.assert_allclose(value, math.log(3.0), atol=1e-6)
+
+    def test_mi_on_identical_rows(self, tmp_path, capsys):
+        # every k-means++ distance is 0, so the second center is a uniform draw
+        feats = write_feats(tmp_path / "f.txt", np.full((4, 2), 0.5))
+        labels = write_text(tmp_path / "l.txt", "x\ny\nx\ny\n")
+        code, out, _ = run(["analyze", "mi", "--features", feats,
+                            "--labels", labels, "--clusters", "2"], capsys)
+        assert code == 0
+        assert out.splitlines()[0] == "MI=0.000000"
 
     def test_mi_label_count_mismatch(self, tmp_path, capsys):
         feats = write_feats(tmp_path / "f.txt", np.eye(3))
@@ -1140,10 +1181,11 @@ class TestCliBasics:
         assert run(["--help"], capsys)[0] == 0
 
     def test_internal_error_names_command_and_type(self, monkeypatch, capsys):
-        def broken(args):
+        def broken(path):
             raise ValueError("boom")
 
-        monkeypatch.setattr(cli, "_cmd_ground_eval", broken)
+        # below the handler, which the cached parser binds directly
+        monkeypatch.setattr(grounding, "load_checkpoint", broken)
         code, out, err = run(["ground", "eval", "--model", "m", "--data", "d"],
                              capsys)
         assert code == 3

@@ -204,6 +204,13 @@ class TestPartition:
             total = sum(bruteforce_distribution(p).values())
             assert abs(total - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_zero_frames_give_the_empty_sequence(self, k):
+        # the one path of length 0 collapses to () with probability 1
+        dist = bruteforce_distribution(Posteriorgram(np.zeros((0, k))))
+        assert dist == {(): 1.0}
+        assert type(dist[()]) is float
+
     def test_forward_sums_to_one_over_all_sequences(self):
         rng = np.random.default_rng(201)
         for _ in range(30):

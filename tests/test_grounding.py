@@ -21,7 +21,7 @@ from speechground.grounding import (AttentionParams, EvalReport, GenConfig,
                                     save_checkpoint, train_toy)
 from speechground.grounding.model import (_Batch, _batch_loss, _ground_grouped,
                                           _pad, _predicted_groupings, _prepare_set,
-                                          _zero_grads)
+                                          _zero_grads, param_shapes)
 from speechground.grounding.scene import _CHUNK
 from tests import grounding_reference as reference
 
@@ -686,6 +686,19 @@ class TestCheckpoint:
         assert set(loaded.params) == set(model.params)
         for key, value in model.params.items():
             np.testing.assert_array_equal(loaded.params[key], value)
+
+    def test_loaded_params_keep_initialization_order(self, tmp_path):
+        # the file stores tensors by sorted name; a loaded model lays its
+        # parameters out like a fresh one, so a flat buffer over them does too
+        model = small_model(seed=13, head_hidden=(8, 8))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), model)
+        loaded = load_checkpoint(str(path))
+        assert list(loaded.params) == list(param_shapes(model.config))
+        assert list(loaded.params) != sorted(loaded.params)
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(str(again), loaded)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_header_and_determinism(self, tmp_path):
         model = small_model(seed=10)
