@@ -76,7 +76,7 @@ def _load_ctc_inputs(args):
     return vocab, post
 
 
-def _cmd_featurize(args) -> int:
+def _cmd_featurize(args) -> None:
     wave = normalize_wave(read_wav(args.input))
     spec = FrameSpec()
     fb = mel_filterbank(spec, 16000, args.filters)
@@ -94,10 +94,9 @@ def _cmd_featurize(args) -> int:
         "command": "featurize", "frames": feats.num_frames,
         "dim": feats.dim, "output": args.output,
     })
-    return 0
 
 
-def _cmd_ctc_loss(args) -> int:
+def _cmd_ctc_loss(args) -> None:
     vocab, post = _load_ctc_inputs(args)
     target = parse_label_string(args.labels, vocab)
     _, logp = ctc_forward(post, target)
@@ -107,18 +106,16 @@ def _cmd_ctc_loss(args) -> int:
     _emit(args, f"LOSS={loss:.6f}", {
         "command": "ctc-loss", "loss": loss, "logp": logp,
     })
-    return 0
 
 
-def _cmd_ctc_prefix(args) -> int:
+def _cmd_ctc_prefix(args) -> None:
     vocab, post = _load_ctc_inputs(args)
     prefix = parse_label_string(args.labels, vocab)
     logp = ctc_prefix_logprob(post, prefix)
     _emit(args, f"LOGP={logp:.6f}", {"command": "ctc-prefix", "logp": logp})
-    return 0
 
 
-def _cmd_ctc_decode(args) -> int:
+def _cmd_ctc_decode(args) -> None:
     # a flag the mode ignores is refused before any file is opened
     beam, time_sync, fused = args.mode != "greedy", args.mode == "time-sync", args.lm is not None
     for flag, given, applies, where in (
@@ -147,10 +144,9 @@ def _cmd_ctc_decode(args) -> int:
         "command": "ctc-decode", "mode": args.mode, "beam": config.beam_width,
         "hyp": list(text.split()),
     })
-    return 0
 
 
-def _cmd_eval_wer(args) -> int:
+def _cmd_eval_wer(args) -> None:
     refs = _read_lines(args.ref)
     hyps = _read_lines(args.hyp)
     if len(refs) != len(hyps):
@@ -165,18 +161,16 @@ def _cmd_eval_wer(args) -> int:
            "deletions": counts.deletions,
            "insertions": counts.insertions,
            "ref_length": counts.ref_length})
-    return 0
 
 
-def _cmd_eval_ppl(args) -> int:
+def _cmd_eval_ppl(args) -> None:
     model = read_lm(args.lm, alpha=args.alpha)
     sentences = _read_lines(args.text)
     ppl = lm_perplexity(model, sentences)
     _emit(args, f"PPL={ppl:.6f}", {"command": "eval-ppl", "ppl": ppl})
-    return 0
 
 
-def _cmd_analyze_cca(args) -> int:
+def _cmd_analyze_cca(args) -> None:
     from .selfsup import cca_corrs
     x = load_features(args.x)
     y = load_features(args.y)
@@ -190,10 +184,9 @@ def _cmd_analyze_cca(args) -> int:
         "command": "analyze-cca", "similarity": sim,
         "correlations": [float(c) for c in corrs],
     })
-    return 0
 
 
-def _cmd_analyze_mi(args) -> int:
+def _cmd_analyze_mi(args) -> None:
     from .selfsup import mutual_information
     feats = load_features(args.features)
     labels = _read_lines(args.labels)
@@ -205,10 +198,9 @@ def _cmd_analyze_mi(args) -> int:
     _emit(args, f"MI={value:.6f}", {
         "command": "analyze-mi", "mi": value, "clusters": args.clusters,
     })
-    return 0
 
 
-def _cmd_analyze_ssl(args) -> int:
+def _cmd_analyze_ssl(args) -> None:
     from .selfsup import CodebookUsage, ContrastiveBatch, contrastive_loss, diversity_loss
     feats = load_features(args.features)
     if feats.num_frames < 2:
@@ -223,10 +215,9 @@ def _cmd_analyze_ssl(args) -> int:
         payload["diversity"] = dloss
         line += f" DIVERSITY={dloss:.6f}"
     _emit(args, line, payload)
-    return 0
 
 
-def _cmd_ground_gen(args) -> int:
+def _cmd_ground_gen(args) -> None:
     from .grounding.scene import _CHUNK, GenConfig, generate_scenes, write_scenes
     # both splits' flags are checked before the output directory is made
     configs = {name: GenConfig(num_scenes=count, num_classes=args.classes, seed=seed,
@@ -248,7 +239,6 @@ def _cmd_ground_gen(args) -> int:
         "dev_path": paths["dev.jsonl"], "train_scenes": args.train_scenes,
         "dev_scenes": args.dev_scenes,
     })
-    return 0
 
 
 def _infer_num_classes(path: str, scenes) -> int:
@@ -277,7 +267,7 @@ def _read_some_scenes(path: str):
     return scenes
 
 
-def _cmd_ground_train(args) -> int:
+def _cmd_ground_train(args) -> None:
     from .grounding import (GroundingConfig, TrainConfig, init_grounding_model,
                             save_checkpoint, train_toy)
     scenes = _read_some_scenes(args.data)
@@ -296,10 +286,9 @@ def _cmd_ground_train(args) -> int:
         "command": "ground-train", "final_loss": records[-1].loss,
         "epochs": len(records), "checkpoint": args.out,
     })
-    return 0
 
 
-def _cmd_ground_eval(args) -> int:
+def _cmd_ground_eval(args) -> None:
     from .grounding import evaluate, load_checkpoint
     model = load_checkpoint(args.model)
     scenes = _read_some_scenes(args.data)
@@ -316,10 +305,9 @@ def _cmd_ground_eval(args) -> int:
         "failures": report.failures,
         "num_scenes": report.num_scenes,
     })
-    return 0
 
 
-def _cmd_ground_infer(args) -> int:
+def _cmd_ground_infer(args) -> None:
     from .grounding import ground, load_checkpoint
     model = load_checkpoint(args.model)
     scenes = _read_some_scenes(args.scene)
@@ -336,7 +324,6 @@ def _cmd_ground_infer(args) -> int:
         "probs": [float(p) for p in result.probs],
         "relational_empty": result.relational_empty,
     })
-    return 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -505,7 +492,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        args.func(args)
+        return 0
     except (UsageError, DataError, NumericError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, UsageError) else 3 if isinstance(exc, NumericError) else 2

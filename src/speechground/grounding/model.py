@@ -268,12 +268,8 @@ def _attn_forward(p: AttentionParams, xq, xkv, kmask, audio):
 
     q, k, v = (project(p.wq, p.wqa, xq), project(p.wk, p.wka, xkv),
                project(p.wv, p.wva, xkv))
-    scores = np.where(kmask[:, None, None, :],
-                      q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh), -np.inf)
-    top = scores.max(axis=3, keepdims=True)
-    att = np.exp(scores - np.where(top == -np.inf, 0.0, top))
-    total = att.sum(axis=3, keepdims=True)
-    att /= np.where(total == 0.0, 1.0, total)
+    att = _softmax(np.where(kmask[:, None, None, :],
+                            q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh), -np.inf))
     flat = (att @ v).transpose(0, 2, 1, 3).reshape(b, nq, heads * dh)
     out = (flat.reshape(-1, heads * dh) @ p.wo.T).reshape(b, nq, d)
     return out, (xq, xkv, audio, q, k, v, att, flat)
@@ -312,21 +308,22 @@ def attention_params_from(model: GroundingModel, name: str, layer: int = 0
                               for f in fields(AttentionParams)})
 
 
-def _stack_forward(model, name, x, kv_fixed, kmask, audio, self_mode):
+def _stack_forward(model, name, x, kv_fixed, kmask, audio):
     caches = []
     for layer in range(model.config.attn_layers):
         p = attention_params_from(model, name, layer)
-        x, cache = _attn_forward(p, x, x if self_mode else kv_fixed, kmask, audio)
+        x, cache = _attn_forward(p, x, x if kv_fixed is None else kv_fixed, kmask, audio)
         caches.append((p, cache))
     return x, caches
 
 
-def _stack_backward(name, dout, caches, grads, self_mode):
+def _stack_backward(name, dout, caches, grads):
     dx = dout
     for layer in range(len(caches) - 1, -1, -1):
         p, cache = caches[layer]
         doq, dokv = _attn_backward(p, dx, cache, grads, f"{name}{layer}")
-        dx = doq + dokv if self_mode else doq
+        # self-attention's keys and values are its queries' input
+        dx = doq + dokv if name == "self" else doq
 
 
 def audio_guided_attention(objects_q, objects_kv, audio, params: AttentionParams
@@ -355,9 +352,12 @@ def audio_guided_attention(objects_q, objects_kv, audio, params: AttentionParams
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of (B, K) logits; a -inf logit gets probability 0."""
-    p = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return p / p.sum(axis=1, keepdims=True)
+    """Softmax over the last axis; a -inf logit gets probability 0, a row of them all 0."""
+    top = logits.max(axis=-1, keepdims=True)
+    p = np.exp(logits - np.where(top == -np.inf, 0.0, top))
+    total = p.sum(axis=-1, keepdims=True)
+    p /= np.where(total == 0.0, 1.0, total)
+    return p
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -459,9 +459,8 @@ def _ground_streams(model: GroundingModel, audio, cand, cmask, rel, rmask):
     `audio` is (B, d_audio); `cand` and `rel` are the padded (B, N, d_rep)
     and (B, M, d_rep) object blocks with their masks of real slots.
     """
-    o_self, self_caches = _stack_forward(model, "self", cand, None, cmask, audio, True)
-    o_cross, cross_caches = _stack_forward(model, "cross", cand, rel, rmask, audio,
-                                           False)
+    o_self, self_caches = _stack_forward(model, "self", cand, None, cmask, audio)
+    o_cross, cross_caches = _stack_forward(model, "cross", cand, rel, rmask, audio)
     fused = cand + o_self + o_cross
     # the head scores only real candidates; padded slots stay -inf
     scores, head_cache = _mlp_forward(model, "head", fused[cmask])
@@ -514,8 +513,8 @@ def _batch_loss(model: GroundingModel, batch: _Batch, grads=None
         dfused[cmask] = _mlp_backward(model.params, "head",
                                       (lc / b) * dground[cmask][:, None],
                                       head_cache, grads)
-        _stack_backward("self", dfused, self_caches, grads, True)
-        _stack_backward("cross", dfused, cross_caches, grads, False)
+        _stack_backward("self", dfused, self_caches, grads)
+        _stack_backward("cross", dfused, cross_caches, grads)
     return float(np.dot(cfg.lambdas, parts)), parts
 
 
@@ -527,15 +526,24 @@ def loss_and_grads(model: GroundingModel, scenes):
     return total, parts, grads
 
 
+def _require_finite(*probs: np.ndarray) -> None:
+    # a model whose weights overflow on an input scores it with inf or NaN
+    if not all(np.isfinite(p).all() for p in probs):
+        raise NumericError("grounding scores are not finite: the model overflows on this input")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # _require_finite reports it instead
 def _predicted_groupings(model: GroundingModel, scenes
                          ) -> list[tuple[int, tuple[int, ...]]]:
     """Predicted audio class and detected mentions of every scene."""
     audio = np.stack([_scene_audio(model.config, scene) for scene in scenes])
-    classes = np.argmax(_class_probs(model, audio), axis=1)
+    class_probs, mention_probs = _class_probs(model, audio), _mention_probs(model, audio)
+    _require_finite(class_probs, mention_probs)
     return [(int(c), _detected(model, probs))
-            for c, probs in zip(classes, _mention_probs(model, audio))]
+            for c, probs in zip(np.argmax(class_probs, axis=1), mention_probs)]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _require_finite reports it instead
 def _ground_grouped(model: GroundingModel, scenes, groupings
                     ) -> list[GroundingResult | GroundingFailure]:
     """Ground each scene under its (class, mentions) grouping.
@@ -555,7 +563,9 @@ def _ground_grouped(model: GroundingModel, scenes, groupings
                                     *_object_blocks(model.config,
                                                     [scenes[i] for i in batch],
                                                     [grouped[i] for i in batch]))
-        for i, row, win in zip(batch, _softmax(logits), np.argmax(logits, axis=1)):
+        probs = _softmax(logits)
+        _require_finite(probs)
+        for i, row, win in zip(batch, probs, np.argmax(logits, axis=1)):
             cands, rels = grouped[i]
             results[i] = GroundingResult(cands[win], row[:len(cands)].copy(),
                                          tuple(cands), not rels, *groupings[i])
@@ -567,7 +577,7 @@ def ground(model: GroundingModel, scene: SyntheticScene) -> GroundingResult:
 
     Grouping uses the predicted audio class and detected mentions, not
     the ground truth.  Raises GroundingFailure when no candidate object
-    matches the predicted class.
+    matches the predicted class, and NumericError when a score is not finite.
     """
     (result,) = _ground_grouped(model, [scene], _predicted_groupings(model, [scene]))
     if isinstance(result, GroundingFailure):

@@ -9,24 +9,23 @@ from .model import (GroundingFailure, GroundingModel, _batch_loss, _flat_views,
                     _ground_grouped, _predicted_groupings, _prepare_set,
                     _zero_grads)
 
+_BETA1, _BETA2, _EPS, _DECAY = 0.9, 0.999, 1e-8, 0.9
+
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Adam hyperparameters for the toy curriculum."""
+    """Toy curriculum schedule; Adam's (`_BETA1`, `_BETA2`, `_EPS`) are (0.9, 0.999,
+    1e-8), and the learning rate drops by `_DECAY` = 0.9 every `decay_every` epochs."""
 
     epochs: int = 40
     batch_size: int = 32
     learning_rate: float = 3e-3
-    decay: float = 0.9          # applied every decay_every epochs
     decay_every: int = 5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise UsageError("epochs and batch size must be positive")
+        if min(self.epochs, self.batch_size, self.decay_every) < 1:
+            raise UsageError("epochs, batch size and decay_every must be positive")
         if not 0 <= self.learning_rate < np.inf:
             raise UsageError(f"learning rate must be finite and non-negative, "
                              f"got {self.learning_rate}")
@@ -56,6 +55,7 @@ class EvalReport:
     num_scenes: int
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the loss and parameter checks report it
 def train_toy(model: GroundingModel, scenes, config: TrainConfig = TrainConfig()
               ) -> list[EpochRecord]:
     """Train in place with Adam and a stepped learning-rate decay.
@@ -63,10 +63,8 @@ def train_toy(model: GroundingModel, scenes, config: TrainConfig = TrainConfig()
     Scenes are prepared (ground-truth grouping, baked features) and
     padded once up front; each minibatch is cut from that set at its own
     width.  Returns one record per epoch; raises NumericError if the loss
-    stops being finite.
+    or, after the last step, a parameter stops being finite.
     """
-    if not scenes:
-        raise UsageError("training needs at least one scene")
     data = _prepare_set(model.config, scenes)
     rng = np.random.default_rng(config.seed)
     # every parameter and its gradient is a view into one flat vector, so
@@ -77,12 +75,12 @@ def train_toy(model: GroundingModel, scenes, config: TrainConfig = TrainConfig()
     grads = _flat_views(model.params, grad)
     m, v = np.zeros_like(flat), np.zeros_like(flat)
     tmp, den = np.empty_like(flat), np.empty_like(flat)  # Adam scratch
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = _BETA1, _BETA2
     step = 0
     records = []
     num_scenes = len(scenes)
     for epoch in range(config.epochs):
-        lr = config.learning_rate * config.decay ** (epoch // config.decay_every)
+        lr = config.learning_rate * _DECAY ** (epoch // config.decay_every)
         order = rng.permutation(num_scenes)
         epoch_loss = 0.0
         epoch_parts = np.zeros(3)
@@ -103,10 +101,13 @@ def train_toy(model: GroundingModel, scenes, config: TrainConfig = TrainConfig()
             v += np.multiply(np.square(grad, out=tmp), 1 - b2, out=tmp)
             np.multiply(np.divide(m, 1 - b1 ** step, out=tmp), lr, out=tmp)
             np.sqrt(np.divide(v, 1 - b2 ** step, out=den), out=den)
-            den += config.eps
+            den += _EPS
             flat -= np.divide(tmp, den, out=tmp)
         records.append(EpochRecord(epoch, epoch_loss / num_scenes,
                                    tuple(epoch_parts / num_scenes)))
+    # the loss check sees every step's parameters but the last one's
+    if not np.isfinite(flat).all():
+        raise NumericError(f"non-finite parameters after epoch {config.epochs - 1}")
     return records
 
 
@@ -116,7 +117,8 @@ def evaluate(model: GroundingModel, scenes) -> EvalReport:
     Grounding uses the predicted class and mentions; a GroundingFailure
     counts as a miss.  Mention detection is scored micro-averaged over
     scene/class pairs.  The heads and the grounding branch each run over
-    the whole set in padded batches.
+    the whole set in padded batches.  A score that is not finite raises
+    NumericError.
     """
     if not scenes:
         raise UsageError("evaluation needs at least one scene")

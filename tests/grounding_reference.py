@@ -262,8 +262,10 @@ def train_toy(model: GroundingModel, scenes, config: TrainConfig = TrainConfig()
     """Train in place with Adam and a stepped learning-rate decay.
 
     Each minibatch of scenes is prepared (ground-truth grouping, baked
-    features) and padded on its own.  Returns one record per epoch;
-    raises NumericError if the loss stops being finite.
+    features) and padded on its own.  Adam's (0.9, 0.999, 1e-8) and the
+    0.9 decay factor are written out here, not read from the package.
+    Returns one record per epoch; raises NumericError if the loss stops
+    being finite.
     """
     if not scenes:
         raise UsageError("training needs at least one scene")
@@ -279,7 +281,7 @@ def train_toy(model: GroundingModel, scenes, config: TrainConfig = TrainConfig()
     step = 0
     records = []
     for epoch in range(config.epochs):
-        lr = config.learning_rate * config.decay ** (epoch // config.decay_every)
+        lr = config.learning_rate * 0.9 ** (epoch // config.decay_every)
         order = rng.permutation(len(scenes))
         epoch_loss = 0.0
         epoch_parts = np.zeros(3)
@@ -292,11 +294,11 @@ def train_toy(model: GroundingModel, scenes, config: TrainConfig = TrainConfig()
             epoch_parts += parts * len(batch)
             step += 1
             grad = np.concatenate([grads[k].ravel() for k in model.params])
-            m = config.beta1 * m + (1 - config.beta1) * grad
-            v = config.beta2 * v + (1 - config.beta2) * grad ** 2
-            m_hat = m / (1 - config.beta1 ** step)
-            v_hat = v / (1 - config.beta2 ** step)
-            flat -= lr * m_hat / (np.sqrt(v_hat) + config.eps)
+            m = 0.9 * m + (1 - 0.9) * grad
+            v = 0.999 * v + (1 - 0.999) * grad ** 2
+            m_hat = m / (1 - 0.9 ** step)
+            v_hat = v / (1 - 0.999 ** step)
+            flat -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
         records.append(EpochRecord(epoch, epoch_loss / len(order),
                                    tuple(epoch_parts / len(order))))
     return records

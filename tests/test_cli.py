@@ -10,6 +10,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 import wave
 import weakref
 from pathlib import Path
@@ -717,6 +718,18 @@ class TestAnalyzeCommands:
         assert (code, out) == (1, "")
         assert "temperature must be finite and positive" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["cca", "mi", "ssl-losses"])
+    def test_non_finite_feature_file(self, command, value, tmp_path, capsys):
+        feats = write_text(tmp_path / "f.txt", f"3 2\n1 0\n0 {value}\n1 1\n")
+        labels = write_text(tmp_path / "l.txt", "a\nb\na\n")
+        argv = {"cca": ["--x", feats, "--y", feats],
+                "mi": ["--features", feats, "--labels", labels],
+                "ssl-losses": ["--features", feats]}[command]
+        code, out, err = run(["analyze", command, *argv], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: feature matrix contains non-finite values\n"
+
     def test_ssl_needs_two_rows(self, tmp_path, capsys):
         feats = write_feats(tmp_path / "f.txt", [[1.0, 0.0]])
         code, _, err = run(["analyze", "ssl-losses", "--features", feats],
@@ -1127,6 +1140,73 @@ class TestGroundInputValidation:
         assert "class 4 occurs nowhere" in err and "--classes" in err
 
 
+class TestOverflowingCheckpoint:
+    """Finite weights whose scores overflow exit 3 with one line and no warnings."""
+
+    @pytest.fixture
+    def data(self, tmp_path, capsys):
+        code, _, err = run(["ground", "gen", "--out", str(tmp_path), "--train-scenes", "60",
+                            "--dev-scenes", "20", "--seed", "1"], capsys)
+        assert code == 0, err
+        return tmp_path
+
+    @staticmethod
+    def run_quietly(argv, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run(argv, capsys)
+        assert caught == []
+        return result
+
+    @staticmethod
+    def train(data, capsys, *flags):
+        ckpt = str(data / "m.ckpt")
+        code, _, err = run(["ground", "train", "--data", str(data / "train.jsonl"),
+                            "--out", ckpt, "--quiet", *flags], capsys)
+        assert code == 0, err
+        return ckpt
+
+    def test_eval_and_infer_refuse_non_finite_scores(self, data, capsys):
+        # one Adam step at 1e300 leaves every weight finite, but attention overflows
+        ckpt = self.train(data, capsys, "--epochs", "1", "--batch", "100", "--lr", "1e300")
+        for command, flag in (("eval", "--data"), ("infer", "--scene")):
+            code, out, err = self.run_quietly(["ground", command, "--model", ckpt,
+                                               flag, str(data / "dev.jsonl")], capsys)
+            assert (code, out) == (3, ""), command
+            assert err == ("error: grounding scores are not finite: "
+                           "the model overflows on this input\n")
+
+    def test_diverging_training_prints_one_line(self, data, capsys):
+        code, out, err = self.run_quietly(
+            ["ground", "train", "--data", str(data / "train.jsonl"), "--out",
+             str(data / "m.ckpt"), "--lr", "1e308", "--quiet"], capsys)
+        assert (code, out, err) == (3, "", "error: non-finite loss at epoch 0\n")
+
+    def test_overflowing_last_step_writes_no_checkpoint(self, data, capsys):
+        # 100x audio puts a gradient entry above 1.8, so one Adam step at 1e308
+        # overflows after a finite loss
+        records = [json.loads(line) for line in
+                   (data / "train.jsonl").read_text(encoding="utf-8").splitlines()]
+        loud = data / "loud.jsonl"
+        loud.write_text("".join(json.dumps({**r, "audio": [100.0 * a for a in r["audio"]]})
+                                + "\n" for r in records), encoding="utf-8")
+        ckpt = data / "m.ckpt"
+        code, out, err = self.run_quietly(
+            ["ground", "train", "--data", str(loud), "--out", str(ckpt), "--epochs", "1",
+             "--batch", "100", "--lr", "1e308", "--quiet"], capsys)
+        assert (code, out, err) == (3, "", "error: non-finite parameters after epoch 0\n")
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("lr", ["1e20", "1e150"])
+    def test_huge_but_finite_scores_still_evaluate(self, lr, data, capsys):
+        ckpt = self.train(data, capsys, "--epochs", "1", "--batch", "30", "--lr", lr)
+        code, out, err = run(["ground", "eval", "--model", ckpt, "--data",
+                              str(data / "dev.jsonl"), "--json"], capsys)
+        assert code == 0, err
+        payload = json.loads(out.splitlines()[-1])
+        assert payload["num_scenes"] == 20 and 0.0 <= payload["accuracy"] <= 1.0
+
+
 class TestCheckpointFormat:
     def test_config_tensors_are_pinned(self, tmp_path):
         cfg = GroundingConfig(num_classes=5, d_obj=16, d_label=4, d_audio=12,
@@ -1488,6 +1568,18 @@ class TestFlagSurface:
                   for dest, flag in self.flags(parser).items()
                   if dest not in reads(parser.get_default("func").__name__)]
         assert unread == []
+
+    def test_handlers_leave_the_exit_code_to_main(self):
+        # a handler returns nothing; cli.main alone turns return or raise into 0/1/2/3
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        handlers = {node.name: node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")}
+        assert set(handlers) == {parser.get_default("func").__name__
+                                 for _, parser in leaf_parsers(cli.build_parser())}
+        valued = [f"{name}:{node.lineno}" for name, handler in handlers.items()
+                  for node in ast.walk(handler)
+                  if isinstance(node, ast.Return) and node.value is not None]
+        assert valued == []
 
 
 class TestByteLevelFuzz:

@@ -287,6 +287,18 @@ class TestPosteriorgramType:
         with pytest.raises(DataError):
             Posteriorgram(np.array([[np.nan, 0.0]]))
 
+    @pytest.mark.parametrize("log_probs", [np.zeros(3), np.zeros((2, 0))],
+                             ids=["1-D", "no-columns"])
+    def test_rejects_wrong_shape(self, log_probs):
+        with pytest.raises(DataError, match="2-D with at least one column"):
+            Posteriorgram(log_probs)
+
+    def test_bruteforce_refuses_beyond_its_path_cap(self):
+        # 2^24 paths; the cap is checked before any path is enumerated
+        p = Posteriorgram(np.full((24, 2), np.log(0.5)))
+        with pytest.raises(UsageError, match=r"2\^24 paths exceeds the 10000000 cap"):
+            bruteforce_distribution(p)
+
     def test_scaling_rows_shifts_forward_by_constant(self):
         # positive per-frame scaling must shift every sequence equally
         rng = np.random.default_rng(400)

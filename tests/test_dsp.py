@@ -46,6 +46,30 @@ def naive_mfcc(wave, spec, fb, num_cepstra):
     return np.array(rows) if rows else np.zeros((0, num_cepstra))
 
 
+class TestTypeValidation:
+    def test_waveform(self):
+        with pytest.raises(UsageError, match="waveform samples must be 1-D"):
+            Waveform(np.zeros((2, 3)), 16000)
+        with pytest.raises(DataError, match="waveform contains non-finite samples"):
+            Waveform(np.array([0.0, np.nan]), 16000)
+        with pytest.raises(UsageError, match="sample_rate must be positive, got 0"):
+            Waveform(np.zeros(4), 0)
+
+    def test_frame_and_mask_specs(self):
+        with pytest.raises(UsageError, match="0 < step_samples <= window_samples"):
+            FrameSpec(step_samples=500)
+        with pytest.raises(UsageError, match="mask fields must be non-negative"):
+            MaskSpec(max_time_mask=-1)
+
+    def test_feature_matrix(self):
+        with pytest.raises(UsageError, match="feature matrix must be 2-D"):
+            FeatureMatrix(np.zeros(3))
+        with pytest.raises(UsageError, match="at least one column"):
+            FeatureMatrix(np.zeros((3, 0)))
+        with pytest.raises(DataError, match="feature matrix contains non-finite values"):
+            FeatureMatrix(np.array([[1.0, np.inf]]))
+
+
 class TestNormalize:
     def test_constant_maps_to_zero(self):
         out = normalize_wave(Waveform(np.array([1.0, 1.0, 1.0, 1.0]), 16000))
@@ -101,6 +125,8 @@ class TestHannWindow:
             hann_window(0, 64)
         with pytest.raises(UsageError):
             hann_window(65, 64)
+        with pytest.raises(UsageError, match="window length must be >= 2, got 1"):
+            hann_window(1, 1)
 
 
 class TestAmplitudeSpectrum:
@@ -184,6 +210,12 @@ class TestFilterbank:
             mel_filterbank(FrameSpec(step_samples=8, window_samples=16,
                                      fft_size=16), 16000, 40)
 
+    def test_bad_filter_count_or_rate_rejected(self):
+        with pytest.raises(UsageError, match="num_filters must be >= 1, got 0"):
+            mel_filterbank(FrameSpec(), 16000, 0)
+        with pytest.raises(UsageError, match="sample_rate must be positive, got 0"):
+            mel_filterbank(FrameSpec(), 0, 26)
+
     def test_filter_count_bound(self):
         # a bin lies under at most two triangles: 2 * 257 bins is the cheap cap,
         # and the per-filter check then finds 114 the largest usable count
@@ -252,6 +284,11 @@ class TestMfcc:
         fb = mel_filterbank(spec, 16000, 26)
         with pytest.raises(UsageError):
             mfcc(Waveform(np.zeros(16000), 16000), spec, fb, 40)
+
+    def test_rejects_filterbank_of_another_fft_size(self):
+        fb = mel_filterbank(FrameSpec(fft_size=1024), 16000, 26)
+        with pytest.raises(UsageError, match="filterbank geometry does not match"):
+            mfcc(Waveform(np.zeros(16000), 16000), FrameSpec(), fb, 13)
 
 
 class TestBlockedMfccMatchesReference:
@@ -436,3 +473,9 @@ class TestFeatureIO:
             fh.write(blob[:-8])
         with pytest.raises(DataError):
             read_feature_binary(path)
+
+    def test_binary_bad_magic(self, tmp_path):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"XXXX" + bytes(8))
+        with pytest.raises(DataError, match="bad magic b'XXXX'"):
+            read_feature_binary(str(path))

@@ -1,7 +1,9 @@
 """Grounding model tests: attention, heads, loss, gradients, training."""
 
+import dataclasses
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from speechground.grounding import (AttentionParams, EvalReport, GenConfig,
                                     save_checkpoint, train_toy)
 from speechground.grounding.model import (_Batch, _batch_loss, _ground_grouped,
                                           _pad, _predicted_groupings, _prepare_set,
-                                          _zero_grads, param_shapes)
+                                          _softmax, _zero_grads, param_shapes)
 from speechground.grounding.scene import _CHUNK
 from tests import grounding_reference as reference
 
@@ -200,6 +202,29 @@ class TestAudioGuidedAttention:
         with pytest.raises(UsageError, match="wo"):
             AttentionParams(base.wq, base.wk, base.wv, base.wqa,
                             base.wka, base.wva, base.wo.T)
+
+    def test_softmax_is_the_masked_attention_formula(self):
+        # the formula attention used inline before it shared `_softmax`
+        def inline(scores):
+            top = scores.max(axis=3, keepdims=True)
+            att = np.exp(scores - np.where(top == -np.inf, 0.0, top))
+            total = att.sum(axis=3, keepdims=True)
+            att /= np.where(total == 0.0, 1.0, total)
+            return att
+
+        rng = np.random.default_rng(907)
+        for _ in range(20):
+            shape = (int(rng.integers(1, 5)), int(rng.integers(1, 4)),
+                     int(rng.integers(1, 6)), int(rng.integers(1, 7)))
+            kmask = rng.random((shape[0], shape[3])) < 0.7
+            kmask[0] = False  # a scene with no valid key
+            scores = np.where(kmask[:, None, None, :], 3.0 * rng.standard_normal(shape),
+                              -np.inf)
+            got = _softmax(scores)
+            assert np.array_equal(got, inline(scores))
+            assert np.all(got[0] == 0.0)
+            np.testing.assert_allclose(got[1:].sum(axis=3)[kmask[1:].any(axis=1)], 1.0,
+                                       rtol=1e-12)
 
     def test_params_view_shares_model_storage(self):
         model = small_model(seed=1)
@@ -561,6 +586,16 @@ class TestTraining:
             train_toy(model, small_scenes(4, seed=9),
                       TrainConfig(epochs=1, batch_size=4))
 
+    def test_non_finite_last_step_aborts(self):
+        # a gradient entry above 1.8 makes the first Adam step at 1e308 overflow
+        # after a finite loss; with one step, no later loss check sees it
+        model = small_model(seed=0)
+        for key in ("cls.w0", "cls.b0", "cls.w1", "cls.b1"):
+            model.params[key] *= 100.0
+        with pytest.raises(NumericError, match="non-finite parameters after epoch 0"):
+            train_toy(model, small_scenes(8, seed=5),
+                      TrainConfig(epochs=1, batch_size=8, learning_rate=1e308))
+
     def test_config_validation(self):
         with pytest.raises(UsageError, match="positive"):
             TrainConfig(epochs=0)
@@ -575,6 +610,17 @@ class TestTraining:
             TrainConfig(seed=-1)
         with pytest.raises(UsageError, match="at least one scene"):
             train_toy(small_model(), [])
+
+    @pytest.mark.parametrize("decay_every", [0, -1])
+    def test_decay_period_must_be_positive(self, decay_every):
+        # 0 would divide by zero; -1 would grow the rate every epoch
+        with pytest.raises(UsageError, match="decay_every must be positive"):
+            TrainConfig(decay_every=decay_every)
+
+    def test_config_holds_only_the_schedule(self):
+        # Adam's constants and the decay factor live in train.py, not here
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+            "epochs", "batch_size", "learning_rate", "decay_every", "seed"]
 
 
 class TestTrainingMatchesReference:
@@ -672,6 +718,48 @@ class TestEvaluate:
     def test_empty_rejected(self):
         with pytest.raises(UsageError, match="at least one scene"):
             evaluate(small_model(), [])
+
+
+class TestOverflowingModel:
+    """A finite model whose scores overflow is a numeric failure, not a ranking."""
+
+    @staticmethod
+    def scaled_model(scale):
+        # with keys projected like queries, a candidate scores |q|^2 against
+        # itself, which a 1e160 scale takes to +inf in every groundable scene
+        model = small_model(seed=3)
+        for key, query in (("self0.wk", "self0.wq"), ("self0.wka", "self0.wqa")):
+            model.params[query] *= scale
+            model.params[key][:] = model.params[query]
+        return model
+
+    def test_evaluate_and_ground_refuse_without_warnings(self):
+        model, scenes = self.scaled_model(1e160), small_scenes(20, seed=31)
+        # a scene with an object of its predicted class reaches attention
+        groundable = next(scene for scene, (pred, _) in
+                          zip(scenes, _predicted_groupings(model, scenes))
+                          if any(o.class_id == pred for o in scene.objects))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericError, match="scores are not finite"):
+                evaluate(model, scenes)
+            with pytest.raises(NumericError, match="scores are not finite"):
+                ground(model, groundable)
+        assert caught == []
+
+    def test_overflowing_class_head_is_refused(self):
+        # a constant hidden layer of tanh(1) against rows of +-1e308: logits +-inf
+        model = small_model(seed=3)
+        model.params["cls.w0"][:] = 0.0
+        model.params["cls.b0"][:] = 1.0
+        model.params["cls.w1"][:2] = [[1e308], [-1e308]]
+        with pytest.raises(NumericError, match="scores are not finite"):
+            evaluate(model, small_scenes(4, seed=31))
+
+    def test_huge_but_finite_scores_still_rank(self):
+        scenes = small_scenes(20, seed=31)
+        report = evaluate(self.scaled_model(1e50), scenes)
+        assert report.num_scenes == 20 and 0.0 <= report.grounding_accuracy <= 1.0
 
 
 class TestCheckpoint:

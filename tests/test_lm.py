@@ -20,6 +20,10 @@ class TestUniform:
         lm = UniformLM(("a", "b", "c"))
         assert abs(lm.sentence_logprob(["a", "b"]) + 3 * math.log(4)) < 1e-12
 
+    def test_unknown_token_rejected(self):
+        with pytest.raises(DataError, match="'z' outside the model vocabulary"):
+            UniformLM(("a", "b")).cond_logprob("z")
+
 
 class TestCountLM:
     def test_from_corpus_counts(self):

@@ -127,6 +127,12 @@ class TestContrastiveLoss:
             with pytest.raises(UsageError, match="temperature must be finite and positive"):
                 ContrastiveBatch([1.0], [1.0], np.zeros((0, 1)), temperature=temperature)
 
+    def test_empty_negative_list_means_no_distractors(self):
+        batch = ContrastiveBatch([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [])
+        assert batch.negatives.shape == (0, 3)
+        # the target is the only candidate, so it takes all the probability
+        assert contrastive_loss(batch) == 0.0
+
 
 class TestDiversityLoss:
     def test_one_hot_rows_give_zero(self):
@@ -172,6 +178,8 @@ class TestDiversityLoss:
             CodebookUsage([[0.7, 0.7]])
         with pytest.raises(UsageError, match="entry"):
             diversity_loss(CodebookUsage(np.zeros((2, 0))))
+        with pytest.raises(UsageError, match=r"shape \(G, V\)"):
+            CodebookUsage([0.5, 0.5])
 
 
 class TestCca:
