@@ -127,6 +127,7 @@ def _lm_readers(config: DecodeConfig, lm: LanguageModel | None,
             cached(lambda c: lm.cond_logprob(EOS, c)), ((),) + tuple((tok,) for tok in labels))
 
 
+@np.errstate(over="ignore")
 def timesync_beam(p: Posteriorgram, config: DecodeConfig,
                   lm: LanguageModel | None = None,
                   prior: LabelPrior | None = None,
@@ -149,6 +150,11 @@ def timesync_beam(p: Posteriorgram, config: DecodeConfig,
     which have no EOS column because the blank never grows a label; a
     T=0 input never asks the LM at all.
 
+    Log probabilities and LM terms are <= 0, so no score exceeds T times
+    the largest prior correction; a correction that could overflow over
+    the T frames raises `NumericError`.  A scaled LM term that overflows
+    is -inf, as for a zero-probability token.
+
     Returns the collapsed sequence of the best surviving hypothesis.
     """
     row, _, token = _lm_readers(config, lm, vocab, p.num_symbols)
@@ -160,6 +166,9 @@ def timesync_beam(p: Posteriorgram, config: DecodeConfig,
         if not np.all(np.isfinite(prior.log_prior)):
             raise NumericError("prior has zero-mass symbols; cannot correct")
     shift = config.prior_scale * prior.log_prior if config.prior_scale > 0 else 0.0
+    if not np.all(np.isfinite(p.num_frames * shift)):
+        raise NumericError(f"prior correction overflows over {p.num_frames} frames; "
+                           "lower the prior scale")
     lp = p.log_probs
     symbols = np.arange(p.num_symbols)
     # the beam, best first: scores, last alignment symbols, collapsed
@@ -203,6 +212,7 @@ def timesync_beam(p: Posteriorgram, config: DecodeConfig,
     return Hypothesis(seqs[0], float(scores[0]))
 
 
+@np.errstate(over="ignore")
 def labelsync_beam(p: Posteriorgram, config: DecodeConfig,
                    lm: LanguageModel | None = None,
                    vocab: Vocabulary | None = None) -> Hypothesis:

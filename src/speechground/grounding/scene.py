@@ -9,7 +9,7 @@ confirms uniqueness, so every emitted scene is solvable.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -22,6 +22,8 @@ MAX_CLASSES = 10_000  # per generator or model, so every per-class table stays s
 # scenes generated, baked and written together, and scenes per stacked
 # representation call when preparing or scoring; bounds the resident block
 _CHUNK = 64
+# standard deviation of the Gaussian noise added to each clean audio embedding
+_AUDIO_NOISE = 0.05
 
 
 @dataclass
@@ -127,8 +129,6 @@ class GenConfig:
     d_audio: int = 32
     seed: int = 0
     embed_seed: int = 7
-    audio_noise: float = 0.05
-    class_prior: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
         if self.num_scenes < 0:
@@ -142,14 +142,6 @@ class GenConfig:
             raise UsageError("each object needs at least one point")
         if self.d_audio < 1:
             raise UsageError(f"d_audio must be at least 1, got {self.d_audio}")
-        if not (np.isfinite(self.audio_noise) and self.audio_noise >= 0):
-            raise UsageError(f"audio_noise must be finite and >= 0, got {self.audio_noise}")
-        prior = self.class_prior
-        # a nan weight fails a comparison; an inf or overflowing sum fails `< inf`
-        if prior and not (len(prior) == self.num_classes and min(prior) >= 0
-                          and 0 < sum(prior) < np.inf):
-            raise UsageError("class_prior must be num_classes non-negative weights "
-                             "with a positive, finite sum")
 
 
 def group_objects(objects, target_class: int, mentioned_classes
@@ -180,12 +172,11 @@ def verify_scene(scene: SyntheticScene) -> bool:
         return False
     relation = RELATIONS[scene.relation_id]
     centers = [o.center for o in scene.objects]
-    if relation == "left-of":
-        bound = min(centers[a][0] for a in anchors)
-        hits = [i for i in cands if centers[i][0] < bound]
-    elif relation == "right-of":
-        bound = max(centers[a][0] for a in anchors)
-        hits = [i for i in cands if centers[i][0] > bound]
+    if relation != "nearest-to":
+        # right-of is left-of on the mirrored x axis; negation is exact
+        side = 1.0 if relation == "left-of" else -1.0
+        bound = min(side * centers[a][0] for a in anchors)
+        hits = [i for i in cands if side * centers[i][0] < bound]
     else:
         dist = {i: min(np.linalg.norm(centers[i] - centers[a]) for a in anchors)
                 for i in cands}
@@ -202,13 +193,14 @@ def _class_tables(config: GenConfig):
     return sizes, colors
 
 
-def _draw_scene(rng, config: GenConfig, cdf, jitter, noise, audio_noise):
+def _draw_scene(rng, config: GenConfig, cdf, jitter, noise, audio_draw):
     """Every draw of one attempt at a scene, in the generator's fixed order.
 
     Object j's size jitter and point offsets go to `jitter[j]` as unit
     draws (the doubles of `rng.uniform(-1, 1)` calls of size 3 and (K, 3)),
-    its color noise to `noise[j]`.  Returns (target class, anchor class,
-    relation id, the winner's slot, [(class id, xy)] in slot order).
+    its color noise to `noise[j]`, and the scene's unit audio noise to
+    `audio_draw`.  Returns (target class, anchor class, relation id, the
+    winner's slot, [(class id, xy)] in slot order).
     """
     ncls = config.num_classes
     target_class = int(cdf.searchsorted(rng.random(), side="right"))
@@ -262,7 +254,7 @@ def _draw_scene(rng, config: GenConfig, cdf, jitter, noise, audio_noise):
     for j in range(len(entries)):
         rng.random(out=jitter[j])
         rng.standard_normal(out=noise[j])
-    rng.standard_normal(out=audio_noise)
+    rng.standard_normal(out=audio_draw)
     return (target_class, anchor_class, relation_id, order.index(0),
             [entries[src] for src in order])
 
@@ -277,9 +269,9 @@ def _build_scenes(rngs, config: GenConfig, sizes, colors, cdf) -> list[Synthetic
     # a scene holds at most 10 objects
     jitter = np.empty((10 * len(rngs), 3 + 3 * k))
     noise = np.empty((10 * len(rngs), k, 3))
-    audio_noise = np.empty((len(rngs), config.d_audio))
+    audio_draw = np.empty((len(rngs), config.d_audio))
     layouts, n = [], 0
-    for rng, row in zip(rngs, audio_noise):
+    for rng, row in zip(rngs, audio_draw):
         layouts.append(_draw_scene(rng, config, cdf, jitter[n:], noise[n:], row))
         n += len(layouts[-1][-1])
     class_ids, xys = zip(*(entry for layout in layouts for entry in layout[-1]))
@@ -298,7 +290,7 @@ def _build_scenes(rngs, config: GenConfig, sizes, colors, cdf) -> list[Synthetic
     # the mentions go in (target, anchor) order, as the audio has always summed them
     audio = np.array([audio_embedding(t, (t, a), rel, config.num_classes, config.d_audio,
                                       config.embed_seed) for t, a, rel, _, _ in layouts])
-    audio += config.audio_noise * audio_noise
+    audio += _AUDIO_NOISE * audio_draw
     return [SyntheticScene._unchecked(list(islice(objects, len(entries))), row, t,
                                       (min(t, a), max(t, a)), rel, target_index)
             for (t, a, rel, target_index, entries), row in zip(layouts, audio)]
@@ -317,13 +309,8 @@ def generate_scenes(config: GenConfig, start: int = 0, stop: int | None = None
     if not 0 <= start <= stop <= config.num_scenes:
         raise UsageError(f"scene range {start}..{stop} outside 0..{config.num_scenes}")
     sizes, colors = _class_tables(config)
-    if config.class_prior:
-        prior = np.asarray(config.class_prior, dtype=np.float64)
-        prior = prior / prior.sum()
-    else:
-        prior = np.full(config.num_classes, 1.0 / config.num_classes)
-    # the cdf that `rng.choice(n, p=prior)` searches
-    cdf = prior.cumsum()
+    # the cdf that `rng.choice(n, p=uniform)` searches
+    cdf = np.full(config.num_classes, 1.0 / config.num_classes).cumsum()
     cdf /= cdf[-1]
     scenes = []
     for first in range(start, stop, _CHUNK):

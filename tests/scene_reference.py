@@ -8,8 +8,10 @@ draws per scene, the arithmetic per chunk of scenes) and
 object is drawn, summarized, projected and serialized by its own chain
 of small numpy calls.  `read_scenes` is the reader that built and
 checked every object on its own, before feature-form scenes were
-checked as one block.  They are kept unchanged so the tests can compare
-the two.  Nothing in `src/` imports this module.
+checked as one block.  `verify_scene` is the verifier with one branch
+for left-of and one for right-of, before right-of became left-of on the
+mirrored x axis.  They are kept unchanged so the tests can compare the
+two.  Nothing in `src/` imports this module.
 """
 
 import json
@@ -20,7 +22,30 @@ from speechground.errors import DataError, UsageError
 from speechground.grounding.features import _shape_projection, audio_embedding
 from speechground.grounding.scene import (RELATIONS, GenConfig, SceneObject,
                                           SyntheticScene, _class_tables,
-                                          _json_int, verify_scene)
+                                          _json_int, group_objects)
+
+
+def verify_scene(scene: SyntheticScene) -> bool:
+    """True when exactly one candidate satisfies the relation: the target."""
+    cands, anchors = group_objects(scene.objects, scene.target_class,
+                                   scene.mentioned_classes)
+    if len(cands) < 2 or not anchors:
+        return False
+    relation = RELATIONS[scene.relation_id]
+    centers = [o.center for o in scene.objects]
+    if relation == "left-of":
+        bound = min(centers[a][0] for a in anchors)
+        hits = [i for i in cands if centers[i][0] < bound]
+    elif relation == "right-of":
+        bound = max(centers[a][0] for a in anchors)
+        hits = [i for i in cands if centers[i][0] > bound]
+    else:
+        dist = {i: min(np.linalg.norm(centers[i] - centers[a]) for a in anchors)
+                for i in cands}
+        best = min(cands, key=lambda i: dist[i])
+        others = [dist[i] for i in cands if i != best]
+        hits = [best] if dist[best] < min(others) else []
+    return hits == [scene.target_index]
 
 
 def object_feature_stub(obj, embed_seed: int, dim: int = 32) -> np.ndarray:
@@ -115,7 +140,7 @@ def _build_scene(rng, config: GenConfig, sizes, colors, prior) -> SyntheticScene
     mentioned = (target_class, anchor_class)
     clean = audio_embedding(target_class, mentioned, relation_id,
                             config.num_classes, config.d_audio, config.embed_seed)
-    audio = clean + config.audio_noise * rng.standard_normal(config.d_audio)
+    audio = clean + 0.05 * rng.standard_normal(config.d_audio)
     return SyntheticScene(objects, audio, target_class, mentioned,
                           relation_id, target_index)
 
@@ -123,11 +148,7 @@ def _build_scene(rng, config: GenConfig, sizes, colors, prior) -> SyntheticScene
 def generate_scenes(config: GenConfig) -> list[SyntheticScene]:
     """Deterministically generate verified scenes, one rng per scene."""
     sizes, colors = _class_tables(config)
-    if config.class_prior:
-        prior = np.asarray(config.class_prior, dtype=np.float64)
-        prior = prior / prior.sum()
-    else:
-        prior = np.full(config.num_classes, 1.0 / config.num_classes)
+    prior = np.full(config.num_classes, 1.0 / config.num_classes)
     scenes = []
     for i in range(config.num_scenes):
         rng = np.random.default_rng([config.seed, i])

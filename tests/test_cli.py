@@ -4,6 +4,7 @@ import argparse
 import ast
 import hashlib
 import importlib
+import itertools
 import json
 import math
 import os
@@ -492,6 +493,57 @@ class TestCtcCommands:
         code, _, _ = run(["ctc", "decode", "--posteriors", post,
                           "--vocab", vocab, "--mode", "psychic"], capsys)
         assert code == 1
+
+
+class TestPriorCorrectionOverflow:
+    """A time-sync prior correction that could overflow over T frames exits 3.
+
+    Every frame is (blank, a, b, c) = (0.4, 0.3, 0.1, 0.2), so the prior
+    from the same file makes b the most boosted symbol.
+    """
+
+    ROW = (0.4, 0.3, 0.1, 0.2)
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        return (write_post(tmp_path / "p.post", [self.ROW] * 20),
+                write_vocab(tmp_path / "p.vocab", ["a", "b", "c"]))
+
+    @staticmethod
+    def decode(post, vocab, prior, *flags, capsys):
+        return TestOverflowingCheckpoint.run_quietly(
+            ["ctc", "decode", "--mode", "time-sync", "--posteriors", post, "--vocab", vocab,
+             "--prior-from", prior, *flags], capsys)
+
+    def test_largest_finite_correction_still_decodes(self, files, capsys):
+        post, vocab = files
+        assert self.decode(post, vocab, post, "--prior-scale", "1e306",
+                           capsys=capsys) == (0, "HYP=b\n", "")
+
+    def test_overflowing_correction_is_refused(self, files, tmp_path, capsys):
+        post, vocab = files
+        # a c column of -inf once met the +inf correction and emptied the beam
+        no_c = tmp_path / "no_c.post"
+        no_c.write_text("20 4\n" + f"{math.log(0.5)} {math.log(0.375)} "
+                        f"{math.log(0.125)} -inf\n" * 20, encoding="utf-8")
+        # 150 frames overflow at a scale that 20 frames survive
+        long_post = write_post(tmp_path / "long.post", [self.ROW] * 150)
+        for scored, scale, frames in ((post, "1e308", 20), (str(no_c), "1e308", 20),
+                                      (long_post, "1e306", 150)):
+            assert self.decode(scored, vocab, post, "--prior-scale", scale, capsys=capsys) == (
+                3, "", f"error: prior correction overflows over {frames} frames; "
+                       "lower the prior scale\n")
+
+    @pytest.mark.parametrize("mode", ["time-sync", "label-sync"])
+    def test_overflowing_lm_scale_reads_minus_infinity(self, mode, files, tmp_path, capsys):
+        post, vocab = files
+        lm = write_text(tmp_path / "lm.counts", "a\t2\nb\t1\nc\t1\n</s>\t2\n<s> a\t2\n")
+        code, out, err = TestOverflowingCheckpoint.run_quietly(
+            ["ctc", "decode", "--mode", mode, "--posteriors", post, "--vocab", vocab,
+             "--lm", lm, "--lm-scale", "1e308"], capsys)
+        assert (code, err) == (0, "")
+        assert out == run(["ctc", "decode", "--mode", mode, "--posteriors", post,
+                           "--vocab", vocab, "--lm", lm, "--lm-scale", "1e200"], capsys)[1]
 
 
 class TestEvalCommands:
@@ -1197,6 +1249,19 @@ class TestOverflowingCheckpoint:
         assert (code, out, err) == (3, "", "error: non-finite parameters after epoch 0\n")
         assert not ckpt.exists()
 
+    def test_overflowing_class_head_prints_one_line(self, data, capsys):
+        # a constant hidden layer of tanh(1) against rows of +-1e308: class logits +-inf
+        ckpt = Path(self.train(data, capsys, "--epochs", "1"))
+        tensors = read_tensors(ckpt)
+        tensors["cls.w0"][:] = 0.0
+        tensors["cls.b0"][:] = 1.0
+        tensors["cls.w1"][:2] = [[1e308], [-1e308]]
+        write_tensors(ckpt, tensors)
+        code, out, err = self.run_quietly(["ground", "eval", "--model", str(ckpt), "--data",
+                                           str(data / "dev.jsonl")], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: grounding scores are not finite: the model overflows on this input\n"
+
     @pytest.mark.parametrize("lr", ["1e20", "1e150"])
     def test_huge_but_finite_scores_still_evaluate(self, lr, data, capsys):
         ckpt = self.train(data, capsys, "--epochs", "1", "--batch", "30", "--lr", lr)
@@ -1580,6 +1645,116 @@ class TestFlagSurface:
                   for node in ast.walk(handler)
                   if isinstance(node, ast.Return) and node.value is not None]
         assert valued == []
+
+
+class TestFlagSweep:
+    """Every int and float option at extreme values, from a valid call of its command.
+
+    Each baseline is a valid call that names some numeric options; the
+    sweep swaps in each extreme value for each of them and runs the call
+    in process.  Every outcome must be a documented exit code with no
+    internal error and no RuntimeWarning, and an exit 0 must report
+    finite numbers.  No option takes a non-finite or negative value, so
+    those are usage errors (exit 1).
+    """
+
+    FLOATS = ("nan", "inf", "-inf", "-1", "0", "1e308")
+    INTS = ("-1", "0", str(10**12))
+    REFUSED = {"nan", "inf", "-inf", "-1"}
+    # the work grows linearly with these counts, so 10^12 would run for hours;
+    # a --beam of 10^12 is a width the beam never fills, which makes the
+    # time-sync search exhaustive (169 s on 20 frames of 4 symbols)
+    NOT_HUGE = {"--tm-count", "--fm-count", "--train-scenes", "--dev-scenes", "--epochs",
+                "--beam"}
+
+    @pytest.fixture
+    def baselines(self, tmp_path):
+        rng = np.random.default_rng(24)
+        wav = tmp_path / "w.wav"
+        write_wav(str(wav), Waveform(rng.uniform(-0.5, 0.5, 1600), 16000))
+        feats = write_feats(tmp_path / "x.feats", rng.normal(size=(12, 3)))
+        other = write_feats(tmp_path / "y.feats", rng.normal(size=(12, 2)))
+        labels = write_text(tmp_path / "labels.txt", "x\ny\n" * 6)
+        post = write_post(tmp_path / "p.post", [[0.4, 0.3, 0.1, 0.2], [0.1, 0.7, 0.1, 0.1],
+                                                [0.6, 0.1, 0.2, 0.1], [0.1, 0.1, 0.1, 0.7]])
+        vocab = write_vocab(tmp_path / "p.vocab", ["a", "b", "c"])
+        lm = write_text(tmp_path / "lm.counts",
+                        "a\t2\nb\t1\nc\t1\n</s>\t2\n<s> a\t2\na b\t1\nb </s>\t1\n")
+        text = write_text(tmp_path / "text.txt", "a b\na\n")
+        scenes = tmp_path / "s.jsonl"
+        write_scenes(str(scenes), generate_scenes(GenConfig(num_scenes=8, num_classes=4,
+                                                            points_per_object=4, seed=3)),
+                     embed_seed=7)
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(str(ckpt), init_grounding_model(GroundingConfig(
+            num_classes=4, d_label=4, attn_dim=4, cls_hidden=(8,), omd_hidden=(8,),
+            head_hidden=(8,)), seed=0))
+        decode = ["ctc", "decode", "--posteriors", post, "--vocab", vocab, "--beam", "4",
+                  "--lm", lm, "--lm-scale", "0.5", "--alpha", "1.0"]
+        return [[str(a) for a in argv] + ["--json"] for argv in (
+            ["featurize", "--input", wav, "--output", tmp_path / "out.feats", "--filters",
+             "26", "--cepstra", "13", "--augment", "--tm", "2", "--fm", "2", "--tm-count", "1",
+             "--fm-count", "1", "--seed", "0"],
+            decode + ["--mode", "time-sync", "--prior-from", post, "--prior-scale", "0.5"],
+            decode + ["--mode", "label-sync"],
+            ["eval", "ppl", "--lm", lm, "--text", text, "--alpha", "1.0"],
+            ["analyze", "cca", "--x", feats, "--y", other, "--reg", "1e-6"],
+            ["analyze", "mi", "--features", feats, "--labels", labels, "--clusters", "2",
+             "--seed", "0"],
+            ["analyze", "ssl-losses", "--features", feats, "--temperature", "0.1"],
+            ["ground", "gen", "--out", tmp_path / "gen", "--train-scenes", "4",
+             "--dev-scenes", "2", "--classes", "4", "--embed-seed", "7", "--seed", "0"],
+            ["ground", "train", "--data", scenes, "--out", tmp_path / "out.ckpt", "--classes",
+             "4", "--embed-seed", "7", "--epochs", "1", "--batch", "4", "--lr", "3e-3",
+             "--seed", "0", "--quiet"],
+            ["ground", "infer", "--model", ckpt, "--scene", scenes, "--index", "0"])]
+
+    @staticmethod
+    def outcome(argv, capsys):
+        """The exit code of `argv` and what is wrong with its run, or None."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(argv, capsys)
+        if code not in (0, 1, 2, 3) or "internal error" in err:
+            return code, err.strip()
+        noisy = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+        if noisy:
+            return code, f"warned {noisy}"
+        if code == 0:
+            def finite(number):
+                if not math.isfinite(float(number)):
+                    raise ValueError(number)
+            try:
+                json.loads(out.splitlines()[-1], parse_constant=finite, parse_float=finite)
+            except (IndexError, ValueError) as exc:
+                return code, f"no finite --json line: {exc!r}"
+        return code, None
+
+    def test_every_numeric_option_fails_cleanly(self, baselines, capsys):
+        numeric = {(words, action.option_strings[0]): action.type
+                   for words, parser in leaf_parsers(cli.build_parser())
+                   for action in parser._actions if action.type in (int, float)}
+        placed, failures = set(), []
+        for argv in baselines:
+            assert self.outcome(argv, capsys) == (0, None), argv
+            words = " ".join(itertools.takewhile(lambda a: not a.startswith("-"), argv))
+            for i, flag in enumerate(argv):
+                kind = numeric.get((words, flag))
+                if kind is None:
+                    continue
+                placed.add((words, flag))
+                values = self.FLOATS if kind is float else self.INTS
+                for value in values:
+                    if value == str(10**12) and flag in self.NOT_HUGE:
+                        continue
+                    code, problem = self.outcome(argv[:i + 1] + [value] + argv[i + 2:],
+                                                 capsys)
+                    if value in self.REFUSED and code != 1:
+                        problem = problem or "not refused as usage"
+                    if problem:
+                        failures.append(f"{words} {flag} {value}: exit {code}, {problem}")
+        assert sorted(set(numeric) - placed) == [], "numeric options with no baseline"
+        assert failures == []
 
 
 class TestByteLevelFuzz:
