@@ -47,4 +47,4 @@ prior = estimate_prior([p])
 corrected = timesync_beam(p, DecodeConfig(beam_width=64, prior_scale=0.3),
                           prior=prior)
 print(f"prior-corrected: {pretty(corrected.sequence)} "
-      f"(blank prior {np.exp(prior.log_prior[0]):.2f})")
+      f"(blank prior {np.exp(prior[0]):.2f})")

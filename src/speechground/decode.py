@@ -48,16 +48,8 @@ class Hypothesis:
     score: float
 
 
-@dataclass
-class LabelPrior:
-    """Marginal label distribution used for prior-corrected scoring."""
-
-    log_prior: np.ndarray
-    num_frames: int
-
-
-def estimate_prior(posteriorgrams) -> LabelPrior:
-    """Average the per-frame posteriors, weighting each frame equally."""
+def estimate_prior(posteriorgrams) -> np.ndarray:
+    """The (K,) log label prior: the per-frame posteriors averaged over all frames."""
     posteriorgrams = list(posteriorgrams)
     if not posteriorgrams:
         raise UsageError("prior estimation needs at least one posteriorgram")
@@ -72,7 +64,7 @@ def estimate_prior(posteriorgrams) -> LabelPrior:
     if frames == 0:
         raise UsageError("prior estimation needs at least one frame")
     with np.errstate(divide="ignore"):
-        return LabelPrior(np.log(total / frames), frames)
+        return np.log(total / frames)
 
 
 def greedy_decode(p: Posteriorgram) -> LabelSequence:
@@ -130,14 +122,15 @@ def _lm_readers(config: DecodeConfig, lm: LanguageModel | None,
 @np.errstate(over="ignore")
 def timesync_beam(p: Posteriorgram, config: DecodeConfig,
                   lm: LanguageModel | None = None,
-                  prior: LabelPrior | None = None,
+                  prior: np.ndarray | None = None,
                   vocab: Vocabulary | None = None) -> Hypothesis:
     """Frame-by-frame beam over alignments with max recombination.
 
     Each frame extends every hypothesis by every symbol in one (B, K)
-    step: the frame log probability minus the scaled log prior, plus
-    the scaled LM conditional exactly where the symbol creates a new
-    label (non-blank and different from the previous alignment symbol).
+    step: the frame log probability minus the scaled log prior (`prior`,
+    the (K,) array of `estimate_prior`), plus the scaled LM conditional
+    exactly where the symbol creates a new label (non-blank and
+    different from the previous alignment symbol).
     A hypothesis that stays on its sequence keeps the better of blank
     and its last symbol, blank on a tie.  An extension equal to a
     sequence already in the beam merges into it if it scores strictly
@@ -161,11 +154,11 @@ def timesync_beam(p: Posteriorgram, config: DecodeConfig,
     if config.prior_scale > 0:
         if prior is None:
             raise UsageError("prior_scale > 0 requires a prior")
-        if prior.log_prior.shape[0] != p.num_symbols:
+        if prior.shape[0] != p.num_symbols:
             raise UsageError("prior size does not match the alphabet")
-        if not np.all(np.isfinite(prior.log_prior)):
+        if not np.all(np.isfinite(prior)):
             raise NumericError("prior has zero-mass symbols; cannot correct")
-    shift = config.prior_scale * prior.log_prior if config.prior_scale > 0 else 0.0
+    shift = config.prior_scale * prior if config.prior_scale > 0 else 0.0
     if not np.all(np.isfinite(p.num_frames * shift)):
         raise NumericError(f"prior correction overflows over {p.num_frames} frames; "
                            "lower the prior scale")

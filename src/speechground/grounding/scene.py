@@ -88,7 +88,7 @@ class SyntheticScene:
         if self.audio.ndim != 1 or self.audio.size == 0:
             raise DataError(
                 f"audio must be a non-empty vector, got shape {self.audio.shape}")
-        if not np.all(np.isfinite(self.audio)):
+        if not np.isfinite(self.audio).all():
             raise DataError("audio must be finite")
         self.mentioned_classes = tuple(sorted(int(c) for c in self.mentioned_classes))
         if min((self.target_class, *self.mentioned_classes)) < 0:
@@ -99,24 +99,6 @@ class SyntheticScene:
             raise DataError("target_index outside the object list")
         if self.objects[self.target_index].class_id != self.target_class:
             raise DataError("target_index does not point at a target_class object")
-
-    @classmethod
-    def _unchecked(cls, objects, audio, target_class: int,
-                   mentioned_classes: tuple[int, ...], relation_id: int,
-                   target_index: int) -> "SyntheticScene":
-        """A scene whose fields are already valid: skips `__post_init__`.
-
-        The caller vouches for a finite, non-empty float64 audio vector,
-        mentioned classes already sorted into an int tuple, non-negative
-        int classes, and an in-range relation id and target index that
-        points at a target-class object.
-        """
-        scene = cls.__new__(cls)
-        (scene.objects, scene.audio, scene.target_class, scene.mentioned_classes,
-         scene.relation_id, scene.target_index) = (
-            objects, audio, target_class, mentioned_classes, relation_id,
-            target_index)
-        return scene
 
 
 @dataclass(frozen=True)
@@ -263,7 +245,9 @@ def _build_scenes(rngs, config: GenConfig, sizes, colors, cdf) -> list[Synthetic
     """One attempt at a scene per rng: the draws per scene, the arithmetic once.
 
     Each step after the draws is elementwise or reduces over the point
-    axis, so each value equals a one-object computation; all are finite.
+    axis, so each value equals a one-object computation; all are finite,
+    so the objects skip `SceneObject`'s checks.  Each scene runs
+    `SyntheticScene`'s checks, as a scene read from a file does.
     """
     k = config.points_per_object
     # a scene holds at most 10 objects
@@ -291,8 +275,8 @@ def _build_scenes(rngs, config: GenConfig, sizes, colors, cdf) -> list[Synthetic
     audio = np.array([audio_embedding(t, (t, a), rel, config.num_classes, config.d_audio,
                                       config.embed_seed) for t, a, rel, _, _ in layouts])
     audio += _AUDIO_NOISE * audio_draw
-    return [SyntheticScene._unchecked(list(islice(objects, len(entries))), row, t,
-                                      (min(t, a), max(t, a)), rel, target_index)
+    return [SyntheticScene(list(islice(objects, len(entries))), row, t, (t, a), rel,
+                           target_index)
             for (t, a, rel, target_index, entries), row in zip(layouts, audio)]
 
 

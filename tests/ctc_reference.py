@@ -16,7 +16,7 @@ tables.  Nothing in `src/` imports this module.
 import numpy as np
 
 from speechground.ctc import BLANK, LabelSequence, Posteriorgram, Vocabulary, _check_target
-from speechground.decode import DecodeConfig, Hypothesis, LabelPrior
+from speechground.decode import DecodeConfig, Hypothesis
 from speechground.errors import NumericError, UsageError
 from speechground.lm import EOS, LanguageModel
 
@@ -150,7 +150,7 @@ def labelsync_beam(p: Posteriorgram, config: DecodeConfig,
 
 def timesync_beam(p: Posteriorgram, config: DecodeConfig,
                   lm: LanguageModel | None = None,
-                  prior: LabelPrior | None = None,
+                  prior: np.ndarray | None = None,
                   vocab: Vocabulary | None = None) -> Hypothesis:
     """Frame-by-frame beam over alignments with max recombination.
 
@@ -170,9 +170,9 @@ def timesync_beam(p: Posteriorgram, config: DecodeConfig,
     if config.prior_scale > 0:
         if prior is None:
             raise UsageError("prior_scale > 0 requires a prior")
-        if prior.log_prior.shape[0] != p.num_symbols:
+        if prior.shape[0] != p.num_symbols:
             raise UsageError("prior size does not match the alphabet")
-        if not np.all(np.isfinite(prior.log_prior)):
+        if not np.all(np.isfinite(prior)):
             raise NumericError("prior has zero-mass symbols; cannot correct")
     lp = p.log_probs
     # best first: collapsed sequence -> (score, last alignment symbol, LM tokens)
@@ -183,7 +183,7 @@ def timesync_beam(p: Posteriorgram, config: DecodeConfig,
             for v in range(p.num_symbols):
                 s = score + lp[t, v]
                 if config.prior_scale > 0:
-                    s -= config.prior_scale * prior.log_prior[v]
+                    s -= config.prior_scale * prior[v]
                 new_toks = toks
                 if v == BLANK or v == last:
                     new_seq = seq

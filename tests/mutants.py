@@ -43,6 +43,18 @@ OVERFLOWING_MODEL = ("tests/test_grounding.py::TestOverflowingModel",
                      "tests/test_cli.py::TestOverflowingCheckpoint")
 PRIOR_OVERFLOW = ("tests/test_cli.py::TestPriorCorrectionOverflow",)
 VERIFIER = ("tests/test_scenes.py::TestVerifyScene",)
+BATCHED = ("tests/test_grounding.py::TestBatchedPath",
+           "tests/test_grounding.py::TestAudioGuidedAttention")
+BLOCKED_MFCC = ("tests/test_dsp.py::TestBlockedMfccMatchesReference",)
+TIMESYNC_TIES = ("tests/test_decode.py::TestBeamsMatchReference::test_timesync_on_exact_ties",)
+LABELSYNC_TIES = ("tests/test_decode.py::TestBeamsMatchReference::test_labelsync_on_exact_ties",)
+FEATURE_FORM = ("tests/test_scenes.py::TestFeatureFormChecks",)
+FFT = ("tests/test_fft.py",)
+LABELSYNC_REFERENCE = (
+    "tests/test_decode.py::TestBeamsMatchReference::test_labelsync_sequences_and_scores",)
+TIMESYNC_REFERENCE = (
+    "tests/test_decode.py::TestBeamsMatchReference::test_timesync_sequences_and_scores",)
+TRAINING_REFERENCE = ("tests/test_grounding.py::TestTrainingMatchesReference",)
 
 MUTANTS = (
     # grounding inference refuses scores that overflow
@@ -106,6 +118,186 @@ MUTANTS = (
            "if not 0 < self.temperature < np.inf:", "if not 0 < self.temperature:", SWEEP),
     Mutant("CCA reg may be infinite", "selfsup.py",
            "if not 0 <= reg < np.inf:", "if not 0 <= reg:", SWEEP),
+    # batched grounding: masked keys and padded candidate slots
+    Mutant("attention keys unmasked", "grounding/model.py",
+           "np.where(kmask[:, None, None, :],", "np.where(True,", BATCHED),
+    Mutant("padded candidate logits zero", "grounding/model.py",
+           "    logits = np.full(cmask.shape, -np.inf)\n",
+           "    logits = np.full(cmask.shape, 0.0)\n", BATCHED),
+    Mutant("audio projection gradients perturbed", "grounding/model.py",
+           "+= (per_scene.T @ audio).reshape(heads, dh, -1)",
+           "+= 1.001 * (per_scene.T @ audio).reshape(heads, dh, -1)", BATCHED),
+    # the CTC lattice, the label-sync children and the blocked front end
+    Mutant("prefix mass by max", "ctc.py",
+           "mass = np.logaddexp(mass, emit[t] + grow)", "mass = np.maximum(mass, emit[t] + grow)",
+           ("tests/test_ctc.py::TestLatticeMatchesReference",
+            *LABELSYNC_REFERENCE)),
+    Mutant("repeats chain through their label", "decode.py",
+           "grown != last[parents])", "grown == grown)", LABELSYNC_REFERENCE),
+    Mutant("label-sync drops the LM token", "decode.py",
+           "histories = [histories[j] + token[v] for j, v", "histories = [histories[j] for j, v",
+           LABELSYNC_REFERENCE),
+    Mutant("real split sign flipped", "dsp.py",
+           "- 0.5j * twiddle * (zk - zr)", "+ 0.5j * twiddle * (zk - zr)", BLOCKED_MFCC),
+    Mutant("block frames reversed", "dsp.py",
+           "starts = np.arange(first, min(first + _BLOCK_FRAMES, t_total)) * spec.step_samples",
+           "starts = np.arange(first, min(first + _BLOCK_FRAMES, t_total))[::-1]"
+           " * spec.step_samples", BLOCKED_MFCC),
+    Mutant("block's last frame dropped", "dsp.py",
+           "starts = np.arange(first, min(first + _BLOCK_FRAMES, t_total)) * spec.step_samples",
+           "starts = np.arange(first, min(first + _BLOCK_FRAMES, t_total) - 1)"
+           " * spec.step_samples", BLOCKED_MFCC),
+    # the beams' tie rules
+    Mutant("time-sync merge tie to the later parent", "decode.py",
+           "(s == stay[i] and j < i)", "(s == stay[i] and j > i)", TIMESYNC_TIES),
+    Mutant("time-sync merge tie clause dropped", "decode.py",
+           "if s > stay[i] or (s == stay[i] and j < i):", "if s > stay[i]:", TIMESYNC_TIES),
+    Mutant("time-sync stay keeps its label on a tie", "decode.py",
+           "keep_last = held > cand[:, BLANK]", "keep_last = held >= cand[:, BLANK]",
+           TIMESYNC_TIES),
+    Mutant("label-sync tie clause dropped", "decode.py",
+           "if top > best.score or seq < best.sequence:", "if top > best.score:",
+           LABELSYNC_TIES),
+    Mutant("partition cut strict", "decode.py",
+           "np.flatnonzero(scores >= np.partition(", "np.flatnonzero(scores > np.partition(",
+           LABELSYNC_TIES),
+    Mutant("label-sync ties go to the larger sequence", "decode.py",
+           "seq = min(seqs[parents[c]] + (grown[c],)", "seq = max(seqs[parents[c]] + (grown[c],)",
+           LABELSYNC_TIES),
+    Mutant("beams rank by score alone", "decode.py",
+           "key=lambda h: (-h[0], h[1])", "key=lambda h: -h[0]", LABELSYNC_TIES),
+    # the beams' cached LM readers
+    Mutant("LM context one token short", "decode.py",
+           "context = lm.context(history)", "context = lm.context(history[:-1])",
+           TIMESYNC_REFERENCE),
+    Mutant("LM rows cached by the first token", "decode.py",
+           "            if context not in cache:\n"
+           "                cache[context] = ask(context)\n"
+           "            return cache[context]\n",
+           "            if history[:1] not in cache:\n"
+           "                cache[history[:1]] = ask(context)\n"
+           "            return cache[history[:1]]\n", TIMESYNC_REFERENCE),
+    Mutant("bigram context forgets its token", "lm.py",
+           "return history[-1:] if self.order == 2 else ()", "return ()",
+           ("tests/test_lm.py::TestContext", *TIMESYNC_REFERENCE)),
+    Mutant("zero reader asks the LM its context", "decode.py",
+           "(lambda history: zeros)", "(lambda history: (lm and lm.context(history), zeros)[1])",
+           ("tests/test_decode.py::TestLmCalls::test_lm_at_scale_zero_is_never_asked",)),
+    Mutant("time-sync asks the root row before any frame", "decode.py",
+           "    lp = p.log_probs\n    symbols = np.arange(p.num_symbols)\n",
+           "    lp = p.log_probs\n    row(())\n    symbols = np.arange(p.num_symbols)\n",
+           ("tests/test_cli.py::TestCtcCommands::test_empty_posteriorgram_never_asks_the_lm",)),
+    # training and the readers' block checks
+    Mutant("gradient not re-zeroed", "grounding/train.py",
+           "            grad.fill(0.0)\n", "", TRAINING_REFERENCE),
+    Mutant("minibatches padded to the set's width", "grounding/model.py",
+           "        n = max(1, int(cmask.sum(axis=1).max()))\n"
+           "        m = max(1, int(rmask.sum(axis=1).max()))\n",
+           "        n, m = cmask.shape[1], rmask.shape[1]\n", TRAINING_REFERENCE),
+    Mutant("Adam step as lr times the ratio", "grounding/train.py",
+           "np.multiply(np.divide(m, 1 - b1 ** step, out=tmp), lr, out=tmp)\n"
+           "            np.sqrt(np.divide(v, 1 - b2 ** step, out=den), out=den)\n"
+           "            den += _EPS\n"
+           "            flat -= np.divide(tmp, den, out=tmp)\n",
+           "np.divide(m, 1 - b1 ** step, out=tmp)\n"
+           "            np.sqrt(np.divide(v, 1 - b2 ** step, out=den), out=den)\n"
+           "            den += _EPS\n"
+           "            flat -= np.multiply(np.divide(tmp, den, out=tmp), lr, out=tmp)\n",
+           TRAINING_REFERENCE),
+    Mutant("feature-form finiteness unchecked", "grounding/scene.py",
+           "\n                 and np.isfinite(features).all())", ")", FEATURE_FORM),
+    Mutant("feature-form negative class unchecked", "grounding/scene.py",
+           "valid = (min(class_ids) >= 0\n", "valid = (True\n", FEATURE_FORM),
+    Mutant("scene forms may mix", "grounding/scene.py",
+           "    if any(point_form):\n", "    if False:\n", FEATURE_FORM),
+    Mutant("checkpoint may repeat a tensor", "grounding/model.py",
+           "            if name in tensors:\n", "            if False:\n",
+           ("tests/test_cli.py::TestGroundInputValidation::test_repeated_checkpoint_tensor",)),
+    # the four-step FFT
+    Mutant("four-step factors swapped", "fft.py",
+           "    n1, n2, f1, twiddle, f2 = _four_step_tables(n)",
+           "    n2, n1, f1, twiddle, f2 = _four_step_tables(n)", FFT),
+    Mutant("four-step twiddle conjugated", "fft.py",
+           "c = (f1 @ x.reshape(*lead, n1, n2)) * twiddle",
+           "c = (f1 @ x.reshape(*lead, n1, n2)) * twiddle.conj()", FFT),
+    Mutant("four-step twiddle dropped", "fft.py",
+           "c = (f1 @ x.reshape(*lead, n1, n2)) * twiddle", "c = f1 @ x.reshape(*lead, n1, n2)",
+           FFT),
+    Mutant("four-step output left transposed", "fft.py",
+           "return c.swapaxes(-1, -2).reshape(*lead, n)", "return c.reshape(*lead, n)", FFT),
+    Mutant("four-step input read column-major", "fft.py",
+           "(f1 @ x.reshape(*lead, n1, n2))", "(f1 @ x.reshape(*lead, n2, n1).swapaxes(-1, -2))",
+           FFT),
+    Mutant("DFT tables from raw products", "fft.py",
+           "return _roots(m)[np.outer(idx, idx) % m]",
+           "return np.exp(-2j * np.pi * np.outer(idx, idx) / m)", FFT),
+    # wer's move order: substitution, then insertion, then deletion
+    Mutant("wer prefers insertion to substitution", "metrics.py",
+           "            elif diag[0] <= left[0] and diag[0] <= up[0]:\n"
+           "                left = (diag[0] + 1, diag[1] + 1, diag[2], diag[3])\n"
+           "            elif left[0] <= up[0]:\n"
+           "                left = (left[0] + 1, left[1], left[2], left[3] + 1)\n",
+           "            elif left[0] <= diag[0] and left[0] <= up[0]:\n"
+           "                left = (left[0] + 1, left[1], left[2], left[3] + 1)\n"
+           "            elif diag[0] <= up[0]:\n"
+           "                left = (diag[0] + 1, diag[1] + 1, diag[2], diag[3])\n",
+           ("tests/test_metrics.py::TestWerMatchesReference",)),
+    Mutant("text matrix rows counted in total", "textmatrix.py",
+           "all(len(row) == k for row in rows)", "sum(map(len, rows)) == t_total * k",
+           ("tests/test_textmatrix.py::test_hand_written_files",
+            "tests/test_textmatrix.py::test_corrupted_files_match_the_reference")),
+    Mutant("float() error escapes the fast path", "textmatrix.py",
+           "        except ValueError:\n            pass\n",
+           "        except OverflowError:\n            pass\n",
+           ("tests/test_textmatrix.py::test_hand_written_files",)),
+    # the chunked generator, the scene writer and the scene readers
+    Mutant("retry rng re-seeded", "grounding/scene.py",
+           "            while not verify_scene(scene):\n",
+           "            while not verify_scene(scene):\n"
+           "                rng = np.random.default_rng([config.seed, start + len(scenes), 1])\n",
+           ("tests/test_scenes.py::TestGeneratorMatchesReference"
+            "::test_rejected_scenes_draw_again",)),
+    Mutant("chunk one scene short", "grounding/scene.py",
+           "range(first, min(first + _CHUNK, stop))",
+           "range(first, min(first + _CHUNK - 1, stop))",
+           ("tests/test_scenes.py::TestGeneratorMatchesReference",)),
+    Mutant("mentions summed anchor first", "grounding/scene.py",
+           "audio_embedding(t, (t, a), rel,", "audio_embedding(t, (a, t), rel,",
+           ("tests/test_scenes.py::TestGeneratorMatchesReference::test_scenes_are_identical",)),
+    Mutant("normals drawn before uniforms", "grounding/scene.py",
+           "        rng.random(out=jitter[j])\n        rng.standard_normal(out=noise[j])\n",
+           "        rng.standard_normal(out=noise[j])\n        rng.random(out=jitter[j])\n",
+           ("tests/test_scenes.py::TestGeneratorMatchesReference::test_scenes_are_identical",)),
+    Mutant("box centers summed pairwise", "grounding/scene.py",
+           "by_point.mean(axis=0)", "np.ascontiguousarray(xyz.transpose(0, 2, 1)).mean(axis=2)",
+           ("tests/test_scenes.py::TestGeneratorMatchesReference::test_scenes_are_identical",)),
+    Mutant("shape features as one product", "grounding/features.py",
+           "out[rows] = (proj @ stats[:, :, None])[:, :, 0]", "out[rows] = stats @ proj.T",
+           ("tests/test_scenes.py::TestGeneratorMatchesReference"
+            "::test_written_bytes_are_identical",)),
+    Mutant("d_audio unbounded", "grounding/scene.py",
+           "        if self.d_audio < 1:\n", "        if False:\n",
+           ("tests/test_scenes.py::TestGenConfig::test_d_audio",)),
+    Mutant("gen writes a whole split at once", "cli.py",
+           "(scene for first in range(0, cfg.num_scenes, _CHUNK)\n"
+           "                            for scene in generate_scenes(\n"
+           "                                cfg, first, min(first + _CHUNK, cfg.num_scenes))),\n",
+           "generate_scenes(cfg),\n",
+           ("tests/test_cli.py::TestGroundPipeline"
+            "::test_gen_keeps_at_most_two_chunks_of_scenes_alive",
+            "tests/test_cli.py::TestGroundPipeline"
+            "::test_gen_calls_generate_scenes_once_per_chunk")),
+    Mutant("an empty scene file is read", "cli.py",
+           "    if not scenes:\n        raise DataError(f\"no scenes in {path}\")\n", "",
+           ("tests/test_cli.py::TestGroundPipeline::test_empty_scene_file_is_bad_data",)),
+    # every scene passes one constructor's checks; the prior is a bare array
+    Mutant("scene audio may be non-finite", "grounding/scene.py",
+           "        if not np.isfinite(self.audio).all():\n", "        if False:\n",
+           ("tests/test_scenes.py::TestSceneValidation::test_audio_must_be_finite",
+            "tests/test_cli.py::TestGroundInputValidation::test_nan_audio")),
+    Mutant("prior size unchecked", "decode.py",
+           "        if prior.shape[0] != p.num_symbols:\n", "        if False:\n",
+           ("tests/test_decode.py::TestPrior::test_wrong_size_prior_rejected",)),
 )
 
 

@@ -898,15 +898,14 @@ class TestGroundPipeline:
     def test_gen_keeps_at_most_two_chunks_of_scenes_alive(self, tmp_path, capsys,
                                                            monkeypatch):
         made, peak = [], [0]
-        build = SyntheticScene._unchecked
+        check = SyntheticScene.__post_init__
 
-        def tracked(*args):
-            scene = build(*args)
+        def tracked(scene):
+            check(scene)
             made.append(weakref.finalize(scene, lambda: None))
             peak[0] = max(peak[0], sum(ref.alive for ref in made))
-            return scene
 
-        monkeypatch.setattr(SyntheticScene, "_unchecked", tracked)
+        monkeypatch.setattr(SyntheticScene, "__post_init__", tracked)
         code, _, err = run(["ground", "gen", "--out", str(tmp_path), "--train-scenes",
                             "300", "--dev-scenes", "5"], capsys)
         assert code == 0, err
@@ -1325,6 +1324,13 @@ class TestCliBasics:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"], capsys)[0] == 0
 
+    @pytest.mark.parametrize("argv, code", [(["ctc"], 1), (["--version"], 0)])
+    def test_console_entry_exits_with_mains_code(self, argv, code, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["speechground", *argv])
+        with pytest.raises(SystemExit) as info:
+            cli.entry()
+        assert info.value.code == code
+
     def test_internal_error_names_command_and_type(self, monkeypatch, capsys):
         def broken(path):
             raise ValueError("boom")
@@ -1401,6 +1407,13 @@ class TestLazyImports:
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
+
+    def test_module_getattr_in_process(self):
+        import speechground
+        with pytest.raises(AttributeError, match="no_such_name"):
+            speechground.no_such_name
+        assert speechground.__getattr__("selfsup") is importlib.import_module(
+            "speechground.selfsup")
 
 
 class TestTracedNames:

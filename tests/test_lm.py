@@ -153,6 +153,10 @@ class TestContext:
         assert Whole().context(("a", "a", "a")) == ("a", "a", "a")
         assert Whole().context(()) == ()
 
+    def test_the_interface_has_no_conditionals(self):
+        with pytest.raises(NotImplementedError):
+            LanguageModel().cond_logprob("a", ())
+
 
 class TestPerplexity:
     def test_uniform_four_outcomes_is_four(self):

@@ -101,6 +101,12 @@ class TestSceneValidation:
             with pytest.raises(DataError, match="audio"):
                 SyntheticScene(objs, audio, 0, (0,), 0, 0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_audio_must_be_finite(self, value):
+        objs = [make_object(0, [1, 1, 0]), make_object(1, [3, 1, 0])]
+        with pytest.raises(DataError, match="audio must be finite"):
+            SyntheticScene(objs, [0.0, value, 0.0], 0, (0,), 0, 0)
+
     def test_target_index_class_agreement(self):
         objs = [make_object(0, [1, 1, 0]), make_object(1, [3, 1, 0])]
         with pytest.raises(DataError, match="target_class"):
@@ -609,23 +615,30 @@ class TestReaderMatchesReference:
         assert len(calls) == sum(len(scene.objects) for scene in scenes)
 
 
-class TestGeneratedScenesSkipSceneChecks:
-    """Generated scenes are built unchecked; scenes read from a file are checked."""
+class TestEverySceneIsChecked:
+    """Generated scenes, retries included, pass the checks that read scenes pass."""
 
-    def test_post_init_runs_only_for_scenes_read_from_a_file(
+    def test_post_init_runs_once_per_generated_and_read_scene(
             self, tmp_path, monkeypatch):
-        calls = []
+        verdicts, calls = [], []
+        monkeypatch.setattr(scene_module, "verify_scene",
+                            lambda scene: verdicts.append(verify_scene(scene))
+                            or verdicts[-1])
         check = SyntheticScene.__post_init__
         monkeypatch.setattr(SyntheticScene, "__post_init__",
                             lambda scene: calls.append(scene) or check(scene))
-        scenes = generate_scenes(GenConfig(num_scenes=6, seed=63))
-        assert calls == []
+        scenes = generate_scenes(GenConfig(num_scenes=10, points_per_object=1, seed=4))
+        # scene 5 is rejected once, so its second draw makes one more scene
+        assert verdicts.count(False) == 1
+        assert len(calls) == len(verdicts) == 11
+        assert [sum(call is scene for call in calls) for scene in scenes] == [1] * 10
+        assert not any(calls[5] is scene for scene in scenes)
         path = tmp_path / "scenes.jsonl"
-        for include_points in (True, False):
-            write_scenes(path, scenes, embed_seed=None if include_points else 7)
+        for embed_seed in (None, 7):
+            write_scenes(path, scenes, embed_seed=embed_seed)
             calls.clear()
-            assert len(read_scenes(path)) == 6
-            assert len(calls) == 6
+            assert len(read_scenes(path)) == 10
+            assert len(calls) == 10
 
     def test_fields_are_what_the_checks_would_make(self):
         config = GenConfig(num_scenes=30, num_classes=5, seed=65)
