@@ -21,7 +21,9 @@ real slots.  The mask rules are:
   it has zero probability and passes back exactly zero gradient.
 
 A single scene (`ground`, `prepare_scene`, `audio_guided_attention`) is
-a batch of one.
+a batch of one, bit for bit: each forward weight product goes through
+`_dense`, whose rows round the same at any row count, and `_softmax`
+sums left to right, so padding adds exact zeros after a row's own terms.
 Backward passes add into a gradient dict that is already zeroed: every
 key holds a view of one flat buffer, so a training step re-zeroes one
 vector instead of concatenating the tensors.
@@ -214,6 +216,18 @@ def _zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return _flat_views(params, np.zeros(sum(p.size for p in params.values())))
 
 
+def _dense(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w.T for an (out, in) weight, each row's bits independent of x's row count.
+
+    BLAS picks a summation order by shape; with a transposed operand, one
+    input row (gemv) or one output column it changes with the row count.
+    """
+    if w.shape[0] == 1:
+        return (x * w[0]).sum(axis=-1, keepdims=True)
+    wt = np.ascontiguousarray(w.T)
+    return x @ wt if len(x) > 1 else (np.concatenate((x, x)) @ wt)[:1]
+
+
 def _mlp_forward(model: GroundingModel, name: str, x):
     """Output of a tanh MLP and its cache: each layer's input."""
     depth = len(getattr(model.config, f"{name}_hidden")) + 1
@@ -221,7 +235,7 @@ def _mlp_forward(model: GroundingModel, name: str, x):
     h = x
     for i in range(depth):
         cache.append(h)
-        z = h @ model.params[f"{name}.w{i}"].T + model.params[f"{name}.b{i}"]
+        z = _dense(h, model.params[f"{name}.w{i}"]) + model.params[f"{name}.b{i}"]
         h = np.tanh(z) if i < depth - 1 else z
     return h, cache
 
@@ -262,8 +276,8 @@ def _attn_forward(p: AttentionParams, xq, xkv, kmask, audio):
 
     def project(w, wa, x):
         # object term plus the scene's audio term, as (B, heads, n, dh)
-        y = (x.reshape(-1, d) @ w.reshape(-1, d).T).reshape(b, -1, heads * dh)
-        y += (audio @ wa.reshape(heads * dh, -1).T)[:, None, :]
+        y = _dense(x.reshape(-1, d), w.reshape(-1, d)).reshape(b, -1, heads * dh)
+        y += _dense(audio, wa.reshape(heads * dh, -1))[:, None, :]
         return y.reshape(b, -1, heads, dh).transpose(0, 2, 1, 3)
 
     q, k, v = (project(p.wq, p.wqa, xq), project(p.wk, p.wka, xkv),
@@ -271,7 +285,7 @@ def _attn_forward(p: AttentionParams, xq, xkv, kmask, audio):
     att = _softmax(np.where(kmask[:, None, None, :],
                             q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh), -np.inf))
     flat = (att @ v).transpose(0, 2, 1, 3).reshape(b, nq, heads * dh)
-    out = (flat.reshape(-1, heads * dh) @ p.wo.T).reshape(b, nq, d)
+    out = _dense(flat.reshape(-1, heads * dh), p.wo).reshape(b, nq, d)
     return out, (xq, xkv, audio, q, k, v, att, flat)
 
 
@@ -355,7 +369,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis; a -inf logit gets probability 0, a row of them all 0."""
     top = logits.max(axis=-1, keepdims=True)
     p = np.exp(logits - np.where(top == -np.inf, 0.0, top))
-    total = p.sum(axis=-1, keepdims=True)
+    total = np.cumsum(p, axis=-1)[..., -1:]  # left to right, so zero padding keeps the bits
     p /= np.where(total == 0.0, 1.0, total)
     return p
 

@@ -55,6 +55,7 @@ LABELSYNC_REFERENCE = (
 TIMESYNC_REFERENCE = (
     "tests/test_decode.py::TestBeamsMatchReference::test_timesync_sequences_and_scores",)
 TRAINING_REFERENCE = ("tests/test_grounding.py::TestTrainingMatchesReference",)
+INVARIANCE = ("tests/test_grounding.py::TestBatchInvariance",)
 
 MUTANTS = (
     # grounding inference refuses scores that overflow
@@ -127,6 +128,16 @@ MUTANTS = (
     Mutant("audio projection gradients perturbed", "grounding/model.py",
            "+= (per_scene.T @ audio).reshape(heads, dh, -1)",
            "+= 1.001 * (per_scene.T @ audio).reshape(heads, dh, -1)", BATCHED),
+    # one product path per weight, so a scene scores the same in any batch
+    Mutant("weight product by a transposed view", "grounding/model.py",
+           "wt = np.ascontiguousarray(w.T)", "wt = w.T", INVARIANCE),
+    Mutant("one-row input not padded", "grounding/model.py",
+           "x @ wt if len(x) > 1 else (np.concatenate((x, x)) @ wt)[:1]", "x @ wt", INVARIANCE),
+    Mutant("one-column product by matmul", "grounding/model.py",
+           "return (x * w[0]).sum(axis=-1, keepdims=True)", "return x @ w.T", INVARIANCE),
+    Mutant("softmax summed pairwise", "grounding/model.py",
+           "total = np.cumsum(p, axis=-1)[..., -1:]", "total = p.sum(axis=-1, keepdims=True)",
+           INVARIANCE),
     # the CTC lattice, the label-sync children and the blocked front end
     Mutant("prefix mass by max", "ctc.py",
            "mass = np.logaddexp(mass, emit[t] + grow)", "mass = np.maximum(mass, emit[t] + grow)",

@@ -1270,6 +1270,16 @@ class TestOverflowingCheckpoint:
         payload = json.loads(out.splitlines()[-1])
         assert payload["num_scenes"] == 20 and 0.0 <= payload["accuracy"] <= 1.0
 
+    def test_eval_and_infer_agree_near_overflow(self, data, capsys):
+        # scene 0 scored alone and inside eval's batch rounds alike, so both
+        # commands reach the same verdict on these huge scores
+        ckpt = self.train(data, capsys, "--epochs", "1", "--batch", "30", "--lr", "1e150")
+        codes = [run(["ground", command, "--model", ckpt, flag, str(data / "dev.jsonl"),
+                      *extra], capsys)[0]
+                 for command, flag, extra in (("eval", "--data", []),
+                                              ("infer", "--scene", ["--index", "0"]))]
+        assert codes[0] == codes[1]
+
 
 class TestCheckpointFormat:
     def test_config_tensors_are_pinned(self, tmp_path):

@@ -47,9 +47,9 @@ GOLDEN = {
         "4f171524cfc1e1149a8cecc85dc492f2a5d876c0df74643a3ab07df3ee251277",
     "ground train": "2cb563feb75ae5b689cbd7991c6008185472a46eff9be05d0f0c662bec1803b7",
     "ground train: model.ckpt":
-        "44e12f05b46d04006fa1a5799227f8b51145eea91389aeb9fccaffbc95997a02",
+        "e019ea6ccbf898c033daa27e5bdaa1d64697b48bf1f822def691938c34c478bd",
     "ground eval": "ca50eaadd33ea8766ac906e79cdd205676d1253ce977a98f4d1a104238a0e644",
-    "ground infer": "6e71744756573fde29088139e12e840773b3af002c0cf6ff3cb6149cdbba5987",
+    "ground infer": "732be3168f32257fbf8b23abe0fdc2ec7d4bb85cb4d8c353efdccee0ef4ffc68",
 }
 
 

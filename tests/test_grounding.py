@@ -21,8 +21,9 @@ from speechground.grounding import (AttentionParams, EvalReport, GenConfig,
                                     load_checkpoint, loss_and_grads,
                                     object_representation, prepare_scene,
                                     save_checkpoint, train_toy)
-from speechground.grounding.model import (_Batch, _batch_loss, _ground_grouped,
-                                          _pad, _predicted_groupings, _prepare_set,
+from speechground.grounding.model import (_Batch, _batch_loss, _class_probs,
+                                          _ground_grouped, _mention_probs, _pad,
+                                          _predicted_groupings, _prepare_set,
                                           _softmax, _zero_grads, param_shapes)
 from speechground.grounding.scene import _CHUNK
 from tests import grounding_reference as reference
@@ -987,6 +988,7 @@ class TestBatchedPath:
                     reference.ground(model, scene)
                 failures += 1
                 continue
+            assert np.array_equal(result.probs, single.probs)
             expected = reference.ground(model, scene)
             for got in (result, single):
                 assert got.winner_index == expected.winner_index
@@ -1003,3 +1005,55 @@ class TestBatchedPath:
         report = evaluate(model, scenes)
         assert report.failures == failures
         assert report.grounding_accuracy == hits / len(scenes)
+
+
+class TestBatchInvariance:
+    """A scene scores the same bits alone and in any batch, at any padded width."""
+
+    @staticmethod
+    def scenes():
+        # generated scenes around hand-built ones that alternate 2 and 8-11
+        # objects per class, so a _CHUNK boundary falls among scenes of at
+        # least 8 candidates and 24 relational objects and 2-candidate ones
+        rng = np.random.default_rng(2026)
+        mixed = []
+        for k in range(24):
+            per_class = 2 if k % 2 else 8 + k % 4
+            objects = [make_object(c, rng.uniform(-3.0, 3.0, 3))
+                       for c in range(4) for _ in range(per_class)]
+            mixed.append(hand_scene(objects, (k % 4) * per_class, k % 4, range(4),
+                                    relation_id=k % 3))
+        generated = generate_scenes(GenConfig(num_scenes=110, num_classes=4, seed=77))
+        return generated[:52] + mixed + generated[52:]
+
+    def test_ground_alone_equals_its_row_in_every_batch(self):
+        model = init_grounding_model(GroundingConfig(num_classes=4), seed=8)
+        model.params["omd.b1"] += 20.0  # every class detected: wide relational blocks
+        scenes = self.scenes()
+        alone = {}
+        for i, scene in enumerate(scenes):
+            try:
+                alone[i] = ground(model, scene)
+            except GroundingFailure:
+                pass
+        rels = [len(group_objects(scenes[i].objects, r.predicted_class,
+                                  r.predicted_mentions)[1]) for i, r in alone.items()]
+        widths = [len(r.probs) for r in alone.values()]
+        assert min(widths) <= 2 and max(widths) >= 8 and max(rels) >= 8
+        for size in (1, 2, 63, 64, 65):
+            for start in range(0, len(scenes), size):
+                part = scenes[start:start + size]
+                results = _ground_grouped(model, part, _predicted_groupings(model, part))
+                for i, result in enumerate(results, start):
+                    if i in alone:
+                        assert np.array_equal(result.probs, alone[i].probs), (size, i)
+                    else:
+                        assert isinstance(result, GroundingFailure), (size, i)
+
+    @pytest.mark.parametrize("head", [_class_probs, _mention_probs])
+    def test_head_rows_alone_equal_the_stacked_rows(self, head):
+        model = init_grounding_model(GroundingConfig(num_classes=4), seed=8)
+        audio = np.stack([scene.audio for scene in self.scenes()])
+        stacked = head(model, audio)
+        for row, expected in zip(audio, stacked):
+            assert np.array_equal(head(model, row[None])[0], expected)
