@@ -327,7 +327,10 @@ def _cmd_ground_infer(args) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports flag misuse with exit code 1."""
+    """argparse that takes only full flag names and reports misuse with exit code 1."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)

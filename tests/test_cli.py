@@ -1322,6 +1322,15 @@ class TestCliBasics:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["ground", "gen", "--out", "{tmp}/data", "--train", "5", "--dev", "5"],
+        ["featurize", "--in", "{tmp}/x.wav", "--output", "{tmp}/x.feats"]])
+    def test_abbreviated_flags_are_refused(self, argv, tmp_path, capsys):
+        code, out, err = run([a.format(tmp=tmp_path) for a in argv], capsys)
+        assert (code, out) == (1, "")
+        assert "error: " in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_command(self, capsys):
         assert run([], capsys)[0] == 1
 
