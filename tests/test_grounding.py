@@ -1013,8 +1013,8 @@ class TestBatchInvariance:
     @staticmethod
     def scenes():
         # generated scenes around hand-built ones that alternate 2 and 8-11
-        # objects per class, so a _CHUNK boundary falls among scenes of at
-        # least 8 candidates and 24 relational objects and 2-candidate ones
+        # objects per class, so batch and _CHUNK boundaries fall among scenes
+        # of at least 8 candidates and 24 relational objects and 2-candidate ones
         rng = np.random.default_rng(2026)
         mixed = []
         for k in range(24):
@@ -1040,7 +1040,7 @@ class TestBatchInvariance:
                                   r.predicted_mentions)[1]) for i, r in alone.items()]
         widths = [len(r.probs) for r in alone.values()]
         assert min(widths) <= 2 and max(widths) >= 8 and max(rels) >= 8
-        for size in (1, 2, 63, 64, 65):
+        for size in (1, 2, 63, 64, 65, len(scenes)):
             for start in range(0, len(scenes), size):
                 part = scenes[start:start + size]
                 results = _ground_grouped(model, part, _predicted_groupings(model, part))
