@@ -115,8 +115,15 @@ def _cmd_ctc_prefix(args) -> None:
     _emit(args, f"LOGP={logp:.6f}", {"command": "ctc-prefix", "logp": logp})
 
 
+# Label-sync's time grows about linearly with the width: on 100 frames of
+# 30 symbols it took 0.22 s at the default 8, 6.1 s at 256 and 28 s at
+# 1,024 (in process, one BLAS thread, 2-core Xeon), so the cap keeps a
+# decode within about 30x the default's time.
+MAX_BEAM = 256
+
+
 def _cmd_ctc_decode(args) -> None:
-    # a flag the mode ignores is refused before any file is opened
+    # a flag the mode ignores, or a width over the cap, is refused before any file is opened
     beam, time_sync, fused = args.mode != "greedy", args.mode == "time-sync", args.lm is not None
     for flag, given, applies, where in (
             ("--beam", args.beam is not None, beam, "the beam modes"),
@@ -127,6 +134,8 @@ def _cmd_ctc_decode(args) -> None:
             ("--alpha", args.alpha is not None, fused, "a decode with --lm")):
         if given and not applies:
             raise UsageError(f"{flag} applies only to {where}; {args.mode} mode ignores it")
+    if args.beam is not None and args.beam > MAX_BEAM:
+        raise UsageError(f"--beam {args.beam} exceeds the maximum width {MAX_BEAM}")
     vocab, post = _load_ctc_inputs(args)
     config = DecodeConfig(beam_width=8 if args.beam is None else args.beam,
                           lm_scale=args.lm_scale, prior_scale=args.prior_scale)
@@ -395,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="search for the best labeling")
     dec.add_argument("--mode", choices=("greedy", "time-sync", "label-sync"),
                      default="greedy")
-    dec.add_argument("--beam", type=int, help="beam width H (default 8)")
+    dec.add_argument("--beam", type=int, help=f"beam width H (default 8, at most {MAX_BEAM})")
     dec.add_argument("--lm", help="count file for shallow fusion")
     dec.add_argument("--lm-scale", type=float, default=0.0)
     dec.add_argument("--alpha", type=float,

@@ -12,7 +12,6 @@ tables of the time-reversed frames and target, and a beam grows all
 its children at once.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +23,7 @@ BLANK = 0
 BLANK_TOKEN = "<blank>"
 
 BRUTEFORCE_MAX_PATHS = 10_000_000
+_BRUTEFORCE_BLOCK = 1 << 16  # paths enumerated at once
 
 LabelSequence = tuple[int, ...]
 AlignmentPath = tuple[int, ...]
@@ -147,20 +147,48 @@ def _lattice(lp: np.ndarray, blank: np.ndarray, label: np.ndarray, labels: np.nd
     from the parent's label state only where `chain[j]` (the label does
     not repeat the parent's last).  Returns the (T+1, P+n) tables and
     each new column's log prefix mass, every continuation left free.
+
+    Only the live band runs.  The loop starts at `t0`, the first row
+    where a given parent column is finite: before it every entry term
+    is -inf, and logaddexp(-inf, -inf) = -inf leaves each new entry and
+    the mass at their -inf fill, so no bit changes and a beam's depth d
+    runs T-d+1 frames.  When every parent is a given column, as at a
+    beam's depth, the loop never writes what the entry terms read, so
+    they are formed as one block by the same elementwise operations,
+    and `np.logaddexp.reduce` over axis 0 adds the frames in the loop's
+    order from the same -inf start: the mass is bit-identical too.  A
+    target's chain reads each entry term as its parent column grows.
     """
     t_total, given, n = lp.shape[0], blank.shape[1], len(labels)
     q_blank = np.hstack([blank, np.full((t_total + 1, n), -np.inf)])
     q_label = np.hstack([label, np.full((t_total + 1, n), -np.inf)])
     emit = lp[:, labels]
-    mass = np.full(n, -np.inf)
-    for t in range(t_total):
-        grow = q_blank[t, parents]
-        grow = np.where(chain, np.logaddexp(grow, q_label[t, parents]), grow)
+    entry = parents[parents < given]
+    live = np.flatnonzero((np.maximum(blank[:, entry], label[:, entry]) > -np.inf).any(axis=1))
+    t0 = int(live[0]) if len(live) else t_total
+    block = len(entry) == n
+    if block:
+        grows = _entry_terms(q_blank, q_label, slice(t0, t_total), parents, chain)
+        mass = np.logaddexp.reduce(emit[t0:] + grows, axis=0)
+    else:
+        mass = np.full(n, -np.inf)
+    for t in range(t0, t_total):
+        if block:
+            grow = grows[t - t0]
+        else:
+            grow = _entry_terms(q_blank, q_label, t, parents, chain)
+            mass = np.logaddexp(mass, emit[t] + grow)
         q_blank[t + 1, given:] = lp[t, BLANK] + np.logaddexp(q_blank[t, given:],
                                                              q_label[t, given:])
         q_label[t + 1, given:] = emit[t] + np.logaddexp(q_label[t, given:], grow)
-        mass = np.logaddexp(mass, emit[t] + grow)
     return q_blank, q_label, mass
+
+
+def _entry_terms(q_blank: np.ndarray, q_label: np.ndarray, rows, parents: np.ndarray,
+                 chain: np.ndarray) -> np.ndarray:
+    """Mass entering each new column from its parent at `rows` (a row or a slice)."""
+    grow = q_blank[rows, parents]
+    return np.where(chain, np.logaddexp(grow, q_label[rows, parents]), grow)
 
 
 def _target_lattice(lp: np.ndarray, w: LabelSequence
@@ -218,24 +246,40 @@ def bruteforce_distribution(p: Posteriorgram) -> dict[LabelSequence, float]:
     """Probability of every label sequence, by enumerating all paths.
 
     Guarded at BRUTEFORCE_MAX_PATHS enumerated paths; intended for
-    desk-size instances only.
+    desk-size instances only.  Path i is i written in T base-K digits
+    (`itertools.product` order), enumerated `_BRUTEFORCE_BLOCK` at a
+    time.  A path's key packs its collapsed labels into the leading
+    digits.  Each sequence adds its paths one by one in path order from
+    0.0, and sequences are listed in the order their first path appears.
     """
     t_total, k = p.num_frames, p.num_symbols
     if k ** t_total > BRUTEFORCE_MAX_PATHS:
         raise UsageError(
             f"{k}^{t_total} paths exceeds the {BRUTEFORCE_MAX_PATHS} cap"
         )
-    paths = np.array(list(itertools.product(range(k), repeat=t_total)), dtype=np.int64)
-    logp = p.log_probs[np.arange(t_total)[None, :], paths].sum(axis=1)
-    probs = np.exp(logp)
-    keep = np.ones_like(paths, dtype=bool)
-    keep[:, 1:] = paths[:, 1:] != paths[:, :-1]
-    keep &= paths != BLANK
-    dist: dict[LabelSequence, float] = {}
-    for row, mask, prob in zip(paths, keep, probs):
-        seq = tuple(int(v) for v in row[mask])
-        dist[seq] = dist.get(seq, 0.0) + float(prob)
-    return dist
+    place = k ** np.arange(t_total - 1, -1, -1, dtype=np.int64)
+    frames = np.arange(t_total)
+    slot: dict[int, int] = {}  # key -> index into seqs and totals
+    seqs: list[LabelSequence] = []
+    totals = np.zeros(0)
+    for start in range(0, k ** t_total, _BRUTEFORCE_BLOCK):
+        paths = np.arange(start, min(start + _BRUTEFORCE_BLOCK, k ** t_total))[:, None]
+        paths = paths // place % k
+        probs = np.exp(p.log_probs[frames, paths].sum(axis=1))
+        keep = paths != BLANK
+        keep[:, 1:] &= paths[:, 1:] != paths[:, :-1]
+        # the n-th kept label of a path is its n-th digit
+        digit = place[np.cumsum(keep, axis=1) - 1]
+        keys, first, inverse = np.unique(np.where(keep, paths * digit, 0).sum(axis=1),
+                                         return_index=True, return_inverse=True)
+        for key in keys[np.argsort(first)].tolist():
+            if key not in slot:
+                slot[key] = len(seqs)
+                seqs.append(tuple(v for v in (key // place % k).tolist() if v != BLANK))
+        totals = np.concatenate([totals, np.zeros(len(seqs) - len(totals))])
+        index = np.array([slot[key] for key in keys.tolist()])[inverse]
+        np.add.at(totals, index, probs)  # path by path, onto the running totals
+    return dict(zip(seqs, totals.tolist()))
 
 
 def ctc_bruteforce(p: Posteriorgram, target) -> float:

@@ -6,16 +6,21 @@ re-scored the LM history for every child, as they were before
 `speechground.ctc._lattice` and the batched depth step in
 `speechground.decode` replaced them, and the time-synchronous beam
 that looped over every (hypothesis, symbol) pair and asked the LM for
-every expansion, as it was before the (B, K) frame step replaced it.
+every expansion, as it was before the (B, K) frame step replaced it,
+and the brute-force enumeration that collapsed every path in one
+Python loop, as it was before the blocked enumeration replaced it.
 They are kept unchanged so the tests can compare the two; the only
 edits are that the label-sync beam reads its tables from
 `_forward_tables` directly and the three wrappers below return bare
 tables.  Nothing in `src/` imports this module.
 """
 
+import itertools
+
 import numpy as np
 
-from speechground.ctc import BLANK, LabelSequence, Posteriorgram, Vocabulary, _check_target
+from speechground.ctc import (BLANK, BRUTEFORCE_MAX_PATHS, LabelSequence, Posteriorgram,
+                              Vocabulary, _check_target)
 from speechground.decode import DecodeConfig, Hypothesis
 from speechground.errors import NumericError, UsageError
 from speechground.lm import EOS, LanguageModel
@@ -87,6 +92,30 @@ def ctc_prefix_logprob(p: Posteriorgram, prefix) -> float:
     w = _check_target(p, prefix)
     q_blank, q_label, _ = _forward_tables(p.log_probs, w)
     return _prefix_mass(p.log_probs, w, q_blank, q_label)
+
+
+def bruteforce_distribution(p: Posteriorgram) -> dict[LabelSequence, float]:
+    """Probability of every label sequence, by enumerating all paths.
+
+    Guarded at BRUTEFORCE_MAX_PATHS enumerated paths; intended for
+    desk-size instances only.
+    """
+    t_total, k = p.num_frames, p.num_symbols
+    if k ** t_total > BRUTEFORCE_MAX_PATHS:
+        raise UsageError(
+            f"{k}^{t_total} paths exceeds the {BRUTEFORCE_MAX_PATHS} cap"
+        )
+    paths = np.array(list(itertools.product(range(k), repeat=t_total)), dtype=np.int64)
+    logp = p.log_probs[np.arange(t_total)[None, :], paths].sum(axis=1)
+    probs = np.exp(logp)
+    keep = np.ones_like(paths, dtype=bool)
+    keep[:, 1:] = paths[:, 1:] != paths[:, :-1]
+    keep &= paths != BLANK
+    dist: dict[LabelSequence, float] = {}
+    for row, mask, prob in zip(paths, keep, probs):
+        seq = tuple(int(v) for v in row[mask])
+        dist[seq] = dist.get(seq, 0.0) + float(prob)
+    return dist
 
 
 def _tokens_of(seq: LabelSequence, vocab: Vocabulary) -> tuple[str, ...]:

@@ -54,6 +54,8 @@ LABELSYNC_REFERENCE = (
     "tests/test_decode.py::TestBeamsMatchReference::test_labelsync_sequences_and_scores",)
 TIMESYNC_REFERENCE = (
     "tests/test_decode.py::TestBeamsMatchReference::test_timesync_sequences_and_scores",)
+BLOCK_LATTICE = ("tests/test_ctc.py::TestBlockLatticeMatchesTheChain", *LABELSYNC_REFERENCE)
+BRUTEFORCE = ("tests/test_ctc.py::TestBlockedBruteforceMatchesReference",)
 TRAINING_REFERENCE = ("tests/test_grounding.py::TestTrainingMatchesReference",)
 INVARIANCE = ("tests/test_grounding.py::TestBatchInvariance",)
 
@@ -107,6 +109,9 @@ MUTANTS = (
            '@np.errstate(over="ignore")\ndef labelsync_beam(', "def labelsync_beam(",
            PRIOR_OVERFLOW),
     # the non-finite option checks that the flag sweep stands behind
+    Mutant("beam width uncapped", "cli.py",
+           "    if args.beam is not None and args.beam > MAX_BEAM:\n", "    if False:\n",
+           ("tests/test_cli.py::TestCtcCommands::test_beam_wider_than_the_cap_rejected",)),
     Mutant("fusion scales may be infinite", "decode.py",
            "0 <= scale < np.inf for scale", "0 <= scale for scale", SWEEP),
     Mutant("learning rate may be infinite", "grounding/train.py",
@@ -143,6 +148,19 @@ MUTANTS = (
            "mass = np.logaddexp(mass, emit[t] + grow)", "mass = np.maximum(mass, emit[t] + grow)",
            ("tests/test_ctc.py::TestLatticeMatchesReference",
             *LABELSYNC_REFERENCE)),
+    Mutant("lattice starts a frame late", "ctc.py",
+           "t0 = int(live[0]) if len(live)", "t0 = int(live[0]) + 1 if len(live)",
+           BLOCK_LATTICE),
+    Mutant("entry-term block shifted a frame", "ctc.py",
+           "slice(t0, t_total)", "slice(t0 + 1, t_total + 1)", BLOCK_LATTICE),
+    Mutant("block prefix mass by max", "ctc.py",
+           "mass = np.logaddexp.reduce(", "mass = np.maximum.reduce(", BLOCK_LATTICE),
+    Mutant("brute force lists sequences by key", "ctc.py",
+           "for key in keys[np.argsort(first)].tolist():", "for key in keys.tolist():",
+           BRUTEFORCE),
+    Mutant("brute force sums each block apart", "ctc.py",
+           "np.add.at(totals, index, probs)", "totals += np.bincount(index, probs, len(totals))",
+           BRUTEFORCE),
     Mutant("repeats chain through their label", "decode.py",
            "grown != last[parents])", "grown == grown)", LABELSYNC_REFERENCE),
     Mutant("label-sync drops the LM token", "decode.py",

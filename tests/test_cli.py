@@ -448,6 +448,20 @@ class TestCtcCommands:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("mode", ["time-sync", "label-sync"])
+    def test_beam_wider_than_the_cap_rejected(self, mode, peaky, tmp_path, capsys):
+        post, vocab = peaky
+        code, out, _ = run(["ctc", "decode", "--posteriors", post, "--vocab", vocab,
+                            "--mode", mode, "--beam", str(cli.MAX_BEAM), "--json"], capsys)
+        assert code == 0
+        assert json.loads(out.splitlines()[1])["beam"] == cli.MAX_BEAM
+        # refused before any file is opened
+        code, out, err = run(["ctc", "decode", "--posteriors", str(tmp_path / "absent.post"),
+                              "--vocab", vocab, "--mode", mode,
+                              "--beam", str(cli.MAX_BEAM + 1)], capsys)
+        assert (code, out) == (1, "")
+        assert err.strip() == f"error: --beam {cli.MAX_BEAM + 1} exceeds the maximum width 256"
+
     def test_vocab_size_mismatch(self, tmp_path, anchor, capsys):
         post, _ = anchor
         vocab = write_vocab(tmp_path / "wide.vocab", ["a", "b", "c"])
@@ -1693,11 +1707,8 @@ class TestFlagSweep:
     FLOATS = ("nan", "inf", "-inf", "-1", "0", "1e308")
     INTS = ("-1", "0", str(10**12))
     REFUSED = {"nan", "inf", "-inf", "-1"}
-    # the work grows linearly with these counts, so 10^12 would run for hours;
-    # a --beam of 10^12 is a width the beam never fills, which makes the
-    # time-sync search exhaustive (169 s on 20 frames of 4 symbols)
-    NOT_HUGE = {"--tm-count", "--fm-count", "--train-scenes", "--dev-scenes", "--epochs",
-                "--beam"}
+    # the work grows linearly with these counts, so 10^12 would run for hours
+    NOT_HUGE = {"--tm-count", "--fm-count", "--train-scenes", "--dev-scenes", "--epochs"}
 
     @pytest.fixture
     def baselines(self, tmp_path):

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from speechground.ctc import (BLANK_TOKEN, Posteriorgram, Vocabulary,
-                              bruteforce_distribution, collapse, ctc_backward,
-                              ctc_bruteforce, ctc_forward, ctc_loss,
+from speechground import ctc
+from speechground.ctc import (BLANK, BLANK_TOKEN, Posteriorgram, Vocabulary, _lattice,
+                              _target_lattice, bruteforce_distribution, collapse,
+                              ctc_backward, ctc_bruteforce, ctc_forward, ctc_loss,
                               ctc_prefix_logprob, format_label_sequence,
                               parse_label_string, read_posteriorgram,
                               read_vocab, write_posteriorgram, write_vocab)
@@ -192,6 +193,130 @@ class TestLatticeMatchesReference:
             assert total == want_total, case
             assert (ctc_prefix_logprob(p, target)
                     == reference.ctc_prefix_logprob(p, target)), case
+
+
+def holed_posteriorgram(rng, t_total, k):
+    """Normalized rows, about 30% of entries -inf, each row keeping one live symbol."""
+    probs = rng.gamma(rng.uniform(0.3, 3.0), 1.0, size=(t_total, k)) + 1e-12
+    zero = rng.random(probs.shape) < 0.3
+    zero[np.arange(t_total), rng.integers(0, k, size=t_total)] = False
+    probs[zero] = 0.0
+    with np.errstate(divide="ignore"):
+        return Posteriorgram(np.log(probs / probs.sum(axis=1, keepdims=True)))
+
+
+class TestBlockLatticeMatchesTheChain:
+    """A beam depth's block path against each child's own target chain, bit for bit.
+
+    A depth grows every (parent, label) child of a beam of given
+    columns in one `_lattice` call, which forms the entry terms and the
+    prefix mass as blocks from the parents' first live row.  Each child
+    must get the tables and mass that `_target_lattice` gives its whole
+    sequence, frame by frame from row 0, and the scalar reference's
+    prefix mass.
+    """
+
+    @staticmethod
+    def grow(lp, beam):
+        """Children of `beam` and their (T+1,) blank and label columns and prefix masses."""
+        columns = [_target_lattice(lp, seq) for seq in beam]
+        blank = np.stack([q_blank[:, -1] for q_blank, _, _, _ in columns], axis=1)
+        label = np.stack([q_label[:, -1] for _, q_label, _, _ in columns], axis=1)
+        labels = np.arange(1, lp.shape[1])
+        parents = np.repeat(np.arange(len(beam)), len(labels))
+        grown = np.tile(labels, len(beam))
+        last = np.array([seq[-1] if seq else BLANK for seq in beam])
+        q_blank, q_label, mass = _lattice(lp, blank, label, grown, parents,
+                                          grown != last[parents])
+        children = [beam[j] + (int(v),) for j, v in zip(parents, grown)]
+        return children, q_blank[:, len(beam):], q_label[:, len(beam):], mass
+
+    def check(self, p, beam):
+        children, q_blank, q_label, mass = self.grow(p.log_probs, beam)
+        for j, child in enumerate(children):
+            want_blank, want_label, want_mass, _ = _target_lattice(p.log_probs, child)
+            assert np.array_equal(q_blank[:, j], want_blank[:, -1]), (beam, child)
+            assert np.array_equal(q_label[:, j], want_label[:, -1]), (beam, child)
+            assert mass[j] == want_mass[-1] == reference.ctc_prefix_logprob(p, child), child
+        return mass
+
+    def test_seeded_beams(self):
+        rng = np.random.default_rng(106)
+        live = 0
+        for case in range(400):
+            t_total = int(rng.integers(0, 13))
+            k = int(rng.integers(2, 7))
+            p = (holed_posteriorgram(rng, t_total, k) if case % 2
+                 else random_posteriorgram(rng, t_total, k))
+            # parents of different lengths; one longer than T is -inf in every row
+            beam = {tuple(int(v) for v in rng.integers(1, k, size=rng.integers(0, 6)))
+                    for _ in range(int(rng.integers(1, 5)))}
+            if case % 5 == 0:
+                beam.add((1,) * (t_total + 1))
+            live += np.isfinite(self.check(p, sorted(beam))).sum()
+        assert live > 1000  # most children have mass, so the lattice did run
+
+    def test_root_alone(self):
+        rng = np.random.default_rng(107)
+        for t_total in range(13):
+            for k in range(2, 7):
+                mass = self.check(random_posteriorgram(rng, t_total, k), [()])
+                assert np.isfinite(mass).all() == (t_total > 0)
+
+    def test_only_dead_parents(self):
+        rng = np.random.default_rng(108)
+        p = random_posteriorgram(rng, 4, 3)
+        # too long, and a repeat with no frame left for its blank
+        assert (self.check(p, [(1,) * 5, (2, 2, 1, 1)]) == -np.inf).all()
+
+    def test_starts_at_the_parents_first_live_row(self):
+        # depth-2 parents are -inf up to row 2, so frames 0 and 1 are skipped;
+        # a loop started one row late would lose the children's row-3 entries
+        p = Posteriorgram(np.log(np.full((5, 3), 1 / 3)))
+        children, q_blank, q_label, mass = self.grow(p.log_probs, [(1, 2), (2, 1)])
+        assert np.isfinite(q_label[3]).any()
+        assert (q_label[:3] == -np.inf).all() and (q_blank[:4] == -np.inf).all()
+        self.check(p, [(1, 2), (2, 1)])
+
+
+class TestBlockedBruteforceMatchesReference:
+    """The blocked path enumeration against the per-path loop it replaced.
+
+    The dicts must be equal, key order included, with no difference in
+    any value, for every block size, whether the path count is a block
+    less one, a block, a block plus one or several blocks.
+    """
+
+    def check(self, p):
+        want = reference.bruteforce_distribution(p)
+        got = bruteforce_distribution(p)
+        assert got == want
+        assert list(got) == list(want)
+        return got
+
+    def test_every_shape_at_the_default_block(self):
+        rng = np.random.default_rng(109)
+        zero_mass = 0
+        for t_total in range(9):
+            for k in range(1, 6):
+                if k ** t_total > 5 ** 7:  # 4^8 is one block; 5^7 needs two
+                    continue
+                for p in (random_posteriorgram(rng, t_total, k),
+                          holed_posteriorgram(rng, t_total, k)):
+                    zero_mass += list(self.check(p).values()).count(0.0)
+        assert zero_mass > 0  # a sequence with no mass is still listed
+
+    def test_block_edges(self, monkeypatch):
+        rng = np.random.default_rng(110)
+        for case in range(60):
+            t_total = int(rng.integers(0, 7))
+            k = int(rng.integers(1, 5))
+            p = (holed_posteriorgram(rng, t_total, k) if case % 2
+                 else random_posteriorgram(rng, t_total, k))
+            paths = k ** t_total
+            for block in {max(paths // 3, 1), max(paths - 1, 1), paths, paths + 1}:
+                monkeypatch.setattr(ctc, "_BRUTEFORCE_BLOCK", block)
+                self.check(p)
 
 
 class TestPartition:
