@@ -21,7 +21,7 @@ import numpy as np
 
 from .ctc import (BLANK, LabelSequence, Posteriorgram, Vocabulary, _lattice,
                   _target_lattice, collapse)
-from .errors import NumericError, UsageError
+from .errors import DataError, NumericError, UsageError
 from .lm import EOS, LanguageModel
 
 
@@ -93,7 +93,8 @@ def _lm_readers(config: DecodeConfig, lm: LanguageModel | None,
     token); `eos(history)` is the EOS conditional.  Each is asked the
     first time it is read and cached for the decode under
     `lm.context(history)`, so an input that reads nothing never asks
-    the LM.  `token[v]` is what label `v` appends to a history.
+    the LM.  `token[v]` is what label `v` appends to a history.  With
+    fusion, a label the LM does not know is a `DataError` at any T.
     Without fusion the readers return zeros and 0.0, histories stay
     empty, and the LM is never asked.
     """
@@ -105,6 +106,9 @@ def _lm_readers(config: DecodeConfig, lm: LanguageModel | None,
         zeros = np.zeros(num_symbols)
         return (lambda history: zeros), (lambda history: 0.0), ((),) * num_symbols
     labels = [vocab.token(v) for v in range(1, num_symbols)]
+    for tok in labels:  # in the order the first row would ask them
+        if tok != EOS and tok not in lm.tokens:
+            raise DataError(f"token {tok!r} outside the model vocabulary")
 
     def cached(ask):
         cache = {}

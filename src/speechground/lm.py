@@ -100,6 +100,10 @@ class CountLM(LanguageModel):
             raise UsageError(f"alpha {self.alpha} overflows the LM denominator")
         if self.alpha == 0 and self._uni_total == 0:
             raise DataError("no counts and no smoothing leaves nothing to predict")
+        self._known = frozenset(self.tokens)
+        # log denominator per nonzero total: the unigram table's, and each context's
+        self._log_den = {t: np.log(t + self.alpha * (len(self.tokens) + 1)) for t in totals if t}
+        self._log_den[0] = np.log(self._uni_total + self.alpha * (len(self.tokens) + 1))
 
     @classmethod
     def from_corpus(cls, sentences, order: int = 2, alpha: float = 1.0) -> "CountLM":
@@ -122,19 +126,16 @@ class CountLM(LanguageModel):
         return history[-1:] if self.order == 2 else ()
 
     def cond_logprob(self, token: str, history: tuple[str, ...] = ()) -> float:
-        if token != EOS and token not in self.tokens:
+        if token != EOS and token not in self._known:
             raise DataError(f"token {token!r} outside the model vocabulary")
         ctx = history[-1] if history else BOS
-        # order 1, or a context never observed, reads the unigram table
+        # order 1, or a context never observed, reads the unigram table (key 0)
         total = self._ctx_totals.get(ctx, 0) if self.order == 2 else 0
-        if total:
-            count = self.bigrams.get((ctx, token), 0)
-        else:
-            count, total = self.unigrams.get(token, 0), self._uni_total
+        count = self.bigrams.get((ctx, token), 0) if total else self.unigrams.get(token, 0)
         num = count + self.alpha
         if num == 0:
             return -np.inf
-        return float(np.log(num) - np.log(total + self.alpha * (len(self.tokens) + 1)))
+        return float(np.log(num) - self._log_den[total])
 
 
 def lm_perplexity(lm: LanguageModel, sentences) -> float:

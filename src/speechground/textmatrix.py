@@ -1,7 +1,5 @@
 """Text matrix files: a "T K" header line, then T rows of K reals at %.17g."""
 
-from itertools import chain
-
 import numpy as np
 
 from .errors import DataError
@@ -27,21 +25,24 @@ def read_text_matrix(path: str, kind: str) -> np.ndarray:
         if t_total < 0 or k < 1:
             raise DataError(f"bad {kind} shape {t_total} x {k}")
         lines = fh.readlines()  # each ends in a newline but perhaps the last: none is empty
-    rows = [line.split() for line in lines[:t_total]]
-    if (len(rows) == t_total and all(len(row) == k for row in rows)
-            and not "".join(lines[t_total:]).strip()):
-        try:
-            return np.fromiter(map(float, chain.from_iterable(rows)), float,
-                               t_total * k).reshape(t_total, k)
+    trailing = "".join(lines[t_total:]).strip()
+    if lines and lines[0].split() and not trailing:  # loadtxt warns on a body with no token
+        try:  # numpy's C reader skips blank lines and refuses some tokens float() takes
+            data = np.loadtxt(lines[:t_total], comments=None, ndmin=2)
+            if data.shape == (t_total, k):
+                return data
         except ValueError:
             pass
-    for i in range(t_total):  # a bad file: name its first fault as a row-by-row reader
+    rows = []
+    for i in range(t_total):  # the array loadtxt refused, or the file's first fault
         if i == len(lines):
             raise DataError(f"{kind} file ends after {i} of {t_total} rows")
         try:
-            values = [float(v) for v in rows[i]]
+            rows.append([float(v) for v in lines[i].split()])
         except ValueError as exc:
             raise DataError(f"{kind} row {i}: {exc}") from exc
-        if len(values) != k:
-            raise DataError(f"{kind} row {i} has {len(values)} values, expected {k}")
-    raise DataError(f"{kind} file has content after its {t_total} rows")
+        if len(rows[i]) != k:
+            raise DataError(f"{kind} row {i} has {len(rows[i])} values, expected {k}")
+    if trailing:
+        raise DataError(f"{kind} file has content after its {t_total} rows")
+    return np.array(rows, dtype=float).reshape(t_total, k)

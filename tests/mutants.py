@@ -59,6 +59,13 @@ BRUTEFORCE = ("tests/test_ctc.py::TestBlockedBruteforceMatchesReference",)
 TRAINING_REFERENCE = ("tests/test_grounding.py::TestTrainingMatchesReference",)
 INVARIANCE = ("tests/test_grounding.py::TestBatchInvariance",)
 
+
+def hand_case(text: str) -> str:
+    """The node id of one file of `tests/test_textmatrix.py`'s HAND_CASES."""
+    escaped = text.encode("unicode_escape").decode("ascii")  # as pytest writes ids
+    return f"tests/test_textmatrix.py::test_hand_written_files[{escaped}]"
+
+
 MUTANTS = (
     # grounding inference refuses scores that overflow
     Mutant("grouping scores unchecked", "grounding/model.py",
@@ -215,7 +222,13 @@ MUTANTS = (
     Mutant("time-sync asks the root row before any frame", "decode.py",
            "    lp = p.log_probs\n    symbols = np.arange(p.num_symbols)\n",
            "    lp = p.log_probs\n    row(())\n    symbols = np.arange(p.num_symbols)\n",
-           ("tests/test_cli.py::TestCtcCommands::test_empty_posteriorgram_never_asks_the_lm",)),
+           ("tests/test_decode.py::TestLmCalls::test_empty_input_asks_no_label_row",)),
+    Mutant("LM vocabulary checked only when asked", "decode.py",
+           "        if tok != EOS and tok not in lm.tokens:\n", "        if False:\n",
+           ("tests/test_cli.py::TestCtcCommands::test_lm_missing_a_label_refused_at_any_length",)),
+    Mutant("LM denominators all the unigram table's", "lm.py",
+           "np.log(num) - self._log_den[total]", "np.log(num) - self._log_den[0]",
+           ("tests/test_lm.py::TestCountLM",)),
     # training and the readers' block checks
     Mutant("gradient not re-zeroed", "grounding/train.py",
            "            grad.fill(0.0)\n", "", TRAINING_REFERENCE),
@@ -271,14 +284,29 @@ MUTANTS = (
            "            elif diag[0] <= up[0]:\n"
            "                left = (diag[0] + 1, diag[1] + 1, diag[2], diag[3])\n",
            ("tests/test_metrics.py::TestWerMatchesReference",)),
+    # the text-matrix reader: numpy's C reader, else the row walk
     Mutant("text matrix rows counted in total", "textmatrix.py",
-           "all(len(row) == k for row in rows)", "sum(map(len, rows)) == t_total * k",
-           ("tests/test_textmatrix.py::test_hand_written_files",
+           "if data.shape == (t_total, k):", "if data.size == t_total * k:",
+           (hand_case("2 2\n1 2 3 4\n\n"),
             "tests/test_textmatrix.py::test_corrupted_files_match_the_reference")),
+    Mutant("text matrix shape unchecked", "textmatrix.py",
+           "            if data.shape == (t_total, k):\n                return data\n",
+           "            return data\n", (hand_case("2 2\n1 2\n\n"),)),
     Mutant("float() error escapes the fast path", "textmatrix.py",
            "        except ValueError:\n            pass\n",
-           "        except OverflowError:\n            pass\n",
-           ("tests/test_textmatrix.py::test_hand_written_files",)),
+           "        except OverflowError:\n            pass\n", (hand_case("1 1\n0x10\n"),)),
+    Mutant("text matrix '#' read as a comment", "textmatrix.py", "comments=None, ", "",
+           (hand_case("2 2\n1 2 #x\n3 4\n"),)),
+    Mutant("loadtxt asked of a blank first row", "textmatrix.py",
+           "if lines and lines[0].split() and not trailing:", "if lines and not trailing:",
+           (hand_case("2 2\n\n \n"),)),
+    Mutant("row walk's except ValueError narrowed", "textmatrix.py",
+           "        except ValueError as exc:\n            raise DataError(f\"{kind} row {i}",
+           "        except UnicodeError as exc:\n            raise DataError(f\"{kind} row {i}",
+           (hand_case("1 1\n0x10\n"),)),
+    Mutant("row walk returns zeros", "textmatrix.py",
+           "    return np.array(rows, dtype=float).reshape(t_total, k)\n",
+           "    return np.zeros((t_total, k))\n", (hand_case("2 2\n1_0 Infinity\n-nan +inf\n"),)),
     # the chunked generator, the scene writer and the scene readers
     Mutant("retry rng re-seeded", "grounding/scene.py",
            "            while not verify_scene(scene):\n",

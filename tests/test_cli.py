@@ -386,14 +386,26 @@ class TestCtcCommands:
             assert code == 2, mode
             assert "'b'" in err, mode
 
-    def test_empty_posteriorgram_never_asks_the_lm(self, peaky, lm_without_b,
-                                                   tmp_path, capsys):
+    # with fusion, every vocabulary label must be an LM token before any frame is read
+    @pytest.mark.parametrize("mode", ["time-sync", "label-sync"])
+    @pytest.mark.parametrize("frames", [0, 2])
+    def test_lm_missing_a_label_refused_at_any_length(self, mode, frames, tmp_path, capsys):
+        post = (write_post(tmp_path / "two.post", [[0.2, 0.7, 0.1], [0.6, 0.1, 0.3]]) if frames
+                else write_text(tmp_path / "empty.post", "0 3\n"))
+        vocab = write_vocab(tmp_path / "ab.vocab", ["a", "b"])
+        lm = write_text(tmp_path / "c_only.counts", "c\t2\n</s>\t2\n")
+        code, out, err = run(["ctc", "decode", "--posteriors", post, "--vocab", vocab,
+                              "--mode", mode, "--lm", lm, "--lm-scale", "0.3"], capsys)
+        assert (code, out) == (2, "")
+        assert "token 'a' outside the model vocabulary" in err
+
+    def test_empty_posteriorgram_decodes_with_fusion(self, peaky, tmp_path, capsys):
         _, vocab = peaky
         post = write_text(tmp_path / "empty.post", "0 3\n")
+        lm = write_text(tmp_path / "ab.counts", "a\t2\nb\t1\n</s>\t2\n<s> a\t2\na </s>\t2\n")
         for mode in ("time-sync", "label-sync"):
             code, out, _ = run(["ctc", "decode", "--posteriors", post, "--vocab", vocab,
-                                "--mode", mode, "--lm", lm_without_b,
-                                "--lm-scale", "0.3"], capsys)
+                                "--mode", mode, "--lm", lm, "--lm-scale", "0.3"], capsys)
             assert code == 0, mode
             assert out.splitlines()[0] == "HYP=", mode
 

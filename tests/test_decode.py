@@ -562,6 +562,15 @@ class TestLmCalls:
         assert got == timesync_beam(p, config, lm=lm, vocab=vocab)
         assert counting.asked and EOS not in counting.asked
 
+    def test_empty_input_asks_no_label_row(self):
+        # time-sync asks nothing; label-sync asks only the empty sequence's EOS term
+        _, vocab, lm = self.command_case()
+        empty = Posteriorgram(np.zeros((0, 8)), validate=False)
+        for beam, asked in ((timesync_beam, []), (labelsync_beam, [EOS])):
+            counting = CountingLM(lm)
+            got = beam(empty, DecodeConfig(beam_width=4, lm_scale=0.3), lm=counting, vocab=vocab)
+            assert (got.sequence, counting.asked) == ((), asked)
+
     def test_lm_at_scale_zero_is_never_asked(self):
         p, vocab, lm = self.command_case()
         counting = CountingLM(lm)

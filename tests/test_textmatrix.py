@@ -11,6 +11,9 @@ from speechground.errors import DataError
 from speechground.textmatrix import read_text_matrix, write_text_matrix
 from tests import textmatrix_reference as reference
 
+# a warning is new output the reference never gave: numpy's reader warns on a body with no token
+pytestmark = pytest.mark.filterwarnings("error")
+
 EDGE_VALUES = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, np.nan,
                         np.inf, -np.inf, 1.0, -2.5e-300])
 
@@ -34,6 +37,9 @@ HAND_CASES = [
     "3 1\n1\n2\n3\n4\n", "1 1\nnan\n", "1 1\n0x10\n", "1 1\n1,5\n",
     "", "\n", "2\n", "a b\n", "2 2 2\n", "-1 3\n", "2 0\n", "1_0 1\n" + "1\n" * 10,
     " 2  2 \n1 2\n3 4\n", "2 2\n 1 2 \n 3 4 \n",
+    "2 2\n1 2 #x\n3 4\n",             # '#' is a bad token, not a comment
+    "2 2\n#\n1 2\n",
+    "2 2\n\n \n",                     # a body with no token at all
 ]
 
 INSERTS = ["0", "1", "9", "-", "+", ".", "e", " ", "  ", "\t", "\n", "\n\n", "\r",
