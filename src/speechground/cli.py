@@ -267,19 +267,20 @@ def _infer_num_classes(path: str, scenes) -> int:
     return max(top + 1, 2)
 
 
-def _read_some_scenes(path: str):
-    """The scenes of a file; a file without any is bad data."""
-    from .grounding import read_scenes
-    scenes = read_scenes(path)
-    if not scenes:
+def _stream_scenes(path: str):
+    """Yield the scenes of a file; a file without any is bad data."""
+    from .grounding import iter_scenes
+    count = 0
+    for count, scene in enumerate(iter_scenes(path), start=1):
+        yield scene
+    if not count:
         raise DataError(f"no scenes in {path}")
-    return scenes
 
 
 def _cmd_ground_train(args) -> None:
     from .grounding import (GroundingConfig, TrainConfig, init_grounding_model,
                             save_checkpoint, train_toy)
-    scenes = _read_some_scenes(args.data)
+    scenes = list(_stream_scenes(args.data))
     num_classes = args.classes if args.classes else _infer_num_classes(args.data, scenes)
     cfg = GroundingConfig(num_classes=num_classes,
                           d_audio=scenes[0].audio.shape[0],
@@ -300,8 +301,7 @@ def _cmd_ground_train(args) -> None:
 def _cmd_ground_eval(args) -> None:
     from .grounding import evaluate, load_checkpoint
     model = load_checkpoint(args.model)
-    scenes = _read_some_scenes(args.data)
-    report = evaluate(model, scenes)
+    report = evaluate(model, _stream_scenes(args.data))
     _info(args, f"AUDIO_ACC={report.audio_accuracy:.6f}")
     _info(args, f"MENTION_F1={report.mention_f1:.6f}")
     _emit(args, f"ACC={report.grounding_accuracy:.6f}", {
@@ -319,11 +319,13 @@ def _cmd_ground_eval(args) -> None:
 def _cmd_ground_infer(args) -> None:
     from .grounding import ground, load_checkpoint
     model = load_checkpoint(args.model)
-    scenes = _read_some_scenes(args.scene)
-    if not 0 <= args.index < len(scenes):
-        raise UsageError(
-            f"scene index {args.index} outside 0..{len(scenes) - 1}")
-    result = ground(model, scenes[args.index])
+    chosen = None
+    for last, scene in enumerate(_stream_scenes(args.scene)):  # every line is checked
+        if last == args.index:
+            chosen = scene
+    if chosen is None:
+        raise UsageError(f"scene index {args.index} outside 0..{last}")
+    result = ground(model, chosen)
     _emit(args, f"TARGET={result.winner_index} CLASS={result.predicted_class}", {
         "command": "ground-infer",
         "target": result.winner_index,

@@ -6,16 +6,24 @@ filterbank -> log10 -> DCT.  `mfcc` runs the chain from pre-emphasis
 onwards; per-utterance normalization is a separate op so callers can
 compose or skip it.
 
-`mfcc` works on blocks of `_BLOCK_FRAMES` frames: one strided gather,
-one spectrum call and two matmuls (mel weights, then DCT basis) per
-block.  A block bounds the working set, so memory does not grow with
-the utterance.  Each real frame is transformed by the real split: its
-even and odd samples form one complex row of half the length, and the
-conjugate-symmetry identity recovers the one-sided spectrum from that
-row's four-step FFT (`fft.py`).  The Hann slice, gather indices and
-twiddle of the split are built once per frame geometry.  Pairing a
-frame with itself, not with its neighbour, keeps every frame's
-rounding relative to its own spectrum.
+`mfcc` works on blocks of `_BLOCK_FRAMES` frames: one read-only
+strided view of the frames, one spectrum call and two matmuls (mel
+weights, then DCT basis) per block.  A block bounds the working set, so
+memory does not grow with the utterance.  Each real frame is
+transformed by the real split: its even and odd samples form one
+complex row of half the length, and the conjugate-symmetry identity
+recovers the one-sided spectrum from that row's four-step FFT
+(`fft.py`).  The Hann slice, gather indices and half twiddle of the
+split are built once per frame geometry.  Pairing a frame with itself,
+not with its neighbour, keeps every frame's rounding relative to its
+own spectrum.
+
+Each `mfcc` call Hann-weights every block into one zeroed padded buffer
+whose tail columns stay zero, and forms the split in its two gathered
+arrays, so a block allocates no fresh (frames, bins) complex temporary
+per operation.  Each product keeps its operand order (`c * d`, written
+`np.multiply(c, d, out=d)`): numpy's complex loop rounds `d * c`, as
+`d *= c` computes it, differently.
 """
 
 import struct
@@ -24,6 +32,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, UsageError
 from .fft import fft
@@ -177,40 +186,50 @@ def _split_tables(fft_size: int, window_samples: int) -> tuple[np.ndarray, ...]:
 
     Returns the Hann slice that weights the samples, the gather indices
     k mod m and -k mod m of Z[k] and conj Z[m-k] for k = 0..m, and the
-    real-split twiddle W^k, where m = fft_size/2.
+    real-split factor (i/2) W^k, where m = fft_size/2.
     """
     half = fft_size // 2
     k = np.arange(half + 1)
     tables = (_hann_vector(fft_size)[:window_samples], k % half, -k % half,
-              np.exp(-2j * np.pi * k / fft_size))
+              0.5j * np.exp(-2j * np.pi * k / fft_size))
     for table in tables:
         table.flags.writeable = False
     return tables
 
 
-def _frame_spectra(frames: np.ndarray, spec: FrameSpec) -> np.ndarray:
+def _frame_spectra(frames: np.ndarray, spec: FrameSpec, padded: np.ndarray) -> np.ndarray:
     """One-sided FFT magnitudes of Hann-weighted, zero-padded frames.
 
     Each row's fft_size real samples are read as fft_size/2 complex
     values z[t] = x[2t] + i*x[2t+1].  With Z = FFT(z), m = fft_size/2
     and W = exp(-2i*pi/fft_size), the real transform is
     X[k] = (Z[k] + conj Z[m-k])/2 - (i/2) W^k (Z[k] - conj Z[m-k]),
-    indices mod m (Sorensen et al., IEEE TASSP 1987).
+    indices mod m (Sorensen et al., IEEE TASSP 1987).  The split is
+    formed in the two gathered arrays, left to right as written.
 
     Args:
-        frames: raw samples, shape (B, window_samples).
+        frames: raw samples, shape (B, window_samples); only read.
         spec: framing geometry; fft_size fixes the transform length.
+        padded: float64 buffer of at least B rows and fft_size columns
+            whose columns from window_samples on are zero; the first
+            window_samples columns of its first B rows are overwritten.
 
     Returns:
         Magnitudes for bins 0..fft_size/2, shape (B, fft_size//2 + 1).
     """
-    window, fwd, rev, twiddle = _split_tables(spec.fft_size, spec.window_samples)
-    padded = np.zeros((frames.shape[0], spec.fft_size))
-    padded[:, : spec.window_samples] = frames * window
-    z = fft(padded.view(np.complex128))
+    window, fwd, rev, half_twiddle = _split_tables(spec.fft_size, spec.window_samples)
+    rows = padded[: frames.shape[0]]
+    np.multiply(frames, window, out=rows[:, : spec.window_samples])
+    z = fft(rows.view(np.complex128))
     zk = z[:, fwd]
-    zr = np.conj(z[:, rev])
-    return np.abs(0.5 * (zk + zr) - 0.5j * twiddle * (zk - zr))
+    zr = z[:, rev]
+    np.conjugate(zr, out=zr)
+    s = zk + zr
+    np.multiply(0.5, s, out=s)
+    np.subtract(zk, zr, out=zk)
+    np.multiply(half_twiddle, zk, out=zk)
+    np.subtract(s, zk, out=s)
+    return np.abs(s)
 
 
 def amplitude_spectrum(frame: np.ndarray, spec: FrameSpec) -> np.ndarray:
@@ -232,7 +251,7 @@ def amplitude_spectrum(frame: np.ndarray, spec: FrameSpec) -> np.ndarray:
             f"frame length {frame.shape} does not match window_samples "
             f"{spec.window_samples}"
         )
-    return _frame_spectra(frame[None], spec)[0]
+    return _frame_spectra(frame[None], spec, np.zeros((1, spec.fft_size)))[0]
 
 
 def hz_to_mel(freq_hz: float | np.ndarray) -> float | np.ndarray:
@@ -306,14 +325,17 @@ def mfcc(w: Waveform, spec: FrameSpec, fb: MelFilterbank, num_cepstra: int = 13)
         )
     x = pre_emphasize(w).samples
     t_total = frame_count(x.size, spec)
-    basis = _dct_basis(num_cepstra, fb.num_filters)
-    offsets = np.arange(spec.window_samples)
     out = np.empty((t_total, num_cepstra))
+    if t_total == 0:  # the view below needs one full window
+        return FeatureMatrix(out)
+    basis = _dct_basis(num_cepstra, fb.num_filters)
+    frames = sliding_window_view(x, spec.window_samples)[:: spec.step_samples]
+    padded = np.zeros((min(_BLOCK_FRAMES, t_total), spec.fft_size))
     for first in range(0, t_total, _BLOCK_FRAMES):
-        starts = np.arange(first, min(first + _BLOCK_FRAMES, t_total)) * spec.step_samples
-        spectra = _frame_spectra(x[starts[:, None] + offsets], spec)
+        block = frames[first: first + _BLOCK_FRAMES]
+        spectra = _frame_spectra(block, spec, padded)
         energies = np.maximum(spectra @ fb.weights.T, EPS_AMP)
-        out[first: first + starts.size] = np.log10(energies) @ basis.T
+        out[first: first + block.shape[0]] = np.log10(energies) @ basis.T
     return FeatureMatrix(out)
 
 

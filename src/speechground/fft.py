@@ -13,9 +13,15 @@ Neither factor exceeds `_MAX_FACTOR` points: a longer right factor is
 applied by a recursive `fft` along the last axis, so every length costs
 O(n log n) and no table is larger than `_MAX_FACTOR` squared.  Every
 table entry is read from a root table exp(-2i*pi*r/m), r < m, at
-r = (j*k) mod m, so no angle is formed from a large product.  The
-matrix products are stacked, one small product per row, so each row of
-a (..., n) call equals the 1-D transform of that row.
+r = (j*k) mod m, so no angle is formed from a large product.
+
+The left factor is a stacked product, one (n1, n1) @ (n1, n2) product
+per row.  The right factor is one (rows*n1, n2) @ F_n2 gemm, whose
+entries do not depend on the row count, so each row of a (..., n) call
+still equals the 1-D transform of that row bit for bit (the tests check
+it).  At n <= 2 (n1 = 1) a 1-D call's right factor is a one-row
+product, which numpy sends to gemv and which rounds unlike gemm, so
+there that factor stays one product per row.
 """
 
 import numpy as np
@@ -68,5 +74,10 @@ def fft(x: np.ndarray) -> np.ndarray:
     n1, n2, f1, twiddle, f2 = _four_step_tables(n)
     lead = x.shape[:-1]
     c = (f1 @ x.reshape(*lead, n1, n2)) * twiddle
-    c = c @ f2 if f2 is not None else fft(c)
+    if f2 is None:
+        c = fft(c)
+    elif n1 == 1:
+        c = c @ f2
+    else:
+        c = (c.reshape(-1, n2) @ f2).reshape(*lead, n1, n2)
     return c.swapaxes(-1, -2).reshape(*lead, n)

@@ -9,8 +9,8 @@ from .model import (AttentionParams, GroundingConfig, GroundingFailure,
                     ground, init_grounding_model, load_checkpoint,
                     loss_and_grads, param_shapes, prepare_scene, save_checkpoint)
 from .scene import (RELATIONS, GenConfig, SceneObject, SyntheticScene,
-                    generate_scenes, group_objects, read_scenes, verify_scene,
-                    write_scenes)
+                    generate_scenes, group_objects, iter_scenes, read_scenes,
+                    verify_scene, write_scenes)
 from .train import (EpochRecord, EvalReport, TrainConfig, evaluate,
                     gradient_check, train_toy)
 
@@ -20,7 +20,7 @@ __all__ = [
     "SceneObject", "SyntheticScene", "TrainConfig", "attention_params_from",
     "audio_embedding", "audio_guided_attention", "classify_audio",
     "detect_mentions", "evaluate", "generate_scenes", "gradient_check",
-    "ground", "group_objects", "init_grounding_model",
+    "ground", "group_objects", "init_grounding_model", "iter_scenes",
     "label_embedding", "load_checkpoint", "loss_and_grads",
     "object_feature_stub", "object_features", "object_representation",
     "object_representations", "param_shapes",

@@ -9,6 +9,7 @@ confirms uniqueness, so every emitted scene is solvable.
 """
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
 
@@ -388,7 +389,11 @@ def _scene_objects(records) -> list[SceneObject]:
 
 def read_scenes(path: str) -> list[SyntheticScene]:
     """Parse JSON-line scenes, accepting both point and feature forms."""
-    scenes = []
+    return list(iter_scenes(path))
+
+
+def iter_scenes(path: str) -> Iterator[SyntheticScene]:
+    """Yield the JSON-line scenes of a file in order, one line at a time."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -398,13 +403,13 @@ def read_scenes(path: str) -> list[SyntheticScene]:
             except json.JSONDecodeError as exc:
                 raise DataError(f"line {lineno}: bad JSON: {exc}") from exc
             try:
-                scenes.append(SyntheticScene(
+                scene = SyntheticScene(
                     _scene_objects(rec["objects"]), rec["audio"],
                     _json_int(rec["target_class"], "target_class"),
                     tuple(_json_int(c, "mentioned class")
                           for c in rec["mentioned_classes"]),
                     _json_int(rec["relation_id"], "relation_id"),
-                    _json_int(rec["target_index"], "target_index")))
+                    _json_int(rec["target_index"], "target_index"))
             except (KeyError, TypeError, ValueError, OverflowError, DataError) as exc:
                 raise DataError(f"line {lineno}: bad scene record: {exc}") from exc
-    return scenes
+            yield scene

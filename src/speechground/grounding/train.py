@@ -1,6 +1,7 @@
 """Desk-scale training, evaluation and gradient checking."""
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -8,6 +9,7 @@ from ..errors import NumericError, UsageError
 from .model import (GroundingFailure, GroundingModel, _batch_loss, _flat_views,
                     _ground_grouped, _predicted_groupings, _prepare_set,
                     _zero_grads)
+from .scene import _CHUNK
 
 _BETA1, _BETA2, _EPS, _DECAY = 0.9, 0.999, 1e-8, 0.9
 
@@ -116,35 +118,36 @@ def evaluate(model: GroundingModel, scenes) -> EvalReport:
 
     Grounding uses the predicted class and mentions; a GroundingFailure
     counts as a miss.  Mention detection is scored micro-averaged over
-    scene/class pairs.  The heads and the grounding branch each run over
-    the whole set in padded batches.  A score that is not finite raises
+    scene/class pairs.  `scenes` may be any iterable: it is read and
+    scored `_CHUNK` scenes at a time, the heads and the grounding branch
+    each over the whole chunk in padded batches, and a scene scores the
+    same bits in any batch.  A score that is not finite raises
     NumericError.
     """
-    if not scenes:
+    audio_hits = tp = fp = fn = ground_hits = failures = n = 0
+    stream = iter(scenes)
+    while chunk := list(islice(stream, _CHUNK)):
+        groupings = _predicted_groupings(model, chunk)
+        results = _ground_grouped(model, chunk, groupings)
+        for scene, (pred_class, detected), result in zip(chunk, groupings, results):
+            if pred_class == scene.target_class:
+                audio_hits += 1
+            truth = set(scene.mentioned_classes)
+            got = set(detected)
+            tp += len(truth & got)
+            fp += len(got - truth)
+            fn += len(truth - got)
+            if isinstance(result, GroundingFailure):
+                failures += 1
+            elif result.winner_index == scene.target_index:
+                ground_hits += 1
+        n += len(chunk)
+    if not n:
         raise UsageError("evaluation needs at least one scene")
-    groupings = _predicted_groupings(model, scenes)
-    results = _ground_grouped(model, scenes, groupings)
-    audio_hits = 0
-    tp = fp = fn = 0
-    ground_hits = 0
-    failures = 0
-    for scene, (pred_class, detected), result in zip(scenes, groupings, results):
-        if pred_class == scene.target_class:
-            audio_hits += 1
-        truth = set(scene.mentioned_classes)
-        got = set(detected)
-        tp += len(truth & got)
-        fp += len(got - truth)
-        fn += len(truth - got)
-        if isinstance(result, GroundingFailure):
-            failures += 1
-        elif result.winner_index == scene.target_index:
-            ground_hits += 1
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = (2 * precision * recall / (precision + recall)
           if precision + recall else 0.0)
-    n = len(scenes)
     return EvalReport(audio_hits / n, precision, recall, f1,
                       ground_hits / n, failures, n)
 

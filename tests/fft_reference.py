@@ -1,15 +1,22 @@
-"""Iterative radix-2 FFT: the reference for the four-step transform.
+"""Two earlier FFTs: the references for the four-step transform.
 
-This is `speechground.fft.fft` as it was before the four-step
+`fft` is `speechground.fft.fft` as it was before the four-step
 transform replaced it: a bit-reversal gather, then log2(n) butterfly
-stages, each one numpy op over every leading-axis row.  It is kept
-unchanged so the tests can compare the two.  Nothing in `src/` imports
-this module.
+stages, each one numpy op over every leading-axis row.
+
+`stacked_fft` is the four-step transform as it was before its right
+factor became one product over all rows: there it was a stacked
+product, one (n1, n2) @ F_n2 product per row.  The current transform
+must give its bits exactly.
+
+Both are kept unchanged so the tests can compare them with the current
+code.  Nothing in `src/` imports this module.
 """
 
 import numpy as np
 
 from speechground.errors import UsageError
+from speechground.fft import _four_step_tables
 
 _bitrev_cache: dict[int, np.ndarray] = {}
 
@@ -56,3 +63,16 @@ def fft(x: np.ndarray) -> np.ndarray:
         view[..., half:] = even - odd
         span *= 2
     return out
+
+
+def stacked_fft(x: np.ndarray) -> np.ndarray:
+    """The four-step transform with its right factor stacked, one product per row."""
+    x = np.asarray(x)
+    n = x.shape[-1]
+    if n == 0 or n & (n - 1):
+        raise UsageError(f"fft length must be a power of two, got {n}")
+    n1, n2, f1, twiddle, f2 = _four_step_tables(n)
+    lead = x.shape[:-1]
+    c = (f1 @ x.reshape(*lead, n1, n2)) * twiddle
+    c = c @ f2 if f2 is not None else stacked_fft(c)
+    return c.swapaxes(-1, -2).reshape(*lead, n)

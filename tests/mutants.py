@@ -50,6 +50,7 @@ TIMESYNC_TIES = ("tests/test_decode.py::TestBeamsMatchReference::test_timesync_o
 LABELSYNC_TIES = ("tests/test_decode.py::TestBeamsMatchReference::test_labelsync_on_exact_ties",)
 FEATURE_FORM = ("tests/test_scenes.py::TestFeatureFormChecks",)
 FFT = ("tests/test_fft.py",)
+FFT_ROWS = ("tests/test_fft.py::test_each_row_equals_its_1d_transform_bit_for_bit",)
 LABELSYNC_REFERENCE = (
     "tests/test_decode.py::TestBeamsMatchReference::test_labelsync_sequences_and_scores",)
 TIMESYNC_REFERENCE = (
@@ -174,15 +175,21 @@ MUTANTS = (
            "histories = [histories[j] + token[v] for j, v", "histories = [histories[j] for j, v",
            LABELSYNC_REFERENCE),
     Mutant("real split sign flipped", "dsp.py",
-           "- 0.5j * twiddle * (zk - zr)", "+ 0.5j * twiddle * (zk - zr)", BLOCKED_MFCC),
+           "np.subtract(s, zk, out=s)", "np.add(s, zk, out=s)", BLOCKED_MFCC),
     Mutant("block frames reversed", "dsp.py",
-           "starts = np.arange(first, min(first + _BLOCK_FRAMES, t_total)) * spec.step_samples",
-           "starts = np.arange(first, min(first + _BLOCK_FRAMES, t_total))[::-1]"
-           " * spec.step_samples", BLOCKED_MFCC),
+           "block = frames[first: first + _BLOCK_FRAMES]",
+           "block = frames[first: first + _BLOCK_FRAMES][::-1]", BLOCKED_MFCC),
     Mutant("block's last frame dropped", "dsp.py",
-           "starts = np.arange(first, min(first + _BLOCK_FRAMES, t_total)) * spec.step_samples",
-           "starts = np.arange(first, min(first + _BLOCK_FRAMES, t_total) - 1)"
-           " * spec.step_samples", BLOCKED_MFCC),
+           "block = frames[first: first + _BLOCK_FRAMES]",
+           "block = frames[first: first + _BLOCK_FRAMES - 1]", BLOCKED_MFCC),
+    Mutant("padded buffer from np.empty", "dsp.py",
+           "padded = np.zeros((min(_BLOCK_FRAMES, t_total), spec.fft_size))",
+           "padded = np.empty((min(_BLOCK_FRAMES, t_total), spec.fft_size))", BLOCKED_MFCC),
+    Mutant("frame view's stride off by one sample", "dsp.py",
+           "[:: spec.step_samples]", "[:: spec.step_samples + 1]", BLOCKED_MFCC),
+    Mutant("real split writes into z's own storage", "dsp.py",
+           "    zk = z[:, fwd]\n    zr = z[:, rev]\n    np.conjugate(zr, out=zr)\n",
+           "    zr = np.conjugate(z, out=z)[:, rev]\n    zk = z[:, fwd]\n", BLOCKED_MFCC),
     # the beams' tie rules
     Mutant("time-sync merge tie to the later parent", "decode.py",
            "(s == stay[i] and j < i)", "(s == stay[i] and j > i)", TIMESYNC_TIES),
@@ -270,6 +277,11 @@ MUTANTS = (
     Mutant("four-step input read column-major", "fft.py",
            "(f1 @ x.reshape(*lead, n1, n2))", "(f1 @ x.reshape(*lead, n2, n1).swapaxes(-1, -2))",
            FFT),
+    Mutant("right factor's product reshaped as (..., n2, n1)", "fft.py",
+           "@ f2).reshape(*lead, n1, n2)", "@ f2).reshape(*lead, n2, n1)",
+           ("tests/test_fft.py::test_matches_radix2_and_numpy_across_lengths",)),
+    Mutant("n = 2 right factor as one product", "fft.py",
+           "    elif n1 == 1:\n", "    elif False:\n", FFT_ROWS),
     Mutant("DFT tables from raw products", "fft.py",
            "return _roots(m)[np.outer(idx, idx) % m]",
            "return np.exp(-2j * np.pi * np.outer(idx, idx) / m)", FFT),
@@ -345,8 +357,24 @@ MUTANTS = (
             "tests/test_cli.py::TestGroundPipeline"
             "::test_gen_calls_generate_scenes_once_per_chunk")),
     Mutant("an empty scene file is read", "cli.py",
-           "    if not scenes:\n        raise DataError(f\"no scenes in {path}\")\n", "",
+           "    if not count:\n        raise DataError(f\"no scenes in {path}\")\n", "",
            ("tests/test_cli.py::TestGroundPipeline::test_empty_scene_file_is_bad_data",)),
+    # eval and infer stream their scene file
+    Mutant("evaluate reads the whole iterable first", "grounding/train.py",
+           "stream = iter(scenes)", "stream = iter(list(scenes))",
+           ("tests/test_grounding.py::TestStreamedEvaluation::test_reads_one_chunk_at_a_time",)),
+    Mutant("evaluate scores only the first chunk", "grounding/train.py",
+           "while chunk := list(islice(stream, _CHUNK)):",
+           "if chunk := list(islice(stream, _CHUNK)):",
+           ("tests/test_grounding.py::TestStreamedEvaluation"
+            "::test_matches_a_tally_of_scenes_scored_alone",)),
+    Mutant("infer keeps the first scene", "cli.py",
+           "        if last == args.index:\n", "        if chosen is None:\n",
+           ("tests/test_cli.py::TestStreamedSceneFiles::test_infer_grounds_the_chosen_scene",)),
+    Mutant("infer stops reading at its scene", "cli.py",
+           "            chosen = scene\n", "            chosen = scene\n            break\n",
+           ("tests/test_cli.py::TestStreamedSceneFiles"
+            "::test_a_bad_line_after_the_scenes_used_is_still_bad_data",)),
     # every scene passes one constructor's checks; the prior is a bare array
     Mutant("scene audio may be non-finite", "grounding/scene.py",
            "        if not np.isfinite(self.audio).all():\n", "        if False:\n",

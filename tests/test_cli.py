@@ -22,9 +22,9 @@ import pytest
 from speechground import cli, grounding
 from speechground.cli import main
 from speechground.dsp import FeatureMatrix, Waveform, write_feature_binary, write_wav
-from speechground.grounding import (GenConfig, GroundingConfig, generate_scenes,
-                                    init_grounding_model, save_checkpoint,
-                                    write_scenes)
+from speechground.grounding import (GenConfig, GroundingConfig, GroundingFailure,
+                                    generate_scenes, ground, init_grounding_model,
+                                    read_scenes, save_checkpoint, write_scenes)
 from speechground.grounding import scene as scene_module
 from speechground.grounding.scene import _CHUNK, MAX_CLASSES, SyntheticScene
 
@@ -977,6 +977,56 @@ class TestGroundPipeline:
                             str(tmp_path / "m.ckpt")], capsys)
         assert code == 2
         assert err
+
+
+class TestStreamedSceneFiles:
+    """`ground eval` and `ground infer` read their scene file one line at a time."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        path = tmp_path / "dev.jsonl"
+        write_scenes(str(path), generate_scenes(GenConfig(num_scenes=70, num_classes=4,
+                                                          seed=5)))
+        model = init_grounding_model(GroundingConfig(num_classes=4), seed=2)
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(str(ckpt), model)
+        return path, str(ckpt), model
+
+    def infer(self, files, index, capsys):
+        path, ckpt, _ = files
+        return run(["ground", "infer", "--model", ckpt, "--scene", str(path),
+                    "--index", str(index), "--json"], capsys)
+
+    def test_infer_grounds_the_chosen_scene(self, files, capsys):
+        scenes, grounded = read_scenes(str(files[0])), 0
+        for index in (0, 1, 37, 63, 64, 69):
+            code, out, err = self.infer(files, index, capsys)
+            try:
+                expected = ground(files[2], scenes[index])
+            except GroundingFailure as exc:
+                assert (code, out, err) == (3, "", f"error: {exc}\n")
+                continue
+            assert code == 0, err
+            payload = json.loads(out.splitlines()[-1])
+            assert payload["target"] == expected.winner_index
+            assert payload["probs"] == [float(p) for p in expected.probs]
+            grounded += 1
+        assert grounded >= 3
+
+    @pytest.mark.parametrize("index", [70, -1])
+    def test_out_of_range_names_the_last_index(self, files, index, capsys):
+        assert self.infer(files, index, capsys) == (
+            1, "", f"error: scene index {index} outside 0..69\n")
+
+    @pytest.mark.parametrize("command", ["eval", "infer"])
+    def test_a_bad_line_after_the_scenes_used_is_still_bad_data(self, files, command,
+                                                               capsys):
+        path, ckpt, _ = files
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("{}\n")
+        flag = {"eval": ["--data"], "infer": ["--index", "0", "--scene"]}[command]
+        assert run(["ground", command, "--model", ckpt, *flag, str(path)], capsys) == (
+            2, "", "error: line 71: bad scene record: 'objects'\n")
 
 
 class TestGroundArgumentBounds:

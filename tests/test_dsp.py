@@ -292,7 +292,8 @@ class TestMfcc:
 
 
 class TestBlockedMfccMatchesReference:
-    """Blocked, real-split `mfcc` against the per-frame 1-D FFT loop."""
+    """`mfcc` against the per-frame 1-D FFT loop, and bit for bit against
+    the blocked front end that formed a fresh array per operation."""
 
     SPECS = (FrameSpec(40, 100, 128), FrameSpec(), FrameSpec(256, 1024, 1024))
     # block edges at multiples of 32 frames, plus empty, single and long utterances
@@ -311,6 +312,7 @@ class TestBlockedMfccMatchesReference:
         assert got.shape == want.shape
         if got.size:
             assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.array_equal(got, dsp_reference.blocked_mfcc(wave, spec, fb, 13).data)
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"fft{s.fft_size}")
     def test_seeded_waveforms(self, spec):
@@ -340,6 +342,27 @@ class TestBlockedMfccMatchesReference:
         got = mfcc(wave, spec, fb, 13).data
         assert np.all(got[:, 0] == 26 * math.log10(EPS_AMP))
         self.assert_matches(wave, spec, fb)
+
+
+    def test_input_samples_unchanged(self):
+        spec = FrameSpec()
+        fb = mel_filterbank(spec, 16000, 26)
+        samples = np.random.default_rng(72).standard_normal(16000)
+        wave = Waveform(samples.copy(), 16000)
+        mfcc(wave, spec, fb, 13)
+        assert np.array_equal(wave.samples, samples)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"fft{s.fft_size}")
+    def test_alternating_inputs_match_each_alone(self, spec):
+        # nothing a call leaves behind reaches the next one
+        fb = mel_filterbank(spec, 16000, 26)
+        rng = np.random.default_rng(73)
+        waves = [Waveform(scale * rng.standard_normal(self.samples_for(frames, spec)), 16000)
+                 for scale, frames in ((1.0, 33), (1e-6, 40))]
+        alone = [mfcc(wave, spec, fb, 13).data for wave in waves]
+        for _ in range(2):
+            for wave, want in zip(waves, alone):
+                assert np.array_equal(mfcc(wave, spec, fb, 13).data, want)
 
 
 class TestSpecAugment:

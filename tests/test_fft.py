@@ -13,6 +13,7 @@ from speechground import fft as fft_module
 from speechground.errors import UsageError
 from speechground.fft import fft
 from tests.fft_reference import fft as radix2_fft
+from tests.fft_reference import stacked_fft
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 LENGTHS = [2 ** bits for bits in range(15)]
@@ -103,6 +104,18 @@ def test_leading_axes_transform_each_row():
             assert np.array_equal(got[idx], fft(x[idx]))
             np.testing.assert_allclose(got[idx], naive_dft(x[idx]),
                                        rtol=1e-10, atol=1e-9)
+
+
+@pytest.mark.parametrize("n, rows", [(256, 1), (256, 2), (256, 31), (256, 32), (256, 33),
+                                     (2 ** 14, 3), (2, 33)])
+def test_each_row_equals_its_1d_transform_bit_for_bit(n, rows):
+    # n = 2^14 recurses on its right factor; n = 2 keeps one product per row
+    rng = np.random.default_rng(n + rows)
+    x = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    got = fft(x)
+    assert np.array_equal(got, stacked_fft(x))
+    for row in range(rows):
+        assert np.array_equal(got[row], fft(x[row]))
 
 
 def test_rejects_non_power_of_two():

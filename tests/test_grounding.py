@@ -25,6 +25,7 @@ from speechground.grounding.model import (_Batch, _batch_loss, _class_probs,
                                           _ground_grouped, _mention_probs, _pad,
                                           _predicted_groupings, _prepare_set,
                                           _softmax, _zero_grads, param_shapes)
+from speechground.grounding import train as train_module
 from speechground.grounding.scene import _CHUNK
 from tests import grounding_reference as reference
 
@@ -1057,3 +1058,54 @@ class TestBatchInvariance:
         stacked = head(model, audio)
         for row, expected in zip(audio, stacked):
             assert np.array_equal(head(model, row[None])[0], expected)
+
+
+class TestStreamedEvaluation:
+    """`evaluate` reads any iterable one chunk at a time, with the per-scene tallies."""
+
+    @staticmethod
+    def model():
+        model = init_grounding_model(GroundingConfig(num_classes=4), seed=8)
+        model.params["omd.b1"] += 20.0  # as in TestBatchInvariance
+        return model
+
+    def test_matches_a_tally_of_scenes_scored_alone(self):
+        model, scenes = self.model(), TestBatchInvariance.scenes()
+        assert len(scenes) > 2 * _CHUNK
+        audio_hits = tp = fp = fn = hits = failures = 0
+        for scene in scenes:
+            [(pred_class, detected)] = _predicted_groupings(model, [scene])
+            audio_hits += pred_class == scene.target_class
+            truth, got = set(scene.mentioned_classes), set(detected)
+            tp, fp, fn = tp + len(truth & got), fp + len(got - truth), fn + len(truth - got)
+            try:
+                hits += ground(model, scene).winner_index == scene.target_index
+            except GroundingFailure:
+                failures += 1
+        report = evaluate(model, iter(scenes))
+        assert 0 < failures < len(scenes) and 0 < hits
+        assert (report.num_scenes, report.failures) == (len(scenes), failures)
+        assert report.grounding_accuracy == hits / len(scenes)
+        assert report.audio_accuracy == audio_hits / len(scenes)
+        assert (report.mention_precision, report.mention_recall) == (tp / (tp + fp),
+                                                                     tp / (tp + fn))
+        assert evaluate(model, scenes) == report
+
+    def test_reads_one_chunk_at_a_time(self, monkeypatch):
+        scenes, drawn, calls = TestBatchInvariance.scenes(), [], []
+
+        def stream():
+            for scene in scenes:
+                drawn.append(scene)
+                yield scene
+
+        original = train_module._predicted_groupings
+
+        def spy(model, chunk):
+            calls.append((len(drawn), len(chunk)))
+            return original(model, chunk)
+
+        monkeypatch.setattr(train_module, "_predicted_groupings", spy)
+        evaluate(self.model(), stream())
+        tail = len(scenes) - 2 * _CHUNK
+        assert calls == [(_CHUNK, _CHUNK), (2 * _CHUNK, _CHUNK), (len(scenes), tail)]
