@@ -6,10 +6,12 @@ space; an infeasible target yields -inf log probability (and +inf
 loss), never an exception.  One lattice step, `_lattice`, serves every
 pass: it grows a child prefix's (T+1,) blank and label columns and its
 prefix mass from its parent's columns, where row 0 is the virtual row
-"before frame 0" (0 for the empty prefix, -inf otherwise).  A target's
-tables grow one column per label, the backward tables are the forward
-tables of the time-reversed frames and target, and a beam grows all
-its children at once.
+"before frame 0" (0 for the empty prefix, -inf otherwise), and returns
+only the columns it grows, each frame's row written in place.  A
+target's tables join the empty prefix's column to one grown column per
+label, the backward tables are the forward tables of the time-reversed
+frames and target, and a beam grows all its children at once without
+copying its own columns.
 """
 
 from dataclasses import dataclass, field
@@ -142,35 +144,43 @@ def _lattice(lp: np.ndarray, blank: np.ndarray, label: np.ndarray, labels: np.nd
              parents: np.ndarray, chain: np.ndarray) -> tuple[np.ndarray, ...]:
     """Grow one prefix column per label from its parent column, frame by frame.
 
-    Given P (T+1, P) prefix columns, new column P+j extends column
-    `parents[j]` (given, or an earlier new one) by `labels[j]`, entering
-    from the parent's label state only where `chain[j]` (the label does
-    not repeat the parent's last).  Returns the (T+1, P+n) tables and
-    each new column's log prefix mass, every continuation left free.
+    Given P (T+1, P) prefix columns, new column j extends column
+    `parents[j]` (a given column below P, else new column
+    `parents[j] - P`, grown earlier in the same pass) by `labels[j]`,
+    entering from the parent's label state only where `chain[j]` (the
+    label does not repeat the parent's last).  Returns only the n new
+    columns, as (T+1, n) blank and label tables, and each one's log
+    prefix mass, every continuation left free.  Each frame's row is
+    written in place: the log-sum of the row before, then the frame's
+    emission added to it.
 
     Only the live band runs.  The loop starts at `t0`, the first row
     where a given parent column is finite: before it every entry term
     is -inf, and logaddexp(-inf, -inf) = -inf leaves each new entry and
     the mass at their -inf fill, so no bit changes and a beam's depth d
     runs T-d+1 frames.  When every parent is a given column, as at a
-    beam's depth, the loop never writes what the entry terms read, so
-    they are formed as one block by the same elementwise operations,
-    and `np.logaddexp.reduce` over axis 0 adds the frames in the loop's
-    order from the same -inf start: the mass is bit-identical too.  A
-    target's chain reads each entry term as its parent column grows.
+    beam's depth, only the new columns are allocated, and the loop
+    never writes what the entry terms read, so they are formed from the
+    given tables as one block by the same elementwise operations;
+    `np.logaddexp.reduce` over axis 0 adds the frames in the loop's
+    order from the same -inf start, so the mass is bit-identical too.
+    A target's chain reads each entry term as its parent column grows,
+    so it grows its new columns inside one [given | new] table.
     """
     t_total, given, n = lp.shape[0], blank.shape[1], len(labels)
-    q_blank = np.hstack([blank, np.full((t_total + 1, n), -np.inf)])
-    q_label = np.hstack([label, np.full((t_total + 1, n), -np.inf)])
     emit = lp[:, labels]
     entry = parents[parents < given]
     live = np.flatnonzero((np.maximum(blank[:, entry], label[:, entry]) > -np.inf).any(axis=1))
     t0 = int(live[0]) if len(live) else t_total
     block = len(entry) == n
     if block:
-        grows = _entry_terms(q_blank, q_label, slice(t0, t_total), parents, chain)
+        new_blank, new_label = np.full((2, t_total + 1, n), -np.inf)
+        grows = _entry_terms(blank, label, slice(t0, t_total), parents, chain)
         mass = np.logaddexp.reduce(emit[t0:] + grows, axis=0)
     else:
+        q_blank = np.hstack([blank, np.full((t_total + 1, n), -np.inf)])
+        q_label = np.hstack([label, np.full((t_total + 1, n), -np.inf)])
+        new_blank, new_label = q_blank[:, given:], q_label[:, given:]
         mass = np.full(n, -np.inf)
     for t in range(t0, t_total):
         if block:
@@ -178,10 +188,11 @@ def _lattice(lp: np.ndarray, blank: np.ndarray, label: np.ndarray, labels: np.nd
         else:
             grow = _entry_terms(q_blank, q_label, t, parents, chain)
             mass = np.logaddexp(mass, emit[t] + grow)
-        q_blank[t + 1, given:] = lp[t, BLANK] + np.logaddexp(q_blank[t, given:],
-                                                             q_label[t, given:])
-        q_label[t + 1, given:] = emit[t] + np.logaddexp(q_label[t, given:], grow)
-    return q_blank, q_label, mass
+        row = np.logaddexp(new_blank[t], new_label[t], out=new_blank[t + 1])
+        row += lp[t, BLANK]
+        row = np.logaddexp(new_label[t], grow, out=new_label[t + 1])
+        row += emit[t]
+    return new_blank, new_label, mass
 
 
 def _entry_terms(q_blank: np.ndarray, q_label: np.ndarray, rows, parents: np.ndarray,
@@ -193,11 +204,16 @@ def _entry_terms(q_blank: np.ndarray, q_label: np.ndarray, rows, parents: np.nda
 
 def _target_lattice(lp: np.ndarray, w: LabelSequence
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(T+1, N+1) tables of `w` from the empty prefix, its prefix masses and log P(w)."""
-    blank = np.concatenate([[0.0], np.cumsum(lp[:, BLANK])])[:, None]
+    """(T+1, N+1) tables of `w` from the empty prefix, its prefix masses and log P(w).
+
+    Column 0, the empty prefix, is joined to the N columns `_lattice` grows.
+    """
+    root_blank = np.concatenate([[0.0], np.cumsum(lp[:, BLANK])])[:, None]
+    root_label = np.full_like(root_blank, -np.inf)
     labels = np.array(w, dtype=np.intp)
-    q_blank, q_label, mass = _lattice(lp, blank, np.full_like(blank, -np.inf), labels,
-                                      np.arange(len(w)), labels != np.r_[BLANK, labels][:-1])
+    new_blank, new_label, mass = _lattice(lp, root_blank, root_label, labels,
+                                          np.arange(len(w)), labels != np.r_[BLANK, labels][:-1])
+    q_blank, q_label = np.hstack([root_blank, new_blank]), np.hstack([root_label, new_label])
     return q_blank, q_label, mass, float(np.logaddexp(q_blank[-1, -1], q_label[-1, -1]))
 
 

@@ -5,8 +5,8 @@ Both beams take one numpy step per frame or depth over a block of
 (hypothesis, symbol) candidates.  The time-sync beam scores a (B, K)
 block of alignment extensions per frame.  The label-sync beam carries
 each hypothesis's CTC prefix columns (row 0 the virtual "before frame
-0") and its LM total, so each depth grows every child in one
-`ctc._lattice` pass and scores the (B, K-1) block at once.  Both read
+0") and its LM total, so each depth grows only its children's columns
+in one `ctc._lattice` pass and scores the (B, K-1) block at once.  Both read
 the LM through rows of label conditionals and EOS conditionals cached
 per `LanguageModel.context`, so a bigram is asked at most once per
 outcome and previous token; without fusion the same readers read zeros.
@@ -216,17 +216,21 @@ def labelsync_beam(p: Posteriorgram, config: DecodeConfig,
     """Depth-by-depth beam over label sequences via CTC prefix mass.
 
     This is Graves' CTC prefix search run as a beam.  Each depth grows
-    every (hypothesis, label) child in one `ctc._lattice` pass and
-    scores the (B, K-1) block at once: a partial score is the prefix
-    log probability plus the scaled LM total of the labels, and a
-    complete score swaps in the full-sequence log probability and adds
-    the scaled LM EOS term.  Children with a -inf partial score are
-    dropped.  The best complete child replaces the best so far if it
-    scores strictly higher, or equal with a smaller sequence; among
-    children tied at the top the smallest sequence stands for them.
-    `np.partition` finds the `beam_width`-th best partial score, and
-    only the children at or above it are sorted best first.  Depth is
-    capped at the frame count, past which nothing is feasible.
+    every (hypothesis, label) child in one `ctc._lattice` pass, which
+    allocates only the children's columns, and scores the (B, K-1)
+    block at once: a partial score is the prefix log probability plus
+    the scaled LM total of the labels, and a complete score swaps in
+    the full-sequence log probability and adds the scaled LM EOS term.
+    The block's parent and label arrays, and their lists, are built
+    once per beam size B in a decode and only read after that.
+    Children with a -inf partial score are dropped; when none is, the
+    depth keeps the whole block and gathers nothing.  The best complete
+    child replaces the best so far if it scores strictly higher, or
+    equal with a smaller sequence; among children tied at the top the
+    smallest sequence stands for them.  `np.partition` finds the
+    `beam_width`-th best partial score, and only the children at or
+    above it are sorted best first.  Depth is capped at the frame count,
+    past which nothing is feasible.
 
     LM terms come from the cached readers of `_lm_readers`: a row of
     label conditionals for each parent and one EOS conditional for each
@@ -244,22 +248,30 @@ def labelsync_beam(p: Posteriorgram, config: DecodeConfig,
     histories: tuple[tuple[str, ...], ...] = ((),)
     best = Hypothesis((), float(np.logaddexp(q_blank[-1, 0], q_label[-1, 0])
                                 + config.lm_scale * eos(())))
+    # beam size -> its children's parent and label arrays and their lists, read only
+    blocks = {}
     for _depth in range(p.num_frames):
         given = len(seqs)
-        parents = np.repeat(np.arange(given), len(labels))
-        grown = np.tile(labels, given)
+        block = blocks.get(given)
+        if block is None:
+            parents, grown = np.repeat(np.arange(given), len(labels)), np.tile(labels, given)
+            block = blocks[given] = parents, grown, parents.tolist(), grown.tolist()
+        parents, grown, parent_list, grown_list = block
         last = np.array([seq[-1] if seq else BLANK for seq in seqs])
         q_blank, q_label, mass = _lattice(lp, q_blank, q_label, grown, parents,
                                           grown != last[parents])
         rows = np.array([row(h) for h in histories])
         child_totals = (totals[:, None] + rows[:, 1:]).ravel()
         partial = mass + config.lm_scale * child_totals
-        live = np.flatnonzero(partial != -np.inf)
-        if not len(live):
-            break
-        parents, grown = parents[live].tolist(), grown[live].tolist()
-        partial, child_totals = partial[live], child_totals[live]
-        q_blank, q_label = q_blank[:, given + live], q_label[:, given + live]
+        if len(partial) and -np.inf < partial.min():  # nothing died: nothing to gather
+            parents, grown = parent_list, grown_list
+        else:
+            live = np.flatnonzero(partial != -np.inf)
+            if not len(live):
+                break
+            parents, grown = parents[live].tolist(), grown[live].tolist()
+            partial, child_totals = partial[live], child_totals[live]
+            q_blank, q_label = q_blank[:, live], q_label[:, live]
         histories = [histories[j] + token[v] for j, v in zip(parents, grown)]
         complete = (np.logaddexp(q_blank[-1], q_label[-1])
                     + config.lm_scale * (child_totals + [eos(h) for h in histories]))

@@ -56,6 +56,8 @@ LABELSYNC_REFERENCE = (
 TIMESYNC_REFERENCE = (
     "tests/test_decode.py::TestBeamsMatchReference::test_timesync_sequences_and_scores",)
 BLOCK_LATTICE = ("tests/test_ctc.py::TestBlockLatticeMatchesTheChain", *LABELSYNC_REFERENCE)
+LABELSYNC_HOLED = (
+    "tests/test_decode.py::TestBeamsMatchReference::test_labelsync_on_holed_posteriorgrams",)
 BRUTEFORCE = ("tests/test_ctc.py::TestBlockedBruteforceMatchesReference",)
 TRAINING_REFERENCE = ("tests/test_grounding.py::TestTrainingMatchesReference",)
 INVARIANCE = ("tests/test_grounding.py::TestBatchInvariance",)
@@ -174,6 +176,22 @@ MUTANTS = (
     Mutant("label-sync drops the LM token", "decode.py",
            "histories = [histories[j] + token[v] for j, v", "histories = [histories[j] for j, v",
            LABELSYNC_REFERENCE),
+    Mutant("in-place blank row drops the blank", "ctc.py",
+           "        row += lp[t, BLANK]\n", "",
+           ("tests/test_ctc.py::TestLatticeMatchesReference", *BLOCK_LATTICE)),
+    Mutant("label-sync block cache keyed by depth", "decode.py",
+           "block = blocks.get(given)", "block = blocks.get(_depth)", LABELSYNC_HOLED),
+    Mutant("all-live shortcut taken with a dead child", "decode.py",
+           "-np.inf < partial.min()", "-np.inf <= partial.min()", LABELSYNC_HOLED),
+    Mutant("label-sync gathers past the given columns", "decode.py",
+           "q_blank, q_label = q_blank[:, live], q_label[:, live]",
+           "q_blank, q_label = q_blank[:, given + live], q_label[:, given + live]",
+           LABELSYNC_HOLED),
+    Mutant("cached label block compacted in place", "decode.py",
+           "parents, grown = parents[live].tolist(), grown[live].tolist()",
+           "grown[:len(live)] = grown[live]\n"
+           "            parents, grown = parents[live].tolist(), grown[:len(live)].tolist()",
+           LABELSYNC_HOLED),
     Mutant("real split sign flipped", "dsp.py",
            "np.subtract(s, zk, out=s)", "np.add(s, zk, out=s)", BLOCKED_MFCC),
     Mutant("block frames reversed", "dsp.py",

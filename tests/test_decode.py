@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from speechground import decode
 from speechground.ctc import (BLANK, Posteriorgram, Vocabulary,
                               bruteforce_distribution, collapse)
 from speechground.decode import (DecodeConfig, estimate_prior, greedy_decode,
@@ -94,6 +95,19 @@ class CountingLM(LanguageModel):
     def cond_logprob(self, token, history=()):
         self.asked.append(token)
         return self.lm.cond_logprob(token, history)
+
+
+class EosRecorder(CountingLM):
+    """Every history is its own context; records each history asked for its EOS term."""
+
+    def __init__(self, lm):
+        super().__init__(lm, whole=True)
+        self.ended = []
+
+    def cond_logprob(self, token, history=()):
+        if token == EOS:
+            self.ended.append(history)
+        return super().cond_logprob(token, history)
 
 
 def random_table_lm(rng, tokens):
@@ -506,6 +520,51 @@ class TestBeamsMatchReference:
         want = reference.labelsync_beam(p, config, lm=lm, vocab=vocab)
         assert want.sequence == (1, 3)
         assert (got.sequence, got.score) == (want.sequence, want.score)
+
+    def test_labelsync_on_holed_posteriorgrams(self, monkeypatch):
+        # -inf entries kill some children of a depth and spare others, so
+        # depths take both the all-live step and the gather of the live
+        # children; the beam shrinks and grows back through every size
+        # from 1 to the width, and each size's parent and label block is
+        # read again at later depths.  A killed child is dropped before
+        # its EOS term is asked for.
+        steps = []
+
+        def recorded(lp, blank, *rest):
+            new_blank, new_label, mass = lattice(lp, blank, *rest)
+            steps.append((blank.shape[1], bool(np.isfinite(mass).all()),
+                          bool(np.isfinite(mass).any())))
+            return new_blank, new_label, mass
+        lattice = decode._lattice
+        monkeypatch.setattr(decode, "_lattice", recorded)
+        rng = np.random.default_rng(524)
+        for width in (1, 2, 4, 8):
+            steps.clear()
+            for case in range(40):
+                t = int(rng.integers(3, 11))
+                k = int(rng.integers(3, 7))
+                probs = rng.gamma(rng.uniform(0.3, 3.0), 1.0, size=(t, k)) + 1e-12
+                zero = rng.random(probs.shape) < rng.uniform(0.1, 0.5)
+                zero[np.arange(t), rng.integers(0, k, size=t)] = False
+                probs[zero] = 0.0
+                with np.errstate(divide="ignore"):
+                    p = Posteriorgram(np.log(probs / probs.sum(axis=1, keepdims=True)))
+                letters = tuple("abcde")[: k - 1]
+                vocab = Vocabulary(letters)
+                lm = random_table_lm(rng, letters)  # no zeros: only the lattice kills
+                for scale in (0.0, 0.3):
+                    config = DecodeConfig(beam_width=width, lm_scale=scale)
+                    asked = EosRecorder(lm)
+                    got = labelsync_beam(p, config, lm=asked, vocab=vocab)
+                    want = reference.labelsync_beam(p, config, lm=lm, vocab=vocab)
+                    assert got.sequence == want.sequence, (width, case, scale)
+                    assert got.score == want.score, (width, case, scale)
+                    for history in asked.ended[1:]:  # the first is the empty sequence's
+                        child = tuple(vocab.index(tok) for tok in history)
+                        assert reference.ctc_prefix_logprob(p, child) > -np.inf, child
+            assert {size for size, _, _ in steps} == set(range(1, width + 1)), width
+            assert any(every for _, every, _ in steps), width
+            assert any(some and not every for _, every, some in steps), width
 
     def test_timesync_on_a_decode_sized_input(self):
         # K=30, T=150, width 8, bigram LM and prior at 0.3: the shape of
