@@ -116,9 +116,9 @@ def _cmd_ctc_prefix(args) -> None:
 
 
 # Label-sync's time grows about linearly with the width: on 100 frames of
-# 30 symbols it took 0.22 s at the default 8, 6.1 s at 256 and 28 s at
-# 1,024 (in process, one BLAS thread, 2-core Xeon), so the cap keeps a
-# decode within about 30x the default's time.
+# 30 symbols it took 0.14-0.16 s at the default 8 and 3.7-4.7 s at 256 (in
+# process, one BLAS thread, 2-core Xeon; no early stop fires on those rows),
+# so the cap keeps a decode within about 30x the default's time.
 MAX_BEAM = 256
 
 

@@ -11,6 +11,10 @@ the LM through rows of label conditionals and EOS conditionals cached
 per `LanguageModel.context`, so a bigram is asked at most once per
 outcome and previous token; without fusion the same readers read zeros.
 
+The label-sync beam stops once no kept prefix can still reach the best
+complete score (Graves' bound, with a `slack` for rows that sum above 1
+and a stated rounding margin), so it returns what the full search would.
+
 Tie handling is fixed everywhere: order by higher score, then by
 lexicographically smaller sequence, so repeated runs are bit-identical.
 """
@@ -232,6 +236,24 @@ def labelsync_beam(p: Posteriorgram, config: DecodeConfig,
     above it are sorted best first.  Depth is capped at the frame count,
     past which nothing is feasible.
 
+    The search stops at Graves' bound once no kept child can lead to a
+    better complete score.  Prefix mass leaves the frames after the
+    prefix free, so the full mass of a child or of any extension exceeds
+    its prefix mass by at most `slack` = sum over t of
+    max(0, logsumexp(lp[t])), 0 on normalized rows; and LM terms are
+    <= 0, so an extension's scaled LM total is at most the child's.
+    After the best is updated and the children ranked, the depth stops
+    if every kept child's (mass + reach) + scaled LM total is strictly
+    below the best complete score (a tie could still go to a smaller
+    sequence), where `reach` is `slack` plus a rounding margin.  Rounded
+    sums and products are monotone and every score adds its LM part
+    last, so only the masses' rounding needs the margin: each finite log
+    mass lies within +-`size` = T(max finite |lp| + log K + 1) + 1 and
+    comes through at most 3T+2 steps, each adding under 4u size
+    (u = 2^-53) with weights <= 1, so with `slack` and `reach` the error
+    stays under 32(T+K)u size; the margin, 2^-40 (T+K) size, is 256
+    times that.
+
     LM terms come from the cached readers of `_lm_readers`: a row of
     label conditionals for each parent and one EOS conditional for each
     child, so a T=0 input asks for the root's EOS and builds no row.
@@ -248,6 +270,13 @@ def labelsync_beam(p: Posteriorgram, config: DecodeConfig,
     histories: tuple[tuple[str, ...], ...] = ((),)
     best = Hypothesis((), float(np.logaddexp(q_blank[-1, 0], q_label[-1, 0])
                                 + config.lm_scale * eos(())))
+    # Graves' stop: a child's prefix mass plus `reach` bounds the full mass of
+    # it and of every extension, the rounding included (see above)
+    slack = float(np.maximum(np.logaddexp.reduce(lp, axis=1), 0.0).sum())
+    size = p.num_frames * (np.max(np.abs(lp), where=lp > -np.inf, initial=0.0)
+                           + np.log(p.num_symbols) + 1.0) + 1.0
+    margin = 2.0 ** -40 * (p.num_frames + p.num_symbols) * size
+    reach = slack + margin
     # beam size -> its children's parent and label arrays and their lists, read only
     blocks = {}
     for _depth in range(p.num_frames):
@@ -262,7 +291,8 @@ def labelsync_beam(p: Posteriorgram, config: DecodeConfig,
                                           grown != last[parents])
         rows = np.array([row(h) for h in histories])
         child_totals = (totals[:, None] + rows[:, 1:]).ravel()
-        partial = mass + config.lm_scale * child_totals
+        scaled = config.lm_scale * child_totals
+        partial, reached = mass + scaled, mass + reach + scaled
         if len(partial) and -np.inf < partial.min():  # nothing died: nothing to gather
             parents, grown = parent_list, grown_list
         else:
@@ -270,7 +300,7 @@ def labelsync_beam(p: Posteriorgram, config: DecodeConfig,
             if not len(live):
                 break
             parents, grown = parents[live].tolist(), grown[live].tolist()
-            partial, child_totals = partial[live], child_totals[live]
+            partial, reached, child_totals = partial[live], reached[live], child_totals[live]
             q_blank, q_label = q_blank[:, live], q_label[:, live]
         histories = [histories[j] + token[v] for j, v in zip(parents, grown)]
         complete = (np.logaddexp(q_blank[-1], q_label[-1])
@@ -284,6 +314,8 @@ def labelsync_beam(p: Posteriorgram, config: DecodeConfig,
                              for c in _at_or_above_cut(partial, width).tolist())[:width]
         _, seqs, kept = zip(*ranked)
         kept = np.array(kept)
+        if reached[kept].max() < best.score:
+            break
         q_blank, q_label, totals = q_blank[:, kept], q_label[:, kept], child_totals[kept]
         histories = [histories[c] for c in kept]
     return best

@@ -19,7 +19,12 @@ EOS = "</s>"
 
 
 class LanguageModel:
-    """Interface: vocabulary plus conditional log probabilities."""
+    """Interface: vocabulary plus conditional log probabilities.
+
+    Every conditional is a log probability, so it is <= 0 (or -inf for
+    an impossible outcome).  Label-sync decoding relies on this: its
+    early stop bounds a sequence's scaled LM total by its prefix's.
+    """
 
     tokens: tuple[str, ...]
 

@@ -58,6 +58,7 @@ TIMESYNC_REFERENCE = (
 BLOCK_LATTICE = ("tests/test_ctc.py::TestBlockLatticeMatchesTheChain", *LABELSYNC_REFERENCE)
 LABELSYNC_HOLED = (
     "tests/test_decode.py::TestBeamsMatchReference::test_labelsync_on_holed_posteriorgrams",)
+GRAVES_STOP = "tests/test_decode.py::TestGravesStop::"
 BRUTEFORCE = ("tests/test_ctc.py::TestBlockedBruteforceMatchesReference",)
 TRAINING_REFERENCE = ("tests/test_grounding.py::TestTrainingMatchesReference",)
 INVARIANCE = ("tests/test_grounding.py::TestBatchInvariance",)
@@ -208,6 +209,20 @@ MUTANTS = (
     Mutant("real split writes into z's own storage", "dsp.py",
            "    zk = z[:, fwd]\n    zr = z[:, rev]\n    np.conjugate(zr, out=zr)\n",
            "    zr = np.conjugate(z, out=z)[:, rev]\n    zk = z[:, fwd]\n", BLOCKED_MFCC),
+    # label-sync's early stop at Graves' bound
+    Mutant("stop on a tie at the bound", "decode.py",
+           "reached[kept].max() < best", "reached[kept].max() <= best",
+           (GRAVES_STOP + "test_a_tie_at_the_bound_does_not_stop",)),
+    Mutant("stop without the slack", "decode.py",
+           "reach = slack + ", "reach = 0.0 * slack + ",
+           (GRAVES_STOP + "test_slack_covers_rows_that_sum_above_one",)),
+    Mutant("slack summed over every row", "decode.py",
+           "np.maximum(np.logaddexp.reduce(lp, axis=1), 0.0).sum()",
+           "np.logaddexp.reduce(lp, axis=1).sum()",
+           (GRAVES_STOP + "test_slack_covers_rows_that_sum_above_one",)),
+    Mutant("stop tests the weakest kept child", "decode.py",
+           "reached[kept].max()", "reached[kept].min()",
+           (GRAVES_STOP + "test_stop_fires_on_a_peaked_input",)),
     # the beams' tie rules
     Mutant("time-sync merge tie to the later parent", "decode.py",
            "(s == stay[i] and j < i)", "(s == stay[i] and j > i)", TIMESYNC_TIES),

@@ -589,6 +589,102 @@ class TestBeamsMatchReference:
         assert got.score == want.score
 
 
+class TestGravesStop:
+    """Label-sync's early stop against the full search of `tests/ctc_reference.py`, bit for bit."""
+
+    @staticmethod
+    def depths(monkeypatch):
+        """The list that records one entry per depth label-sync runs."""
+        steps = []
+        lattice = decode._lattice
+
+        def recorded(*args):
+            steps.append(len(args[3]))
+            return lattice(*args)
+        monkeypatch.setattr(decode, "_lattice", recorded)
+        return steps
+
+    @staticmethod
+    def peaked(aligned, num_symbols, top=0.9):
+        """Rows that put `top` on the aligned symbol and share the rest evenly."""
+        probs = np.full((len(aligned), num_symbols), (1.0 - top) / (num_symbols - 1))
+        probs[np.arange(len(aligned)), aligned] = top
+        return Posteriorgram(np.log(probs))
+
+    def test_stop_fires_on_a_peaked_input(self, monkeypatch):
+        # (a, b, c) completes best at depth 3, and no child kept at depth
+        # 4 can reach it, so every width stops after 4 of the 8 depths.
+        steps = self.depths(monkeypatch)
+        p = self.peaked([1, 1, BLANK, 2, 2, BLANK, 3, 3], 4)
+        vocab = Vocabulary(("a", "b", "c"))
+        lm = corpus_lm(("a", "b", "c"))
+        for width in (1, 2, 4, 8):
+            for model, scale in ((None, 0.0), (lm, 0.3)):
+                config = DecodeConfig(beam_width=width, lm_scale=scale)
+                steps.clear()
+                got = labelsync_beam(p, config, lm=model, vocab=vocab)
+                want = reference.labelsync_beam(p, config, lm=model, vocab=vocab)
+                assert want.sequence == (1, 2, 3), (width, scale)
+                assert (got.sequence, got.score) == (want.sequence, want.score), (width, scale)
+                assert len(steps) == 4, (width, scale)
+
+    def test_exhaustive_width_stops_at_the_sum_argmax(self, monkeypatch):
+        steps = self.depths(monkeypatch)
+        rng = np.random.default_rng(525)
+        config = DecodeConfig(beam_width=300)
+        for case in range(12):
+            n = int(rng.integers(2, 4))
+            k = int(rng.integers(3, 5))
+            labels = rng.integers(1, k, size=n)  # each followed by a blank frame
+            p = self.peaked(np.column_stack([labels, np.zeros(n, int)]).ravel(), k,
+                            top=rng.uniform(0.85, 0.95))
+            steps.clear()
+            got = labelsync_beam(p, config)
+            winner, score = oracle_sum_argmax(p)
+            want = reference.labelsync_beam(p, config)
+            assert got.sequence == winner, case
+            np.testing.assert_allclose(got.score, score, rtol=1e-10)
+            assert (got.sequence, got.score) == (want.sequence, want.score), case
+            assert len(steps) < p.num_frames, case
+
+    def test_slack_covers_rows_that_sum_above_one(self):
+        # Columns (blank, a, b); the rows sum to .01, 3 and 6.  At depth 1
+        # the best is (b), at .005 * 3 * 2 = .03 (blank, b, blank), above
+        # every prefix mass ((b) .015, (a) .005), so a stop on the prefix
+        # masses alone returns (b).  Frames 1 and 2 can raise a mass 18
+        # times, and (b, a) and (a, b, a) reach .06 at depths 2 and 3.  A
+        # row that sums below 1 must not lower that slack.
+        with np.errstate(divide="ignore"):
+            p = Posteriorgram(np.log([[.005, .005, 0.0], [0.0, 0.0, 3.0], [2.0, 4.0, 0.0]]),
+                              validate=False)
+        stopped = reference.ctc_forward(p, (2,))[2]
+        assert max(reference.ctc_prefix_logprob(p, (v,)) for v in (1, 2)) < stopped
+        for width in (1, 2, 3):
+            config = DecodeConfig(beam_width=width)
+            got = labelsync_beam(p, config)
+            want = reference.labelsync_beam(p, config)
+            assert want.score > stopped, width
+            assert (got.sequence, got.score) == (want.sequence, want.score), width
+
+    def test_a_tie_at_the_bound_does_not_stop(self):
+        # LM terms of -2^60 absorb every acoustic mass, the slack and the
+        # margin in rounding: (a) and (b) both score -2^60 at depth 1,
+        # and (b) holds the best, since EOS cannot follow a.  The bound of
+        # the kept (a) ties it exactly; (a, b) ties it again at depth 2 and
+        # wins as the smaller sequence, where a stop on <= returns (b).
+        p = Posteriorgram(np.full((2, 3), -np.log(3.0)))
+        vocab = Vocabulary(("a", "b"))
+        lm = GridLM({BOS: {"a": -2.0 ** 60, "b": -2.0 ** 60, EOS: -np.inf},
+                     "a": {"a": -np.inf, "b": 0.0, EOS: -np.inf},
+                     "b": {"a": -np.inf, "b": -np.inf, EOS: 0.0}})
+        for width in (1, 2, 3):
+            config = DecodeConfig(beam_width=width, lm_scale=1.0)
+            got = labelsync_beam(p, config, lm=lm, vocab=vocab)
+            want = reference.labelsync_beam(p, config, lm=lm, vocab=vocab)
+            assert (want.sequence, want.score) == ((1, 2), -2.0 ** 60), width
+            assert (got.sequence, got.score) == (want.sequence, want.score), width
+
+
 class TestLmCalls:
     """What the beams ask the LM: a label row per parent context, an EOS term per child."""
 
@@ -601,7 +697,7 @@ class TestLmCalls:
                                   for _ in range(30)], order=2, alpha=0.5)
         return random_posteriorgram(rng, 12, 8), Vocabulary(words), lm
 
-    @pytest.mark.parametrize("whole, most", [(True, 627), (False, 65)])
+    @pytest.mark.parametrize("whole, most", [(True, 519), (False, 57)])
     def test_labelsync_asks_eos_on_its_own(self, whole, most):
         # A whole-history context misses the cache for every child, so a
         # child's EOS term costs one call, not a whole row of K.
