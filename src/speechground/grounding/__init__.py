@@ -2,7 +2,7 @@
 
 from .features import (audio_embedding, label_embedding, object_feature_stub,
                        object_features, object_representation,
-                       object_representations, representation_dim)
+                       object_representations)
 from .model import (AttentionParams, GroundingConfig, GroundingFailure,
                     GroundingModel, GroundingResult, attention_params_from,
                     audio_guided_attention, classify_audio, detect_mentions,
@@ -24,6 +24,6 @@ __all__ = [
     "label_embedding", "load_checkpoint", "loss_and_grads",
     "object_feature_stub", "object_features", "object_representation",
     "object_representations", "param_shapes",
-    "prepare_scene", "read_scenes", "representation_dim", "save_checkpoint",
+    "prepare_scene", "read_scenes", "save_checkpoint",
     "train_toy", "verify_scene", "write_scenes",
 ]

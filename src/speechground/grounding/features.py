@@ -5,6 +5,11 @@ here; at desk scale both are replaced by seeded constructions that
 keep the downstream numerics honest: every embedding is a pure
 function of (embed_seed, identity), so datasets and models agree on
 features without sharing state.
+
+The model's widths are fixed: a representation row holds a `D_OBJ`
+shape feature, a `D_LABEL` label embedding and the box center and
+size, `D_REP` numbers in all.  `write_scenes` bakes at `D_OBJ` too, so
+a baked file always fits the model.
 """
 
 from functools import lru_cache
@@ -19,6 +24,10 @@ _STREAM_LABEL = 1
 _STREAM_AUDIO_TARGET = 2
 _STREAM_AUDIO_MENTION = 3
 _STREAM_AUDIO_RELATION = 4
+
+D_OBJ = 32
+D_LABEL = 8
+D_REP = D_OBJ + D_LABEL + 6
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -52,7 +61,7 @@ def _audio_tables(embed_seed: int, num_classes: int, d_audio: int
                                       (_STREAM_AUDIO_RELATION, 3)))
 
 
-def object_features(objects, embed_seed: int, dim: int = 32) -> np.ndarray:
+def object_features(objects, embed_seed: int, dim: int = D_OBJ) -> np.ndarray:
     """(n, dim) shape features: a seeded projection of cloud statistics.
 
     Each cloud is normalized into a unit ball (centered on its mean,
@@ -90,20 +99,20 @@ def object_features(objects, embed_seed: int, dim: int = 32) -> np.ndarray:
     return out
 
 
-def object_feature_stub(obj, embed_seed: int, dim: int = 32) -> np.ndarray:
+def object_feature_stub(obj, embed_seed: int, dim: int = D_OBJ) -> np.ndarray:
     """Shape feature of one object (see `object_features`)."""
     return object_features([obj], embed_seed, dim)[0]
 
 
-def label_embedding(class_id: int, embed_seed: int, dim: int = 8) -> np.ndarray:
+def label_embedding(class_id: int, embed_seed: int, dim: int = D_LABEL) -> np.ndarray:
     """Fixed random embedding of a class id."""
     if class_id < 0:
         raise UsageError(f"class_id must be non-negative, got {class_id}")
     return _label_row(embed_seed, class_id, dim).copy()
 
 
-def object_representations(objects, embed_seed: int, d_obj: int = 32,
-                           d_label: int = 8) -> np.ndarray:
+def object_representations(objects, embed_seed: int, d_obj: int = D_OBJ,
+                           d_label: int = D_LABEL) -> np.ndarray:
     """(n, d_rep) rows: shape feature, label embedding, box center and size."""
     return np.concatenate([
         object_features(objects, embed_seed, d_obj),
@@ -114,14 +123,10 @@ def object_representations(objects, embed_seed: int, d_obj: int = 32,
     ], axis=1)
 
 
-def object_representation(obj, embed_seed: int, d_obj: int = 32,
-                          d_label: int = 8) -> np.ndarray:
+def object_representation(obj, embed_seed: int, d_obj: int = D_OBJ,
+                          d_label: int = D_LABEL) -> np.ndarray:
     """Representation row of one object (see `object_representations`)."""
     return object_representations([obj], embed_seed, d_obj, d_label)[0]
-
-
-def representation_dim(d_obj: int, d_label: int) -> int:
-    return d_obj + d_label + 6
 
 
 def audio_embedding(target_class: int, mentioned_classes, relation_id: int,

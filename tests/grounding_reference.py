@@ -7,7 +7,8 @@ can compare the two.  `loss_and_grads` walks a padded batch one scene
 at a time, over each row's mask-sliced objects, with no padding.
 `train_toy` is a training loop that prepares and pads every minibatch
 afresh and concatenates a fresh gradient per step; it gets its
-gradients from the public batched `loss_and_grads`.  Nothing in `src/`
+gradients from the public batched `loss_and_grads`.  The architecture
+below is written out here, not read from the package.  Nothing in `src/`
 imports this module.
 """
 
@@ -20,9 +21,10 @@ from speechground.grounding import (EpochRecord, SyntheticScene, TrainConfig,
 from speechground.grounding.model import (GroundingFailure, GroundingModel,
                                           GroundingResult, _Batch)
 
-
-def _num_layers(hidden: tuple[int, ...]) -> int:
-    return len(hidden) + 1
+D_OBJ, D_LABEL = 32, 8
+MLP_DEPTH = {"cls": 2, "omd": 2, "head": 3}  # hidden widths (32,), (32,), (64, 32)
+LAMBDAS = (1.0, 1.0, 1.0)
+OMD_THRESHOLD = 0.5
 
 
 def _mlp_forward(params, name, x, n_layers):
@@ -66,8 +68,7 @@ def _attn_forward(wq, wk, wv, wqa, wka, wva, wo, oq, okv, audio):
 
 def _attn_backward(wq, wk, wv, wqa, wka, wva, wo, dout, cache, grads, prefix):
     if cache is None:
-        return (np.zeros((dout.shape[0], wq.shape[2])),
-                np.zeros((0, wq.shape[2])))
+        return
     oq, okv, audio, q, k, v, att, flat = cache
     heads, dh = wq.shape[0], wq.shape[1]
 
@@ -88,9 +89,6 @@ def _attn_backward(wq, wk, wv, wqa, wka, wva, wo, dout, cache, grads, prefix):
     bump(f"{prefix}.wka", np.einsum("hi,j->hij", dk.sum(axis=0), audio))
     bump(f"{prefix}.wv", np.einsum("mhi,mj->hij", dv, okv))
     bump(f"{prefix}.wva", np.einsum("hi,j->hij", dv.sum(axis=0), audio))
-    doq = np.einsum("hij,nhi->nj", wq, dq)
-    dokv = np.einsum("hij,mhi->mj", wk, dk) + np.einsum("hij,mhi->mj", wv, dv)
-    return doq, dokv
 
 
 def _layer_arrays(params, prefix):
@@ -98,35 +96,14 @@ def _layer_arrays(params, prefix):
                  for key in ("wq", "wk", "wv", "wqa", "wka", "wva", "wo"))
 
 
-def _stack_forward(params, name, layers, x, kv_fixed, audio, self_mode):
-    caches = []
-    for layer in range(layers):
-        arrays = _layer_arrays(params, f"{name}{layer}")
-        kv = x if self_mode else kv_fixed
-        x, cache = _attn_forward(*arrays, x, kv, audio)
-        caches.append((arrays, cache))
-    return x, caches
-
-
-def _stack_backward(params, name, layers, dout, caches, grads, self_mode):
-    dx = dout
-    for layer in range(layers - 1, -1, -1):
-        arrays, cache = caches[layer]
-        doq, dokv = _attn_backward(*arrays, dx, cache, grads, f"{name}{layer}")
-        dx = doq + dokv if self_mode else doq
-    return dx
-
-
 def _ground_streams(model: GroundingModel, cand_reprs, rel_reprs, audio):
-    cfg = model.config
-    o_self, self_caches = _stack_forward(model.params, "self", cfg.attn_layers,
-                                         cand_reprs, None, audio, True)
-    o_cross, cross_caches = _stack_forward(model.params, "cross", cfg.attn_layers,
-                                           cand_reprs, rel_reprs, audio, False)
+    o_self, self_cache = _attn_forward(*_layer_arrays(model.params, "self0"),
+                                       cand_reprs, cand_reprs, audio)
+    o_cross, cross_cache = _attn_forward(*_layer_arrays(model.params, "cross0"),
+                                         cand_reprs, rel_reprs, audio)
     fused = cand_reprs + o_self + o_cross
-    logits, head_cache = _mlp_forward(model.params, "head", fused,
-                                      _num_layers(cfg.head_hidden))
-    return logits[:, 0], (self_caches, cross_caches, head_cache)
+    logits, head_cache = _mlp_forward(model.params, "head", fused, MLP_DEPTH["head"])
+    return logits[:, 0], (self_cache, cross_cache, head_cache)
 
 
 def _softmax_nll(logits: np.ndarray, target: int) -> tuple[float, np.ndarray]:
@@ -139,16 +116,15 @@ def _softmax_nll(logits: np.ndarray, target: int) -> tuple[float, np.ndarray]:
 
 def _scene_loss(model: GroundingModel, audio, target_class, mention_hot,
                 cand_reprs, rel_reprs, target_pos, grads=None):
-    cfg = model.config
     parts = np.zeros(3)
 
     cls_logits, cls_cache = _mlp_forward(model.params, "cls", audio[None, :],
-                                         _num_layers(cfg.cls_hidden))
+                                         MLP_DEPTH["cls"])
     ce_audio, dcls = _softmax_nll(cls_logits[0], target_class)
     parts[0] = ce_audio
 
     omd_logits, omd_cache = _mlp_forward(model.params, "omd", audio[None, :],
-                                         _num_layers(cfg.omd_hidden))
+                                         MLP_DEPTH["omd"])
     x = omd_logits[0]
     y = mention_hot
     bce = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
@@ -163,16 +139,16 @@ def _scene_loss(model: GroundingModel, audio, target_class, mention_hot,
     parts[2] = ce_ground
 
     if grads is not None:
-        la, lb, lc = cfg.lambdas
+        la, lb, lc = LAMBDAS
         _mlp_backward(model.params, "cls", la * dcls[None, :], cls_cache, grads)
         _mlp_backward(model.params, "omd", lb * domd[None, :], omd_cache, grads)
-        self_caches, cross_caches, head_cache = caches
+        self_cache, cross_cache, head_cache = caches
         dfused = _mlp_backward(model.params, "head",
                                lc * dground[:, None], head_cache, grads)
-        _stack_backward(model.params, "self", cfg.attn_layers, dfused,
-                        self_caches, grads, True)
-        _stack_backward(model.params, "cross", cfg.attn_layers, dfused,
-                        cross_caches, grads, False)
+        _attn_backward(*_layer_arrays(model.params, "self0"), dfused, self_cache,
+                       grads, "self0")
+        _attn_backward(*_layer_arrays(model.params, "cross0"), dfused, cross_cache,
+                       grads, "cross0")
     return parts
 
 
@@ -191,15 +167,14 @@ def loss_and_grads(model: GroundingModel, batch: _Batch):
     for key in model.params:
         if key not in grads:
             grads[key] = np.zeros_like(model.params[key])
-    total = float(np.dot(model.config.lambdas, parts))
+    total = float(np.dot(LAMBDAS, parts))
     return total, parts, grads
 
 
 def classify_audio(model: GroundingModel, audio) -> np.ndarray:
     """Class distribution for an audio vector (softmax head)."""
     audio = np.asarray(audio, dtype=np.float64)
-    logits, _ = _mlp_forward(model.params, "cls", audio[None, :],
-                             _num_layers(model.config.cls_hidden))
+    logits, _ = _mlp_forward(model.params, "cls", audio[None, :], MLP_DEPTH["cls"])
     z = logits[0] - logits[0].max()
     p = np.exp(z)
     return p / p.sum()
@@ -208,11 +183,10 @@ def classify_audio(model: GroundingModel, audio) -> np.ndarray:
 def detect_mentions(model: GroundingModel, audio) -> tuple[np.ndarray, tuple[int, ...]]:
     """Per-class mention probabilities and the thresholded detections."""
     audio = np.asarray(audio, dtype=np.float64)
-    logits, _ = _mlp_forward(model.params, "omd", audio[None, :],
-                             _num_layers(model.config.omd_hidden))
+    logits, _ = _mlp_forward(model.params, "omd", audio[None, :], MLP_DEPTH["omd"])
     with np.errstate(over="ignore"):
         probs = 1.0 / (1.0 + np.exp(-logits[0]))
-    detected = tuple(int(c) for c in np.where(probs >= model.config.omd_threshold)[0])
+    detected = tuple(int(c) for c in np.where(probs >= OMD_THRESHOLD)[0])
     return probs, detected
 
 
@@ -234,9 +208,8 @@ def _ground_grouped(model: GroundingModel, scene: SyntheticScene,
     if not cands:
         raise GroundingFailure(
             f"no object of predicted class {pred_class}; cannot ground")
-    cfg = model.config
     reprs = object_representations([scene.objects[i] for i in (*cands, *rels)],
-                                   cfg.embed_seed, cfg.d_obj, cfg.d_label)
+                                   model.config.embed_seed, D_OBJ, D_LABEL)
     cand_reprs, rel_reprs = reprs[:len(cands)], reprs[len(cands):]
     logits, _ = _ground_streams(model, cand_reprs, rel_reprs, scene.audio)
     z = logits - logits.max()

@@ -62,6 +62,7 @@ GRAVES_STOP = "tests/test_decode.py::TestGravesStop::"
 BRUTEFORCE = ("tests/test_ctc.py::TestBlockedBruteforceMatchesReference",)
 TRAINING_REFERENCE = ("tests/test_grounding.py::TestTrainingMatchesReference",)
 INVARIANCE = ("tests/test_grounding.py::TestBatchInvariance",)
+CHECKPOINT_GUARD = "tests/test_cli.py::TestGroundInputValidation::"
 
 
 def hand_case(text: str) -> str:
@@ -295,6 +296,13 @@ MUTANTS = (
     Mutant("checkpoint may repeat a tensor", "grounding/model.py",
            "            if name in tensors:\n", "            if False:\n",
            ("tests/test_cli.py::TestGroundInputValidation::test_repeated_checkpoint_tensor",)),
+    # a checkpoint loads only with this build's architecture tensors
+    Mutant("checkpoint architecture unchecked", "grounding/model.py",
+           "    for name in sorted(names):\n", "    for name in ():\n",
+           (f"{CHECKPOINT_GUARD}test_checkpoint_of_two_attention_layers",)),
+    Mutant("checkpoint checks only its first architecture tensor", "grounding/model.py",
+           "    for name in sorted(names):\n", "    for name in sorted(names)[:1]:\n",
+           (f"{CHECKPOINT_GUARD}test_checkpoint_of_two_attention_layers",)),
     # the four-step FFT
     Mutant("four-step factors swapped", "fft.py",
            "    n1, n2, f1, twiddle, f2 = _four_step_tables(n)",

@@ -298,8 +298,8 @@ def test_criterion_08_attention_and_gradients():
     if worst_attn > 0:
         problems.append(f"attention exceeds 1e-12 by {worst_attn:.3g}")
 
-    # 26 parameter tensors, 2 probes each (1 for the scalar output bias)
-    # gives 51 spot checks per model, 20 seeded models
+    # 28 parameter tensors, 2 probes each (1 for the scalar output bias)
+    # gives 55 spot checks per model, 20 seeded models
     worst_grad = 0.0
     for i in range(20):
         model = init_grounding_model(GroundingConfig(**SMALL), seed=i)

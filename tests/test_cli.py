@@ -66,6 +66,12 @@ def write_tensors(path, tensors):
     path.write_bytes(b"".join(chunks))
 
 
+def assert_one_error_naming(err, name):
+    """stderr is one `error:` line, no traceback, and it names `name`."""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert name in err and "internal error" not in err, err
+
+
 def write_text(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
@@ -889,18 +895,19 @@ class TestGroundPipeline:
         assert blobs[0] == blobs[1]
 
     def test_eval_rejects_checkpoint_with_negative_width(self, tmp_path, capsys):
-        model = init_grounding_model(GroundingConfig(num_classes=4), seed=0)
-        # the config type refuses this width, so forge it past the check
-        object.__setattr__(model.config, "head_hidden", (-3,))
-        ckpt = str(tmp_path / "bad.ckpt")
-        save_checkpoint(ckpt, model)
+        good = tmp_path / "good.ckpt"
+        save_checkpoint(str(good), init_grounding_model(GroundingConfig(num_classes=4),
+                                                        seed=0))
+        tensors = read_tensors(good)
+        tensors["config.head_hidden"] = np.array([-3.0])
+        ckpt = tmp_path / "bad.ckpt"
+        write_tensors(ckpt, tensors)
         data = str(tmp_path / "dev.jsonl")
         write_scenes(data, generate_scenes(GenConfig(num_scenes=2, num_classes=4)))
-        code, out, err = run(["ground", "eval", "--model", ckpt, "--data", data],
+        code, out, err = run(["ground", "eval", "--model", str(ckpt), "--data", data],
                              capsys)
-        assert code == 2
-        assert "widths" in err
-        assert "internal error" not in err and out == ""
+        assert (code, out) == (2, "")
+        assert_one_error_naming(err, "config.head_hidden")
 
     # sha256 of train.jsonl and dev.jsonl from `ground gen --train-scenes 20
     # --dev-scenes 20 --seed 3`: pins the rng draw order and float formatting
@@ -1195,7 +1202,7 @@ class TestGroundInputValidation:
         code, out, err = run(["ground", "eval", "--model", ckpt,
                               "--data", self.dataset(tmp_path)], capsys)
         assert code == 2 and out == "", err
-        assert "config.cls_hidden has rank 2" in err
+        assert_one_error_naming(err, "config.cls_hidden is shape (2, 2)")
 
     def test_checkpoint_fractional_class_count(self, tmp_path, capsys):
         ckpt = self.forged_config(tmp_path, "config.num_classes", np.array(3.7))
@@ -1209,7 +1216,28 @@ class TestGroundInputValidation:
         code, out, err = run(["ground", "eval", "--model", ckpt,
                               "--data", self.dataset(tmp_path)], capsys)
         assert code == 2 and out == "", err
-        assert "attn_layers 1000000000000 exceeds" in err
+        assert_one_error_naming(err, "config.attn_layers is 1000000000000.0")
+
+    def test_checkpoint_of_two_attention_layers(self, tmp_path, capsys):
+        # the parameter tensors still fit: only the architecture tensor differs
+        ckpt = self.forged_config(tmp_path, "config.attn_layers", np.array([2.0]))
+        for argv in (["ground", "eval", "--model", ckpt, "--data", self.dataset(tmp_path)],
+                     ["ground", "infer", "--model", ckpt, "--scene",
+                      self.dataset(tmp_path), "--index", "0"]):
+            code, out, err = run(argv, capsys)
+            assert code == 2 and out == "", err
+            assert_one_error_naming(
+                err, "config.attn_layers is [2.0], this build's architecture has [1.0]")
+
+    def test_checkpoint_without_its_loss_weights(self, tmp_path, capsys):
+        path = tmp_path / "model.ckpt"
+        tensors = read_tensors(Path(self.checkpoint(tmp_path)))
+        del tensors["config.lambdas"]
+        write_tensors(path, tensors)
+        code, out, err = run(["ground", "eval", "--model", str(path),
+                              "--data", self.dataset(tmp_path)], capsys)
+        assert code == 2 and out == "", err
+        assert_one_error_naming(err, "checkpoint missing config.lambdas")
 
     def test_checkpoint_class_count_above_the_maximum(self, tmp_path, capsys):
         ckpt = self.forged_config(tmp_path, "config.num_classes",
@@ -1359,23 +1387,20 @@ class TestOverflowingCheckpoint:
 
 class TestCheckpointFormat:
     def test_config_tensors_are_pinned(self, tmp_path):
-        cfg = GroundingConfig(num_classes=5, d_obj=16, d_label=4, d_audio=12,
-                              attn_heads=3, attn_dim=5, attn_layers=2,
-                              cls_hidden=(), omd_hidden=(8, 4),
-                              head_hidden=(16,), lambdas=(1.0, 0.5, 2.0),
-                              omd_threshold=0.25, embed_seed=11)
+        cfg = GroundingConfig(num_classes=5, d_audio=12, embed_seed=11)
         path = tmp_path / "model.ckpt"
         save_checkpoint(str(path), init_grounding_model(cfg, seed=3))
         tensors = read_tensors(path)
         config = {k: v for k, v in tensors.items() if k.startswith("config.")}
-        # every entry is a rank-1 float64 vector; a number is one element
+        # every entry is a rank-1 float64 vector; a number is one element.
+        # The ten architecture entries are the same in every checkpoint.
         expected = {
-            "config.num_classes": [5.0], "config.d_obj": [16.0],
-            "config.d_label": [4.0], "config.d_audio": [12.0],
-            "config.attn_heads": [3.0], "config.attn_dim": [5.0],
-            "config.attn_layers": [2.0], "config.cls_hidden": [],
-            "config.omd_hidden": [8.0, 4.0], "config.head_hidden": [16.0],
-            "config.lambdas": [1.0, 0.5, 2.0], "config.omd_threshold": [0.25],
+            "config.num_classes": [5.0], "config.d_obj": [32.0],
+            "config.d_label": [8.0], "config.d_audio": [12.0],
+            "config.attn_heads": [2.0], "config.attn_dim": [16.0],
+            "config.attn_layers": [1.0], "config.cls_hidden": [32.0],
+            "config.omd_hidden": [32.0], "config.head_hidden": [64.0, 32.0],
+            "config.lambdas": [1.0, 1.0, 1.0], "config.omd_threshold": [0.5],
             "config.embed_seed": [11.0],
         }
         assert sorted(config) == sorted(expected)
@@ -1384,8 +1409,8 @@ class TestCheckpointFormat:
             assert config[name].ndim == want.ndim, name
             assert config[name].shape == want.shape, name
             assert np.array_equal(config[name], want), name
-        # config, the cls/omd/head MLP layers, 2 stacks x 2 layers x 7 weights
-        assert len(tensors) == 13 + 2 * 1 + 2 * 3 + 2 * 2 + 2 * 2 * 7
+        # config, the cls/omd/head MLP layers, 2 stacks x 1 layer x 7 weights
+        assert len(tensors) == 13 + 2 * 2 + 2 * 2 + 2 * 3 + 2 * 1 * 7
         # the struct writer reproduces save_checkpoint's bytes exactly
         twin = tmp_path / "twin.ckpt"
         write_tensors(twin, tensors)
@@ -1584,9 +1609,8 @@ class TestStructuredInputFuzz:
         lines = (features.read_text(encoding="utf-8").splitlines()[:4]
                  + points.read_text(encoding="utf-8").splitlines()[4:])
         ckpt = tmp_path / "base.ckpt"
-        save_checkpoint(str(ckpt), init_grounding_model(GroundingConfig(
-            num_classes=4, d_label=4, attn_dim=4, cls_hidden=(8,),
-            omd_hidden=(8,), head_hidden=(8,)), seed=0))
+        save_checkpoint(str(ckpt), init_grounding_model(GroundingConfig(num_classes=4),
+                                                        seed=0))
         return [json.loads(line) for line in lines], read_tensors(ckpt)
 
     def odd_int(self, rng, value):
@@ -1791,9 +1815,8 @@ class TestFlagSweep:
                                                             points_per_object=4, seed=3)),
                      embed_seed=7)
         ckpt = tmp_path / "m.ckpt"
-        save_checkpoint(str(ckpt), init_grounding_model(GroundingConfig(
-            num_classes=4, d_label=4, attn_dim=4, cls_hidden=(8,), omd_hidden=(8,),
-            head_hidden=(8,)), seed=0))
+        save_checkpoint(str(ckpt), init_grounding_model(GroundingConfig(num_classes=4),
+                                                        seed=0))
         decode = ["ctc", "decode", "--posteriors", post, "--vocab", vocab, "--beam", "4",
                   "--lm", lm, "--lm-scale", "0.5", "--alpha", "1.0"]
         return [[str(a) for a in argv] + ["--json"] for argv in (
@@ -1892,9 +1915,8 @@ class TestByteLevelFuzz:
         write_scenes(str(scenes), generate_scenes(GenConfig(num_scenes=3, num_classes=4)),
                      embed_seed=7)
         ckpt = tmp_path / "base.ckpt"
-        save_checkpoint(str(ckpt), init_grounding_model(GroundingConfig(
-            num_classes=4, d_label=4, attn_dim=4, cls_hidden=(8,), omd_hidden=(8,),
-            head_hidden=(8,)), seed=0))
+        save_checkpoint(str(ckpt), init_grounding_model(GroundingConfig(num_classes=4),
+                                                        seed=0))
         out = str(tmp_path / "out")
         # kind -> (valid file, argv reading the case file at "{}")
         return {

@@ -26,17 +26,16 @@ from speechground.grounding.model import (_Batch, _batch_loss, _class_probs,
                                           _predicted_groupings, _prepare_set,
                                           _softmax, _zero_grads, param_shapes)
 from speechground.grounding import train as train_module
+from speechground.grounding.features import D_REP
 from speechground.grounding.scene import _CHUNK
 from tests import grounding_reference as reference
 
-# lean geometry so gradient checks and training smoke tests stay quick
-SMALL = dict(num_classes=4, d_obj=8, d_label=4, d_audio=16, attn_heads=2,
-             attn_dim=4, cls_hidden=(8,), omd_hidden=(8,), head_hidden=(8,))
+# four classes and 16-wide audio, as `small_scenes` generates
+SMALL = dict(num_classes=4, d_audio=16)
 
 
-def small_model(seed=0, **overrides):
-    return init_grounding_model(GroundingConfig(**{**SMALL, **overrides}),
-                                seed=seed)
+def small_model(seed=0):
+    return init_grounding_model(GroundingConfig(**SMALL), seed=seed)
 
 
 def small_scenes(n, seed):
@@ -230,7 +229,7 @@ class TestAudioGuidedAttention:
 
     def test_params_view_shares_model_storage(self):
         model = small_model(seed=1)
-        view = attention_params_from(model, "self", layer=0)
+        view = attention_params_from(model, "self")
         assert view.wq is model.params["self0.wq"]
         assert view.wo is model.params["self0.wo"]
         view = attention_params_from(model, "cross")
@@ -261,14 +260,6 @@ class TestAudioHeads:
         probs, detected = detect_mentions(model, audio)
         np.testing.assert_allclose(probs, [0.7, 0.2, 0.9], rtol=1e-12)
         assert detected == (0, 2)
-
-    def test_high_threshold_detects_nothing(self):
-        cfg = GroundingConfig(num_classes=3, omd_threshold=0.95)
-        model = init_grounding_model(cfg, seed=0)
-        zero_branch(model, "omd.")
-        model.params["omd.b1"] = logit([0.7, 0.2, 0.9])
-        _, detected = detect_mentions(model, np.zeros(32))
-        assert detected == ()
 
     def test_threshold_boundary_is_inclusive(self):
         # a probability exactly at the threshold counts as a mention
@@ -326,12 +317,12 @@ class TestPrepareScene:
         assert batch.target_pos.tolist() == [1]  # second candidate
         np.testing.assert_array_equal(batch.mention_hot, [[1.0, 1.0, 0.0, 0.0]])
         cand = batch.cand[0, batch.cmask[0]]
-        assert cand.shape == (2, cfg.d_rep)
+        assert cand.shape == (2, D_REP)
         for row, idx in zip(cand, (0, 2)):
             np.testing.assert_array_equal(
                 row, object_representation(objects[idx], cfg.embed_seed))
         rel = batch.rel[0, batch.rmask[0]]
-        assert rel.shape == (1, cfg.d_rep)
+        assert rel.shape == (1, D_REP)
         np.testing.assert_array_equal(
             rel[0], object_representation(objects[1], cfg.embed_seed))
 
@@ -342,9 +333,9 @@ class TestPrepareScene:
         scene = hand_scene(objects, target_index=0, target_class=0,
                            mentioned=(0,))
         batch = prepare_scene(cfg, scene)
-        assert batch.rel[0, batch.rmask[0]].shape == (0, cfg.d_rep)
+        assert batch.rel[0, batch.rmask[0]].shape == (0, D_REP)
         # one masked key column, so attention still has a key axis
-        assert batch.rel.shape == (1, 1, cfg.d_rep)
+        assert batch.rel.shape == (1, 1, D_REP)
         assert not batch.rmask.any()
 
     def test_validation(self):
@@ -475,17 +466,6 @@ class TestJointLoss:
         assert parts.shape == (3,)
         assert np.all(parts >= 0.0)
         np.testing.assert_allclose(total, parts.sum(), rtol=1e-12)
-
-    def test_lambdas_reweight_the_same_parts(self):
-        scenes = small_scenes(3, seed=20)
-        base_model = small_model(seed=3)
-        _, base_parts, _ = loss_and_grads(base_model, scenes)
-        for lambdas in ((0.0, 0.0, 1.0), (2.0, 0.5, 1.5)):
-            model = small_model(seed=3, lambdas=lambdas)
-            total, parts, _ = loss_and_grads(model, scenes)
-            np.testing.assert_allclose(parts, base_parts, rtol=1e-12)
-            np.testing.assert_allclose(total, np.dot(lambdas, parts),
-                                       rtol=1e-12)
 
     def test_batch_loss_is_the_scene_mean(self):
         model = small_model(seed=4)
@@ -648,22 +628,21 @@ class TestTrainingMatchesReference:
                                      num_classes=4, d_audio=16))
         return scenes
 
-    @pytest.mark.parametrize("batch_size,attn_layers,learning_rate", [
-        (4, 1, 3e-3),    # divides the 12-scene set
-        (5, 1, 3e-3),    # leaves a short last batch
-        (1, 2, 3e-3),
-        (7, 2, 3e-3),
-        (12, 1, 3e-3),   # the whole set
-        (20, 2, 3e-3),   # more than the set
-        (5, 2, 0.0),
+    @pytest.mark.parametrize("batch_size,learning_rate", [
+        (4, 3e-3),    # divides the 12-scene set
+        (5, 3e-3),    # leaves a short last batch
+        (1, 3e-3),
+        (7, 3e-3),
+        (12, 3e-3),   # the whole set
+        (20, 3e-3),   # more than the set
+        (5, 0.0),
     ])
-    def test_parameters_and_records_are_identical(self, batch_size, attn_layers,
-                                                  learning_rate):
+    def test_parameters_and_records_are_identical(self, batch_size, learning_rate):
         scenes = self.mixed_scenes()
         config = TrainConfig(epochs=3, batch_size=batch_size,
                              learning_rate=learning_rate, decay_every=2, seed=17)
-        fast = small_model(seed=23, attn_layers=attn_layers)
-        slow = small_model(seed=23, attn_layers=attn_layers)
+        fast = small_model(seed=23)
+        slow = small_model(seed=23)
         start = {key: value.copy() for key, value in fast.params.items()}
         assert train_toy(fast, scenes, config) == reference.train_toy(slow, scenes,
                                                                       config)
@@ -766,7 +745,7 @@ class TestOverflowingModel:
 
 class TestCheckpoint:
     def test_roundtrip_is_exact(self, tmp_path):
-        model = small_model(seed=9, head_hidden=(8, 8))
+        model = small_model(seed=9)
         train_toy(model, small_scenes(8, seed=40),
                   TrainConfig(epochs=1, batch_size=8))
         path = str(tmp_path / "model.ckpt")
@@ -780,7 +759,7 @@ class TestCheckpoint:
     def test_loaded_params_keep_initialization_order(self, tmp_path):
         # the file stores tensors by sorted name; a loaded model lays its
         # parameters out like a fresh one, so a flat buffer over them does too
-        model = small_model(seed=13, head_hidden=(8, 8))
+        model = small_model(seed=13)
         path = tmp_path / "model.ckpt"
         save_checkpoint(str(path), model)
         loaded = load_checkpoint(str(path))
@@ -836,6 +815,11 @@ class TestCheckpoint:
         save_checkpoint(str(path), padded)
         with pytest.raises(DataError, match="extra"):
             load_checkpoint(str(path))
+        # a config tensor this build does not write is refused like a wrong one
+        foreign = GroundingModel(model.config, {**model.params, "config.bogus": np.ones(1)})
+        save_checkpoint(str(path), foreign)
+        with pytest.raises(DataError, match="has unknown config.bogus"):
+            load_checkpoint(str(path))
 
     def test_wrong_tensor_shape(self, tmp_path):
         model = small_model(seed=14)
@@ -867,21 +851,22 @@ class TestGroundingConfig:
             GroundingConfig(num_classes=10_001)
         with pytest.raises(UsageError, match="seed"):
             init_grounding_model(GroundingConfig(num_classes=3), seed=-1)
-        with pytest.raises(UsageError, match="geometry"):
-            GroundingConfig(num_classes=3, attn_heads=0)
-        with pytest.raises(UsageError, match="lambdas"):
-            GroundingConfig(num_classes=3, lambdas=(1.0, 1.0))
-        with pytest.raises(UsageError, match="lambdas"):
-            GroundingConfig(num_classes=3, lambdas=(1.0, 1.0, -0.5))
-        for bad in (dict(d_obj=-4), dict(d_label=0), dict(d_audio=0),
-                    dict(cls_hidden=(0,)), dict(omd_hidden=(8, -1)),
-                    dict(head_hidden=(-3,))):
-            with pytest.raises(UsageError, match="widths"):
-                GroundingConfig(num_classes=3, **bad)
+        for d_audio in (0, -4):
+            with pytest.raises(UsageError, match="audio width must be positive"):
+                GroundingConfig(num_classes=3, d_audio=d_audio)
+        with pytest.raises(UsageError, match="embed_seed"):
+            GroundingConfig(num_classes=3, embed_seed=-1)
 
     def test_representation_width(self):
-        cfg = GroundingConfig(num_classes=3, d_obj=10, d_label=5)
-        assert cfg.d_rep == 21
+        # a shape feature of 32, a label embedding of 8, the box center and size
+        row = object_representation(make_object(0, [0.0, 0.0, 0.0]), embed_seed=7)
+        assert row.shape == (D_REP,) == (32 + 8 + 6,)
+        assert param_shapes(GroundingConfig(num_classes=3))["head.w0"] == (64, D_REP)
+
+    def test_config_holds_only_the_settings(self):
+        # the widths, loss weights and mention threshold are model.py's table
+        assert [f.name for f in dataclasses.fields(GroundingConfig)] == [
+            "num_classes", "d_audio", "embed_seed"]
 
 
 class TestBatchedPath:
@@ -898,21 +883,19 @@ class TestBatchedPath:
             rows.append((rng.standard_normal(config.d_audio),
                          int(rng.integers(config.num_classes)),
                          (rng.random(config.num_classes) < 0.5).astype(np.float64),
-                         rng.standard_normal((n, config.d_rep)),
-                         rng.standard_normal((m, config.d_rep)),
+                         rng.standard_normal((n, D_REP)),
+                         rng.standard_normal((m, D_REP)),
                          int(rng.integers(n))))
         audio, target_class, mention_hot, cand, rel, target_pos = zip(*rows)
         return _Batch(np.stack(audio), np.array(target_class), np.stack(mention_hot),
-                      *_pad(cand, config.d_rep), *_pad(rel, config.d_rep),
+                      *_pad(cand, D_REP), *_pad(rel, D_REP),
                       np.array(target_pos))
 
     def test_loss_and_grads_match_the_per_scene_reference(self):
         rng = np.random.default_rng(950)
         sizes = set()
         for trial in range(200):
-            config = GroundingConfig(**{**SMALL,
-                                        "attn_layers": int(rng.integers(1, 4)),
-                                        "attn_heads": int(rng.integers(1, 4))})
+            config = GroundingConfig(**SMALL)
             model = init_grounding_model(config, seed=trial)
             batch = self.random_batch(rng, config, int(rng.integers(1, 33)))
             sizes.add(len(batch.audio))
@@ -928,14 +911,14 @@ class TestBatchedPath:
                 assert diff <= 1e-12 * scale, f"trial {trial} {key}: {diff}"
         assert min(sizes) == 1 and max(sizes) >= 30
 
-    def test_padded_multi_layer_batch_passes_gradient_check(self):
+    def test_padded_batch_passes_gradient_check(self):
         scenes = small_scenes(4, seed=79)
         # keep only the target among the mentions: no relational objects
         first = scenes[0]
         scenes[0] = SyntheticScene(first.objects, first.audio,
                                    first.target_class, (first.target_class,),
                                    first.relation_id, first.target_index)
-        model = small_model(seed=101, attn_layers=2)
+        model = small_model(seed=101)
         batch = _prepare_set(model.config, scenes)
         num_rel = batch.rmask.sum(axis=1)
         assert num_rel[0] == 0 and num_rel[1:].min() > 0
