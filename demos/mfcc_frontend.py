@@ -2,15 +2,15 @@
 
 import numpy as np
 
-from speechground.dsp import (FrameSpec, MaskSpec, Waveform, amplitude_spectrum,
-                              hz_to_mel, mel_filterbank, mfcc, normalize_wave,
-                              pre_emphasize, spec_augment)
+from speechground.dsp import (SAMPLE_RATE, FrameSpec, MaskSpec, Waveform,
+                              amplitude_spectrum, hz_to_mel, mel_filterbank, mfcc,
+                              normalize_wave, pre_emphasize, spec_augment)
 
 rng = np.random.default_rng(0)
 
 # One second of a 440 Hz tone with a little noise, at the front end's
 # fixed 16 kHz rate.
-sr = 16000
+sr = SAMPLE_RATE
 t = np.arange(sr) / sr
 wave = Waveform(0.6 * np.sin(2 * np.pi * 440.0 * t)
                 + 0.01 * rng.standard_normal(sr), sr)
@@ -34,7 +34,7 @@ for hz in (100.0, 440.0, 1000.0, 4000.0, 8000.0):
     print(f"  {hz:6.0f} Hz -> {hz_to_mel(hz):8.2f} mel")
 
 # Full pipeline: 26 triangular filters, 13 cepstra per frame.
-fb = mel_filterbank(spec, sr, num_filters=26)
+fb = mel_filterbank(spec, num_filters=26)
 feats = mfcc(wave, spec, fb, num_cepstra=13)
 print(f"mfcc matrix: {feats.num_frames} frames x {feats.dim} coefficients")
 print(f"c0 range {feats.data[:, 0].min():.2f} .. {feats.data[:, 0].max():.2f}")

@@ -79,7 +79,7 @@ def _load_ctc_inputs(args):
 def _cmd_featurize(args) -> None:
     wave = normalize_wave(read_wav(args.input))
     spec = FrameSpec()
-    fb = mel_filterbank(spec, 16000, args.filters)
+    fb = mel_filterbank(spec, args.filters)
     feats = mfcc(wave, spec, fb, args.cepstra)
     if args.augment:
         masks = MaskSpec(max_time_mask=args.tm, max_freq_mask=args.fm,

@@ -38,6 +38,7 @@ from .errors import DataError, UsageError
 from .fft import fft
 from .textmatrix import read_text_matrix, write_text_matrix
 
+SAMPLE_RATE = 16000  # Hz; the one input rate of the front end
 EPS_AMP = 1e-10   # floor on filterbank energies before log10
 EPS_VAR = 1e-12   # floor on per-utterance variance before division
 
@@ -130,11 +131,10 @@ class MelFilterbank:
     """Triangular filters with equidistant centers on the mel axis.
 
     The first filter's left edge sits at 0 mel and the last filter's
-    right edge at mel(sample_rate/2); adjacent filters overlap 50%.
+    right edge at mel(SAMPLE_RATE/2); adjacent filters overlap 50%.
     """
 
     weights: np.ndarray
-    sample_rate: int
     fft_size: int
     centers_mel: np.ndarray = field(repr=False)
 
@@ -261,20 +261,18 @@ def hz_to_mel(freq_hz: float | np.ndarray) -> float | np.ndarray:
     return 2595.0 * np.log10(1.0 + freq_hz / 700.0)
 
 
-def mel_filterbank(spec: FrameSpec, sample_rate: int, num_filters: int = 26) -> MelFilterbank:
-    """Build triangular mel filters sampled at the FFT bin frequencies."""
+def mel_filterbank(spec: FrameSpec, num_filters: int = 26) -> MelFilterbank:
+    """Triangular mel filters sampled at the FFT bins of SAMPLE_RATE input."""
     if num_filters < 1:
         raise UsageError(f"num_filters must be >= 1, got {num_filters}")
     # a bin lies under at most two triangles, so more filters leave one empty
     if num_filters > 2 * spec.num_bins:
         raise UsageError(f"{num_filters} filters exceed twice the {spec.num_bins} FFT bins; "
                          f"reduce num_filters or raise fft_size")
-    if sample_rate <= 0:
-        raise UsageError(f"sample_rate must be positive, got {sample_rate}")
-    mel_max = hz_to_mel(sample_rate / 2.0)
+    mel_max = hz_to_mel(SAMPLE_RATE / 2.0)
     spacing = mel_max / (num_filters + 1)
     centers = spacing * np.arange(1, num_filters + 1)
-    bin_freqs = np.arange(spec.num_bins) * (sample_rate / spec.fft_size)
+    bin_freqs = np.arange(spec.num_bins) * (SAMPLE_RATE / spec.fft_size)
     bin_mels = hz_to_mel(bin_freqs)
     weights = np.maximum(0.0, 1.0 - np.abs(bin_mels[None, :] - centers[:, None]) / spacing)
     empty = np.where(~(weights > 0).any(axis=1))[0]
@@ -283,7 +281,7 @@ def mel_filterbank(spec: FrameSpec, sample_rate: int, num_filters: int = 26) -> 
             f"filter {empty[0]} catches no FFT bin; reduce num_filters "
             f"or raise fft_size"
         )
-    return MelFilterbank(weights, sample_rate, spec.fft_size, centers)
+    return MelFilterbank(weights, spec.fft_size, centers)
 
 
 def _dct_basis(num_cepstra: int, num_filters: int) -> np.ndarray:
@@ -307,17 +305,17 @@ def mfcc(w: Waveform, spec: FrameSpec, fb: MelFilterbank, num_cepstra: int = 13)
     caller decides whether to normalize the waveform first.
 
     Args:
-        w: input waveform; the sample rate must be 16 kHz and match fb.
+        w: input waveform; its rate must be SAMPLE_RATE.
         spec: framing geometry.
-        fb: filterbank built for the same spec and sample rate.
+        fb: filterbank built for the same fft_size.
         num_cepstra: DCT outputs kept per frame; at most fb.num_filters.
 
     Returns:
         FeatureMatrix of shape (T, num_cepstra); T may be 0.
     """
-    if w.sample_rate != 16000:
-        raise DataError(f"front-end expects 16000 Hz input, got {w.sample_rate}")
-    if fb.sample_rate != w.sample_rate or fb.fft_size != spec.fft_size:
+    if w.sample_rate != SAMPLE_RATE:
+        raise DataError(f"front-end expects {SAMPLE_RATE} Hz input, got {w.sample_rate}")
+    if fb.fft_size != spec.fft_size:
         raise UsageError("filterbank geometry does not match the frame spec")
     if num_cepstra < 1 or num_cepstra > fb.num_filters:
         raise UsageError(

@@ -6,10 +6,10 @@ keep the downstream numerics honest: every embedding is a pure
 function of (embed_seed, identity), so datasets and models agree on
 features without sharing state.
 
-The model's widths are fixed: a representation row holds a `D_OBJ`
-shape feature, a `D_LABEL` label embedding and the box center and
-size, `D_REP` numbers in all.  `write_scenes` bakes at `D_OBJ` too, so
-a baked file always fits the model.
+The widths are fixed: a representation row holds a `D_OBJ` shape
+feature, a `D_LABEL` label embedding and the box center and size,
+`D_REP` numbers in all.  Every stub draws at these widths and no
+caller picks another, so a baked file always fits the model.
 """
 
 from functools import lru_cache
@@ -39,15 +39,16 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 # is drawn once per process and shared read-only by every caller.
 
 @lru_cache(maxsize=16)
-def _shape_projection(embed_seed: int, dim: int, n_stats: int) -> np.ndarray:
+def _shape_projection(embed_seed: int) -> np.ndarray:
+    """Projection of a cloud's 12 statistics (see `object_features`) to D_OBJ."""
     rng = np.random.default_rng([embed_seed, _STREAM_SHAPE])
-    return _frozen(rng.standard_normal((dim, n_stats)) / np.sqrt(n_stats))
+    return _frozen(rng.standard_normal((D_OBJ, 12)) / np.sqrt(12))
 
 
 @lru_cache(maxsize=256)
-def _label_row(embed_seed: int, class_id: int, dim: int) -> np.ndarray:
+def _label_row(embed_seed: int, class_id: int) -> np.ndarray:
     rng = np.random.default_rng([embed_seed, _STREAM_LABEL, class_id])
-    return _frozen(rng.standard_normal(dim))
+    return _frozen(rng.standard_normal(D_LABEL))
 
 
 @lru_cache(maxsize=16)
@@ -61,8 +62,8 @@ def _audio_tables(embed_seed: int, num_classes: int, d_audio: int
                                       (_STREAM_AUDIO_RELATION, 3)))
 
 
-def object_features(objects, embed_seed: int, dim: int = D_OBJ) -> np.ndarray:
-    """(n, dim) shape features: a seeded projection of cloud statistics.
+def object_features(objects, embed_seed: int) -> np.ndarray:
+    """(n, D_OBJ) shape features: a seeded projection of cloud statistics.
 
     Each cloud is normalized into a unit ball (centered on its mean,
     scaled by the largest radius), summarized by per-axis mean, max and
@@ -72,7 +73,7 @@ def object_features(objects, embed_seed: int, dim: int = D_OBJ) -> np.ndarray:
     point count are summarized as one stacked block; `proj @ col` per
     row keeps every row bit-identical to the one-object call.
     """
-    out = np.empty((len(objects), dim))
+    out = np.empty((len(objects), D_OBJ))
     by_count: dict[int, list[int]] = {}
     for i, obj in enumerate(objects):
         if obj.points is not None:
@@ -81,8 +82,8 @@ def object_features(objects, embed_seed: int, dim: int = D_OBJ) -> np.ndarray:
         if obj.feature is None:
             raise DataError("object carries neither points nor a baked feature")
         feat = np.asarray(obj.feature, dtype=np.float64)
-        if feat.shape != (dim,):
-            raise DataError(f"baked feature has length {feat.shape}, expected {dim}")
+        if feat.shape != (D_OBJ,):
+            raise DataError(f"baked feature has length {feat.shape}, expected {D_OBJ}")
         out[i] = feat
     for rows in by_count.values():
         # (K, 6, g): the point axis outermost, so every reduction over it
@@ -94,39 +95,37 @@ def object_features(objects, embed_seed: int, dim: int = D_OBJ) -> np.ndarray:
         centered = centered / np.where(radius > 0, radius, 1.0)
         stats = np.concatenate([centered.mean(axis=0), centered.max(axis=0),
                                 centered.min(axis=0), points[:, 3:].mean(axis=0)]).T
-        proj = _shape_projection(embed_seed, dim, stats.shape[1])
+        proj = _shape_projection(embed_seed)
         out[rows] = (proj @ stats[:, :, None])[:, :, 0]
     return out
 
 
-def object_feature_stub(obj, embed_seed: int, dim: int = D_OBJ) -> np.ndarray:
+def object_feature_stub(obj, embed_seed: int) -> np.ndarray:
     """Shape feature of one object (see `object_features`)."""
-    return object_features([obj], embed_seed, dim)[0]
+    return object_features([obj], embed_seed)[0]
 
 
-def label_embedding(class_id: int, embed_seed: int, dim: int = D_LABEL) -> np.ndarray:
-    """Fixed random embedding of a class id."""
+def label_embedding(class_id: int, embed_seed: int) -> np.ndarray:
+    """Fixed random (D_LABEL,) embedding of a class id."""
     if class_id < 0:
         raise UsageError(f"class_id must be non-negative, got {class_id}")
-    return _label_row(embed_seed, class_id, dim).copy()
+    return _label_row(embed_seed, class_id).copy()
 
 
-def object_representations(objects, embed_seed: int, d_obj: int = D_OBJ,
-                           d_label: int = D_LABEL) -> np.ndarray:
-    """(n, d_rep) rows: shape feature, label embedding, box center and size."""
+def object_representations(objects, embed_seed: int) -> np.ndarray:
+    """(n, D_REP) rows: shape feature, label embedding, box center and size."""
     return np.concatenate([
-        object_features(objects, embed_seed, d_obj),
-        np.array([label_embedding(o.class_id, embed_seed, d_label)
-                  for o in objects]).reshape(-1, d_label),
+        object_features(objects, embed_seed),
+        np.array([label_embedding(o.class_id, embed_seed)
+                  for o in objects]).reshape(-1, D_LABEL),
         np.array([o.center for o in objects], dtype=np.float64).reshape(-1, 3),
         np.array([o.size for o in objects], dtype=np.float64).reshape(-1, 3),
     ], axis=1)
 
 
-def object_representation(obj, embed_seed: int, d_obj: int = D_OBJ,
-                          d_label: int = D_LABEL) -> np.ndarray:
+def object_representation(obj, embed_seed: int) -> np.ndarray:
     """Representation row of one object (see `object_representations`)."""
-    return object_representations([obj], embed_seed, d_obj, d_label)[0]
+    return object_representations([obj], embed_seed)[0]
 
 
 def audio_embedding(target_class: int, mentioned_classes, relation_id: int,

@@ -11,23 +11,22 @@ from .model import (GroundingFailure, GroundingModel, _batch_loss, _flat_views,
                     _zero_grads)
 from .scene import _CHUNK
 
-_BETA1, _BETA2, _EPS, _DECAY = 0.9, 0.999, 1e-8, 0.9
+_BETA1, _BETA2, _EPS, _DECAY, _DECAY_EVERY = 0.9, 0.999, 1e-8, 0.9, 5
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Toy curriculum schedule; Adam's (`_BETA1`, `_BETA2`, `_EPS`) are (0.9, 0.999,
-    1e-8), and the learning rate drops by `_DECAY` = 0.9 every `decay_every` epochs."""
+    1e-8), and the learning rate drops by `_DECAY` = 0.9 every `_DECAY_EVERY` = 5 epochs."""
 
     epochs: int = 40
     batch_size: int = 32
     learning_rate: float = 3e-3
-    decay_every: int = 5
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.epochs, self.batch_size, self.decay_every) < 1:
-            raise UsageError("epochs, batch size and decay_every must be positive")
+        if min(self.epochs, self.batch_size) < 1:
+            raise UsageError("epochs and batch size must be positive")
         if not 0 <= self.learning_rate < np.inf:
             raise UsageError(f"learning rate must be finite and non-negative, "
                              f"got {self.learning_rate}")
@@ -82,7 +81,7 @@ def train_toy(model: GroundingModel, scenes, config: TrainConfig = TrainConfig()
     records = []
     num_scenes = len(scenes)
     for epoch in range(config.epochs):
-        lr = config.learning_rate * _DECAY ** (epoch // config.decay_every)
+        lr = config.learning_rate * _DECAY ** (epoch // _DECAY_EVERY)
         order = rng.permutation(num_scenes)
         epoch_loss = 0.0
         epoch_parts = np.zeros(3)
@@ -152,9 +151,9 @@ def evaluate(model: GroundingModel, scenes) -> EvalReport:
                       ground_hits / n, failures, n)
 
 
-def gradient_check(model: GroundingModel, scenes, step: float = 1e-5,
-                   samples_per_tensor: int = 4, seed: int = 0) -> float:
-    """Compare analytic gradients against central differences.
+def gradient_check(model: GroundingModel, scenes, samples_per_tensor: int = 4,
+                   seed: int = 0) -> float:
+    """Compare analytic gradients against central differences of step 1e-5.
 
     Probes a seeded sample of entries in every parameter tensor and
     returns the worst error: relative, |num - ana| / max(|num|, |ana|),
@@ -168,7 +167,7 @@ def gradient_check(model: GroundingModel, scenes, step: float = 1e-5,
     grads = _zero_grads(model.params)
     _batch_loss(model, batch, grads)
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    step, worst = 1e-5, 0.0
     for key in sorted(model.params):
         arr = model.params[key]
         flat = arr.reshape(-1)

@@ -63,7 +63,7 @@ class UniformLM(LanguageModel):
 
 @dataclass
 class CountLM(LanguageModel):
-    """Add-alpha smoothed count model of order 1 or 2.
+    """Add-alpha smoothed count model, of order 2 if it holds bigrams, else 1.
 
     Order 2 conditions on the previous token (BOS at sentence start)
     and backs off to the smoothed unigram distribution when the
@@ -71,14 +71,12 @@ class CountLM(LanguageModel):
     nothing for order 1.
     """
 
-    order: int
     alpha: float
     unigrams: dict[str, int]
     bigrams: dict[tuple[str, str], int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.order not in (1, 2):
-            raise UsageError(f"order must be 1 or 2, got {self.order}")
+        self.order = 2 if self.bigrams else 1
         if not 0 <= self.alpha < np.inf:
             raise UsageError(f"alpha must be finite and non-negative, got {self.alpha}")
         if BOS in self.unigrams or any(w == BOS for (_, w) in self.bigrams):
@@ -113,6 +111,8 @@ class CountLM(LanguageModel):
     @classmethod
     def from_corpus(cls, sentences, order: int = 2, alpha: float = 1.0) -> "CountLM":
         """Count events over whitespace-split or pre-tokenized sentences."""
+        if order not in (1, 2):
+            raise UsageError(f"order must be 1 or 2, got {order}")
         unigrams: dict[str, int] = {}
         bigrams: dict[tuple[str, str], int] = {}
         for sent in sentences:
@@ -122,9 +122,7 @@ class CountLM(LanguageModel):
                 unigrams[tok] = unigrams.get(tok, 0) + 1
                 bigrams[(prev, tok)] = bigrams.get((prev, tok), 0) + 1
                 prev = tok
-        if order == 1:
-            bigrams = {}
-        return cls(order, alpha, unigrams, bigrams)
+        return cls(alpha, unigrams, bigrams if order == 2 else {})
 
     def context(self, history: tuple[str, ...] = ()) -> tuple[str, ...]:
         """The last token for order 2 (empty at sentence start), else nothing."""
@@ -134,8 +132,8 @@ class CountLM(LanguageModel):
         if token != EOS and token not in self._known:
             raise DataError(f"token {token!r} outside the model vocabulary")
         ctx = history[-1] if history else BOS
-        # order 1, or a context never observed, reads the unigram table (key 0)
-        total = self._ctx_totals.get(ctx, 0) if self.order == 2 else 0
+        # an unseen context (every context, at order 1) reads the unigram table (key 0)
+        total = self._ctx_totals.get(ctx, 0)
         count = self.bigrams.get((ctx, token), 0) if total else self.unigrams.get(token, 0)
         num = count + self.alpha
         if num == 0:
@@ -198,5 +196,4 @@ def read_lm(path: str, alpha: float = 1.0) -> CountLM:
                 raise DataError(f"line {lineno}: only orders 1 and 2 are supported")
     if not unigrams and not bigrams:
         raise DataError("count file holds no events")
-    order = 2 if bigrams else 1
-    return CountLM(order, alpha, unigrams, bigrams)
+    return CountLM(alpha, unigrams, bigrams)

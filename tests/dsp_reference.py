@@ -44,7 +44,7 @@ def mfcc(w: Waveform, spec: FrameSpec, fb: MelFilterbank, num_cepstra: int = 13)
     """Mel-frequency cepstra of an utterance, one row per frame."""
     if w.sample_rate != 16000:
         raise DataError(f"front-end expects 16000 Hz input, got {w.sample_rate}")
-    if fb.sample_rate != w.sample_rate or fb.fft_size != spec.fft_size:
+    if fb.fft_size != spec.fft_size:
         raise UsageError("filterbank geometry does not match the frame spec")
     if num_cepstra < 1 or num_cepstra > fb.num_filters:
         raise UsageError(
@@ -86,7 +86,7 @@ def blocked_mfcc(w: Waveform, spec: FrameSpec, fb: MelFilterbank,
     """Mel-frequency cepstra of an utterance, `_BLOCK_FRAMES` frames per block."""
     if w.sample_rate != 16000:
         raise DataError(f"front-end expects 16000 Hz input, got {w.sample_rate}")
-    if fb.sample_rate != w.sample_rate or fb.fft_size != spec.fft_size:
+    if fb.fft_size != spec.fft_size:
         raise UsageError("filterbank geometry does not match the frame spec")
     if num_cepstra < 1 or num_cepstra > fb.num_filters:
         raise UsageError(

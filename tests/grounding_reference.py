@@ -209,7 +209,8 @@ def _ground_grouped(model: GroundingModel, scene: SyntheticScene,
         raise GroundingFailure(
             f"no object of predicted class {pred_class}; cannot ground")
     reprs = object_representations([scene.objects[i] for i in (*cands, *rels)],
-                                   model.config.embed_seed, D_OBJ, D_LABEL)
+                                   model.config.embed_seed)
+    assert reprs.shape[1] == D_OBJ + D_LABEL + 6
     cand_reprs, rel_reprs = reprs[:len(cands)], reprs[len(cands):]
     logits, _ = _ground_streams(model, cand_reprs, rel_reprs, scene.audio)
     z = logits - logits.max()
@@ -235,8 +236,9 @@ def train_toy(model: GroundingModel, scenes, config: TrainConfig = TrainConfig()
     """Train in place with Adam and a stepped learning-rate decay.
 
     Each minibatch of scenes is prepared (ground-truth grouping, baked
-    features) and padded on its own.  Adam's (0.9, 0.999, 1e-8) and the
-    0.9 decay factor are written out here, not read from the package.
+    features) and padded on its own.  Adam's (0.9, 0.999, 1e-8), the 0.9
+    decay factor and its 5-epoch period are written out here, not read
+    from the package.
     Returns one record per epoch; raises NumericError if the loss stops
     being finite.
     """
@@ -254,7 +256,7 @@ def train_toy(model: GroundingModel, scenes, config: TrainConfig = TrainConfig()
     step = 0
     records = []
     for epoch in range(config.epochs):
-        lr = config.learning_rate * 0.9 ** (epoch // config.decay_every)
+        lr = config.learning_rate * 0.9 ** (epoch // 5)
         order = rng.permutation(len(scenes))
         epoch_loss = 0.0
         epoch_parts = np.zeros(3)

@@ -87,10 +87,6 @@ MUTANTS = (
            "    if not np.isfinite(flat).all():\n", "    if False:\n",
            ("tests/test_grounding.py::TestTraining::test_non_finite_last_step_aborts",
             "tests/test_cli.py::TestOverflowingCheckpoint")),
-    Mutant("decay period unbounded", "grounding/train.py",
-           "min(self.epochs, self.batch_size, self.decay_every) < 1",
-           "min(self.epochs, self.batch_size) < 1",
-           ("tests/test_grounding.py::TestTraining::test_decay_period_must_be_positive",)),
     Mutant("all -inf softmax row divides by zero", "grounding/model.py",
            "    p /= np.where(total == 0.0, 1.0, total)\n", "    p /= total\n",
            ("tests/test_grounding.py::TestAudioGuidedAttention"
@@ -194,6 +190,9 @@ MUTANTS = (
            "grown[:len(live)] = grown[live]\n"
            "            parents, grown = parents[live].tolist(), grown[:len(live)].tolist()",
            LABELSYNC_HOLED),
+    Mutant("input rate unchecked", "dsp.py",
+           "    if w.sample_rate != SAMPLE_RATE:\n", "    if False:\n",
+           ("tests/test_dsp.py::TestMfcc::test_rejects_wrong_rate",)),
     Mutant("real split sign flipped", "dsp.py",
            "np.subtract(s, zk, out=s)", "np.add(s, zk, out=s)", BLOCKED_MFCC),
     Mutant("block frames reversed", "dsp.py",
@@ -257,6 +256,13 @@ MUTANTS = (
     Mutant("bigram context forgets its token", "lm.py",
            "return history[-1:] if self.order == 2 else ()", "return ()",
            ("tests/test_lm.py::TestContext", *TIMESYNC_REFERENCE)),
+    # a count model's order comes from its counts; only from_corpus takes one
+    Mutant("order fixed at 2", "lm.py",
+           "self.order = 2 if self.bigrams else 1", "self.order = 2",
+           ("tests/test_lm.py::TestContext",)),
+    Mutant("corpus order unchecked", "lm.py",
+           "        if order not in (1, 2):\n", "        if False:\n",
+           ("tests/test_lm.py::TestCountLM::test_bad_order_and_alpha",)),
     Mutant("zero reader asks the LM its context", "decode.py",
            "(lambda history: zeros)", "(lambda history: (lm and lm.context(history), zeros)[1])",
            ("tests/test_decode.py::TestLmCalls::test_lm_at_scale_zero_is_never_asked",)),

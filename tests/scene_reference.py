@@ -11,7 +11,9 @@ checked every object on its own, before feature-form scenes were
 checked as one block.  `verify_scene` is the verifier with one branch
 for left-of and one for right-of, before right-of became left-of on the
 mirrored x axis.  They are kept unchanged so the tests can compare the
-two.  Nothing in `src/` imports this module.
+two, except that `object_feature_stub` draws its own projection rather
+than reading the package's cached table.  Nothing in `src/` imports
+this module.
 """
 
 import json
@@ -19,7 +21,7 @@ import json
 import numpy as np
 
 from speechground.errors import DataError, UsageError
-from speechground.grounding.features import _shape_projection, audio_embedding
+from speechground.grounding.features import audio_embedding
 from speechground.grounding.scene import (RELATIONS, GenConfig, SceneObject,
                                           SyntheticScene, _class_tables,
                                           _json_int, group_objects)
@@ -48,20 +50,21 @@ def verify_scene(scene: SyntheticScene) -> bool:
     return hits == [scene.target_index]
 
 
-def object_feature_stub(obj, embed_seed: int, dim: int = 32) -> np.ndarray:
+def object_feature_stub(obj, embed_seed: int) -> np.ndarray:
     """Shape feature of one object: a seeded projection of cloud statistics.
 
     The cloud is normalized into a unit ball (centered on its mean,
     scaled by the largest radius), summarized by per-axis mean, max and
     min plus the mean color, and pushed through a fixed random
-    projection.  Translating the object does not change the result.
+    projection of 32 rows, drawn afresh from stream 0 of `embed_seed`.
+    Translating the object does not change the result.
     """
     if obj.points is None:
         if obj.feature is None:
             raise DataError("object carries neither points nor a baked feature")
         feat = np.asarray(obj.feature, dtype=np.float64)
-        if feat.shape != (dim,):
-            raise DataError(f"baked feature has length {feat.shape}, expected {dim}")
+        if feat.shape != (32,):
+            raise DataError(f"baked feature has length {feat.shape}, expected 32")
         return feat
     xyz = obj.points[:, :3]
     rgb = obj.points[:, 3:]
@@ -71,7 +74,8 @@ def object_feature_stub(obj, embed_seed: int, dim: int = 32) -> np.ndarray:
         centered = centered / radius
     stats = np.concatenate([centered.mean(axis=0), centered.max(axis=0),
                             centered.min(axis=0), rgb.mean(axis=0)])
-    return _shape_projection(embed_seed, dim, stats.shape[0]) @ stats
+    rng = np.random.default_rng([embed_seed, 0])
+    return rng.standard_normal((32, stats.size)) / np.sqrt(stats.size) @ stats
 
 
 def _sample_object(rng, class_id, center_xy, sizes, colors, num_points):
@@ -161,7 +165,7 @@ def generate_scenes(config: GenConfig) -> list[SyntheticScene]:
 
 
 def write_scenes(path: str, scenes, include_points: bool = True,
-                 embed_seed: int | None = None, d_obj: int = 32) -> None:
+                 embed_seed: int | None = None) -> None:
     """Write scenes as JSON lines.
 
     With include_points=False the point clouds are elided and each
@@ -181,7 +185,7 @@ def write_scenes(path: str, scenes, include_points: bool = True,
                         raise UsageError("scene object has no points to write")
                     rec["points"] = [list(row) for row in obj.points]
                 else:
-                    rec["feature"] = list(object_feature_stub(obj, embed_seed, d_obj))
+                    rec["feature"] = list(object_feature_stub(obj, embed_seed))
                 objs.append(rec)
             fh.write(json.dumps({
                 "objects": objs,

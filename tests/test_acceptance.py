@@ -208,7 +208,7 @@ def test_criterion_06_front_end_oracles():
 
     sr = 16000
     tone_spec = FrameSpec(step_samples=80, window_samples=200, fft_size=256)
-    fb = mel_filterbank(tone_spec, sr, num_filters=20)
+    fb = mel_filterbank(tone_spec, num_filters=20)
     worst_mfcc = -np.inf
     for _ in range(20):
         t = np.arange(1000) / sr

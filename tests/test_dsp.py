@@ -195,45 +195,43 @@ class TestMelScale:
 
 class TestFilterbank:
     def test_centers_equidistant(self):
-        fb = mel_filterbank(FrameSpec(), 16000, 26)
+        fb = mel_filterbank(FrameSpec(), 26)
         gaps = np.diff(fb.centers_mel)
         np.testing.assert_allclose(gaps, gaps[0], atol=1e-9)
         assert abs(fb.centers_mel[-1] + gaps[0] - hz_to_mel(8000.0)) < 1e-9
 
     def test_rows_nonnegative_and_peak_one(self):
-        fb = mel_filterbank(FrameSpec(), 16000, 26)
+        fb = mel_filterbank(FrameSpec(), 26)
         assert np.all(fb.weights >= 0.0)
         assert np.all(fb.weights.max(axis=1) <= 1.0 + 1e-12)
 
     def test_too_many_filters_rejected(self):
         with pytest.raises(UsageError):
             mel_filterbank(FrameSpec(step_samples=8, window_samples=16,
-                                     fft_size=16), 16000, 40)
+                                     fft_size=16), 40)
 
     def test_bad_filter_count_or_rate_rejected(self):
         with pytest.raises(UsageError, match="num_filters must be >= 1, got 0"):
-            mel_filterbank(FrameSpec(), 16000, 0)
-        with pytest.raises(UsageError, match="sample_rate must be positive, got 0"):
-            mel_filterbank(FrameSpec(), 0, 26)
+            mel_filterbank(FrameSpec(), 0)
 
     def test_filter_count_bound(self):
         # a bin lies under at most two triangles: 2 * 257 bins is the cheap cap,
         # and the per-filter check then finds 114 the largest usable count
         spec = FrameSpec()
-        assert mel_filterbank(spec, 16000, 114).num_filters == 114
+        assert mel_filterbank(spec, 114).num_filters == 114
         for count, message in ((115, "filter 0 catches no FFT bin"),
                                (514, "filter 0 catches no FFT bin"),
                                (515, "515 filters exceed twice the 257 FFT bins"),
                                (10**11, "exceed twice the 257 FFT bins")):
             with pytest.raises(UsageError, match=message):
-                mel_filterbank(spec, 16000, count)
+                mel_filterbank(spec, count)
 
 
 class TestMfcc:
     def test_silence_concentrates_in_c0(self):
         wave = Waveform(np.zeros(16000), 16000)
         spec = FrameSpec()
-        fb = mel_filterbank(spec, 16000, 26)
+        fb = mel_filterbank(spec, 26)
         feats = mfcc(wave, spec, fb, 13)
         assert feats.num_frames == frame_count(15999, spec)
         np.testing.assert_allclose(feats.data[:, 0], 26 * math.log10(EPS_AMP),
@@ -246,7 +244,7 @@ class TestMfcc:
 
     def test_matches_naive_pipeline_on_tones(self):
         spec = FrameSpec(step_samples=40, window_samples=100, fft_size=128)
-        fb = mel_filterbank(spec, 16000, 10)
+        fb = mel_filterbank(spec, 10)
         rng = np.random.default_rng(11)
         for _ in range(20):
             freq = rng.uniform(100, 7000)
@@ -262,31 +260,31 @@ class TestMfcc:
         rng = np.random.default_rng(3)
         wave = Waveform(rng.standard_normal(2000), 16000)
         spec = FrameSpec()
-        fb = mel_filterbank(spec, 16000, 26)
+        fb = mel_filterbank(spec, 26)
         a = mfcc(wave, spec, fb, 13)
         b = mfcc(wave, spec, fb, 13)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_short_input_gives_empty(self):
         spec = FrameSpec()
-        fb = mel_filterbank(spec, 16000, 26)
+        fb = mel_filterbank(spec, 26)
         feats = mfcc(Waveform(np.zeros(300), 16000), spec, fb, 13)
         assert feats.num_frames == 0
 
     def test_rejects_wrong_rate(self):
         spec = FrameSpec()
-        fb = mel_filterbank(spec, 16000, 26)
+        fb = mel_filterbank(spec, 26)
         with pytest.raises(DataError):
             mfcc(Waveform(np.zeros(16000), 8000), spec, fb, 13)
 
     def test_rejects_too_many_cepstra(self):
         spec = FrameSpec()
-        fb = mel_filterbank(spec, 16000, 26)
+        fb = mel_filterbank(spec, 26)
         with pytest.raises(UsageError):
             mfcc(Waveform(np.zeros(16000), 16000), spec, fb, 40)
 
     def test_rejects_filterbank_of_another_fft_size(self):
-        fb = mel_filterbank(FrameSpec(fft_size=1024), 16000, 26)
+        fb = mel_filterbank(FrameSpec(fft_size=1024), 26)
         with pytest.raises(UsageError, match="filterbank geometry does not match"):
             mfcc(Waveform(np.zeros(16000), 16000), FrameSpec(), fb, 13)
 
@@ -316,7 +314,7 @@ class TestBlockedMfccMatchesReference:
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"fft{s.fft_size}")
     def test_seeded_waveforms(self, spec):
-        fb = mel_filterbank(spec, 16000, 26)
+        fb = mel_filterbank(spec, 26)
         rng = np.random.default_rng(spec.fft_size)
         for frames in self.FRAME_COUNTS:
             n = self.samples_for(frames, spec)
@@ -329,7 +327,7 @@ class TestBlockedMfccMatchesReference:
         # row (0 with 1, 2 with 3) would leak its rounding into the quiet
         # frames 0 and 3: about 3e-9 in the cepstra
         spec = FrameSpec()
-        fb = mel_filterbank(spec, 16000, 26)
+        fb = mel_filterbank(spec, 26)
         rng = np.random.default_rng(71)
         samples = 1e-7 * rng.standard_normal(16000)
         samples[420:430] = [1.0, -1.0] * 5
@@ -337,7 +335,7 @@ class TestBlockedMfccMatchesReference:
 
     def test_digital_silence_gives_floor_in_c0(self):
         spec = FrameSpec()
-        fb = mel_filterbank(spec, 16000, 26)
+        fb = mel_filterbank(spec, 26)
         wave = Waveform(np.zeros(16000), 16000)
         got = mfcc(wave, spec, fb, 13).data
         assert np.all(got[:, 0] == 26 * math.log10(EPS_AMP))
@@ -346,7 +344,7 @@ class TestBlockedMfccMatchesReference:
 
     def test_input_samples_unchanged(self):
         spec = FrameSpec()
-        fb = mel_filterbank(spec, 16000, 26)
+        fb = mel_filterbank(spec, 26)
         samples = np.random.default_rng(72).standard_normal(16000)
         wave = Waveform(samples.copy(), 16000)
         mfcc(wave, spec, fb, 13)
@@ -355,7 +353,7 @@ class TestBlockedMfccMatchesReference:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"fft{s.fft_size}")
     def test_alternating_inputs_match_each_alone(self, spec):
         # nothing a call leaves behind reaches the next one
-        fb = mel_filterbank(spec, 16000, 26)
+        fb = mel_filterbank(spec, 26)
         rng = np.random.default_rng(73)
         waves = [Waveform(scale * rng.standard_normal(self.samples_for(frames, spec)), 16000)
                  for scale, frames in ((1.0, 33), (1e-6, 40))]

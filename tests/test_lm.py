@@ -68,22 +68,22 @@ class TestCountLM:
 
     def test_backoff_to_unigram_on_unseen_context(self):
         lm = CountLM.from_corpus(["a b"], order=2, alpha=1.0)
-        uni = CountLM(order=1, alpha=1.0, unigrams=dict(lm.unigrams))
+        uni = CountLM(alpha=1.0, unigrams=dict(lm.unigrams))
         assert lm.cond_logprob("a", ("zzz",)) == uni.cond_logprob("a")
         # empty history means sentence start, which was observed
         assert lm.cond_logprob("a", ()) != uni.cond_logprob("a")
 
     def test_context_only_tokens_join_vocabulary(self):
-        lm = CountLM(order=2, alpha=1.0, unigrams={"a": 1},
+        lm = CountLM(alpha=1.0, unigrams={"a": 1},
                      bigrams={("x", "a"): 1})
         assert lm.tokens == ("a", "x")
         assert math.isfinite(lm.cond_logprob("x", ("a",)))
 
     def test_bos_cannot_be_outcome(self):
         with pytest.raises(DataError):
-            CountLM(order=1, alpha=1.0, unigrams={BOS: 1})
+            CountLM(alpha=1.0, unigrams={BOS: 1})
         with pytest.raises(DataError):
-            CountLM(order=2, alpha=1.0, unigrams={"a": 1},
+            CountLM(alpha=1.0, unigrams={"a": 1},
                     bigrams={("a", BOS): 1})
 
     def test_oov_token_rejected(self):
@@ -92,20 +92,20 @@ class TestCountLM:
             lm.cond_logprob("zzz")
 
     def test_bad_order_and_alpha(self):
+        with pytest.raises(UsageError, match="order must be 1 or 2, got 3"):
+            CountLM.from_corpus(["a"], order=3)
         with pytest.raises(UsageError):
-            CountLM(order=3, alpha=1.0, unigrams={"a": 1})
-        with pytest.raises(UsageError):
-            CountLM(order=1, alpha=-0.1, unigrams={"a": 1})
+            CountLM(alpha=-0.1, unigrams={"a": 1})
         for alpha in (math.nan, math.inf):
             with pytest.raises(UsageError, match="alpha must be finite"):
-                CountLM(order=2, alpha=alpha, unigrams={"a": 1})
+                CountLM(alpha=alpha, unigrams={"a": 1})
 
     def test_alpha_overflowing_the_denominator(self):
         # two tokens plus EOS: 1e308 * 3 overflows, 1e307 * 3 does not
         unigrams = {"a": 1, "b": 1}
         with pytest.raises(UsageError, match="alpha 1e\\+308 overflows the LM denominator"):
-            CountLM(order=1, alpha=1e308, unigrams=unigrams)
-        lm = CountLM(order=1, alpha=1e307, unigrams=unigrams)
+            CountLM(alpha=1e308, unigrams=unigrams)
+        lm = CountLM(alpha=1e307, unigrams=unigrams)
         assert math.isfinite(lm.cond_logprob("a"))
 
 
@@ -128,7 +128,8 @@ class TestContext:
                    ("b", "a"): 1, ("b", "c"): 1}
         for order in (1, 2):
             for alpha in (0.0, 0.5, 1.0):
-                lm = CountLM(order, alpha, unigrams, bigrams if order == 2 else {})
+                lm = CountLM(alpha, unigrams, bigrams if order == 2 else {})
+                assert lm.order == order
                 histories = [(), ("a",), ("c",), ("d",), ("zzz",)] + [
                     tuple(rng.choice(lm.tokens, size=rng.integers(1, 6)).tolist())
                     for _ in range(20)]
@@ -137,7 +138,7 @@ class TestContext:
                 assert lm.context(()) == ()
 
     def test_unseen_context_with_zero_alpha_keeps_minus_inf(self):
-        lm = CountLM(2, 0.0, {"a": 1, "b": 1, EOS: 1}, {(BOS, "a"): 1, ("a", "b"): 1})
+        lm = CountLM(0.0, {"a": 1, "b": 1, EOS: 1}, {(BOS, "a"): 1, ("a", "b"): 1})
         assert lm.cond_logprob("a", ("b", "a")) == -np.inf
         self.assert_context_is_exact(lm, [("b", "a"), ("a", "b"), ()])
 
@@ -161,10 +162,10 @@ class TestContext:
 class TestPerplexity:
     def test_uniform_four_outcomes_is_four(self):
         # three tokens plus EOS at equal counts: every outcome is 1/4
-        lm = CountLM(order=1, alpha=1.0,
+        lm = CountLM(alpha=1.0,
                      unigrams={"a": 1, "b": 1, "c": 1, EOS: 1})
         for alpha in (0.0, 0.5, 1.0, 7.0):
-            lm = CountLM(order=1, alpha=alpha,
+            lm = CountLM(alpha=alpha,
                          unigrams={"a": 2, "b": 2, "c": 2, EOS: 2})
             assert lm_perplexity(lm, ["a b c", "c a"]) == pytest.approx(4.0, abs=1e-12)
 

@@ -260,10 +260,10 @@ class TestFeatureStubs:
 
     def test_representation_layout(self):
         obj = make_object(3, [1.0, 2.0, 3.0])
-        rep = object_representation(obj, embed_seed=7, d_obj=32, d_label=8)
+        rep = object_representation(obj, embed_seed=7)
         assert rep.shape == (46,)
-        np.testing.assert_array_equal(rep[:32], object_feature_stub(obj, 7, 32))
-        np.testing.assert_array_equal(rep[32:40], label_embedding(3, 7, 8))
+        np.testing.assert_array_equal(rep[:32], object_feature_stub(obj, 7))
+        np.testing.assert_array_equal(rep[32:40], label_embedding(3, 7))
         np.testing.assert_array_equal(rep[40:43], obj.center)
         np.testing.assert_array_equal(rep[43:46], obj.size)
 
@@ -276,8 +276,8 @@ class TestFeatureStubs:
         from speechground.grounding import features
 
         obj = make_object(2, [1.0, 2.0, 3.0])
-        first = object_feature_stub(obj, 7, 32)
-        label = label_embedding(2, 7, 8)
+        first = object_feature_stub(obj, 7)
+        label = label_embedding(2, 7)
         audio = audio_embedding(1, (1, 3), 2, 5, 16, 7)
         # each table equals a draw from a fresh seeded Generator
         np.testing.assert_array_equal(
@@ -287,17 +287,17 @@ class TestFeatureStubs:
         np.testing.assert_array_equal(
             audio, tables[0][1] + tables[2][2] + tables[1][1] + tables[1][3])
         # the cached arrays are read-only and never handed out
-        for table in (features._shape_projection(7, 32, 12),
-                      features._label_row(7, 2, 8),
+        for table in (features._shape_projection(7),
+                      features._label_row(7, 2),
                       *features._audio_tables(7, 5, 16)):
             assert not table.flags.writeable
         label[:] = 0.0
         first[:] = 0.0
         audio[:] = 0.0
         np.testing.assert_array_equal(
-            label_embedding(2, 7, 8),
+            label_embedding(2, 7),
             np.random.default_rng([7, 1, 2]).standard_normal(8))
-        assert np.any(object_feature_stub(obj, 7, 32) != 0.0)
+        assert np.any(object_feature_stub(obj, 7) != 0.0)
         assert np.any(audio_embedding(1, (1, 3), 2, 5, 16, 7) != 0.0)
 
     def test_label_embedding_validation(self):
@@ -322,10 +322,11 @@ class TestFeatureStubs:
     def test_baked_feature_dimension_check(self):
         obj = SceneObject(None, 0, np.zeros(3), np.ones(3),
                           feature=np.zeros(32))
-        np.testing.assert_array_equal(object_feature_stub(obj, 7, 32),
+        np.testing.assert_array_equal(object_feature_stub(obj, 7),
                                       np.zeros(32))
+        short = SceneObject(None, 0, np.zeros(3), np.ones(3), feature=np.zeros(16))
         with pytest.raises(DataError, match="length"):
-            object_feature_stub(obj, 7, 16)
+            object_feature_stub(short, 7)
         bare = SceneObject(None, 0, np.zeros(3), np.ones(3))
         with pytest.raises(DataError, match="neither"):
             object_feature_stub(bare, 7)
@@ -341,12 +342,11 @@ class TestObjectFeatures:
     """The batched features equal the per-object reference stub exactly."""
 
     @staticmethod
-    def assert_rows_match_reference(objects, dim=32):
-        feats = object_features(objects, 7, dim)
-        assert feats.shape == (len(objects), dim)
+    def assert_rows_match_reference(objects):
+        feats = object_features(objects, 7)
+        assert feats.shape == (len(objects), 32)
         for row, obj in zip(feats, objects):
-            np.testing.assert_array_equal(row,
-                                          reference.object_feature_stub(obj, 7, dim))
+            np.testing.assert_array_equal(row, reference.object_feature_stub(obj, 7))
 
     def test_mixed_point_counts(self):
         rng = np.random.default_rng(51)
@@ -364,7 +364,6 @@ class TestObjectFeatures:
                            axis=1), 1)
         objects = [one_point, random_cloud(rng, 9), identical, tiny]
         self.assert_rows_match_reference(objects)
-        self.assert_rows_match_reference(objects, dim=5)
 
     def test_baked_features_mix_with_point_clouds(self):
         rng = np.random.default_rng(53)
@@ -375,15 +374,15 @@ class TestObjectFeatures:
                                           clouds[2], baked[2]])
 
     def test_empty_list(self):
-        assert object_features([], 7, 32).shape == (0, 32)
-        assert object_representations([], 7, 32, 8).shape == (0, 46)
+        assert object_features([], 7).shape == (0, 32)
+        assert object_representations([], 7).shape == (0, 46)
 
     def test_bad_objects_are_refused(self):
         rng = np.random.default_rng(54)
         good = random_cloud(rng, 4)
         short = SceneObject(None, 0, np.zeros(3), np.ones(3), feature=np.zeros(16))
         with pytest.raises(DataError, match="length"):
-            object_features([good, short], 7, 32)
+            object_features([good, short], 7)
         with pytest.raises(DataError, match="neither"):
             object_features([good, SceneObject(None, 0, np.zeros(3), np.ones(3))], 7)
 
@@ -391,11 +390,11 @@ class TestObjectFeatures:
         rng = np.random.default_rng(55)
         objects = [random_cloud(rng, k, class_id=c)
                    for k, c in ((6, 2), (1, 0), (6, 5))]
-        reprs = object_representations(objects, 7, 32, 8)
+        reprs = object_representations(objects, 7)
         for row, obj in zip(reprs, objects):
             np.testing.assert_array_equal(row, np.concatenate([
-                reference.object_feature_stub(obj, 7, 32),
-                label_embedding(obj.class_id, 7, 8), obj.center, obj.size]))
+                reference.object_feature_stub(obj, 7),
+                label_embedding(obj.class_id, 7), obj.center, obj.size]))
 
 
 class TestGeneratorMatchesReference:
