@@ -2,7 +2,6 @@
 
 import importlib
 
-from . import ctc, decode, dsp, fft, lm, metrics
 from .errors import DataError, NumericError, SpeechGroundError, UsageError
 
 __version__ = "0.1.0"
@@ -14,7 +13,8 @@ __all__ = [
 ]
 
 
-def __getattr__(name):  # PEP 562: grounding and selfsup load on first use
-    if name not in ("grounding", "selfsup"):
+def __getattr__(name):  # PEP 562: each submodule loads on first use
+    # only names not bound above get here, so the ones in __all__ are submodules
+    if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return importlib.import_module(f".{name}", __name__)

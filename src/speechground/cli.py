@@ -10,22 +10,12 @@ draw random numbers (featurize, analyze mi, ground gen/train) take --seed.
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from .ctc import (ctc_forward, ctc_prefix_logprob, format_label_sequence,
-                  parse_label_string, read_posteriorgram, read_vocab)
-from .decode import (DecodeConfig, estimate_prior, greedy_decode,
-                     labelsync_beam, timesync_beam)
-from .dsp import (FrameSpec, MaskSpec, load_features, mel_filterbank, mfcc,
-                  normalize_wave, read_wav, spec_augment, write_feature_binary,
-                  write_feature_text)
 from .errors import DataError, NumericError, UsageError
-from .lm import lm_perplexity, read_lm
-from .metrics import corpus_wer
 
 
 def _emit(args, line: str, payload: dict) -> None:
@@ -51,6 +41,7 @@ def _read_lines(path: str) -> list[str]:
 
 
 def _load_prior_sources(path: str, num_symbols: int):
+    from .ctc import read_posteriorgram
     files = [path]
     if os.path.isdir(path):
         files = [os.path.join(path, n) for n in sorted(os.listdir(path))
@@ -67,6 +58,7 @@ def _load_prior_sources(path: str, num_symbols: int):
 
 
 def _load_ctc_inputs(args):
+    from .ctc import read_posteriorgram, read_vocab
     vocab = read_vocab(args.vocab)
     post = read_posteriorgram(args.posteriors)
     if post.num_symbols != vocab.size:
@@ -77,6 +69,8 @@ def _load_ctc_inputs(args):
 
 
 def _cmd_featurize(args) -> None:
+    from .dsp import (FrameSpec, MaskSpec, mel_filterbank, mfcc, normalize_wave, read_wav,
+                      spec_augment, write_feature_binary, write_feature_text)
     wave = normalize_wave(read_wav(args.input))
     spec = FrameSpec()
     fb = mel_filterbank(spec, args.filters)
@@ -97,10 +91,11 @@ def _cmd_featurize(args) -> None:
 
 
 def _cmd_ctc_loss(args) -> None:
+    from .ctc import ctc_forward, parse_label_string
     vocab, post = _load_ctc_inputs(args)
     target = parse_label_string(args.labels, vocab)
     _, logp = ctc_forward(post, target)
-    if logp == -np.inf:
+    if logp == -math.inf:
         raise NumericError("target is infeasible for this posteriorgram")
     loss = 0.0 - logp  # not -logp, which is -0.0 for a certain target
     _emit(args, f"LOSS={loss:.6f}", {
@@ -109,6 +104,7 @@ def _cmd_ctc_loss(args) -> None:
 
 
 def _cmd_ctc_prefix(args) -> None:
+    from .ctc import ctc_prefix_logprob, parse_label_string
     vocab, post = _load_ctc_inputs(args)
     prefix = parse_label_string(args.labels, vocab)
     logp = ctc_prefix_logprob(post, prefix)
@@ -136,6 +132,10 @@ def _cmd_ctc_decode(args) -> None:
             raise UsageError(f"{flag} applies only to {where}; {args.mode} mode ignores it")
     if args.beam is not None and args.beam > MAX_BEAM:
         raise UsageError(f"--beam {args.beam} exceeds the maximum width {MAX_BEAM}")
+    from .ctc import format_label_sequence
+    from .decode import (DecodeConfig, estimate_prior, greedy_decode, labelsync_beam,
+                         timesync_beam)
+    from .lm import read_lm
     vocab, post = _load_ctc_inputs(args)
     config = DecodeConfig(beam_width=8 if args.beam is None else args.beam,
                           lm_scale=args.lm_scale, prior_scale=args.prior_scale)
@@ -156,6 +156,7 @@ def _cmd_ctc_decode(args) -> None:
 
 
 def _cmd_eval_wer(args) -> None:
+    from .metrics import corpus_wer
     refs = _read_lines(args.ref)
     hyps = _read_lines(args.hyp)
     if len(refs) != len(hyps):
@@ -173,6 +174,7 @@ def _cmd_eval_wer(args) -> None:
 
 
 def _cmd_eval_ppl(args) -> None:
+    from .lm import lm_perplexity, read_lm
     model = read_lm(args.lm, alpha=args.alpha)
     sentences = _read_lines(args.text)
     ppl = lm_perplexity(model, sentences)
@@ -180,6 +182,7 @@ def _cmd_eval_ppl(args) -> None:
 
 
 def _cmd_analyze_cca(args) -> None:
+    from .dsp import load_features
     from .selfsup import cca_corrs
     x = load_features(args.x)
     y = load_features(args.y)
@@ -196,6 +199,7 @@ def _cmd_analyze_cca(args) -> None:
 
 
 def _cmd_analyze_mi(args) -> None:
+    from .dsp import load_features
     from .selfsup import mutual_information
     feats = load_features(args.features)
     labels = _read_lines(args.labels)
@@ -210,6 +214,7 @@ def _cmd_analyze_mi(args) -> None:
 
 
 def _cmd_analyze_ssl(args) -> None:
+    from .dsp import load_features
     from .selfsup import CodebookUsage, ContrastiveBatch, contrastive_loss, diversity_loss
     feats = load_features(args.features)
     if feats.num_frames < 2:

@@ -63,6 +63,7 @@ BRUTEFORCE = ("tests/test_ctc.py::TestBlockedBruteforceMatchesReference",)
 TRAINING_REFERENCE = ("tests/test_grounding.py::TestTrainingMatchesReference",)
 INVARIANCE = ("tests/test_grounding.py::TestBatchInvariance",)
 CHECKPOINT_GUARD = "tests/test_cli.py::TestGroundInputValidation::"
+IMPORTS = "tests/test_cli.py::TestLazyImports::test_each_command_loads_only_what_it_runs"
 
 
 def hand_case(text: str) -> str:
@@ -174,6 +175,12 @@ MUTANTS = (
     Mutant("label-sync drops the LM token", "decode.py",
            "histories = [histories[j] + token[v] for j, v", "histories = [histories[j] for j, v",
            LABELSYNC_REFERENCE),
+    Mutant("normalization bound exclusive", "ctc.py",
+           "if slack[worst] > 1e-6:", "if slack[worst] >= 1e-6:",
+           ("tests/test_ctc.py::TestPosteriorgramType::test_normalization_bound_is_inclusive",)),
+    Mutant("brute-force cap exclusive", "ctc.py",
+           "if k ** t_total > BRUTEFORCE_MAX_PATHS:", "if k ** t_total >= BRUTEFORCE_MAX_PATHS:",
+           ("tests/test_ctc.py::TestPosteriorgramType::test_bruteforce_cap_is_inclusive",)),
     Mutant("in-place blank row drops the blank", "ctc.py",
            "        row += lp[t, BLANK]\n", "",
            ("tests/test_ctc.py::TestLatticeMatchesReference", *BLOCK_LATTICE)),
@@ -220,6 +227,9 @@ MUTANTS = (
            "np.maximum(np.logaddexp.reduce(lp, axis=1), 0.0).sum()",
            "np.logaddexp.reduce(lp, axis=1).sum()",
            (GRAVES_STOP + "test_slack_covers_rows_that_sum_above_one",)),
+    Mutant("margin sized with the zero entries", "decode.py",
+           "where=lp > -np.inf", "where=lp >= -np.inf",
+           (GRAVES_STOP + "test_zero_entries_stay_out_of_the_margin",)),
     Mutant("stop tests the weakest kept child", "decode.py",
            "reached[kept].max()", "reached[kept].min()",
            (GRAVES_STOP + "test_stop_fires_on_a_peaked_input",)),
@@ -430,6 +440,18 @@ MUTANTS = (
     Mutant("prior size unchecked", "decode.py",
            "        if prior.shape[0] != p.num_symbols:\n", "        if False:\n",
            ("tests/test_decode.py::TestPrior::test_wrong_size_prior_rejected",)),
+    # each command imports only the modules it runs
+    Mutant("package imports every submodule", "__init__.py",
+           "from .errors import DataError",
+           "from . import ctc, decode, dsp, fft, lm, metrics\nfrom .errors import DataError",
+           (f"{IMPORTS}[featurize]", f"{IMPORTS}[ground-gen]")),
+    Mutant("cli imports numpy at the top", "cli.py",
+           "import sys\n\nfrom . import __version__\n",
+           "import sys\n\nimport numpy as np\n\nfrom . import __version__\n",
+           (f"{IMPORTS}[version]", f"{IMPORTS}[usage-error]")),
+    Mutant("grounding imports its model eagerly", "grounding/__init__.py",
+           "import importlib\n", "import importlib\n\nfrom .model import GroundingModel\n",
+           (f"{IMPORTS}[ground-gen]",)),
 )
 
 

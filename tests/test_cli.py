@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from speechground import cli, grounding
+from speechground import cli
 from speechground.cli import main
 from speechground.dsp import FeatureMatrix, Waveform, write_feature_binary, write_wav
 from speechground.grounding import (GenConfig, GroundingConfig, GroundingFailure,
@@ -948,8 +948,8 @@ class TestGroundPipeline:
 
     def test_gen_calls_generate_scenes_once_per_chunk(self, tmp_path, capsys,
                                                       monkeypatch):
-        # the benchmark's tracer wraps generate_scenes under both names and
-        # counts len(result) as scenes made, so each call must return a list
+        # the benchmark's tracer wraps generate_scenes and counts len(result)
+        # as scenes made, so each call must return a list
         results = []
         original = scene_module.generate_scenes
 
@@ -957,7 +957,6 @@ class TestGroundPipeline:
             results.append(original(*args, **kwargs))
             return results[-1]
 
-        monkeypatch.setattr("speechground.grounding.generate_scenes", counted)
         monkeypatch.setattr(scene_module, "generate_scenes", counted)
         code, _, err = run(["ground", "gen", "--out", str(tmp_path), "--train-scenes",
                             "70", "--dev-scenes", "5"], capsys)
@@ -1456,7 +1455,7 @@ class TestCliBasics:
             raise ValueError("boom")
 
         # below the handler, which the cached parser binds directly
-        monkeypatch.setattr(grounding, "load_checkpoint", broken)
+        monkeypatch.setattr("speechground.grounding.model.load_checkpoint", broken)
         code, out, err = run(["ground", "eval", "--model", "m", "--data", "d"],
                              capsys)
         assert code == 3
@@ -1521,12 +1520,53 @@ class TestLazyImports:
             "else:",
             "    raise AssertionError('no AttributeError')",
         ])
+        done = self.fresh(script)
+        assert done.returncode == 0, done.stderr
+
+    @staticmethod
+    def fresh(script, *argv):
+        """`script` run with `argv` in a new interpreter that imports this `speechground`."""
         env = dict(os.environ)
         src = str(Path(cli.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", script], env=env,
+        return subprocess.run([sys.executable, "-c", script, *argv], env=env,
                               capture_output=True, text=True, timeout=120)
+
+    # each command's exit code and the modules it must leave unloaded
+    IMPORT_CASES = {
+        "version": (["--version"], 0, {"numpy"}),
+        "usage-error": (["ground", "gen", "--train-scenes", "1"], 1, {"numpy"}),
+        "featurize": (["featurize", "--input", "{tmp}/x.wav", "--output", "{tmp}/x.feats"], 0,
+                      {"speechground.ctc", "speechground.decode", "speechground.lm",
+                       "speechground.metrics", "speechground.grounding"}),
+        "label-sync": (["ctc", "decode", "--mode", "label-sync", "--posteriors", "{tmp}/p.post",
+                        "--vocab", "{tmp}/p.vocab"], 0,
+                       {"speechground.dsp", "speechground.fft", "speechground.metrics",
+                        "speechground.grounding"}),
+        "ground-gen": (["ground", "gen", "--out", "{tmp}/data", "--train-scenes", "2",
+                        "--dev-scenes", "1"], 0,
+                       {"speechground.grounding.model", "speechground.grounding.train",
+                        "speechground.ctc", "speechground.dsp"}),
+    }
+
+    @pytest.mark.parametrize("case", IMPORT_CASES)
+    def test_each_command_loads_only_what_it_runs(self, case, tmp_path):
+        argv, code, unloaded = self.IMPORT_CASES[case]
+        write_wav(str(tmp_path / "x.wav"), Waveform(np.zeros(1600), 16000))
+        write_post(tmp_path / "p.post", [[0.25, 0.75], [0.5, 0.5]])
+        write_vocab(tmp_path / "p.vocab", ["a"])
+        script = "\n".join([
+            "import json, sys",
+            "from speechground.cli import main",
+            "code = main(sys.argv[1:])",
+            "print(json.dumps([code, sorted(sys.modules)]))",
+        ])
+        done = self.fresh(script, *(a.format(tmp=tmp_path) for a in argv))
         assert done.returncode == 0, done.stderr
+        got, modules = json.loads(done.stdout.splitlines()[-1])
+        assert got == code, done.stdout
+        assert "speechground.cli" in modules
+        assert unloaded.isdisjoint(modules), sorted(unloaded.intersection(modules))
 
     def test_module_getattr_in_process(self):
         import speechground
@@ -1534,6 +1574,11 @@ class TestLazyImports:
             speechground.no_such_name
         assert speechground.__getattr__("selfsup") is importlib.import_module(
             "speechground.selfsup")
+        grounding = importlib.import_module("speechground.grounding")
+        with pytest.raises(AttributeError, match="no_such_name"):
+            grounding.no_such_name
+        assert grounding.__getattr__("model") is importlib.import_module(
+            "speechground.grounding.model")
 
 
 class TestTracedNames:

@@ -445,6 +445,21 @@ class TestPosteriorgramType:
         with pytest.raises(UsageError, match=r"2\^24 paths exceeds the 10000000 cap"):
             bruteforce_distribution(p)
 
+    def test_normalization_bound_is_inclusive(self):
+        # a one-column row's logsumexp is its entry, so the slack is exact
+        assert Posteriorgram([[1e-6]]).num_frames == 1
+        with pytest.raises(DataError, match="row 0 does not normalize"):
+            Posteriorgram([[np.nextafter(1e-6, 1)]])
+
+    def test_bruteforce_cap_is_inclusive(self, monkeypatch):
+        # the reference binds its cap by name, so only src sees the patch
+        monkeypatch.setattr(ctc, "BRUTEFORCE_MAX_PATHS", 8)
+        p = random_posteriorgram(np.random.default_rng(111), 4, 2)
+        short = Posteriorgram(p.log_probs[:3])
+        assert bruteforce_distribution(short) == reference.bruteforce_distribution(short)
+        with pytest.raises(UsageError, match=r"2\^4 paths exceeds the 8 cap"):
+            bruteforce_distribution(p)
+
     def test_scaling_rows_shifts_forward_by_constant(self):
         # positive per-frame scaling must shift every sequence equally
         rng = np.random.default_rng(400)

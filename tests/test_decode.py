@@ -1,6 +1,7 @@
 """Decoder tests against brute-force path enumeration oracles."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -683,6 +684,25 @@ class TestGravesStop:
             want = reference.labelsync_beam(p, config, lm=lm, vocab=vocab)
             assert (want.sequence, want.score) == ((1, 2), -2.0 ** 60), width
             assert (got.sequence, got.score) == (want.sequence, want.score), width
+
+
+    def test_zero_entries_stay_out_of_the_margin(self, monkeypatch):
+        # Row 5 gives blank and b nothing, so lp holds -inf.  The margin's
+        # size reads only the finite entries: with |-inf| in it the margin is
+        # inf, the stop never fires and all 12 depths run.
+        steps = self.depths(monkeypatch)
+        aligned = [1, 1, BLANK, 2, 2, BLANK, 3, 3, BLANK, 1, 1, BLANK]
+        probs = np.exp(self.peaked(aligned, 4).log_probs)
+        probs[5] = [0.5, 0.5, 0.0, 0.0]
+        with np.errstate(divide="ignore"):
+            p = Posteriorgram(np.log(probs))
+        config = DecodeConfig(beam_width=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = labelsync_beam(p, config)
+        want = reference.labelsync_beam(p, config)
+        assert (got.sequence, got.score) == (want.sequence, want.score)
+        assert len(steps) == 6
 
 
 class TestLmCalls:
