@@ -246,7 +246,7 @@ def _cmd_ground_gen(args) -> None:
         write_scenes(path, (scene for first in range(0, cfg.num_scenes, _CHUNK)
                             for scene in generate_scenes(
                                 cfg, first, min(first + _CHUNK, cfg.num_scenes))),
-                     None if args.points else args.embed_seed)
+                     args.points)
         paths[name] = path
     _emit(args, f"TRAIN={args.train_scenes} DEV={args.dev_scenes}", {
         "command": "ground-gen", "train_path": paths["train.jsonl"],

@@ -35,7 +35,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, UsageError
-from .fft import fft
 from .textmatrix import read_text_matrix, write_text_matrix
 
 SAMPLE_RATE = 16000  # Hz; the one input rate of the front end
@@ -217,6 +216,7 @@ def _frame_spectra(frames: np.ndarray, spec: FrameSpec, padded: np.ndarray) -> n
     Returns:
         Magnitudes for bins 0..fft_size/2, shape (B, fft_size//2 + 1).
     """
+    from .fft import fft  # here, so the feature-file readers load no FFT
     window, fwd, rev, half_twiddle = _split_tables(spec.fft_size, spec.window_samples)
     rows = padded[: frames.shape[0]]
     np.multiply(frames, window, out=rows[:, : spec.window_samples])

@@ -5,7 +5,7 @@ import importlib
 # each public name and the submodule that defines it; a name loads its
 # submodule on first use (PEP 562), so `ground gen` never compiles the model
 _EXPORTS = {
-    "features": ("audio_embedding", "label_embedding", "object_feature_stub",
+    "features": ("audio_embedding", "cloud_stats", "label_embedding", "object_feature_stub",
                  "object_features", "object_representation", "object_representations"),
     "model": ("AttentionParams", "GroundingConfig", "GroundingFailure", "GroundingModel",
               "GroundingResult", "attention_params_from", "audio_guided_attention",

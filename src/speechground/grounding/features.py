@@ -9,7 +9,13 @@ features without sharing state.
 The widths are fixed: a representation row holds a `D_OBJ` shape
 feature, a `D_LABEL` label embedding and the box center and size,
 `D_REP` numbers in all.  Every stub draws at these widths and no
-caller picks another, so a baked file always fits the model.
+caller picks another.
+
+A shape feature is the model's seeded projection of 12 cloud
+statistics (`cloud_stats`).  A scene file without points carries those
+statistics, not the feature, so it holds no seed: whichever model reads
+it projects them under its own `embed_seed`, exactly as it would
+project the statistics of the points.
 """
 
 from functools import lru_cache
@@ -40,7 +46,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _shape_projection(embed_seed: int) -> np.ndarray:
-    """Projection of a cloud's 12 statistics (see `object_features`) to D_OBJ."""
+    """Projection of a cloud's 12 statistics (see `cloud_stats`) to D_OBJ."""
     rng = np.random.default_rng([embed_seed, _STREAM_SHAPE])
     return _frozen(rng.standard_normal((D_OBJ, 12)) / np.sqrt(12))
 
@@ -62,29 +68,28 @@ def _audio_tables(embed_seed: int, num_classes: int, d_audio: int
                                       (_STREAM_AUDIO_RELATION, 3)))
 
 
-def object_features(objects, embed_seed: int) -> np.ndarray:
-    """(n, D_OBJ) shape features: a seeded projection of cloud statistics.
+def cloud_stats(objects) -> np.ndarray:
+    """(n, 12) cloud statistics, one row per object.
 
     Each cloud is normalized into a unit ball (centered on its mean,
-    scaled by the largest radius), summarized by per-axis mean, max and
-    min plus the mean color, and pushed through a fixed random
-    projection.  Translating an object does not change its row.  Objects
-    without points contribute their baked feature.  Clouds of equal
-    point count are summarized as one stacked block; `proj @ col` per
-    row keeps every row bit-identical to the one-object call.
+    scaled by the largest radius) and summarized by per-axis mean, max
+    and min plus the mean color, so translating an object does not
+    change its row.  An object without points contributes the
+    statistics it carries.  Clouds of equal point count are summarized
+    as one stacked block whose every value equals the one-object call.
     """
-    out = np.empty((len(objects), D_OBJ))
+    out = np.empty((len(objects), 12))
     by_count: dict[int, list[int]] = {}
     for i, obj in enumerate(objects):
         if obj.points is not None:
             by_count.setdefault(obj.points.shape[0], []).append(i)
             continue
-        if obj.feature is None:
-            raise DataError("object carries neither points nor a baked feature")
-        feat = np.asarray(obj.feature, dtype=np.float64)
-        if feat.shape != (D_OBJ,):
-            raise DataError(f"baked feature has length {feat.shape}, expected {D_OBJ}")
-        out[i] = feat
+        if obj.stats is None:
+            raise DataError("object carries neither points nor cloud statistics")
+        stats = np.asarray(obj.stats, dtype=np.float64)
+        if stats.shape != (12,):
+            raise DataError(f"cloud statistics have length {stats.shape}, expected 12")
+        out[i] = stats
     for rows in by_count.values():
         # (K, 6, g): the point axis outermost, so every reduction over it
         # adds whole rows in point order, as the (K, 6) one-object call does
@@ -93,11 +98,21 @@ def object_features(objects, embed_seed: int) -> np.ndarray:
         centered = xyz - xyz.mean(axis=0)
         radius = np.max(np.linalg.norm(centered, axis=1), axis=0)
         centered = centered / np.where(radius > 0, radius, 1.0)
-        stats = np.concatenate([centered.mean(axis=0), centered.max(axis=0),
-                                centered.min(axis=0), points[:, 3:].mean(axis=0)]).T
-        proj = _shape_projection(embed_seed)
-        out[rows] = (proj @ stats[:, :, None])[:, :, 0]
+        out[rows] = np.concatenate([centered.mean(axis=0), centered.max(axis=0),
+                                    centered.min(axis=0), points[:, 3:].mean(axis=0)]).T
     return out
+
+
+def object_features(objects, embed_seed: int) -> np.ndarray:
+    """(n, D_OBJ) shape features: `cloud_stats` through a seeded projection.
+
+    The projection is drawn from `embed_seed`, the model's seed, whether
+    an object brings its points or its statistics, so both give the
+    same row.  `proj @ col` per row keeps every row bit-identical to the
+    one-object call.
+    """
+    stats = cloud_stats(objects)
+    return (_shape_projection(embed_seed) @ stats[:, :, None])[:, :, 0]
 
 
 def object_feature_stub(obj, embed_seed: int) -> np.ndarray:

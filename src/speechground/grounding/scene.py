@@ -16,11 +16,11 @@ from itertools import islice
 import numpy as np
 
 from ..errors import DataError, UsageError
-from .features import audio_embedding, object_features
+from .features import audio_embedding, cloud_stats
 
 RELATIONS = ("left-of", "right-of", "nearest-to")
 MAX_CLASSES = 10_000  # per generator or model, so every per-class table stays small
-# scenes generated, baked and written together, and scenes per stacked
+# scenes generated, summarized and written together, and scenes per stacked
 # representation call when preparing or scoring; bounds the resident block
 _CHUNK = 64
 # standard deviation of the Gaussian noise added to each clean audio embedding
@@ -29,13 +29,18 @@ _AUDIO_NOISE = 0.05
 
 @dataclass
 class SceneObject:
-    """A point cloud (K x 6, xyz+rgb) with its class and box summary."""
+    """A point cloud (K x 6, xyz+rgb) with its class and box summary.
+
+    An object read from a file without points has `points` None and
+    carries its cloud's 12 statistics (see `features.cloud_stats`)
+    in `stats` instead.
+    """
 
     points: np.ndarray | None
     class_id: int
     center: np.ndarray
     size: np.ndarray
-    feature: np.ndarray | None = None  # baked shape feature when points elided
+    stats: np.ndarray | None = None  # cloud statistics when points elided
 
     def __post_init__(self):
         self.class_id = int(self.class_id)
@@ -46,12 +51,12 @@ class SceneObject:
         if self.center.shape != (3,) or self.size.shape != (3,):
             raise DataError("bbox center and size must have three entries each")
         for name, value in (("points", self.points), ("center", self.center),
-                            ("size", self.size), ("feature", self.feature)):
+                            ("size", self.size), ("stats", self.stats)):
             if value is not None and not np.isfinite(value).all():
                 raise DataError(f"object {name} must be finite")
 
     @classmethod
-    def _unchecked(cls, points, class_id: int, center, size, feature=None
+    def _unchecked(cls, points, class_id: int, center, size, stats=None
                    ) -> "SceneObject":
         """An object whose fields are already valid: skips `__post_init__`.
 
@@ -59,8 +64,8 @@ class SceneObject:
         and size, and finite arrays.
         """
         obj = cls.__new__(cls)
-        obj.points, obj.class_id, obj.center, obj.size, obj.feature = (
-            points, class_id, center, size, feature)
+        obj.points, obj.class_id, obj.center, obj.size, obj.stats = (
+            points, class_id, center, size, stats)
         return obj
 
     @classmethod
@@ -308,22 +313,23 @@ def generate_scenes(config: GenConfig, start: int = 0, stop: int | None = None
     return scenes
 
 
-def write_scenes(path: str, scenes, embed_seed: int | None = None) -> None:
+def write_scenes(path: str, scenes, points: bool = True) -> None:
     """Write scenes, any iterable of them, as JSON lines.
 
-    Without `embed_seed` each object carries its point cloud.  With it
-    the clouds are elided and each object carries its shape feature,
-    baked under that seed (the one used downstream), plus the box
-    summary.  Scenes are taken, baked and written `_CHUNK` at a time, so
-    a lazy iterable keeps only a chunk or two resident.
+    With `points` each object carries its point cloud.  Without, the
+    clouds are elided and each object carries its 12 cloud statistics
+    (`features.cloud_stats`) under "stats", plus the box summary; the
+    reader's model projects them under its own seed.  Scenes are taken,
+    summarized and written `_CHUNK` at a time, so a lazy iterable keeps
+    only a chunk or two resident.
     """
-    key = "points" if embed_seed is None else "feature"
+    key = "points" if points else "stats"
     scenes = iter(scenes)
     with open(path, "w", encoding="utf-8") as fh:
         while chunk := list(islice(scenes, _CHUNK)):
             objects = [obj for scene in chunk for obj in scene.objects]
-            if embed_seed is not None:
-                rows = iter(object_features(objects, embed_seed).tolist())
+            if not points:
+                rows = iter(cloud_stats(objects).tolist())
             elif any(obj.points is None for obj in objects):
                 raise UsageError("scene object has no points to write")
             else:
@@ -351,10 +357,11 @@ def _json_int(value, what: str) -> int:
 
 
 def _scene_objects(records) -> list[SceneObject]:
-    """A record's objects, all in point form or all in feature form.
+    """A record's objects, all in point form or all in stats form.
 
-    A feature-form scene is checked as one block: its centers, sizes and
-    features are stacked, shape-checked and tested for finiteness once.
+    A stats-form scene is checked as one block: its centers, sizes and
+    cloud statistics are stacked, shape-checked and tested for finiteness
+    once.  The statistics' length is checked where they are projected.
     A block that fails any check is read again object by object, so the
     error is the one the per-object checks give.
     """
@@ -364,31 +371,30 @@ def _scene_objects(records) -> list[SceneObject]:
                                         _json_int(obj["class_id"], "class_id"))
                 for obj in records]
     if any(point_form):
-        raise DataError("scene mixes point-form and feature-form objects")
+        raise DataError("scene mixes point-form and stats-form objects")
     try:
         class_ids = [_json_int(obj["class_id"], "class_id") for obj in records]
         bboxes = [obj["bbox"] for obj in records]
         centers = np.array([bbox["center"] for bbox in bboxes], dtype=np.float64)
         sizes = np.array([bbox["size"] for bbox in bboxes], dtype=np.float64)
-        features = np.array([obj["feature"] for obj in records], dtype=np.float64)
+        stats = np.array([obj["stats"] for obj in records], dtype=np.float64)
         valid = (min(class_ids) >= 0
                  and centers.shape == sizes.shape == (len(records), 3)
                  and np.isfinite(centers).all() and np.isfinite(sizes).all()
-                 and np.isfinite(features).all())
+                 and np.isfinite(stats).all())
     except (KeyError, TypeError, ValueError, OverflowError, DataError):
         valid = False
     if not valid:
         return [SceneObject(None, _json_int(obj["class_id"], "class_id"),
                             obj["bbox"]["center"], obj["bbox"]["size"],
-                            feature=np.asarray(obj["feature"], dtype=np.float64))
+                            stats=np.asarray(obj["stats"], dtype=np.float64))
                 for obj in records]
-    return [SceneObject._unchecked(None, class_id, center, size, feature)
-            for class_id, center, size, feature
-            in zip(class_ids, centers, sizes, features)]
+    return [SceneObject._unchecked(None, class_id, center, size, row)
+            for class_id, center, size, row in zip(class_ids, centers, sizes, stats)]
 
 
 def read_scenes(path: str) -> list[SyntheticScene]:
-    """Parse JSON-line scenes, accepting both point and feature forms."""
+    """Parse JSON-line scenes, accepting both point and stats forms."""
     return list(iter_scenes(path))
 
 

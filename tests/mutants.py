@@ -48,7 +48,8 @@ BATCHED = ("tests/test_grounding.py::TestBatchedPath",
 BLOCKED_MFCC = ("tests/test_dsp.py::TestBlockedMfccMatchesReference",)
 TIMESYNC_TIES = ("tests/test_decode.py::TestBeamsMatchReference::test_timesync_on_exact_ties",)
 LABELSYNC_TIES = ("tests/test_decode.py::TestBeamsMatchReference::test_labelsync_on_exact_ties",)
-FEATURE_FORM = ("tests/test_scenes.py::TestFeatureFormChecks",)
+STATS_FORM = ("tests/test_scenes.py::TestFeatureFormChecks",)
+BOTH_FORMS = ("tests/test_scenes.py::TestBothFormsGiveOneInput",)
 FFT = ("tests/test_fft.py",)
 FFT_ROWS = ("tests/test_fft.py::test_each_row_equals_its_1d_transform_bit_for_bit",)
 LABELSYNC_REFERENCE = (
@@ -181,6 +182,10 @@ MUTANTS = (
     Mutant("brute-force cap exclusive", "ctc.py",
            "if k ** t_total > BRUTEFORCE_MAX_PATHS:", "if k ** t_total >= BRUTEFORCE_MAX_PATHS:",
            ("tests/test_ctc.py::TestPosteriorgramType::test_bruteforce_cap_is_inclusive",)),
+    Mutant("every lattice row counted live", "ctc.py",
+           "label[:, entry]) > -np.inf)", "label[:, entry]) >= -np.inf)",
+           ("tests/test_ctc.py::TestBlockLatticeMatchesTheChain"
+            "::test_entry_terms_skip_the_parents_dead_rows",)),
     Mutant("in-place blank row drops the blank", "ctc.py",
            "        row += lp[t, BLANK]\n", "",
            ("tests/test_ctc.py::TestLatticeMatchesReference", *BLOCK_LATTICE)),
@@ -303,12 +308,12 @@ MUTANTS = (
            "            den += _EPS\n"
            "            flat -= np.multiply(np.divide(tmp, den, out=tmp), lr, out=tmp)\n",
            TRAINING_REFERENCE),
-    Mutant("feature-form finiteness unchecked", "grounding/scene.py",
-           "\n                 and np.isfinite(features).all())", ")", FEATURE_FORM),
-    Mutant("feature-form negative class unchecked", "grounding/scene.py",
-           "valid = (min(class_ids) >= 0\n", "valid = (True\n", FEATURE_FORM),
+    Mutant("stats-form finiteness unchecked", "grounding/scene.py",
+           "\n                 and np.isfinite(stats).all())", ")", STATS_FORM),
+    Mutant("stats-form negative class unchecked", "grounding/scene.py",
+           "valid = (min(class_ids) >= 0\n", "valid = (True\n", STATS_FORM),
     Mutant("scene forms may mix", "grounding/scene.py",
-           "    if any(point_form):\n", "    if False:\n", FEATURE_FORM),
+           "    if any(point_form):\n", "    if False:\n", STATS_FORM),
     Mutant("checkpoint may repeat a tensor", "grounding/model.py",
            "            if name in tensors:\n", "            if False:\n",
            ("tests/test_cli.py::TestGroundInputValidation::test_repeated_checkpoint_tensor",)),
@@ -398,9 +403,28 @@ MUTANTS = (
            "by_point.mean(axis=0)", "np.ascontiguousarray(xyz.transpose(0, 2, 1)).mean(axis=2)",
            ("tests/test_scenes.py::TestGeneratorMatchesReference::test_scenes_are_identical",)),
     Mutant("shape features as one product", "grounding/features.py",
-           "out[rows] = (proj @ stats[:, :, None])[:, :, 0]", "out[rows] = stats @ proj.T",
+           "return (_shape_projection(embed_seed) @ stats[:, :, None])[:, :, 0]",
+           "return stats @ _shape_projection(embed_seed).T",
+           ("tests/test_scenes.py::TestObjectFeatures",)),
+    # the stats form: written seed-free, checked, projected under the reader's seed
+    Mutant("cloud statistics' length unchecked", "grounding/features.py",
+           "        if stats.shape != (12,):\n"
+           "            raise DataError(f\"cloud statistics have length {stats.shape}, "
+           "expected 12\")\n", "",
+           ("tests/test_scenes.py::TestFeatureStubs::test_baked_feature_dimension_check",)),
+    Mutant("stats form written as seed-7 shape features", "grounding/scene.py",
+           "                rows = iter(cloud_stats(objects).tolist())\n",
+           "                from .features import object_features\n"
+           "                rows = iter(object_features(objects, 7).tolist())\n",
            ("tests/test_scenes.py::TestGeneratorMatchesReference"
-            "::test_written_bytes_are_identical",)),
+            "::test_written_bytes_are_identical", *BOTH_FORMS)),
+    Mutant("carried statistics projected under seed 7", "grounding/features.py",
+           "    stats = cloud_stats(objects)\n",
+           "    stats = cloud_stats(objects)\n"
+           "    if any(obj.points is None for obj in objects):\n"
+           "        embed_seed = 7\n",
+           (*BOTH_FORMS, "tests/test_cli.py::TestGroundPipeline"
+            "::test_both_forms_evaluate_alike_under_the_models_seed")),
     Mutant("d_audio unbounded", "grounding/scene.py",
            "        if self.d_audio < 1:\n", "        if False:\n",
            ("tests/test_scenes.py::TestGenConfig::test_d_audio",)),
@@ -449,6 +473,10 @@ MUTANTS = (
            "import sys\n\nfrom . import __version__\n",
            "import sys\n\nimport numpy as np\n\nfrom . import __version__\n",
            (f"{IMPORTS}[version]", f"{IMPORTS}[usage-error]")),
+    Mutant("dsp imports fft at the top", "dsp.py",
+           "from .errors import DataError, UsageError\n",
+           "from .errors import DataError, UsageError\nfrom .fft import fft\n",
+           (f"{IMPORTS}[analyze-cca]",)),
     Mutant("grounding imports its model eagerly", "grounding/__init__.py",
            "import importlib\n", "import importlib\n\nfrom .model import GroundingModel\n",
            (f"{IMPORTS}[ground-gen]",)),

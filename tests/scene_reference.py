@@ -1,13 +1,15 @@
 """Per-object scene generator, shape feature and writer: the reference.
 
 These are `_sample_object`, `_build_scene`, `generate_scenes`,
-`object_feature_stub` and `write_scenes` as they were before
+`cloud_stats`, `object_feature_stub` and `write_scenes` as they were before
 `speechground.grounding.scene._draw_scene` with `_build_scenes` (the
 draws per scene, the arithmetic per chunk of scenes) and
-`speechground.grounding.features.object_features` replaced them: each
-object is drawn, summarized, projected and serialized by its own chain
-of small numpy calls.  `read_scenes` is the reader that built and
-checked every object on its own, before feature-form scenes were
+`speechground.grounding.features.cloud_stats` and `object_features`
+replaced them: each object is drawn, summarized, projected and
+serialized by its own chain of small numpy calls.  Objects without
+points carry their cloud statistics, which the writer emits under
+"stats" and the stub projects.  `read_scenes` is the reader that built
+and checked every object on its own, before stats-form scenes were
 checked as one block.  `verify_scene` is the verifier with one branch
 for left-of and one for right-of, before right-of became left-of on the
 mirrored x axis.  They are kept unchanged so the tests can compare the
@@ -50,30 +52,37 @@ def verify_scene(scene: SyntheticScene) -> bool:
     return hits == [scene.target_index]
 
 
-def object_feature_stub(obj, embed_seed: int) -> np.ndarray:
-    """Shape feature of one object: a seeded projection of cloud statistics.
+def cloud_stats(obj) -> np.ndarray:
+    """The 12 statistics of one object's cloud, or those it carries.
 
     The cloud is normalized into a unit ball (centered on its mean,
-    scaled by the largest radius), summarized by per-axis mean, max and
-    min plus the mean color, and pushed through a fixed random
-    projection of 32 rows, drawn afresh from stream 0 of `embed_seed`.
-    Translating the object does not change the result.
+    scaled by the largest radius) and summarized by per-axis mean, max
+    and min plus the mean color.
     """
     if obj.points is None:
-        if obj.feature is None:
-            raise DataError("object carries neither points nor a baked feature")
-        feat = np.asarray(obj.feature, dtype=np.float64)
-        if feat.shape != (32,):
-            raise DataError(f"baked feature has length {feat.shape}, expected 32")
-        return feat
+        if obj.stats is None:
+            raise DataError("object carries neither points nor cloud statistics")
+        stats = np.asarray(obj.stats, dtype=np.float64)
+        if stats.shape != (12,):
+            raise DataError(f"cloud statistics have length {stats.shape}, expected 12")
+        return stats
     xyz = obj.points[:, :3]
     rgb = obj.points[:, 3:]
     centered = xyz - xyz.mean(axis=0)
     radius = np.max(np.linalg.norm(centered, axis=1))
     if radius > 0:
         centered = centered / radius
-    stats = np.concatenate([centered.mean(axis=0), centered.max(axis=0),
-                            centered.min(axis=0), rgb.mean(axis=0)])
+    return np.concatenate([centered.mean(axis=0), centered.max(axis=0),
+                           centered.min(axis=0), rgb.mean(axis=0)])
+
+
+def object_feature_stub(obj, embed_seed: int) -> np.ndarray:
+    """Shape feature of one object: a seeded projection of its cloud statistics.
+
+    The projection has 32 rows, drawn afresh from stream 0 of
+    `embed_seed`.  Translating the object does not change the result.
+    """
+    stats = cloud_stats(obj)
     rng = np.random.default_rng([embed_seed, 0])
     return rng.standard_normal((32, stats.size)) / np.sqrt(stats.size) @ stats
 
@@ -164,16 +173,12 @@ def generate_scenes(config: GenConfig) -> list[SyntheticScene]:
     return scenes
 
 
-def write_scenes(path: str, scenes, include_points: bool = True,
-                 embed_seed: int | None = None) -> None:
+def write_scenes(path: str, scenes, include_points: bool = True) -> None:
     """Write scenes as JSON lines.
 
     With include_points=False the point clouds are elided and each
-    object instead carries its baked shape feature (which requires the
-    embedding seed used downstream) plus the box summary.
+    object instead carries its cloud statistics plus the box summary.
     """
-    if not include_points and embed_seed is None:
-        raise UsageError("eliding points requires embed_seed to bake features")
     with open(path, "w", encoding="utf-8") as fh:
         for scene in scenes:
             objs = []
@@ -185,7 +190,7 @@ def write_scenes(path: str, scenes, include_points: bool = True,
                         raise UsageError("scene object has no points to write")
                     rec["points"] = [list(row) for row in obj.points]
                 else:
-                    rec["feature"] = list(object_feature_stub(obj, embed_seed))
+                    rec["stats"] = list(cloud_stats(obj))
                 objs.append(rec)
             fh.write(json.dumps({
                 "objects": objs,
@@ -198,7 +203,7 @@ def write_scenes(path: str, scenes, include_points: bool = True,
 
 
 def read_scenes(path: str) -> list[SyntheticScene]:
-    """Parse JSON-line scenes, accepting both point and feature forms."""
+    """Parse JSON-line scenes, accepting both point and stats forms."""
     scenes = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -218,7 +223,7 @@ def read_scenes(path: str) -> list[SyntheticScene]:
                         bbox = obj["bbox"]
                         objects.append(SceneObject(
                             None, class_id, bbox["center"], bbox["size"],
-                            feature=np.asarray(obj["feature"], dtype=np.float64)))
+                            stats=np.asarray(obj["stats"], dtype=np.float64)))
                 scenes.append(SyntheticScene(
                     objects, rec["audio"],
                     _json_int(rec["target_class"], "target_class"),

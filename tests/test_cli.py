@@ -912,8 +912,8 @@ class TestGroundPipeline:
     # sha256 of train.jsonl and dev.jsonl from `ground gen --train-scenes 20
     # --dev-scenes 20 --seed 3`: pins the rng draw order and float formatting
     GOLDEN = {
-        "features": ("88c3fe69a382d9540c90d9f1eb57407f32a39e19f06b04dd8822ee1ba69fbc37",
-                     "310d97763b49e366b6c5d5294c51a358ebae31acf1f2209660b15ee13c6e26f7"),
+        "features": ("b3687d9e7d56f50b2e95faa897303a16dbcf75c5bcf34f226e61b2f583b55604",
+                     "de9eb9bbedd092d6b855dc5d21c932194aec1e05aa33d63e5ae6e65ed84edb6d"),
         "points": ("7b5bb96a2686213528fd822a1d1ecef7580c7f7c4d52963490ba6993929aeaf6",
                    "a65f39239d521d7c2d22fbdb9c35a2aea565783beeea6a5c57c166563fd92ea9"),
     }
@@ -927,6 +927,26 @@ class TestGroundPipeline:
         digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                         for name in ("train.jsonl", "dev.jsonl"))
         assert digests == self.GOLDEN[form]
+
+    def test_both_forms_evaluate_alike_under_the_models_seed(self, tmp_path, capsys):
+        # files generated under embed seed 7 and a model trained under 11: the
+        # stats file is projected under the model's seed, as the points are
+        gen = ["ground", "gen", "--train-scenes", "40", "--dev-scenes", "30",
+               "--classes", "4", "--seed", "9", "--embed-seed", "7"]
+        for form in ("stats", "points"):
+            code, _, err = run([*gen, "--out", str(tmp_path / form),
+                                *(["--points"] if form == "points" else [])], capsys)
+            assert code == 0, err
+        ckpt = str(tmp_path / "model.ckpt")
+        train = str(tmp_path / "points" / "train.jsonl")
+        code, _, err = run(["ground", "train", "--data", train, "--out", ckpt, "--epochs", "2",
+                            "--batch", "16", "--embed-seed", "11", "--quiet"], capsys)
+        assert code == 0, err
+        outs = [run(["ground", "eval", "--model", ckpt, "--data",
+                     str(tmp_path / form / "dev.jsonl"), "--json"], capsys)
+                for form in ("stats", "points")]
+        assert outs[0][0] == 0, outs[0][2]
+        assert outs[0] == outs[1]
 
     def test_gen_keeps_at_most_two_chunks_of_scenes_alive(self, tmp_path, capsys,
                                                            monkeypatch):
@@ -1048,7 +1068,7 @@ class TestGroundArgumentBounds:
     def data(self, tmp_path):
         path = tmp_path / "train.jsonl"
         write_scenes(str(path), generate_scenes(GenConfig(num_scenes=4, num_classes=4)),
-                     embed_seed=7)
+                     points=False)
         return str(path)
 
     @pytest.mark.parametrize("flag", ["--seed", "--embed-seed"])
@@ -1097,7 +1117,7 @@ class TestGroundInputValidation:
     def dataset(tmp_path, edit=None):
         scenes = generate_scenes(GenConfig(num_scenes=2, num_classes=4))
         path = tmp_path / "dev.jsonl"
-        write_scenes(str(path), scenes, embed_seed=7)
+        write_scenes(str(path), scenes, points=False)
         if edit is not None:
             lines = path.read_text(encoding="utf-8").splitlines()
             record = json.loads(lines[0])
@@ -1141,6 +1161,18 @@ class TestGroundInputValidation:
         self.assert_data_error(["ground", "eval", "--model",
                                 self.checkpoint(tmp_path), "--data", data],
                                capsys)
+
+    def test_feature_form_file_is_refused(self, tmp_path, capsys):
+        # the earlier elided form: each object's 32-wide shape feature, no statistics
+        def bake(record):
+            for obj in record["objects"]:
+                del obj["stats"]
+                obj["feature"] = [0.25] * 32
+
+        code, out, err = run(["ground", "eval", "--model", self.checkpoint(tmp_path),
+                              "--data", self.dataset(tmp_path, bake)], capsys)
+        assert (code, out) == (2, "")
+        assert_one_error_naming(err, "line 1: bad scene record: 'stats'")
 
     def test_nan_checkpoint_weight(self, tmp_path, capsys):
         ckpt = self.checkpoint(
@@ -1280,7 +1312,7 @@ class TestGroundInputValidation:
     def test_inferred_class_count_needs_every_smaller_id(self, edit, tmp_path, capsys):
         path = tmp_path / "train.jsonl"
         write_scenes(str(path), generate_scenes(GenConfig(num_scenes=12, num_classes=4)),
-                     embed_seed=7)
+                     points=False)
         lines = path.read_text(encoding="utf-8").splitlines()
         record = json.loads(lines[2])
         edit(record)
@@ -1543,6 +1575,9 @@ class TestLazyImports:
                         "--vocab", "{tmp}/p.vocab"], 0,
                        {"speechground.dsp", "speechground.fft", "speechground.metrics",
                         "speechground.grounding"}),
+        "analyze-cca": (["analyze", "cca", "--x", "{tmp}/x.txt", "--y", "{tmp}/y.txt"], 0,
+                        {"speechground.fft", "speechground.ctc", "speechground.decode",
+                         "speechground.lm", "speechground.grounding"}),
         "ground-gen": (["ground", "gen", "--out", "{tmp}/data", "--train-scenes", "2",
                         "--dev-scenes", "1"], 0,
                        {"speechground.grounding.model", "speechground.grounding.train",
@@ -1555,6 +1590,8 @@ class TestLazyImports:
         write_wav(str(tmp_path / "x.wav"), Waveform(np.zeros(1600), 16000))
         write_post(tmp_path / "p.post", [[0.25, 0.75], [0.5, 0.5]])
         write_vocab(tmp_path / "p.vocab", ["a"])
+        write_feats(tmp_path / "x.txt", [[0.0, 1.0], [1.0, 0.5], [2.0, 0.0]])
+        write_feats(tmp_path / "y.txt", [[1.0], [0.0], [2.0]])
         script = "\n".join([
             "import json, sys",
             "from speechground.cli import main",
@@ -1648,10 +1685,10 @@ class TestStructuredInputFuzz:
     def base(self, tmp_path):
         scenes = generate_scenes(GenConfig(num_scenes=8, num_classes=4,
                                            points_per_object=4, seed=3))
-        features, points = tmp_path / "features.jsonl", tmp_path / "points.jsonl"
-        write_scenes(str(features), scenes, embed_seed=7)
+        stats, points = tmp_path / "stats.jsonl", tmp_path / "points.jsonl"
+        write_scenes(str(stats), scenes, points=False)
         write_scenes(str(points), scenes)
-        lines = (features.read_text(encoding="utf-8").splitlines()[:4]
+        lines = (stats.read_text(encoding="utf-8").splitlines()[:4]
                  + points.read_text(encoding="utf-8").splitlines()[4:])
         ckpt = tmp_path / "base.ckpt"
         save_checkpoint(str(ckpt), init_grounding_model(GroundingConfig(num_classes=4),
@@ -1689,7 +1726,7 @@ class TestStructuredInputFuzz:
         elif kind == 4:  # one number inside an array
             target = record["audio"]
             obj = record["objects"][rng.integers(len(record["objects"]))]
-            for key in ("feature", "points"):
+            for key in ("stats", "points"):
                 if key in obj and rng.random() < 0.5:
                     target = obj[key]
             if isinstance(target[0], list):
@@ -1699,7 +1736,7 @@ class TestStructuredInputFuzz:
         else:  # an array that is one entry short or long
             obj = record["objects"][rng.integers(len(record["objects"]))]
             arrays = [record["audio"], obj["bbox"]["center"], obj["bbox"]["size"],
-                      obj.get("feature", [0.0])]
+                      obj.get("stats", [0.0])]
             target = arrays[rng.integers(len(arrays))]
             if rng.random() < 0.5:
                 target.pop()
@@ -1858,7 +1895,7 @@ class TestFlagSweep:
         scenes = tmp_path / "s.jsonl"
         write_scenes(str(scenes), generate_scenes(GenConfig(num_scenes=8, num_classes=4,
                                                             points_per_object=4, seed=3)),
-                     embed_seed=7)
+                     points=False)
         ckpt = tmp_path / "m.ckpt"
         save_checkpoint(str(ckpt), init_grounding_model(GroundingConfig(num_classes=4),
                                                         seed=0))
@@ -1958,7 +1995,7 @@ class TestByteLevelFuzz:
         text = write_text(tmp_path / "base.txt", "a b\na\n")
         scenes = tmp_path / "base.jsonl"
         write_scenes(str(scenes), generate_scenes(GenConfig(num_scenes=3, num_classes=4)),
-                     embed_seed=7)
+                     points=False)
         ckpt = tmp_path / "base.ckpt"
         save_checkpoint(str(ckpt), init_grounding_model(GroundingConfig(num_classes=4),
                                                         seed=0))

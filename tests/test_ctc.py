@@ -299,6 +299,17 @@ class TestBlockLatticeMatchesTheChain:
         assert (q_label[:3] == -np.inf).all() and (q_blank[:4] == -np.inf).all()
         self.check(p, [(1, 2), (2, 1)])
 
+    def test_entry_terms_skip_the_parents_dead_rows(self, monkeypatch):
+        # depth-3 parents are -inf in rows 0..2, so the block of entry terms
+        # starts at row 3; a row counted live before that only adds work
+        p = Posteriorgram(np.log(np.full((6, 3), 1 / 3)))
+        rows, entry_terms = [], ctc._entry_terms
+        monkeypatch.setattr(ctc, "_entry_terms",
+                            lambda *args: rows.append(args[2]) or entry_terms(*args))
+        self.check(p, [(1, 2, 1), (2, 1, 2)])
+        # the chains of `_target_lattice` ask one row at a time; the depth asks a block
+        assert [r for r in rows if isinstance(r, slice)] == [slice(3, 6)]
+
 
 class TestBlockedBruteforceMatchesReference:
     """The blocked path enumeration against the per-path loop it replaced.

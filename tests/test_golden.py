@@ -42,9 +42,9 @@ GOLDEN = {
     "analyze ssl-losses": "9f5a7add95f98aac4ced8cfe45881fdfcc1db858d1028e48c024f517ed869484",
     "ground gen": "816d3d3feb9327a4bab70addffb46378412fabda83cea80943f14d865fa6d9a7",
     "ground gen: scenes/train.jsonl":
-        "dd9f37f0d2257839cc4a53ae2d9931e29ebcc762aea5236e7d7f1422eb955077",
+        "d322a199abdd0aa193d55dad7850b71e68e932adfce48a9a685de25ab04fbdb0",
     "ground gen: scenes/dev.jsonl":
-        "4f171524cfc1e1149a8cecc85dc492f2a5d876c0df74643a3ab07df3ee251277",
+        "b672222f2c9eb445abb364fecc2146df827ff0f4eadc2fd7da20c228cea6c39f",
     "ground train": "2cb563feb75ae5b689cbd7991c6008185472a46eff9be05d0f0c662bec1803b7",
     "ground train: model.ckpt":
         "e019ea6ccbf898c033daa27e5bdaa1d64697b48bf1f822def691938c34c478bd",

@@ -9,7 +9,7 @@ import pytest
 
 from speechground.errors import DataError, UsageError
 from speechground.grounding import (GenConfig, SceneObject, SyntheticScene,
-                                    audio_embedding, generate_scenes,
+                                    audio_embedding, cloud_stats, generate_scenes,
                                     label_embedding, object_feature_stub,
                                     object_features, object_representation,
                                     object_representations, read_scenes,
@@ -320,13 +320,16 @@ class TestFeatureStubs:
             audio_embedding(1, (), 7, 5, 16, 7)
 
     def test_baked_feature_dimension_check(self):
+        cloud = make_object(0, [1.0, 2.0, 3.0])
         obj = SceneObject(None, 0, np.zeros(3), np.ones(3),
-                          feature=np.zeros(32))
+                          stats=cloud_stats([cloud])[0])
         np.testing.assert_array_equal(object_feature_stub(obj, 7),
-                                      np.zeros(32))
-        short = SceneObject(None, 0, np.zeros(3), np.ones(3), feature=np.zeros(16))
-        with pytest.raises(DataError, match="length"):
-            object_feature_stub(short, 7)
+                                      object_feature_stub(cloud, 7))
+        # a 32-wide row, the width of the shape feature itself, is refused too
+        for width in (11, 16, 32):
+            short = SceneObject(None, 0, np.zeros(3), np.ones(3), stats=np.zeros(width))
+            with pytest.raises(DataError, match="length"):
+                object_feature_stub(short, 7)
         bare = SceneObject(None, 0, np.zeros(3), np.ones(3))
         with pytest.raises(DataError, match="neither"):
             object_feature_stub(bare, 7)
@@ -343,9 +346,10 @@ class TestObjectFeatures:
 
     @staticmethod
     def assert_rows_match_reference(objects):
-        feats = object_features(objects, 7)
-        assert feats.shape == (len(objects), 32)
-        for row, obj in zip(feats, objects):
+        stats, feats = cloud_stats(objects), object_features(objects, 7)
+        assert stats.shape == (len(objects), 12) and feats.shape == (len(objects), 32)
+        for stat_row, row, obj in zip(stats, feats, objects):
+            np.testing.assert_array_equal(stat_row, reference.cloud_stats(obj))
             np.testing.assert_array_equal(row, reference.object_feature_stub(obj, 7))
 
     def test_mixed_point_counts(self):
@@ -367,11 +371,12 @@ class TestObjectFeatures:
 
     def test_baked_features_mix_with_point_clouds(self):
         rng = np.random.default_rng(53)
-        baked = [SceneObject(None, 0, np.zeros(3), np.ones(3),
-                             feature=rng.normal(size=32)) for _ in range(3)]
+        # objects read from a stats-form file, interleaved with point clouds
+        carried = [SceneObject(None, 0, np.zeros(3), np.ones(3),
+                               stats=rng.normal(size=12)) for _ in range(3)]
         clouds = [random_cloud(rng, k) for k in (8, 8, 3)]
-        self.assert_rows_match_reference([baked[0], clouds[0], clouds[1], baked[1],
-                                          clouds[2], baked[2]])
+        self.assert_rows_match_reference([carried[0], clouds[0], clouds[1], carried[1],
+                                          clouds[2], carried[2]])
 
     def test_empty_list(self):
         assert object_features([], 7).shape == (0, 32)
@@ -380,7 +385,7 @@ class TestObjectFeatures:
     def test_bad_objects_are_refused(self):
         rng = np.random.default_rng(54)
         good = random_cloud(rng, 4)
-        short = SceneObject(None, 0, np.zeros(3), np.ones(3), feature=np.zeros(16))
+        short = SceneObject(None, 0, np.zeros(3), np.ones(3), stats=np.zeros(16))
         with pytest.raises(DataError, match="length"):
             object_features([good, short], 7)
         with pytest.raises(DataError, match="neither"):
@@ -495,8 +500,8 @@ class TestGeneratorMatchesReference:
         scenes = [*generate_scenes(GenConfig(num_scenes=70, points_per_object=6, seed=8)),
                   *generate_scenes(GenConfig(num_scenes=5, points_per_object=1, seed=9))]
         fast, slow = tmp_path / "fast.jsonl", tmp_path / "slow.jsonl"
-        write_scenes(fast, scenes, embed_seed=None if include_points else 7)
-        reference.write_scenes(slow, scenes, include_points=include_points, embed_seed=7)
+        write_scenes(fast, scenes, points=include_points)
+        reference.write_scenes(slow, scenes, include_points=include_points)
         assert fast.read_bytes() == slow.read_bytes()
 
 
@@ -528,18 +533,19 @@ class TestSceneIO:
     def test_elided_form_bakes_features(self, tmp_path):
         scenes = generate_scenes(GenConfig(num_scenes=3, seed=17))
         path = tmp_path / "lean.jsonl"
-        write_scenes(path, scenes, embed_seed=7)
+        write_scenes(path, scenes, points=False)
         back = read_scenes(path)
         for orig, copy in zip(scenes, back):
             for oa, ob in zip(orig.objects, copy.objects):
                 assert ob.points is None
-                np.testing.assert_allclose(
-                    object_feature_stub(ob, 7),
-                    object_feature_stub(oa, 7), atol=1e-12)
+                # the statistics round-trip exactly, so the features keep their bits
+                np.testing.assert_array_equal(ob.stats, cloud_stats([oa])[0])
+                np.testing.assert_array_equal(object_feature_stub(ob, 7),
+                                              object_feature_stub(oa, 7))
                 np.testing.assert_allclose(ob.center, oa.center, atol=1e-12)
         # re-serializing the parsed form is byte-stable
         again = tmp_path / "lean2.jsonl"
-        write_scenes(again, back, embed_seed=7)
+        write_scenes(again, back, points=False)
         assert again.read_bytes() == path.read_bytes()
         # without a seed the writer needs the points the parsed form lacks
         with pytest.raises(UsageError, match="no points"):
@@ -569,6 +575,22 @@ class TestSceneIO:
         assert len(read_scenes(path)) == 2
 
 
+class TestBothFormsGiveOneInput:
+    """A file with points and one with statistics give the model the same rows."""
+
+    @pytest.mark.parametrize("embed_seed", [7, 11])
+    def test_representations_are_bit_equal(self, embed_seed, tmp_path):
+        # generated under seed 7; a model's seed projects the statistics of both forms
+        scenes = generate_scenes(GenConfig(num_scenes=200, seed=71, embed_seed=7))
+        want = object_representations([o for s in scenes for o in s.objects], embed_seed)
+        for points in (True, False):
+            path = tmp_path / "scenes.jsonl"
+            write_scenes(path, scenes, points=points)
+            back = [o for s in read_scenes(path) for o in s.objects]
+            assert (back[0].points is None) != points
+            assert np.array_equal(object_representations(back, embed_seed), want), points
+
+
 class TestReaderMatchesReference:
     """read_scenes against the reader that checked every object on its own."""
 
@@ -577,7 +599,7 @@ class TestReaderMatchesReference:
         path = tmp_path / "scenes.jsonl"
         write_scenes(path, generate_scenes(GenConfig(num_scenes=40, num_classes=5,
                                                      points_per_object=8, seed=61)),
-                     embed_seed=None if include_points else 7)
+                     points=include_points)
         got, want = read_scenes(path), reference.read_scenes(path)
         assert len(got) == len(want) == 40
         for fast, slow in zip(got, want):
@@ -589,7 +611,7 @@ class TestReaderMatchesReference:
             assert len(fast.objects) == len(slow.objects)
             for a, b in zip(fast.objects, slow.objects):
                 assert type(a.class_id) is int and a.class_id == b.class_id
-                for name in ("center", "size", "feature", "points"):
+                for name in ("center", "size", "stats", "points"):
                     x, y = getattr(a, name), getattr(b, name)
                     if y is None:
                         assert x is None, name
@@ -606,7 +628,7 @@ class TestReaderMatchesReference:
                             lambda obj: calls.append(obj) or check(obj))
         scenes = generate_scenes(GenConfig(num_scenes=6, seed=63))
         path = tmp_path / "lean.jsonl"
-        write_scenes(path, scenes, embed_seed=7)
+        write_scenes(path, scenes, points=False)
         assert len(read_scenes(path)) == 6
         assert calls == []
         write_scenes(path, scenes)
@@ -633,8 +655,8 @@ class TestEverySceneIsChecked:
         assert [sum(call is scene for call in calls) for scene in scenes] == [1] * 10
         assert not any(calls[5] is scene for scene in scenes)
         path = tmp_path / "scenes.jsonl"
-        for embed_seed in (None, 7):
-            write_scenes(path, scenes, embed_seed=embed_seed)
+        for points in (True, False):
+            write_scenes(path, scenes, points=points)
             calls.clear()
             assert len(read_scenes(path)) == 10
             assert len(calls) == 10
@@ -656,14 +678,14 @@ class TestEverySceneIsChecked:
 
 
 class TestFeatureFormChecks:
-    """A bad feature-form record fails with the per-object message and its line."""
+    """A bad stats-form record fails with the per-object message and its line."""
 
     @staticmethod
     def edited(tmp_path, edit):
         path = tmp_path / "lean.jsonl"
         write_scenes(path, generate_scenes(GenConfig(num_scenes=3, num_classes=4,
                                                      seed=67)),
-                     embed_seed=7)
+                     points=False)
         lines = path.read_text(encoding="utf-8").splitlines()
         record = json.loads(lines[1])
         edit(record["objects"])
@@ -680,11 +702,11 @@ class TestFeatureFormChecks:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("slot", [0, -1])
-    @pytest.mark.parametrize("field", ["center", "size", "feature"])
+    @pytest.mark.parametrize("field", ["center", "size", "stats"])
     def test_non_finite_value(self, field, slot, value, tmp_path):
         def edit(objects):
             obj = objects[slot]
-            (obj if field == "feature" else obj["bbox"])[field][1] = value
+            (obj if field == "stats" else obj["bbox"])[field][1] = value
 
         self.assert_refused(tmp_path, edit, f"object {field} must be finite")
 
@@ -700,17 +722,17 @@ class TestFeatureFormChecks:
 
     def test_first_bad_object_names_the_error(self, tmp_path):
         def edit(objects):
-            objects[0]["feature"][0] = math.nan
+            objects[0]["stats"][0] = math.nan
             objects[1]["bbox"]["center"].pop()
 
-        self.assert_refused(tmp_path, edit, "object feature must be finite")
+        self.assert_refused(tmp_path, edit, "object stats must be finite")
 
     def test_point_and_feature_objects_do_not_mix(self, tmp_path):
         def edit(objects):
-            del objects[0]["feature"]
+            del objects[0]["stats"]
             objects[0]["points"] = [[0.0, 0.0, 0.0, 0.5, 0.5, 0.5]]
 
         path = self.edited(tmp_path, edit)
         with pytest.raises(DataError, match="^line 2: bad scene record: scene mixes "
-                                            "point-form and feature-form objects$"):
+                                            "point-form and stats-form objects$"):
             read_scenes(path)
